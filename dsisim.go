@@ -169,14 +169,6 @@ type Config struct {
 	Seed uint64
 	// MaxSteps bounds simulation length (watchdog); 0 means default.
 	MaxSteps uint64
-	// Workers selects the execution engine: 1 (default) is the serial event
-	// loop every shipped experiment uses; >= 2 enables the deterministic
-	// parallel delivery engine, which partitions the machine by node and
-	// runs up to Workers partitions concurrently in conservative lookahead
-	// windows. All Workers >= 2 settings produce bit-identical results;
-	// they differ from Workers == 1 in timing details (see DESIGN.md
-	// §5). Ignored (forced to 1) when a Sink is attached.
-	Workers int
 	// Sink, if set, records the run's coherence-event stream and derives the
 	// Result's Blocks metrics (see NewCoherenceSink). A nil sink costs
 	// nothing: the simulation runs its usual allocation-free steady state.
@@ -321,7 +313,6 @@ func (c Config) machineConfig() (machine.Config, error) {
 		Policy:         pol,
 		Seed:           c.Seed,
 		MaxSteps:       c.MaxSteps,
-		Workers:        c.Workers,
 		Sink:           c.Sink,
 		Faults:         c.Faults,
 	}, nil

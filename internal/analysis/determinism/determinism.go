@@ -14,11 +14,7 @@
 //   - any import of math/rand or math/rand/v2 — simulation randomness must
 //     come from internal/rng, whose streams are seeded and stable;
 //   - go statements — concurrency belongs in internal/experiments, which
-//     fans out whole (internally single-threaded) simulations — unless the
-//     statement carries a //dsi:parmerge directive asserting the goroutine
-//     is part of the vetted deterministic partition/merge machinery (the
-//     parallel delivery engine in internal/machine/parallel.go), where the
-//     coordinator's channel handshakes order every cross-goroutine access;
+//     fans out whole (internally single-threaded) simulations;
 //   - range over a map, unless the statement carries a //dsi:anyorder
 //     directive asserting the iteration order cannot reach simulation state
 //     or output (e.g. directory.Dir.ForEach, whose callers sort).
@@ -94,11 +90,8 @@ func run(pass *analysis.Pass, simPkg func(string) bool) error {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
-				if pass.Directives.Parmerge(pass.Fset, n.Pos()) {
-					return true
-				}
 				pass.Reportf(n.Pos(),
-					"goroutine spawned in simulation package; concurrency belongs in internal/experiments (or annotate //dsi:parmerge for vetted partition/merge code)")
+					"goroutine spawned in simulation package; concurrency belongs in internal/experiments")
 			case *ast.RangeStmt:
 				t := pass.TypeOf(n.X)
 				if t == nil {

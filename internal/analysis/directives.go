@@ -21,13 +21,6 @@ import (
 //	                analyzer accepts the map iteration on that line; the
 //	                author asserts iteration order cannot reach simulation
 //	                state or output.
-//	//dsi:parmerge  on or immediately above a go statement: the determinism
-//	                analyzer accepts the goroutine spawn; the author asserts
-//	                the spawned work is part of the vetted deterministic
-//	                partition/merge machinery (the parallel delivery
-//	                engine), where every cross-goroutine access is ordered
-//	                by the coordinator's channel handshakes and results are
-//	                independent of goroutine scheduling.
 //	//dsi:unreachable <reason> [— free text]
 //	                on or immediately above an assertion call (Env.fail):
 //	                the protomodel analyzer accepts that some (controller,
@@ -40,7 +33,6 @@ const (
 	DirectiveHotpath     = "dsi:hotpath"
 	DirectiveColdpath    = "dsi:coldpath"
 	DirectiveAnyorder    = "dsi:anyorder"
-	DirectiveParmerge    = "dsi:parmerge"
 	DirectiveUnreachable = "dsi:unreachable"
 )
 
@@ -63,10 +55,9 @@ type Directives struct {
 	// (same-package resolution: the annotation must be in the analyzed
 	// package).
 	Coldpath map[types.Object]bool
-	// anyorder and parmerge record, per file, the set of lines carrying the
-	// corresponding statement-level waiver comment.
+	// anyorder records, per file, the set of lines carrying a
+	// //dsi:anyorder comment.
 	anyorder map[*token.File]map[int]bool
-	parmerge map[*token.File]map[int]bool
 	// unreachable records, per file, line -> the directive's argument text
 	// (reason token plus optional prose), "" when the bare directive was
 	// written without a reason.
@@ -79,16 +70,7 @@ func CollectDirectives(fset *token.FileSet, files []*ast.File, info *types.Info)
 		Hotpath:     make(map[*ast.FuncDecl]bool),
 		Coldpath:    make(map[types.Object]bool),
 		anyorder:    make(map[*token.File]map[int]bool),
-		parmerge:    make(map[*token.File]map[int]bool),
 		unreachable: make(map[*token.File]map[int]string),
-	}
-	mark := func(idx map[*token.File]map[int]bool, tf *token.File, pos token.Pos) {
-		lines := idx[tf]
-		if lines == nil {
-			lines = make(map[int]bool)
-			idx[tf] = lines
-		}
-		lines[tf.Line(pos)] = true
 	}
 	for _, f := range files {
 		tf := fset.File(f.Pos())
@@ -99,9 +81,12 @@ func CollectDirectives(fset *token.FileSet, files []*ast.File, info *types.Info)
 				}
 				switch {
 				case strings.HasPrefix(c.Text, "//"+DirectiveAnyorder):
-					mark(d.anyorder, tf, c.Pos())
-				case strings.HasPrefix(c.Text, "//"+DirectiveParmerge):
-					mark(d.parmerge, tf, c.Pos())
+					lines := d.anyorder[tf]
+					if lines == nil {
+						lines = make(map[int]bool)
+						d.anyorder[tf] = lines
+					}
+					lines[tf.Line(c.Pos())] = true
 				case strings.HasPrefix(c.Text, "//"+DirectiveUnreachable):
 					lines := d.unreachable[tf]
 					if lines == nil {
@@ -140,13 +125,6 @@ func CollectDirectives(fset *token.FileSet, files []*ast.File, info *types.Info)
 // loop or trail the loop header).
 func (d *Directives) Anyorder(fset *token.FileSet, pos token.Pos) bool {
 	return onLine(d.anyorder, fset, pos)
-}
-
-// Parmerge reports whether pos's line, or the line above it, carries a
-// //dsi:parmerge directive waiving the goroutine-spawn check for vetted
-// partition/merge code.
-func (d *Directives) Parmerge(fset *token.FileSet, pos token.Pos) bool {
-	return onLine(d.parmerge, fset, pos)
 }
 
 // Unreachable reports whether pos's line, or the line above it, carries a

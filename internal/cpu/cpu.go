@@ -251,11 +251,6 @@ type Driver struct {
 	max    uint64
 	budget uint64
 
-	// limit is the window boundary for RunWindow-driven runs: driving pauses
-	// before executing any event at time >= limit. Negative disables the
-	// check entirely — the serial Run path never looks at the clock.
-	limit event.Time
-
 	// cur is the processor holding the conch; nil means main (the Run
 	// caller). mainLost tells main's drive loop the conch moved on.
 	cur      *Proc
@@ -274,16 +269,12 @@ func NewDriver(q *event.Queue) *Driver {
 
 // Reset arms the driver for one run with an event budget (the livelock
 // watchdog). A driver is reusable: each run consumes exactly one done
-// notification (Run) or one per window (RunWindow).
+// notification.
 func (d *Driver) Reset(budget uint64) {
 	d.max, d.budget = budget, budget
-	d.limit = -1
 	d.cur = nil
 	d.mainLost = false
 }
-
-// Steps returns the number of events executed since Reset.
-func (d *Driver) Steps() uint64 { return d.max - d.budget }
 
 // step executes one event within the budget. It returns false when driving
 // must stop for good — the queue drained or the budget expired — in which
@@ -294,18 +285,6 @@ func (d *Driver) step() bool {
 	if d.budget == 0 {
 		d.done <- false
 		return false
-	}
-	if d.limit >= 0 {
-		if t, ok := d.q.NextAt(); ok && t >= d.limit {
-			// Window boundary: pause without executing. The conch reverts to
-			// the goroutine that drives the next window (a pausing kernel
-			// goroutine parks on its res channel and is resumed by event, so
-			// cur must not keep pointing at it). No event ran in this call,
-			// so no handoff happened and the write is still private.
-			d.cur = nil
-			d.done <- true
-			return false
-		}
 	}
 	// Decrement before dispatch: the event may hand the conch to another
 	// goroutine mid-Step, and every driver access after the handoff send
@@ -337,30 +316,6 @@ func (d *Driver) Run() (steps uint64, drained bool) {
 	}
 	drained = <-d.done
 	return d.max - d.budget, drained
-}
-
-// RunWindow drives the queue from the calling goroutine until the next
-// pending event's time reaches limit, the queue drains, or the budget
-// expires. It returns false only when the budget expired; a true return
-// means the partition quiesced for this window (boundary reached or queue
-// empty — the caller distinguishes via Queue.Len). The conch survives
-// pauses: a kernel goroutine blocked mid-operation at a boundary parks on
-// its resume channel exactly as it does across an ordinary handoff, and the
-// next RunWindow call (from any goroutine, provided calls are externally
-// ordered) picks the drive loop back up. The parallel delivery engine
-// (internal/machine) calls this once per conservative time window.
-func (d *Driver) RunWindow(limit event.Time) bool {
-	d.limit = limit
-	for {
-		if d.mainLost {
-			d.mainLost = false
-			break
-		}
-		if !d.step() {
-			break
-		}
-	}
-	return <-d.done
 }
 
 // --- kernel-side API ---------------------------------------------------------
@@ -773,14 +728,6 @@ type Barrier struct {
 	// are snapshotted when the declared number of initialization barriers
 	// has completed.
 	OnRelease func(episode int64)
-
-	// Collect, if set, turns this barrier into the local port of an external
-	// machine-wide barrier: every arrival is handed to the coordinator
-	// instead of being tallied here, and the coordinator schedules the
-	// release continuations itself. The parallel delivery engine installs
-	// one collecting barrier per partition; Episodes, Waiting, and OnRelease
-	// are then owned by the coordinator and stay unused on this instance.
-	Collect func(at event.Time, cont func())
 }
 
 // NewBarrier builds a barrier for n processors.
@@ -790,10 +737,6 @@ func NewBarrier(q *event.Queue, n int, latency event.Time) *Barrier {
 
 // Arrive registers a processor; cont runs at release time.
 func (b *Barrier) Arrive(cont func()) {
-	if b.Collect != nil {
-		b.Collect(b.q.Now(), cont)
-		return
-	}
 	b.waiting = append(b.waiting, cont)
 	if len(b.waiting) < b.n {
 		return
@@ -823,6 +766,5 @@ func (b *Barrier) Reset(latency event.Time) {
 	b.waiting = b.waiting[:0]
 	b.Episodes = 0
 	b.OnRelease = nil
-	b.Collect = nil
 	b.latency = latency
 }

@@ -89,17 +89,6 @@ func (q *Queue) Executed() uint64 { return q.ran }
 // one heap entry without reordering anything.
 func (q *Queue) LastSeq() uint64 { return q.seq }
 
-// NextAt returns the time of the earliest pending event. ok is false when
-// the queue is empty.
-//
-//dsi:hotpath
-func (q *Queue) NextAt() (t Time, ok bool) {
-	if len(q.keys) == 0 {
-		return 0, false
-	}
-	return q.keys[0].at, true
-}
-
 // Stats returns a snapshot of the kernel counters.
 func (q *Queue) Stats() Stats {
 	return Stats{Executed: q.ran, Scheduled: q.seq, Typed: q.typed, PeakLen: q.peak}

@@ -347,26 +347,15 @@ func TestHeapSoAPayloadIntegrityFuzz(t *testing.T) {
 	}
 }
 
-// TestNextAtAndLastSeq pins the accessors the batching and parallel layers
-// build on: NextAt peeks the earliest pending time without running anything,
-// and LastSeq advances exactly once per scheduled event.
-func TestNextAtAndLastSeq(t *testing.T) {
+// TestLastSeq pins the accessor network batching builds on: LastSeq
+// advances exactly once per scheduled event.
+func TestLastSeq(t *testing.T) {
 	var q Queue
-	if _, ok := q.NextAt(); ok {
-		t.Fatal("NextAt on empty queue reported an event")
-	}
 	s0 := q.LastSeq()
 	q.At(9, func() {})
 	q.At(4, func() {})
 	if q.LastSeq() != s0+2 {
 		t.Fatalf("LastSeq = %d after two schedules from %d", q.LastSeq(), s0)
-	}
-	if at, ok := q.NextAt(); !ok || at != 4 {
-		t.Fatalf("NextAt = (%d, %v), want (4, true)", at, ok)
-	}
-	q.Step()
-	if at, ok := q.NextAt(); !ok || at != 9 {
-		t.Fatalf("NextAt after one step = (%d, %v), want (9, true)", at, ok)
 	}
 }
 

@@ -190,9 +190,7 @@ type Matrix struct {
 // the way the old flat semaphore did. Each worker owns a private machine
 // pool, so machine reuse never contends across workers. Each cell remains
 // bit-deterministic, and the grid's results are independent of completion
-// order (each cell writes only its own slot). For parallelism inside a
-// single cell, set Config.Workers >= 2 on the machine instead (the
-// deterministic parallel delivery engine).
+// order (each cell writes only its own slot).
 func RunMatrix(workloads []string, labels []Label, o Options) (*Matrix, error) {
 	o = o.defaults()
 	m := &Matrix{Opt: o, Workloads: workloads, Labels: labels,

@@ -36,21 +36,8 @@ type Config struct {
 	Policy      core.Policy
 	Seed        uint64
 	// MaxSteps bounds the event count (a livelock watchdog). 0 means the
-	// package default. Under Workers > 1 the budget applies per partition.
+	// package default.
 	MaxSteps uint64
-	// Workers selects the execution engine. 1 (the default) runs the serial
-	// conch-driven event loop — the path every shipped experiment and golden
-	// uses, byte-for-byte unchanged. Workers > 1 runs the conservative
-	// parallel delivery engine (parallel.go): one partition per node, each
-	// with its own event queue, controllers, and network port, advancing in
-	// lookahead windows of the network's minimum cross-node latency, with at
-	// most Workers partitions executing simultaneously. Results are
-	// deterministic and identical for every Workers >= 2, but differ from
-	// Workers == 1 in timing details (transaction-id layout, fault-stream
-	// partitioning, same-cycle interleaving across nodes) — see
-	// DESIGN.md §5. Defaults forces 1 when a Sink or Tracer is
-	// attached: observability consumers are strictly serial.
-	Workers int
 	// Tracer, if set, observes every operation each processor issues in
 	// program order (internal/trace records with it).
 	Tracer func(proc int, op cpu.TraceOp)
@@ -95,14 +82,6 @@ func (c Config) Defaults() Config {
 	}
 	if c.MaxSteps == 0 {
 		c.MaxSteps = 2_000_000_000
-	}
-	if c.Workers == 0 {
-		c.Workers = 1
-	}
-	if c.Workers > 1 && (c.Sink != nil || c.Tracer != nil) {
-		// The coherence sink and the trace hook are single-stream consumers
-		// ordered by global event execution; run them on the serial engine.
-		c.Workers = 1
 	}
 	if c.Policy.TearOff && c.Consistency != proto.WC {
 		panic("machine: tear-off blocks require weak consistency (use SCTearOff for the SC variant)")
@@ -243,8 +222,7 @@ func New(cfg Config) *Machine {
 func (m *Machine) Reusable(cfg Config) bool {
 	return cfg.Processors == m.cfg.Processors &&
 		cfg.CacheBytes == m.cfg.CacheBytes &&
-		cfg.CacheAssoc == m.cfg.CacheAssoc &&
-		cfg.Workers == m.cfg.Workers
+		cfg.CacheAssoc == m.cfg.CacheAssoc
 }
 
 // Reset rewinds the machine to a just-assembled state under cfg, keeping
@@ -311,9 +289,6 @@ func (m *Machine) DirCtrl(node int) *proto.DirCtrl { return m.dcs[node] }
 // machine runs one program at a time and holds that run's state afterwards:
 // call Reset (or go through a Pool) before running it again.
 func (m *Machine) Run(prog Program) Result {
-	if m.cfg.Workers > 1 {
-		return m.runParallel(prog)
-	}
 	prog.Setup(m)
 
 	n := m.cfg.Processors
@@ -453,22 +428,15 @@ func (m *Machine) Run(prog Program) Result {
 // open: outstanding cache misses, busy directory blocks, or messages in
 // flight.
 func (m *Machine) deadlocked() bool {
-	return worldDeadlocked(m.ccs, m.dcs, m.net.InFlight())
-}
-
-// worldDeadlocked is the engine-independent deadlock predicate over a set of
-// controllers and an in-flight message count (the parallel engine sums its
-// partitions' ports).
-func worldDeadlocked(ccs []*proto.CacheCtrl, dcs []*proto.DirCtrl, inFlight int) bool {
-	if inFlight != 0 {
+	if m.net.InFlight() != 0 {
 		return true
 	}
-	for _, cc := range ccs {
+	for _, cc := range m.ccs {
 		if cc.Outstanding() != 0 {
 			return true
 		}
 	}
-	for _, dc := range dcs {
+	for _, dc := range m.dcs {
 		if dc.BusyBlocks() != 0 {
 			return true
 		}
@@ -484,15 +452,9 @@ const diagnoseLimit = 24
 // cache-side transactions, the stuck directory transactions, and the tail
 // of the coherence event stream when a sink is attached.
 func (m *Machine) diagnose() []string {
-	return worldDiagnose(m.q.Len(), m.net.InFlight(), m.ccs, m.dcs, m.cfg.Sink)
-}
-
-// worldDiagnose is the engine-independent liveness dump (the parallel engine
-// passes summed queue lengths and in-flight counts; its sink is always nil).
-func worldDiagnose(queueLen, inFlight int, ccs []*proto.CacheCtrl, dcs []*proto.DirCtrl, sink *obs.Sink) []string {
-	out := []string{fmt.Sprintf("liveness: queue len %d, %d messages in flight", queueLen, inFlight)}
+	out := []string{fmt.Sprintf("liveness: queue len %d, %d messages in flight", m.q.Len(), m.net.InFlight())}
 	lines := 0
-	for n, cc := range ccs {
+	for n, cc := range m.ccs {
 		for _, om := range cc.DumpOutstanding() {
 			if lines++; lines > diagnoseLimit {
 				break
@@ -505,7 +467,7 @@ func worldDiagnose(queueLen, inFlight int, ccs []*proto.CacheCtrl, dcs []*proto.
 		out = append(out, fmt.Sprintf("liveness: ... and %d more stuck cache transactions", lines-diagnoseLimit))
 	}
 	lines = 0
-	for n, dc := range dcs {
+	for n, dc := range m.dcs {
 		for _, bt := range dc.DumpBusy() {
 			if lines++; lines > diagnoseLimit {
 				break
@@ -517,7 +479,7 @@ func worldDiagnose(queueLen, inFlight int, ccs []*proto.CacheCtrl, dcs []*proto.
 	if lines > diagnoseLimit {
 		out = append(out, fmt.Sprintf("liveness: ... and %d more stuck directory transactions", lines-diagnoseLimit))
 	}
-	if sk := sink; sk != nil {
+	if sk := m.cfg.Sink; sk != nil {
 		for _, e := range sk.Tail(16) {
 			out = append(out, "liveness: recent "+e.String())
 		}

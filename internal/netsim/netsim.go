@@ -259,15 +259,6 @@ type Network struct {
 	inflight int
 	obs      Observer
 
-	// owner/remote turn this instance into one partition's port of a larger
-	// machine (the parallel delivery engine): sends whose destination is not
-	// the owning node are handed to the remote hook — with their fully
-	// computed arrival time, after NI occupancy, fault decisions, and FIFO
-	// clamping — instead of being scheduled locally. nil remote (the serial
-	// machine) costs one predictable branch per scheduled delivery.
-	owner  int
-	remote func(m Message, arrive event.Time)
-
 	// faults and pairLast exist only when a fault plan is installed:
 	// pairLast[src*nodes+dst] is the latest delivery time scheduled for that
 	// ordered pair, the floor for the pair's next delivery.
@@ -413,37 +404,6 @@ func (n *Network) Reset(cfg Config) {
 // SetHandler registers the delivery callback for node's incoming messages.
 func (n *Network) SetHandler(node int, h Handler) { n.handlers[node] = h }
 
-// SetPort restricts this instance to serving one node of a partitioned
-// machine: only owner's traffic originates here, deliveries to owner are
-// scheduled locally, and every send addressed to another node is passed to
-// remote with its computed arrival time. The coordinator later hands such
-// messages to the destination node's port via Inject. Source-side physics
-// stays entirely local to this port — NI occupancy, traffic counts, fault
-// decisions, and per-pair FIFO clamping all run here, so per-(src, dst)
-// delivery order is decided before a message ever crosses partitions.
-func (n *Network) SetPort(owner int, remote func(m Message, arrive event.Time)) {
-	if owner < 0 || owner >= len(n.nis) {
-		panic("netsim: SetPort owner out of range")
-	}
-	n.owner, n.remote = owner, remote
-}
-
-// Inject schedules local delivery of a message that originated on another
-// partition's port. arrive was computed at the source port and must not be
-// in this port's past — the parallel engine's conservative window (no
-// cross-partition arrival can land inside the window it was sent in)
-// guarantees that, and Inject enforces it. Messages injected back to back
-// share the chain-batching fast path like local sends do.
-//
-//dsi:hotpath
-func (n *Network) Inject(m Message, arrive event.Time) {
-	now := n.q.Now()
-	if arrive < now {
-		panic(fmt.Sprintf("netsim: Inject of %v at t=%d into a partition already at t=%d", m, int64(arrive), int64(now)))
-	}
-	n.sched(m, now, arrive)
-}
-
 // SetObserver installs (or, with nil, removes) the traffic observer.
 func (n *Network) SetObserver(o Observer) { n.obs = o }
 
@@ -479,7 +439,7 @@ func (n *Network) Send(m Message) event.Time {
 	if m.Src < 0 || m.Src >= len(n.nis) || m.Dst < 0 || m.Dst >= len(n.nis) {
 		panic(fmt.Sprintf("netsim: bad endpoints in %v", m))
 	}
-	if n.handlers[m.Dst] == nil && (n.remote == nil || m.Dst == n.owner) {
+	if n.handlers[m.Dst] == nil {
 		panic(fmt.Sprintf("netsim: no handler at node %d for %v", m.Dst, m))
 	}
 	now := n.q.Now()
@@ -505,10 +465,6 @@ func (n *Network) Send(m Message) event.Time {
 //
 //dsi:hotpath
 func (n *Network) sched(m Message, now, arrive event.Time) {
-	if n.remote != nil && m.Dst != n.owner {
-		n.remote(m, arrive)
-		return
-	}
 	n.inflight++
 	if n.obs != nil {
 		n.obs.MsgSent(now, m, arrive)

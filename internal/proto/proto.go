@@ -73,15 +73,6 @@ type Env struct {
 	// the disabled path stays branch-only (see DESIGN.md §6).
 	Sink *obs.Sink
 
-	// TxnStride and TxnBase partition the transaction-id space when one
-	// machine runs several Envs side by side (the parallel delivery engine
-	// gives every node its own Env): node k draws ids TxnBase+1,
-	// TxnBase+1+TxnStride, ... so ids stay globally unique without any
-	// cross-partition coordination. The zero value (stride 0 or 1) is the
-	// serial machine's single dense sequence 1, 2, 3, ...
-	TxnStride uint64
-	TxnBase   uint64
-
 	// txnSeq is the transaction-id counter behind NextTxn.
 	txnSeq uint64
 }
@@ -92,9 +83,6 @@ type Env struct {
 // run to run and carry no timing effect.
 func (e *Env) NextTxn() uint64 {
 	e.txnSeq++
-	if e.TxnStride > 1 {
-		return e.TxnBase + (e.txnSeq-1)*e.TxnStride + 1
-	}
 	return e.txnSeq
 }
 

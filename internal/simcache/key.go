@@ -56,9 +56,6 @@ type Request struct {
 	SharerLimit        int
 	Seed               uint64
 	MaxSteps           uint64
-	// Workers is part of the identity: parallel-delivery runs (Workers >= 2)
-	// are deterministic but not bit-identical to Workers=1 runs.
-	Workers int
 
 	Retry  *proto.RetryConfig
 	Faults *faultinj.Config
@@ -74,7 +71,7 @@ func RequestOf(workload, scale, protocol string, cfg machine.Config) Request {
 		Processors: cfg.Processors, CacheBytes: cfg.CacheBytes, CacheAssoc: cfg.CacheAssoc,
 		NetworkLatency: int64(cfg.NetworkLatency), BarrierLatency: int64(cfg.BarrierLatency),
 		WriteBufferEntries: cfg.WriteBufferEntries, SharerLimit: cfg.SharerLimit,
-		Seed: cfg.Seed, MaxSteps: cfg.MaxSteps, Workers: cfg.Workers,
+		Seed: cfg.Seed, MaxSteps: cfg.MaxSteps,
 		Retry: cfg.Retry, Faults: cfg.Faults,
 	}
 }
@@ -99,7 +96,6 @@ func (r Request) Key() Key {
 	d.absorb(fieldHash("sharerlimit", uint64(r.SharerLimit)))
 	d.absorb(fieldHash("seed", r.Seed))
 	d.absorb(fieldHash("maxsteps", r.MaxSteps))
-	d.absorb(fieldHash("workers", uint64(r.Workers)))
 	absorbRetry(&d, r.Retry)
 	absorbFaults(&d, r.Faults)
 	return d.key()

@@ -16,7 +16,7 @@ func fullRequest() Request {
 		Processors: 8, CacheBytes: 2048, CacheAssoc: 4,
 		NetworkLatency: 40, BarrierLatency: 100,
 		WriteBufferEntries: 16, SharerLimit: 8,
-		Seed: 0x5eed, MaxSteps: 1 << 20, Workers: 1,
+		Seed: 0x5eed, MaxSteps: 1 << 20,
 		Retry: &proto.RetryConfig{Timeout: 5000, Max: 10, QueueLimit: 4},
 		Faults: &faultinj.Config{
 			Seed: 99, Drop: 0.01, Dup: 0.002, Delay: 0.05, Jitter: 20,
@@ -81,7 +81,6 @@ func TestKeyPerturbation(t *testing.T) {
 		{"sharerlimit", func(r *Request) { r.SharerLimit = 4 }},
 		{"seed", func(r *Request) { r.Seed++ }},
 		{"maxsteps", func(r *Request) { r.MaxSteps++ }},
-		{"workers", func(r *Request) { r.Workers = 4 }},
 		{"retry-nil", func(r *Request) { r.Retry = nil }},
 		{"retry-timeout", func(r *Request) { r.Retry.Timeout++ }},
 		{"retry-max", func(r *Request) { r.Retry.Max++ }},
@@ -139,7 +138,7 @@ func TestRequestOfRoundTrip(t *testing.T) {
 		Processors: 8, CacheBytes: 2048, CacheAssoc: 4,
 		NetworkLatency: 40, BarrierLatency: 100,
 		WriteBufferEntries: 16, SharerLimit: 8,
-		Seed: 0x5eed, MaxSteps: 1 << 20, Workers: 1,
+		Seed: 0x5eed, MaxSteps: 1 << 20,
 		Retry:  &proto.RetryConfig{Timeout: 5000, Max: 10, QueueLimit: 4},
 		Faults: &faultinj.Config{Seed: 99, Drop: 0.01},
 	}
