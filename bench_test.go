@@ -4,8 +4,9 @@ package dsisim
 // evaluation (§5). Each BenchmarkFig*/BenchmarkTable* runs the full
 // experiment grid at paper scale (32 simulated processors) and reports the
 // headline series as custom metrics, so `go test -bench=.` reproduces the
-// numbers EXPERIMENTS.md records. The Benchmark*Micro entries measure
-// simulator throughput itself.
+// numbers EXPERIMENTS.md records. The kernel benchmarks (BenchmarkEventQueue,
+// BenchmarkNetworkDelivery, BenchmarkRunOne, BenchmarkCacheLookupMicro)
+// measure simulator throughput itself.
 //
 // One full iteration of a paper artifact simulates dozens of machine
 // configurations; expect minutes, not microseconds.
@@ -297,22 +298,6 @@ func BenchmarkRunOne(b *testing.B) {
 	b.ReportMetric(float64(events), "events/op")
 }
 
-// BenchmarkEventQueueMicro measures raw event throughput.
-func BenchmarkEventQueueMicro(b *testing.B) {
-	var q event.Queue
-	n := 0
-	var rearm func()
-	rearm = func() {
-		n++
-		if n < b.N {
-			q.After(1, rearm)
-		}
-	}
-	q.After(1, rearm)
-	b.ResetTimer()
-	q.Run()
-}
-
 // BenchmarkCacheLookupMicro measures the cache array's hit path.
 func BenchmarkCacheLookupMicro(b *testing.B) {
 	c := cache.New(cache.Config{SizeBytes: 256 * 1024, Assoc: 4})
@@ -322,22 +307,6 @@ func BenchmarkCacheLookupMicro(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Lookup(mem.Addr((i % 1024) * mem.BlockSize))
-	}
-}
-
-// BenchmarkNetworkMicro measures message scheduling throughput.
-func BenchmarkNetworkMicro(b *testing.B) {
-	q := &event.Queue{}
-	net := netsim.New(q, netsim.Config{Nodes: 4, Latency: 100})
-	for i := 0; i < 4; i++ {
-		net.SetHandler(i, func(netsim.Message) {})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q.At(q.Now(), func() {
-			net.Send(netsim.Message{Kind: netsim.GetS, Src: 0, Dst: 1, Addr: 32})
-		})
-		q.Run()
 	}
 }
 

@@ -7,12 +7,13 @@ import (
 	"dsisim"
 	"dsisim/internal/analysis/protomodel"
 	"dsisim/internal/rng"
+	"dsisim/internal/soak"
 	"dsisim/internal/workload"
 )
 
 // runTransitionCoverage is the runtime half of the protomodel cross-check
 // (docs/ANALYSIS.md §protomodel): it drives the paper workloads and a batch
-// of fuzzer litmus programs — with and without injected faults — through
+// of generated litmus programs — with and without injected faults — through
 // machines with the coherence-event sink attached, folds every event stream
 // into observed (controller, trigger, state) triples, and checks each
 // against the statically extracted transition table. A violation means the
@@ -88,16 +89,25 @@ func runTransitionCoverage(modelPath string, procs, litmusN int) error {
 		}
 	}
 
-	// Fuzzer litmus programs across the full protocol x fault-plan matrix.
+	// Litmus programs across the litmus campaign's protocol x fault-plan
+	// matrix, each plan seeded the way a soak cell seeds it.
+	space := soak.LitmusSpace(1)
 	seeds := rng.New(0xc07e4a6e)
 	for i := 0; i < litmusN; i++ {
 		spec := workload.GenLitmus(seeds.Uint64())
-		for _, pr := range workload.FuzzProtocols() {
-			for _, plan := range workload.FuzzFaultPlans() {
+		for _, pr := range space.Protocols {
+			for _, t := range space.Templates {
+				var fc *dsisim.FaultConfig
+				if t.Faults != nil {
+					c := *t.Faults
+					c.Seed = soak.FaultSeedOf(spec.Seed)
+					fc = &c
+				}
 				runs++
-				label := fmt.Sprintf("litmus-%x/%s/%s", spec.Seed, pr.Name, plan.Name)
+				label := fmt.Sprintf("litmus-%x/%s/%s", spec.Seed, pr.Name, t.Name)
 				err := fold(label, func(sink *dsisim.CoherenceSink) error {
-					return workload.RunLitmusObserved(spec, pr, plan, sink)
+					_, _, err := workload.RunLitmus(spec, pr, fc, workload.LitmusRun{Sink: sink})
+					return err
 				})
 				if err != nil {
 					return err

@@ -9,8 +9,7 @@
 //	         [-benchjson f] [-benchcells list] [-benchbaseline f] [-benchmaxregress frac]
 //	         [-blockstats workload] [-protocol label] [-cachebytes n]
 //	         [-faults spec]
-//	         [-fuzz N] [-fuzzseed S] [-fuzzout dir]
-//	         [-soak] [-soakcells N] [-soakdur d] [-soakseed S] [-soakjournal f]
+//	         [-soak | -fuzz N] [-soakcells N] [-soakdur d] [-soakseed S] [-soakjournal f]
 //	         [-resume] [-soakcorpus dir] [-soakworkers N]
 //	         [-transition-coverage] [-transition-model f] [-transition-litmus N]
 //
@@ -73,16 +72,6 @@
 //	go run ./cmd/dsibench -blockstats ocean -protocol W+DSI -test
 //	go run ./cmd/dsibench -blockstats em3d -protocol V -cachebytes 32768
 //
-// -fuzz N runs the seeded random-litmus fuzzer instead of experiments: N
-// generated programs, each executed under every protocol (SC, W, S, V,
-// W+DSI) × fault-plan (none, lossy, jitter) combination with the coherence
-// audit plus an outcome cross-check against a sequential reference model.
-// Failing cells are minimized by greedy op-deletion and persisted as
-// replayable JSON specs under -fuzzout; the exit status is nonzero if any
-// cell failed. The acceptance gate of ISSUE 7 is:
-//
-//	go run ./cmd/dsibench -fuzz 200 -fuzzseed 1
-//
 // -soak runs the fault-seed soak farm (internal/soak) instead of
 // experiments: the default campaign sweeps every paper and traffic workload
 // plus generated litmus programs under SC, V, and W+DSI across four fault
@@ -92,12 +81,23 @@
 // where it stopped (SIGINT/SIGTERM drain in-flight cells and flush a final
 // checkpoint first); -soakcorpus collects minimized replayable specs of
 // deterministic failures (replay with `dsisim -replay`). The exit status is
-// nonzero if any cell failed. The ISSUE 9 acceptance gate is:
+// nonzero if any cell failed. A full campaign with a checkpoint:
 //
 //	go run ./cmd/dsibench -soak -soakjournal soak.jsonl -soakcorpus soak-failures
 //
+// -fuzz N runs a soak sitting over the litmus-only space instead
+// (soak.LitmusSpace(N)): N repetitions of generated litmus programs under
+// every protocol (SC, W, S, V, W+DSI) × fault plan (none, lossy, jitter),
+// 15 cells per repetition, each checked by the kernel's read assertions,
+// the coherence audit and an outcome cross-check against a sequential
+// reference model. Every -soak* flag, -resume and -shard apply; failing
+// cells are minimized and persisted under -soakcorpus like any soak
+// failure. The 3000-cell sweep:
+//
+//	go run ./cmd/dsibench -fuzz 200 -soakseed 1
+//
 // -transition-coverage runs the runtime half of the protomodel cross-check:
-// paper workloads plus fuzzer litmus programs (clean and under fault
+// paper workloads plus generated litmus programs (clean and under fault
 // injection) with the coherence-event sink attached, folding every observed
 // (controller, trigger, state) triple against the statically extracted
 // transition table (-transition-model, default docs/protomodel.json). The
@@ -144,17 +144,15 @@ func main() {
 	cacheBytes := flag.Int("cachebytes", 0, "cache size for -blockstats (0 = default 256 KiB)")
 	faultSpec := flag.String("faults", "", "fault-injection spec for -benchjson/-blockstats runs, e.g. drop=0.01,seed=7 (see docs/FAULTS.md)")
 	shard := flag.String("shard", "", "run only the i-th of n artifact slices, as i/n (1-based), e.g. 2/3")
-	fuzzN := flag.Int("fuzz", 0, "run N random litmus programs through every protocol x fault-plan combination instead of experiments")
-	fuzzSeed := flag.Uint64("fuzzseed", 1, "campaign seed for -fuzz")
-	fuzzOut := flag.String("fuzzout", "fuzz-failures", "directory for minimized replayable specs of -fuzz failures")
+	fuzzN := flag.Int("fuzz", 0, "run a soak sitting over N repetitions of the litmus-only space (15 protocol x fault-plan cells each) instead of experiments")
 	soakRun := flag.Bool("soak", false, "run the fault-seed soak campaign instead of experiments")
 	soakCells := flag.Int("soakcells", 0, "bound one -soak sitting to N cells (0 = all owned cells)")
 	soakDur := flag.Duration("soakdur", 0, "stop claiming new -soak cells after this long, e.g. 10m (0 = no bound)")
-	soakSeed := flag.Uint64("soakseed", 1, "campaign seed for -soak")
-	soakJournal := flag.String("soakjournal", "", "append-only JSONL checkpoint journal for -soak ('' = no checkpointing)")
+	soakSeed := flag.Uint64("soakseed", 1, "campaign seed for -soak and -fuzz")
+	soakJournal := flag.String("soakjournal", "", "append-only JSONL checkpoint journal for -soak and -fuzz ('' = no checkpointing)")
 	soakResume := flag.Bool("resume", false, "resume the -soakjournal campaign, skipping journaled cells")
-	soakCorpus := flag.String("soakcorpus", "soak-failures", "directory for minimized replayable specs of -soak failures")
-	soakWorkers := flag.Int("soakworkers", 0, "work-stealing workers for -soak (0 = GOMAXPROCS)")
+	soakCorpus := flag.String("soakcorpus", "soak-failures", "directory for minimized replayable specs of -soak and -fuzz failures")
+	soakWorkers := flag.Int("soakworkers", 0, "work-stealing workers for -soak and -fuzz (0 = GOMAXPROCS)")
 	transCov := flag.Bool("transition-coverage", false, "cross-check runtime transitions against the static protocol model instead of running experiments")
 	transModel := flag.String("transition-model", "docs/protomodel.json", "static transition table for -transition-coverage")
 	transLitmus := flag.Int("transition-litmus", 8, "litmus programs per protocol x fault cell for -transition-coverage")
@@ -213,19 +211,20 @@ func main() {
 		}
 	}()
 
-	if *fuzzN > 0 {
-		if err := runFuzz(*fuzzN, *fuzzSeed, *fuzzOut); err != nil {
-			fatal(err)
+	if *soakRun || *fuzzN > 0 {
+		if *soakRun && *fuzzN > 0 {
+			fatal(fmt.Errorf("-soak and -fuzz pick different campaign spaces; give one"))
 		}
-		return
-	}
-
-	if *soakRun {
+		var space soak.Space // the default campaign
+		if *fuzzN > 0 {
+			space = soak.LitmusSpace(*fuzzN)
+		}
 		sh, err := soak.ParseShard(*shard)
 		if err != nil {
 			fatal(err)
 		}
 		if err := runSoak(soakOptions{
+			space:   space,
 			cells:   *soakCells,
 			dur:     *soakDur,
 			seed:    *soakSeed,
@@ -241,7 +240,7 @@ func main() {
 		return
 	}
 	if *soakResume {
-		fatal(fmt.Errorf("-resume requires -soak"))
+		fatal(fmt.Errorf("-resume requires -soak or -fuzz"))
 	}
 
 	if *transCov {
@@ -317,31 +316,6 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// runFuzz drives the seeded litmus fuzzer (internal/workload/fuzz.go):
-// n random programs, each run under every protocol x fault-plan cell.
-// Failures are minimized, persisted under outDir, and fail the process.
-func runFuzz(n int, seed uint64, outDir string) error {
-	rep, err := workload.Fuzz(n, seed, workload.FuzzOptions{
-		OutDir: outDir,
-		Log: func(format string, args ...any) {
-			fmt.Printf(format+"\n", args...)
-		},
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("fuzz: %d programs, %d protocol x fault cells, %d failures\n",
-		rep.Programs, rep.Runs, len(rep.Failures))
-	if len(rep.Failures) == 0 {
-		return nil
-	}
-	for _, f := range rep.Failures {
-		fmt.Printf("fuzz FAIL %s/%s seed %016x (%d ops minimized): %s\n    replay: go run ./cmd/dsisim -replay %s\n",
-			f.Protocol, f.Plan, f.Seed, f.MinOps, f.Err, f.Path)
-	}
-	return fmt.Errorf("%d failing litmus cells (specs in %s)", len(rep.Failures), outDir)
-}
-
 // shardSlice returns the shard's round-robin slice of names. Ownership is
 // decided by soak.Shard.Owns — the same function that slices soak campaign
 // cells — so every -shard fan-out in the tool partitions its index space
@@ -363,6 +337,7 @@ func shardSlice(names []string, spec string) ([]string, error) {
 
 // soakOptions carries the -soak* flag values into runSoak.
 type soakOptions struct {
+	space   soak.Space // zero = the default campaign
 	cells   int
 	dur     time.Duration
 	seed    uint64
@@ -374,7 +349,7 @@ type soakOptions struct {
 	cache   *dsisim.ResultCache
 }
 
-// runSoak drives one sitting of the default soak campaign. SIGINT/SIGTERM
+// runSoak drives one sitting of a soak campaign. SIGINT/SIGTERM
 // trigger a graceful drain: workers stop claiming cells, in-flight cells
 // finish and are journaled, and the final checkpoint is flushed, so a
 // Ctrl-C'd campaign resumes with -resume exactly where it stopped.
@@ -391,6 +366,7 @@ func runSoak(o soakOptions) error {
 	defer signal.Stop(sigc)
 
 	opts := soak.Options{
+		Space:     o.space,
 		Seed:      o.seed,
 		Cache:     o.cache,
 		Shard:     o.shard,

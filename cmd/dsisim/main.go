@@ -12,13 +12,11 @@
 // bit-identical — the command fails otherwise — and the cache counters are
 // printed, making the flag a quick self-check of the memoization layer.
 //
-// -replay loads a persisted failure spec and re-runs it. Two formats are
-// accepted, distinguished by sniffing the JSON: a bare litmus spec from the
-// fuzzer (`dsibench -fuzz`, internal/workload/fuzz.go) is re-run under
-// every protocol × fault-plan combination, and a soak-farm spec
-// (`dsibench -soak`, internal/soak — marked by its "soak" version field)
-// is re-run exactly as its campaign cell ran: same workload, protocol,
-// fault plan, and seeds. The exit status is nonzero if any cell fails.
+// -replay loads a persisted soak failure spec (`dsibench -soak` or `-fuzz`,
+// internal/soak; the committed corpus lives in testdata/soak-corpus/) and
+// re-runs it exactly as its campaign cell ran: same workload, protocol,
+// fault plan, and seeds. The exit status is nonzero if the spec is invalid
+// or the cell still fails.
 package main
 
 import (
@@ -33,7 +31,6 @@ import (
 	"dsisim/internal/netsim"
 	"dsisim/internal/soak"
 	"dsisim/internal/stats"
-	"dsisim/internal/workload"
 )
 
 func main() {
@@ -46,7 +43,7 @@ func main() {
 	latency := flag.Int64("latency", 100, "network latency in cycles")
 	testScale := flag.Bool("test", false, "use tiny test-scale inputs")
 	faults := flag.String("faults", "", "fault-injection spec, e.g. drop=0.01,dup=0.005,seed=7 (see docs/FAULTS.md)")
-	replay := flag.String("replay", "", "replay a persisted failure spec: a fuzzer litmus spec (every protocol x fault plan) or a soak-farm spec (its exact campaign cell)")
+	replay := flag.String("replay", "", "replay a persisted soak failure spec exactly as its campaign cell ran")
 	flag.Parse()
 
 	if *replay != "" {
@@ -171,52 +168,8 @@ func main() {
 	}
 }
 
-// runReplay re-runs a persisted failure spec: soak-farm specs replay their
-// exact campaign cell; bare litmus specs sweep the fuzzer's full protocol ×
-// fault-plan matrix.
+// runReplay re-runs one soak spec exactly as its campaign cell ran.
 func runReplay(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if soak.IsSpec(data) {
-		return runSoakReplay(path)
-	}
-	spec, err := workload.LoadLitmus(path)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("litmus spec %s: seed %016x, %d procs, %d blocks, %d rounds, %d ops\n",
-		path, spec.Seed, spec.Procs, spec.Blocks, spec.Rounds, len(spec.Ops))
-	for _, op := range spec.Ops {
-		fmt.Printf("  p%d r%d %-7s", op.Proc, op.Round, op.Kind)
-		if op.Kind == workload.LitmusLockInc {
-			fmt.Println()
-		} else if op.Kind == workload.LitmusWrite {
-			fmt.Printf(" block %d <- %d\n", op.Block, op.Value)
-		} else {
-			fmt.Printf(" block %d\n", op.Block)
-		}
-	}
-	failures := 0
-	for _, pr := range workload.FuzzProtocols() {
-		for _, plan := range workload.FuzzFaultPlans() {
-			if err := workload.RunLitmus(spec, pr, plan); err != nil {
-				failures++
-				fmt.Printf("FAIL %-6s %-7s %v\n", pr.Name, plan.Name, err)
-			} else {
-				fmt.Printf("ok   %-6s %-7s\n", pr.Name, plan.Name)
-			}
-		}
-	}
-	if failures > 0 {
-		return fmt.Errorf("%d failing cells", failures)
-	}
-	return nil
-}
-
-// runSoakReplay re-runs one soak-farm spec exactly as its campaign cell ran.
-func runSoakReplay(path string) error {
 	spec, err := soak.LoadSpec(path)
 	if err != nil {
 		return err

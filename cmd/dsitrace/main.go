@@ -25,7 +25,6 @@ import (
 	"strings"
 
 	"dsisim"
-	"dsisim/internal/core"
 	"dsisim/internal/event"
 	"dsisim/internal/machine"
 	"dsisim/internal/mem"
@@ -41,7 +40,11 @@ func main() {
 	testScale := flag.Bool("test", false, "use tiny test-scale inputs")
 	summary := flag.Bool("summary", false, "summarize a trace from stdin")
 	replay := flag.Bool("replay", false, "replay a trace from stdin and report execution time")
-	protoLabel := flag.String("protocol", "SC", "protocol label (for -replay: SC or V; for -coherence-trace: any dsisim protocol)")
+	var labels []string
+	for _, l := range proto.Labels() {
+		labels = append(labels, l.Name)
+	}
+	protoLabel := flag.String("protocol", "SC", "protocol label for -replay and -coherence-trace: "+strings.Join(labels, " "))
 
 	coh := flag.Bool("coherence-trace", false, "run -workload with the coherence-event sink and print the event stream")
 	chrome := flag.String("chrome", "", "with -coherence-trace: write Chrome trace_event JSON to this file (open in chrome://tracing or Perfetto)")
@@ -87,11 +90,9 @@ func main() {
 	case *replay:
 		tr, err := trace.Read(os.Stdin)
 		fail(err)
-		cfg := machine.Config{Processors: tr.Procs}
-		if *protoLabel == "V" {
-			cfg.Policy = core.Policy{Identifier: core.Versions{}, UpgradeExemption: true}
-		}
-		cfg.Consistency = proto.SC
+		l, err := proto.LabelOf(*protoLabel)
+		fail(err)
+		cfg := machine.Config{Processors: tr.Procs, Consistency: l.Consistency, Policy: l.Policy}
 		res := machine.New(cfg).Run(trace.NewReplay(tr))
 		if res.Failed() {
 			fail(fmt.Errorf("replay failed: %s", res.Errors[0]))

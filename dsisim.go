@@ -35,7 +35,6 @@ package dsisim
 import (
 	"fmt"
 
-	"dsisim/internal/core"
 	"dsisim/internal/cpu"
 	"dsisim/internal/event"
 	"dsisim/internal/faultinj"
@@ -93,50 +92,15 @@ const (
 
 // Protocols returns every defined protocol label.
 func Protocols() []Protocol {
-	return []Protocol{SC, W, S, V, VFIFO, SFIFO, WDSI, WDSIStates, VTearOff, VHistory, VNaive, MIG, MIGV}
+	var out []Protocol
+	for _, l := range proto.Labels() {
+		out = append(out, Protocol(l.Name))
+	}
+	return out
 }
 
 // FIFOEntries is the self-invalidation FIFO capacity the paper evaluates.
-const FIFOEntries = 64
-
-// policyFor translates a protocol label into machine configuration pieces.
-func policyFor(p Protocol) (proto.Consistency, core.Policy, error) {
-	fifo := func() core.Mechanism { return core.NewFIFO(FIFOEntries) }
-	switch p {
-	case SC:
-		return proto.SC, core.Policy{}, nil
-	case W:
-		return proto.WC, core.Policy{}, nil
-	case S:
-		return proto.SC, core.Policy{Identifier: core.States{}, UpgradeExemption: true}, nil
-	case V:
-		return proto.SC, core.Policy{Identifier: core.Versions{}, UpgradeExemption: true}, nil
-	case VFIFO:
-		return proto.SC, core.Policy{Identifier: core.Versions{}, NewMechanism: fifo, UpgradeExemption: true}, nil
-	case SFIFO:
-		return proto.SC, core.Policy{Identifier: core.States{}, NewMechanism: fifo, UpgradeExemption: true}, nil
-	case WDSI:
-		return proto.WC, core.Policy{Identifier: core.Versions{}, TearOff: true}, nil
-	case WDSIStates:
-		return proto.WC, core.Policy{Identifier: core.States{}, TearOff: true}, nil
-	case VTearOff:
-		return proto.SC, core.Policy{Identifier: core.Versions{}, SCTearOff: true, UpgradeExemption: true}, nil
-	case VHistory:
-		return proto.SC, core.Policy{NewHistory: func() *core.InvalHistory { return core.NewInvalHistory(64, 2) }}, nil
-	case VNaive:
-		return proto.SC, core.Policy{
-			Identifier:       core.Versions{},
-			NewMechanism:     func() core.Mechanism { return core.NaiveFlush{} },
-			UpgradeExemption: true,
-		}, nil
-	case MIG:
-		return proto.SC, core.Policy{Migratory: true}, nil
-	case MIGV:
-		return proto.SC, core.Policy{Migratory: true, Identifier: core.Versions{}, UpgradeExemption: true}, nil
-	default:
-		return 0, core.Policy{}, fmt.Errorf("dsisim: unknown protocol %q", p)
-	}
-}
+const FIFOEntries = proto.FIFOEntries
 
 // Scale selects workload input sizes.
 type Scale = workload.Scale
@@ -300,17 +264,17 @@ func (c Config) machineConfig() (machine.Config, error) {
 	if p == "" {
 		p = SC
 	}
-	cons, pol, err := policyFor(p)
+	l, err := proto.LabelOf(string(p))
 	if err != nil {
-		return machine.Config{}, err
+		return machine.Config{}, fmt.Errorf("dsisim: %w", err)
 	}
 	return machine.Config{
 		Processors:     c.Processors,
 		CacheBytes:     c.CacheBytes,
 		CacheAssoc:     c.CacheAssoc,
 		NetworkLatency: event.Time(c.NetworkLatency),
-		Consistency:    cons,
-		Policy:         pol,
+		Consistency:    l.Consistency,
+		Policy:         l.Policy,
 		Seed:           c.Seed,
 		MaxSteps:       c.MaxSteps,
 		Sink:           c.Sink,

@@ -85,13 +85,22 @@ type Config struct {
 	Assoc     int
 }
 
-// Sets returns the number of sets implied by the geometry.
-func (c Config) Sets() int {
-	s := c.SizeBytes / (mem.BlockSize * c.Assoc)
-	if s <= 0 || c.SizeBytes%(mem.BlockSize*c.Assoc) != 0 {
-		panic(fmt.Sprintf("cache: bad geometry %+v", c))
+// Validate reports whether the geometry holds a whole, positive number of
+// sets of Assoc blocks each.
+func (c Config) Validate() error {
+	if c.Assoc <= 0 || c.SizeBytes < mem.BlockSize*c.Assoc || c.SizeBytes%(mem.BlockSize*c.Assoc) != 0 {
+		return fmt.Errorf("cache: bad geometry %+v", c)
 	}
-	return s
+	return nil
+}
+
+// Sets returns the number of sets implied by the geometry, panicking on a
+// geometry Validate rejects.
+func (c Config) Sets() int {
+	if err := c.Validate(); err != nil {
+		panic(err.Error())
+	}
+	return c.SizeBytes / (mem.BlockSize * c.Assoc)
 }
 
 // Stats counts cache-array events. Controller-level timing is accounted in

@@ -17,7 +17,7 @@ import (
 
 // CrossCheckOutcomes compares a program's observed final memory outcomes
 // against a reference model's expected outcomes, slot by slot. It is the
-// litmus-fuzzer's second oracle (internal/workload/fuzz.go): Audit proves
+// litmus runner's second oracle (internal/workload/litmus.go): Audit proves
 // the coherence metadata is consistent, CrossCheckOutcomes proves the
 // values a sequentially-consistent reference interleaving predicts actually
 // landed in memory. label names the slot space in diagnostics (e.g.

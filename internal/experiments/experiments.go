@@ -62,28 +62,15 @@ const (
 	WDSI  Label = "W+DSI"
 )
 
-// fifoEntries is the paper's FIFO capacity.
-const fifoEntries = 64
-
-// Config converts a label into a machine configuration.
+// Config converts a label into a machine configuration through the
+// protocol table (proto.LabelOf). The labels are compile-time constants, so
+// an unknown one is a programming error.
 func (l Label) Config() (proto.Consistency, core.Policy) {
-	fifo := func() core.Mechanism { return core.NewFIFO(fifoEntries) }
-	switch l {
-	case SC:
-		return proto.SC, core.Policy{}
-	case W:
-		return proto.WC, core.Policy{}
-	case S:
-		return proto.SC, core.Policy{Identifier: core.States{}, UpgradeExemption: true}
-	case V:
-		return proto.SC, core.Policy{Identifier: core.Versions{}, UpgradeExemption: true}
-	case VFIFO:
-		return proto.SC, core.Policy{Identifier: core.Versions{}, NewMechanism: fifo, UpgradeExemption: true}
-	case WDSI:
-		return proto.WC, core.Policy{Identifier: core.Versions{}, TearOff: true}
-	default:
-		panic(fmt.Sprintf("experiments: unknown label %q", l))
+	pl, err := proto.LabelOf(string(l))
+	if err != nil {
+		panic("experiments: " + err.Error())
 	}
+	return pl.Consistency, pl.Policy
 }
 
 // Options sets the grid-wide machine parameters.

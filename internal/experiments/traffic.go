@@ -119,7 +119,8 @@ func Traffic(o Options) (string, error) {
 }
 
 // FaultConfigLossy is the lossy plan used by the traffic artifact's faulted
-// grid (mirrors the fuzzer's "lossy" plan, fixed seed for replayability).
+// grid (mirrors the soak farm's "lossy" template, fixed seed for
+// replayability).
 var FaultConfigLossy = faultinj.Config{Seed: 0xfa17, Drop: 0.02, Dup: 0.01, Delay: 0.05}
 
 // labelStrings converts labels for table headers.

@@ -45,7 +45,7 @@ type Key struct {
 type Request struct {
 	Workload string // registry name, e.g. "em3d", "zipf"
 	Scale    string // "test" or "paper"
-	Protocol string // experiment/fuzz label, e.g. "SC", "V", "W+DSI"
+	Protocol string // protocol label (proto.LabelOf), e.g. "SC", "V", "W+DSI"
 
 	Processors         int
 	CacheBytes         int

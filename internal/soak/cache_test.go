@@ -6,6 +6,7 @@ import (
 
 	"dsisim/internal/faultinj"
 	"dsisim/internal/machine"
+	"dsisim/internal/proto"
 	"dsisim/internal/simcache"
 )
 
@@ -52,7 +53,7 @@ func TestSpecRoundTripKey(t *testing.T) {
 	}
 
 	// Rebuild the machine config exactly as Spec.Replay does.
-	pr, err := protocolOf(loaded.Protocol)
+	pr, err := proto.LabelOf(loaded.Protocol)
 	if err != nil {
 		t.Fatal(err)
 	}

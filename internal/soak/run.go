@@ -281,9 +281,8 @@ func runCell(pool *machine.Pool, cell Cell, o Options) Verdict {
 	}
 	var err error
 	if cell.Workload == LitmusWorkload {
-		spec := workload.GenLitmus(cell.Seed)
-		plan := workload.FuzzFaultPlan{Name: cell.Template.Name, Config: cell.Template.Faults}
-		v.Events, v.Cycles, err = workload.RunLitmusOpts(spec, cell.Protocol, plan, workload.LitmusRun{Canary: o.canary})
+		v.Events, v.Cycles, err = workload.RunLitmus(workload.GenLitmus(cell.Seed), cell.Protocol,
+			faultsFor(cell), workload.LitmusRun{Canary: o.canary})
 	} else {
 		err = func() error {
 			scale, serr := scaleOf(o.Scale)
@@ -360,29 +359,18 @@ func triage(pool *machine.Pool, cell Cell, v *Verdict, o Options, rerunCount *at
 		Seed:     cell.Seed,
 		Err:      v.Err,
 	}
+	var minF *faultinj.Config
 	if cell.Workload == LitmusWorkload {
 		// Joint minimization: fault rules first, then litmus ops, to a
-		// fixpoint of both (satellite 1 — rules-first reaches repros plain
-		// op-deletion cannot).
-		ls := workload.GenLitmus(cell.Seed)
+		// fixpoint of both (rules-first reaches repros plain op-deletion
+		// cannot).
 		fails := func(s *workload.LitmusSpec, fc *faultinj.Config) bool {
 			rerunCount.Add(1)
-			plan := workload.FuzzFaultPlan{Name: cell.Template.Name, Config: fc}
-			_, _, err := workload.RunLitmusOpts(s, cell.Protocol, plan, workload.LitmusRun{Canary: o.canary})
+			_, _, err := workload.RunLitmus(s, cell.Protocol, fc, workload.LitmusRun{Canary: o.canary})
 			return err != nil
 		}
-		minS, minF := workload.MinimizeLitmusFaults(ls, cell.Template.Faults, fails)
-		if minF != nil {
-			// Copy before stamping the per-cell fault seed: when nothing
-			// shrank, minF may alias the template config shared by every
-			// worker.
-			fc := *minF
-			fc.Seed = FaultSeedOf(cell.Seed)
-			spec.Faults = FaultSpecOf(&fc)
-			v.MinRules = len(fc.Rules)
-		}
-		spec.Litmus = minS
-		v.MinOps = len(minS.Ops)
+		spec.Litmus, minF = workload.MinimizeLitmusFaults(workload.GenLitmus(cell.Seed), faultsFor(cell), fails)
+		v.MinOps = len(spec.Litmus.Ops)
 	} else {
 		scale, err := scaleOf(o.Scale)
 		if err != nil {
@@ -399,17 +387,17 @@ func triage(pool *machine.Pool, cell Cell, v *Verdict, o Options, rerunCount *at
 			pool.Put(m)
 			return res.Failed()
 		}
-		minF := workload.MinimizeFaultConfig(faultsFor(cell), fails)
-		spec.Faults = FaultSpecOf(minF)
+		minF = workload.MinimizeFaultConfig(faultsFor(cell), fails)
 		spec.Procs = o.Procs
 		if spec.Procs == 0 {
 			spec.Procs = 8
 		}
 		spec.CacheBytes = o.CacheBytes
 		spec.Scale = o.Scale
-		if minF != nil {
-			v.MinRules = len(minF.Rules)
-		}
+	}
+	spec.Faults = FaultSpecOf(minF)
+	if minF != nil {
+		v.MinRules = len(minF.Rules)
 	}
 	name := fmt.Sprintf("soak-%016x-%s-%s-%s.json", cell.Seed,
 		sanitizeName(cell.Workload), sanitizeName(cell.Protocol.Name), sanitizeName(cell.Template.Name))

@@ -7,6 +7,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"dsisim/internal/proto"
+	"dsisim/internal/workload"
 )
 
 // marshalVerdicts canonicalizes a verdict set for bit-identity comparison.
@@ -168,7 +171,8 @@ func TestJournalTornHeaderRestarts(t *testing.T) {
 // The end-to-end failure pipeline: a canary-broken kernel fails litmus
 // cells; triage classifies them deterministic, minimizes ops and fault
 // rules jointly, persists replayable specs into the corpus, and the specs
-// replay clean on the honest kernel while still failing under the canary.
+// replay clean on the honest kernel while still failing under the canary —
+// and failing no longer once any single op is removed.
 func TestRunCanaryFailurePipeline(t *testing.T) {
 	dir := t.TempDir()
 	o := Options{
@@ -208,6 +212,30 @@ func TestRunCanaryFailurePipeline(t *testing.T) {
 		if spec.Litmus == nil || len(spec.Litmus.Ops) != v.MinOps || v.MinOps == 0 {
 			t.Fatalf("spec ops %d disagree with verdict MinOps %d", len(spec.Litmus.Ops), v.MinOps)
 		}
+		// The persisted spec still fails under the canary, and is 1-minimal:
+		// removing any single op makes the failure go away.
+		pr, err := proto.LabelOf(spec.Protocol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fc, err := spec.Faults.Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		canaryFails := func(s *workload.LitmusSpec) bool {
+			_, _, err := workload.RunLitmus(s, pr, fc, workload.LitmusRun{Canary: true})
+			return err != nil
+		}
+		if !canaryFails(spec.Litmus) {
+			t.Fatalf("%s does not reproduce its failure under the canary", v.Spec)
+		}
+		for i := range spec.Litmus.Ops {
+			cand := *spec.Litmus
+			cand.Ops = append(append([]workload.LitmusOp(nil), spec.Litmus.Ops[:i]...), spec.Litmus.Ops[i+1:]...)
+			if canaryFails(&cand) {
+				t.Fatalf("%s not 1-minimal: still fails without op %d", v.Spec, i)
+			}
+		}
 		// Honest replay passes — the bug was the canary's, not the spec's.
 		if err := spec.Replay(); err != nil {
 			t.Fatalf("honest replay of %s failed: %v", v.Spec, err)
@@ -224,6 +252,28 @@ func TestRunCanaryFailurePipeline(t *testing.T) {
 	}
 	if len(ents) != checked {
 		t.Fatalf("corpus holds %d files, verdicts reference %d", len(ents), checked)
+	}
+}
+
+// Known-seed regression: a litmus campaign over the full protocol ×
+// fault-plan matrix must come back clean on the current tree (the bounded
+// form of `dsibench -fuzz 200 -soakseed 1`).
+func TestLitmusSpaceKnownSeedClean(t *testing.T) {
+	o := Options{Space: LitmusSpace(12), Seed: 1, Workers: 2}
+	rep, err := Run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Ran != 180 {
+		t.Fatalf("ran %d cells, want 180", rep.Ran)
+	}
+	if rep.Failures != 0 {
+		for _, v := range rep.Verdicts {
+			if v.Status != StatusOK {
+				t.Errorf("cell %d %s/%s seed %016x: %s", v.Cell, v.Protocol, v.Template, v.Seed, v.Err)
+			}
+		}
+		t.Fatalf("clean tree produced %d litmus failures", rep.Failures)
 	}
 }
 

@@ -8,9 +8,10 @@
 // replayable failure corpus). "Mending Fences with Self-Invalidation and
 // Self-Downgrade" (PAPERS.md) shows that self-invalidation protocols
 // harbor exactly the interleaving-dependent bugs only this style of
-// long-horizon randomized exploration finds; the fuzzer of docs/FAULTS.md
-// §2 caught one in a single bounded sweep, and this package is that loop —
-// inject, detect, minimize, pin — promoted to a first-class subsystem.
+// long-horizon randomized exploration finds; a bounded litmus sweep caught
+// one (docs/FAULTS.md §2), and this package is that loop — inject, detect,
+// minimize, pin — as the repository's one campaign driver (`dsibench -fuzz
+// N` is a sitting over LitmusSpace(N)).
 //
 // Determinism contract: the cell space and every per-cell seed are pure
 // functions of the campaign parameters (SeedOf), so shards, resumes, and
@@ -28,6 +29,7 @@ import (
 	"strings"
 
 	"dsisim/internal/faultinj"
+	"dsisim/internal/proto"
 	"dsisim/internal/workload"
 )
 
@@ -99,8 +101,8 @@ type Template struct {
 	Faults *faultinj.Config
 }
 
-// DefaultTemplates returns the stock campaign templates: fault-free,
-// the fuzzer's lossy and jitter plans, and a heavier mixed storm. Rates
+// DefaultTemplates returns the stock campaign templates: fault-free, lossy
+// (drop+dup+delay), reorder-heavy jitter, and a heavier mixed storm. Rates
 // stay inside the envelope the fault-matrix gate proves the bounded retry
 // protocol converges under.
 func DefaultTemplates() []Template {
@@ -114,9 +116,10 @@ func DefaultTemplates() []Template {
 
 // LitmusWorkload is the pseudo-workload name for generated litmus cells:
 // instead of a registry program, the cell runs workload.GenLitmus(seed)
-// through the fuzzer's kernel-assertion + audit + outcome cross-check
-// oracles. Litmus cells are where minimization bites hardest (ops shrink as
-// well as fault rules), so campaigns should usually include them.
+// through the kernel-assertion + audit + outcome cross-check oracles of
+// workload.RunLitmus. Litmus cells are where minimization bites hardest
+// (ops shrink as well as fault rules), so campaigns should usually include
+// them.
 const LitmusWorkload = "litmus"
 
 // Space is the deterministic campaign cell space: the cross product
@@ -126,7 +129,7 @@ const LitmusWorkload = "litmus"
 // the whole matrix breadth-first.
 type Space struct {
 	Workloads []string
-	Protocols []workload.FuzzProtocol
+	Protocols []proto.Label
 	Templates []Template
 	Reps      int // seed sweeps over the full matrix; <= 0 means 1
 }
@@ -146,24 +149,30 @@ func DefaultSpace() Space {
 	}
 }
 
-// ProtocolsByName resolves fuzz-protocol labels (SC, W, S, V, W+DSI) into
-// their machine configurations. It panics on an unknown name — the sets
-// used here are compile-time constants.
-func ProtocolsByName(names ...string) []workload.FuzzProtocol {
-	all := workload.FuzzProtocols()
-	out := make([]workload.FuzzProtocol, 0, len(names))
+// LitmusSpace is the litmus-only campaign `dsibench -fuzz N` sweeps:
+// generated litmus programs under SC, W, S, V and W+DSI, fault-free and
+// under the lossy and jitter templates — 15 cells, each a fresh program,
+// per repetition.
+func LitmusSpace(reps int) Space {
+	return Space{
+		Workloads: []string{LitmusWorkload},
+		Protocols: ProtocolsByName("SC", "W", "S", "V", "W+DSI"),
+		Templates: DefaultTemplates()[:3],
+		Reps:      reps,
+	}
+}
+
+// ProtocolsByName resolves protocol labels through the protocol table
+// (proto.LabelOf). It panics on an unknown name — the sets used here are
+// compile-time constants.
+func ProtocolsByName(names ...string) []proto.Label {
+	out := make([]proto.Label, 0, len(names))
 	for _, name := range names {
-		found := false
-		for _, pr := range all {
-			if pr.Name == name {
-				out = append(out, pr)
-				found = true
-				break
-			}
+		l, err := proto.LabelOf(name)
+		if err != nil {
+			panic("soak: " + err.Error())
 		}
-		if !found {
-			panic(fmt.Sprintf("soak: unknown protocol %q", name))
-		}
+		out = append(out, l)
 	}
 	return out
 }
@@ -203,7 +212,7 @@ func (s Space) Validate() error {
 type Cell struct {
 	Index    int
 	Workload string
-	Protocol workload.FuzzProtocol
+	Protocol proto.Label
 	Template Template
 	Seed     uint64
 }
@@ -225,15 +234,16 @@ func (s Space) Cell(campaign uint64, i int) Cell {
 	}
 }
 
-// FaultSeedOf derives the fault-plan seed of a cell from its cell seed,
-// with the same offset the litmus fuzzer uses, so a cell's injected chaos
-// is replayable from the spec alone.
+// FaultSeedOf derives the fault-plan seed of a cell from its cell seed, so
+// a cell's injected chaos is replayable from the spec alone. It is the one
+// place the derivation lives: persisted specs carry its result, and
+// replays use the persisted seed as given.
 //
 //dsi:hotpath
 func FaultSeedOf(cellSeed uint64) uint64 { return cellSeed ^ 0xfa17 }
 
 // sanitizeName makes a workload/protocol/template name filesystem-safe
-// ("W+DSI" -> "W-DSI"), mirroring the fuzzer's corpus naming.
+// ("W+DSI" -> "W-DSI") for corpus file names.
 func sanitizeName(s string) string {
 	return strings.Map(func(r rune) rune {
 		switch {

@@ -2,12 +2,16 @@ package soak
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 
+	"dsisim/internal/cache"
+	"dsisim/internal/directory"
 	"dsisim/internal/event"
 	"dsisim/internal/faultinj"
 	"dsisim/internal/machine"
+	"dsisim/internal/proto"
 	"dsisim/internal/workload"
 )
 
@@ -118,10 +122,11 @@ func (fs *FaultSpec) Config() (*faultinj.Config, error) {
 }
 
 // Spec is one replayable failure: everything a fresh process needs to
-// re-run the failing cell. The triage pipeline writes minimized Specs into
-// the campaign's corpus directory; specs promoted to testdata/soak-corpus/
-// are replayed by the repo-level corpus test (and by `dsisim -replay`)
-// forever after, pinning the bug they once exposed.
+// re-run the failing cell, in the repository's one failure format. The
+// triage pipeline writes minimized Specs into the campaign's corpus
+// directory; specs promoted to testdata/soak-corpus/ are replayed by the
+// repo-level corpus test (and by `dsisim -replay`, which reads no other
+// format) forever after, pinning the bug they once exposed.
 type Spec struct {
 	// Soak is the schema version (1).
 	Soak int `json:"soak"`
@@ -129,12 +134,12 @@ type Spec struct {
 	Workload string `json:"workload"`
 	// Litmus carries the (minimized) program for litmus cells.
 	Litmus *workload.LitmusSpec `json:"litmus,omitempty"`
-	// Protocol is a fuzz-protocol label (SC, W, S, V, W+DSI).
+	// Protocol is a protocol label (see proto.LabelOf).
 	Protocol string `json:"protocol"`
 	// Template names the fault template the cell came from (informational).
 	Template string `json:"template,omitempty"`
 	// Seed is the cell seed (machine seed derives as Seed|1 for registry
-	// workloads; litmus cells re-derive everything from the litmus spec).
+	// workloads; litmus cells derive theirs from the litmus spec's seed).
 	Seed uint64 `json:"seed"`
 	// Procs, CacheBytes, Scale shape registry-workload machines; litmus
 	// cells take their processor count from the litmus spec.
@@ -142,7 +147,8 @@ type Spec struct {
 	CacheBytes int    `json:"cache_bytes,omitempty"`
 	Scale      string `json:"scale,omitempty"`
 	// Faults is the (minimized) fault plan, with the effective per-cell
-	// fault seed filled in. nil replays fault-free.
+	// fault seed (FaultSeedOf) filled in; replays use it as given. nil
+	// replays fault-free.
 	Faults *FaultSpec `json:"faults,omitempty"`
 	// Err records the failure that produced this spec, for humans reading
 	// the corpus.
@@ -158,8 +164,9 @@ func SaveSpec(s *Spec, path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// LoadSpec reads a spec persisted by SaveSpec and validates the fields a
-// replay depends on.
+// LoadSpec reads a spec persisted by SaveSpec and validates every field a
+// replay depends on, so a hand-edited or corrupted spec fails with a named
+// error instead of crashing the replay.
 func LoadSpec(path string) (*Spec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -169,35 +176,54 @@ func LoadSpec(path string) (*Spec, error) {
 	if err := json.Unmarshal(data, s); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if s.Soak != 1 {
-		return nil, fmt.Errorf("%s: unsupported soak spec version %d", path, s.Soak)
-	}
-	if s.Workload == LitmusWorkload && s.Litmus == nil {
-		return nil, fmt.Errorf("%s: litmus spec without a program", path)
-	}
-	if _, err := protocolOf(s.Protocol); err != nil {
+	if err := s.validate(); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return s, nil
 }
 
-// IsSpec reports whether raw JSON looks like a soak spec (used by `dsisim
-// -replay` to dispatch between soak specs and bare litmus specs).
-func IsSpec(data []byte) bool {
-	var probe struct {
-		Soak int `json:"soak"`
+// validate checks a decoded spec against what Replay can run.
+func (s *Spec) validate() error {
+	if s.Soak != 1 {
+		return fmt.Errorf("unsupported soak spec version %d", s.Soak)
 	}
-	return json.Unmarshal(data, &probe) == nil && probe.Soak > 0
+	if _, err := proto.LabelOf(s.Protocol); err != nil {
+		return err
+	}
+	if _, err := s.Faults.Config(); err != nil {
+		return err
+	}
+	if s.Workload == LitmusWorkload {
+		return validLitmus(s.Litmus)
+	}
+	if s.Procs < 0 || s.Procs > directory.MaxNodes {
+		return fmt.Errorf("procs %d out of range [0, %d]", s.Procs, directory.MaxNodes)
+	}
+	mc := machineConfig(Cell{}, Options{Procs: s.Procs, CacheBytes: s.CacheBytes}, nil).Defaults()
+	if err := (cache.Config{SizeBytes: mc.CacheBytes, Assoc: mc.CacheAssoc}).Validate(); err != nil {
+		return err
+	}
+	_, err := scaleOf(s.Scale)
+	return err
 }
 
-// protocolOf resolves a fuzz-protocol label.
-func protocolOf(name string) (workload.FuzzProtocol, error) {
-	for _, pr := range workload.FuzzProtocols() {
-		if pr.Name == name {
-			return pr, nil
+// validLitmus checks a litmus program's shape and that every op names a
+// processor, round and block the program has.
+func validLitmus(l *workload.LitmusSpec) error {
+	if l == nil {
+		return errors.New("litmus spec without a program")
+	}
+	if l.Procs < 1 || l.Procs > directory.MaxNodes || l.Blocks < 1 || l.Rounds < 1 {
+		return fmt.Errorf("litmus program needs 1 to %d procs and at least one block and round (has %d procs, %d blocks, %d rounds)",
+			directory.MaxNodes, l.Procs, l.Blocks, l.Rounds)
+	}
+	for i, op := range l.Ops {
+		if op.Proc < 0 || op.Proc >= l.Procs || op.Round < 0 || op.Round >= l.Rounds ||
+			op.Block < 0 || op.Block >= l.Blocks || op.Kind < workload.LitmusRead || op.Kind > workload.LitmusLockInc {
+			return fmt.Errorf("litmus op %d out of range: %+v", i, op)
 		}
 	}
-	return workload.FuzzProtocol{}, fmt.Errorf("soak: unknown protocol %q", name)
+	return nil
 }
 
 // scaleOf parses a persisted scale name ("" defaults to test scale: soak
@@ -217,7 +243,7 @@ func scaleOf(name string) (workload.Scale, error) {
 // spec pinned no longer reproduces — which, for a committed corpus entry,
 // is the permanently expected outcome).
 func (s *Spec) Replay() error {
-	pr, err := protocolOf(s.Protocol)
+	pr, err := proto.LabelOf(s.Protocol)
 	if err != nil {
 		return err
 	}
@@ -226,8 +252,7 @@ func (s *Spec) Replay() error {
 		return err
 	}
 	if s.Workload == LitmusWorkload {
-		plan := workload.FuzzFaultPlan{Name: s.Template, Config: fc}
-		_, _, err := workload.RunLitmusOpts(s.Litmus, pr, plan, workload.LitmusRun{})
+		_, _, err := workload.RunLitmus(s.Litmus, pr, fc, workload.LitmusRun{})
 		return err
 	}
 	scale, err := scaleOf(s.Scale)
@@ -238,19 +263,7 @@ func (s *Spec) Replay() error {
 	if err != nil {
 		return err
 	}
-	procs := s.Procs
-	if procs == 0 {
-		procs = 8
-	}
-	cfg := machine.Config{
-		Processors:  procs,
-		CacheBytes:  s.CacheBytes,
-		CacheAssoc:  4,
-		Consistency: pr.Consistency,
-		Policy:      pr.Policy,
-		Seed:        s.Seed | 1,
-		Faults:      fc,
-	}
+	cfg := machineConfig(Cell{Protocol: pr, Seed: s.Seed}, Options{Procs: s.Procs, CacheBytes: s.CacheBytes}, fc)
 	res := machine.New(cfg).Run(prog)
 	if res.Failed() {
 		return fmt.Errorf("%s/%s: %s", s.Workload, s.Protocol, res.Errors[0])

@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"dsisim/internal/cpu"
+	"dsisim/internal/directory"
 	"dsisim/internal/machine"
 	"dsisim/internal/mem"
 )
@@ -109,10 +110,9 @@ func (t *Trace) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// MaxProcs bounds the processor count a trace header may declare; it matches
-// the simulator's 64-node directory limit (directory.NodeSet is a 64-bit
-// full map).
-const MaxProcs = 64
+// MaxProcs bounds the processor count a trace header may declare: the
+// simulator's directory limit (directory.NodeSet is a 64-bit full map).
+const MaxProcs = directory.MaxNodes
 
 // eventKinds are the operation kinds Write emits and Replay understands.
 var eventKinds = map[string]bool{

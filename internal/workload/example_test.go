@@ -3,22 +3,17 @@ package workload_test
 import (
 	"fmt"
 
+	"dsisim/internal/faultinj"
+	"dsisim/internal/proto"
 	"dsisim/internal/workload"
 )
 
-// A fuzz campaign runs n seeded litmus programs, each under every
-// protocol × fault-plan cell, through the coherence audit and the
-// final-state cross-check against the reference interleaving. On a correct
-// tree every cell passes; on failure the spec is minimized by greedy
-// op-deletion and (with OutDir set) persisted for `dsisim -replay`.
-func ExampleFuzz() {
-	rep, err := workload.Fuzz(2, 7, workload.FuzzOptions{})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("programs %d, cells %d, failures %d\n",
-		rep.Programs, rep.Runs, len(rep.Failures))
-
+// A litmus program is derived from a single seed, runs through the
+// coherence audit and the final-state cross-check against the reference
+// interleaving, and shrinks by greedy op-deletion when it fails. The soak
+// farm (internal/soak, `dsibench -fuzz N`) drives exactly these three
+// steps over its litmus cells.
+func ExampleGenLitmus() {
 	// Every program is derived from a single seed, so any failure names
 	// the exact spec that produced it.
 	spec := workload.GenLitmus(42)
@@ -39,19 +34,28 @@ func ExampleFuzz() {
 	fmt.Printf("minimized: %d op (%s)\n", len(min.Ops), min.Ops[0].Kind)
 
 	// A minimized spec replays like any generated one — `dsisim -replay`
-	// runs this same loop on a spec loaded from disk.
+	// runs it the same way from a persisted soak spec — here under the
+	// litmus campaign's protocols, fault-free and under its two fault plans.
+	plans := []*faultinj.Config{
+		nil,
+		{Seed: 7, Drop: 0.02, Dup: 0.01, Delay: 0.05},
+		{Seed: 7, Delay: 0.2, Jitter: 64},
+	}
 	clean := true
-	for _, pr := range workload.FuzzProtocols() {
-		for _, plan := range workload.FuzzFaultPlans() {
-			if err := workload.RunLitmus(min, pr, plan); err != nil {
+	for _, name := range []string{"SC", "W", "S", "V", "W+DSI"} {
+		pr, err := proto.LabelOf(name)
+		if err != nil {
+			panic(err)
+		}
+		for _, fc := range plans {
+			if _, _, err := workload.RunLitmus(min, pr, fc, workload.LitmusRun{}); err != nil {
 				clean = false
-				fmt.Printf("%s/%s: %v\n", pr.Name, plan.Name, err)
+				fmt.Println(err)
 			}
 		}
 	}
 	fmt.Println("minimized spec replays clean:", clean)
 	// Output:
-	// programs 2, cells 30, failures 0
 	// seed 42: 3 procs, 5 blocks, 1 rounds, 10 ops
 	// minimized: 1 op (lockinc)
 	// minimized spec replays clean: true

@@ -7,6 +7,7 @@ import (
 	"dsisim"
 	"dsisim/internal/analysis/protomodel"
 	"dsisim/internal/rng"
+	"dsisim/internal/soak"
 	"dsisim/internal/workload"
 )
 
@@ -73,18 +74,27 @@ func TestTransitionCoverage(t *testing.T) {
 		}
 	}
 
-	// Fuzzer litmus programs across the protocol x fault-plan matrix.
+	// Litmus programs across the litmus campaign's protocol x fault-plan
+	// matrix, each plan seeded the way a soak cell seeds it.
 	n := 4
 	if testing.Short() {
 		n = 1
 	}
+	space := soak.LitmusSpace(1)
 	seeds := rng.New(0xc07e4a6e)
 	for i := 0; i < n; i++ {
 		spec := workload.GenLitmus(seeds.Uint64())
-		for _, pr := range workload.FuzzProtocols() {
-			for _, plan := range workload.FuzzFaultPlans() {
-				fold("litmus/"+pr.Name+"/"+plan.Name, func(sink *dsisim.CoherenceSink) error {
-					return workload.RunLitmusObserved(spec, pr, plan, sink)
+		for _, pr := range space.Protocols {
+			for _, tm := range space.Templates {
+				var fc *dsisim.FaultConfig
+				if tm.Faults != nil {
+					c := *tm.Faults
+					c.Seed = soak.FaultSeedOf(spec.Seed)
+					fc = &c
+				}
+				fold("litmus/"+pr.Name+"/"+tm.Name, func(sink *dsisim.CoherenceSink) error {
+					_, _, err := workload.RunLitmus(spec, pr, fc, workload.LitmusRun{Sink: sink})
+					return err
 				})
 			}
 		}
