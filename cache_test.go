@@ -2,6 +2,7 @@ package dsisim
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -12,6 +13,9 @@ import (
 // memoized result is bit-identical to the computed one. The mix has ~15x
 // more requests than distinct cells, so the bound holds with wide margin
 // even on a loaded machine; a failure here means hits are doing real work.
+// Each side is timed as the best of a few trials, each cached trial on a
+// fresh cache and every phase after a forced GC, so one preemption or a GC
+// cycle left over from the other phase cannot decide a ~5ms measurement.
 func TestCampaignCacheSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison; skipped in -short")
@@ -19,6 +23,7 @@ func TestCampaignCacheSpeedup(t *testing.T) {
 	mix := campaignMix(6, 90)
 
 	runMix := func(cache *ResultCache) (time.Duration, []Result) {
+		runtime.GC()
 		start := time.Now()
 		results := make([]Result, len(mix))
 		for i, cfg := range mix {
@@ -32,13 +37,21 @@ func TestCampaignCacheSpeedup(t *testing.T) {
 		return time.Since(start), results
 	}
 
-	uncachedTime, computed := runMix(nil)
-	cachedTime, memoized := runMix(NewResultCache(256 << 20))
-
-	for i := range mix {
-		if !reflect.DeepEqual(computed[i], memoized[i]) {
-			t.Fatalf("request %d (%s seed %d): memoized result differs from computed",
-				i, mix[i].Workload, mix[i].Seed)
+	var uncachedTime, cachedTime time.Duration
+	for trial := 0; trial < 3; trial++ {
+		u, computed := runMix(nil)
+		c, memoized := runMix(NewResultCache(256 << 20))
+		for i := range mix {
+			if !reflect.DeepEqual(computed[i], memoized[i]) {
+				t.Fatalf("request %d (%s seed %d): memoized result differs from computed",
+					i, mix[i].Workload, mix[i].Seed)
+			}
+		}
+		if trial == 0 || u < uncachedTime {
+			uncachedTime = u
+		}
+		if trial == 0 || c < cachedTime {
+			cachedTime = c
 		}
 	}
 	if cachedTime*5 > uncachedTime {
