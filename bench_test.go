@@ -281,9 +281,9 @@ func BenchmarkNetworkDelivery(b *testing.B) {
 	}
 }
 
-// BenchmarkRunOne measures one full test-scale simulation per iteration —
-// the end-to-end number the ISSUE's ≥2× allocs/op target is judged on, and
-// the measurement cmd/dsibench -benchjson records in BENCH_kernel.json.
+// BenchmarkRunOne measures one full test-scale simulation per iteration of
+// em3d/V on 8 processors. Its allocs/op budget is gated by
+// TestNilSinkAllocsUnchanged; compare ns/op only between runs on one host.
 func BenchmarkRunOne(b *testing.B) {
 	b.ReportAllocs()
 	cfg := Config{Workload: "em3d", Scale: ScaleTest, Protocol: V, Processors: 8}
@@ -307,18 +307,6 @@ func BenchmarkCacheLookupMicro(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Lookup(mem.Addr((i % 1024) * mem.BlockSize))
-	}
-}
-
-// BenchmarkSimulatorThroughput measures simulated work per wall second: one
-// em3d run at paper scale per iteration.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := Run(Config{Workload: "em3d", Protocol: V, Processors: 32})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.TotalTime), "simcycles")
 	}
 }
 

@@ -29,13 +29,18 @@ import (
 
 	"dsisim"
 	"dsisim/internal/netsim"
+	"dsisim/internal/proto"
 	"dsisim/internal/soak"
 	"dsisim/internal/stats"
 )
 
 func main() {
 	wl := flag.String("workload", "em3d", "workload: "+strings.Join(dsisim.Workloads(), " "))
-	protoLabel := flag.String("protocol", "SC", "protocol: SC W S V V-FIFO S-FIFO W+DSI W+DSI-S")
+	var labels []string
+	for _, l := range proto.Labels() {
+		labels = append(labels, l.Name)
+	}
+	protoLabel := flag.String("protocol", "SC", "protocol: "+strings.Join(labels, " "))
 	procs := flag.Int("procs", 32, "simulated processors")
 	cacheBytes := flag.Int("cachebytes", 256*1024, "simulated cache size per node in bytes")
 	useCache := flag.Bool("cache", false, "memoize through a content-addressed result cache and verify the hit is bit-identical")

@@ -5,8 +5,9 @@
 // not observe wall-clock time, the process-global math/rand stream, map
 // iteration order, or goroutine scheduling.
 //
-// Checked in the configured packages (internal/event, proto, netsim,
-// machine, core, directory, cache by default):
+// Checked in the configured packages (DefaultSimPackages by default:
+// internal/machine and every internal package it builds on except cpu, plus
+// the workload generators and the result cache):
 //
 //   - calls into package time that read the wall clock or create timers
 //     (time.Now, Since, Until, Sleep, After, Tick, NewTimer, NewTicker,
@@ -39,9 +40,17 @@ var timeBanned = map[string]bool{
 // DefaultSimPackages lists the packages whose results feed deterministic
 // simulation state: the event kernel, the protocol engines, the network, the
 // fault-injection plan, the machine assembly, the DSI policies, the hardware
-// structures, the workload generators (whose construction and litmus
-// fuzzing must be bit-identical across runs given a seed), and the result
-// cache (whose keys and stored payloads stand in for real simulations).
+// structures, memory and its golden values, the seeded random streams, the
+// statistics and breakdowns, the coherence audit, the coherence-event sink
+// (whose metrics land in Result.Blocks), the workload generators (whose
+// construction and litmus programs must be bit-identical across runs given
+// a seed), and the result cache (whose keys and stored payloads stand in for
+// real simulations).
+//
+// Every internal package that internal/machine depends on is listed except
+// internal/cpu: its processor runtime runs each kernel on a goroutine by
+// design and hands control over channels, so the determinism of its
+// schedule is pinned by the goldens rather than this check.
 var DefaultSimPackages = []string{
 	"dsisim/internal/event",
 	"dsisim/internal/proto",
@@ -52,6 +61,11 @@ var DefaultSimPackages = []string{
 	"dsisim/internal/directory",
 	"dsisim/internal/cache",
 	"dsisim/internal/blockmap",
+	"dsisim/internal/mem",
+	"dsisim/internal/rng",
+	"dsisim/internal/stats",
+	"dsisim/internal/check",
+	"dsisim/internal/obs",
 	"dsisim/internal/workload",
 	"dsisim/internal/simcache",
 }

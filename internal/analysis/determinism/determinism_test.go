@@ -1,7 +1,9 @@
 package determinism_test
 
 import (
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dsisim/internal/analysis/analysistest"
@@ -19,4 +21,28 @@ func TestNonSimPackageSkipped(t *testing.T) {
 	a := determinism.New(func(path string) bool { return false })
 	dir := filepath.Join("testdata", "skip")
 	analysistest.Run(t, dir, a)
+}
+
+// TestDefaultSimPackagesCoverMachine checks that every internal package the
+// simulated machine is built from is on DefaultSimPackages, so a package
+// that starts feeding Result fields cannot slip past the check. internal/cpu
+// is the one exception: its processor runtime starts a goroutine per kernel
+// by design.
+func TestDefaultSimPackagesCoverMachine(t *testing.T) {
+	out, err := exec.Command("go", "list", "-deps", "dsisim/internal/machine").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	listed := make(map[string]bool, len(determinism.DefaultSimPackages))
+	for _, p := range determinism.DefaultSimPackages {
+		listed[p] = true
+	}
+	for _, p := range strings.Fields(string(out)) {
+		if !strings.HasPrefix(p, "dsisim/internal/") || p == "dsisim/internal/cpu" {
+			continue
+		}
+		if !listed[p] {
+			t.Errorf("%s builds the machine but is not on determinism.DefaultSimPackages", p)
+		}
+	}
 }

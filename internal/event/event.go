@@ -45,12 +45,11 @@ type payload struct {
 	arg any
 }
 
-// Stats counts kernel activity for observability (reported per run through
-// internal/stats and cmd/dsibench -benchjson).
+// Stats counts kernel activity for observability (reported per run as
+// stats.Kernel in every Result).
 type Stats struct {
 	Executed  uint64 // events run
 	Scheduled uint64 // events enqueued
-	Typed     uint64 // events through AtCall/AfterCall (closure allocs avoided)
 	PeakLen   int    // maximum pending events observed
 }
 
@@ -68,9 +67,8 @@ type Queue struct {
 	pays      []payload
 	freeSlots []int32
 
-	ran   uint64
-	typed uint64
-	peak  int
+	ran  uint64
+	peak int
 }
 
 // Now returns the current simulated time.
@@ -91,7 +89,7 @@ func (q *Queue) LastSeq() uint64 { return q.seq }
 
 // Stats returns a snapshot of the kernel counters.
 func (q *Queue) Stats() Stats {
-	return Stats{Executed: q.ran, Scheduled: q.seq, Typed: q.typed, PeakLen: q.peak}
+	return Stats{Executed: q.ran, Scheduled: q.seq, PeakLen: q.peak}
 }
 
 // Reset returns the queue to its zero state (clock 0, empty heap, counters
@@ -103,7 +101,7 @@ func (q *Queue) Reset() {
 	q.slots = q.slots[:0]
 	q.pays = q.pays[:0]
 	q.freeSlots = q.freeSlots[:0]
-	q.now, q.seq, q.ran, q.typed, q.peak = 0, 0, 0, 0, 0
+	q.now, q.seq, q.ran, q.peak = 0, 0, 0, 0
 }
 
 // next allocates the insertion sequence number for an event at time t,
@@ -155,7 +153,6 @@ func (q *Queue) After(d Time, fn Func) {
 //
 //dsi:hotpath
 func (q *Queue) AtCall(t Time, act Action, arg any) {
-	q.typed++
 	q.push(key{at: t, seq: q.next(t)}, q.alloc(nil, act, arg))
 }
 

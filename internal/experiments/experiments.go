@@ -103,9 +103,19 @@ func (o Options) defaults() Options {
 	return o
 }
 
-// workloadNew builds a fresh workload instance (sweeps.go helper).
-func workloadNew(name string, s workload.Scale) (machine.Program, error) {
-	return workload.New(name, s)
+// machineConfig builds the machine every cell of o runs on, under one
+// consistency model and DSI policy (a label's, through Label.Config). o must
+// already carry its defaults.
+func (o Options) machineConfig(cons proto.Consistency, pol core.Policy) machine.Config {
+	return machine.Config{
+		Processors:     o.Processors,
+		CacheBytes:     o.Class.Bytes(),
+		CacheAssoc:     4,
+		NetworkLatency: o.Latency,
+		Consistency:    cons,
+		Policy:         pol,
+		Faults:         o.Faults,
+	}
 }
 
 // machines recycles simulated machines across grid cells: every cell of a
@@ -124,16 +134,13 @@ func RunOne(name string, label Label, o Options) (machine.Result, error) {
 // a shared free list and every worker reuses its own still-warm machine.
 func runOneIn(pool *machine.Pool, name string, label Label, o Options) (machine.Result, error) {
 	o = o.defaults()
-	cons, pol := label.Config()
-	cfg := machine.Config{
-		Processors:     o.Processors,
-		CacheBytes:     o.Class.Bytes(),
-		CacheAssoc:     4,
-		NetworkLatency: o.Latency,
-		Consistency:    cons,
-		Policy:         pol,
-		Faults:         o.Faults,
-	}
+	return runCell(pool, name, label, o.machineConfig(label.Config()), o)
+}
+
+// runCell simulates workload name on cfg, keyed in o.Cache under label. The
+// cache identifies a policy by its label alone, so cfg's policy must be
+// label's; a caller running a policy no label names clears o.Cache.
+func runCell(pool *machine.Pool, name string, label Label, cfg machine.Config, o Options) (machine.Result, error) {
 	// The workload build lives inside the compute closure so a cache hit
 	// skips program construction along with the simulation. A workload
 	// error surfaces as a failed Result, which the cache never stores.

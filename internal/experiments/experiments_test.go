@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"dsisim/internal/faultinj"
+	"dsisim/internal/machine"
 	"dsisim/internal/workload"
 )
 
@@ -160,6 +162,44 @@ func TestAblationRunners(t *testing.T) {
 	}
 	if _, err := RunWC("sparse", 4, true, o); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAblationsMatchLabels pins the ablation runners whose policy a protocol
+// label already names: each returns exactly what RunOne returns under that
+// label.
+func TestAblationsMatchLabels(t *testing.T) {
+	o := fast()
+	cases := []struct {
+		name  string
+		label Label
+		run   func() (machine.Result, error)
+	}{
+		{"identifier=never", SC, func() (machine.Result, error) { return RunIdentifier("migratory", "never", o) }},
+		{"identifier=states", S, func() (machine.Result, error) { return RunIdentifier("migratory", "states", o) }},
+		{"identifier=versions", V, func() (machine.Result, error) { return RunIdentifier("migratory", "versions", o) }},
+		{"migratory", "MIG", func() (machine.Result, error) { return RunMigratory("migratory", false, o) }},
+		{"migratory+dsi", "MIG+V", func() (machine.Result, error) { return RunMigratory("migratory", true, o) }},
+		{"fifo=64", VFIFO, func() (machine.Result, error) { return RunFIFO("migratory", 64, o) }},
+		{"exemption=true", V, func() (machine.Result, error) { return RunUpgradeExemption("migratory", true, o) }},
+		{"wc/wb=16", W, func() (machine.Result, error) { return RunWC("migratory", 16, false, o) }},
+		{"wc/wb=16/dsi", WDSI, func() (machine.Result, error) { return RunWC("migratory", 16, true, o) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			want, err := RunOne("migratory", c.label, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("differs from RunOne under %s: %d vs %d cycles, %d vs %d messages",
+					c.label, got.ExecTime, want.ExecTime, got.Messages.Total(), want.Messages.Total())
+			}
+		})
 	}
 }
 

@@ -75,38 +75,22 @@ func ProcSweep(name string, procs []int, o Options) (stats.Table, error) {
 // runPair runs (SC, V) with optional cache-size / processor overrides.
 func runPair(name string, o Options, cacheBytes, procs int) ([2]machine.Result, error) {
 	var out [2]machine.Result
-	oo := o.defaults()
+	o = o.defaults()
 	if procs > 0 {
-		oo.Processors = procs
+		o.Processors = procs
 	}
 	for i, l := range []Label{SC, V} {
-		cons, pol := l.Config()
-		cfg := machine.Config{
-			Processors:     oo.Processors,
-			CacheBytes:     oo.Class.Bytes(),
-			CacheAssoc:     4,
-			NetworkLatency: oo.Latency,
-			Consistency:    cons,
-			Policy:         pol,
-		}
+		cfg := o.machineConfig(l.Config())
 		if cacheBytes > 0 {
 			cfg.CacheBytes = cacheBytes
 		}
-		prog, err := newProg(name, oo)
+		res, err := runCell(&machines, name, l, cfg, o)
 		if err != nil {
 			return out, err
-		}
-		res := machine.New(cfg).Run(prog)
-		if res.Failed() {
-			return out, fmt.Errorf("%s/%s: %s", name, l, res.Errors[0])
 		}
 		out[i] = res
 	}
 	return out, nil
-}
-
-func newProg(name string, o Options) (machine.Program, error) {
-	return workloadNew(name, o.Scale)
 }
 
 // Sweeps renders the standard sensitivity report: em3d and sparse across

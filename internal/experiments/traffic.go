@@ -44,17 +44,9 @@ func ZipfSkewSweep(fracs []float64, o Options) (stats.Table, error) {
 		}
 		var res [2]machine.Result
 		for i, l := range []Label{SC, WDSI} {
-			cons, pol := l.Config()
-			cfg := machine.Config{
-				Processors:     o.Processors,
-				CacheBytes:     o.Class.Bytes(),
-				CacheAssoc:     4,
-				NetworkLatency: o.Latency,
-				Consistency:    cons,
-				Policy:         pol,
-				Faults:         o.Faults,
-			}
-			m := machines.Get(cfg)
+			// Not keyed in o.Cache: the cache names a workload by registry
+			// name, and this zipf instance has its own parameters.
+			m := machines.Get(o.machineConfig(l.Config()))
 			res[i] = m.Run(workload.NewZipf(p))
 			machines.Put(m)
 			if res[i].Failed() {

@@ -119,7 +119,7 @@ type Result struct {
 	// early by a finite FIFO mechanism (zero for flush-at-sync).
 	FIFODisplacements int64
 	// Kernel reports event-kernel counters for the full run (events
-	// executed, peak queue depth, allocations avoided by the typed paths).
+	// executed and scheduled, peak queue depth).
 	Kernel stats.Kernel
 	// Blocks holds per-block lifetime metrics derived by the coherence-event
 	// sink; nil unless Config.Sink was set. Covers the full run.
@@ -411,11 +411,9 @@ func (m *Machine) Run(prog Program) Result {
 	}
 	qs := m.q.Stats()
 	res.Kernel = stats.Kernel{
-		Events:           qs.Executed,
-		Scheduled:        qs.Scheduled,
-		PeakQueue:        qs.PeakLen,
-		TypedEvents:      qs.Typed,
-		PooledDeliveries: m.net.Recycled(),
+		Events:    qs.Executed,
+		Scheduled: qs.Scheduled,
+		PeakQueue: qs.PeakLen,
 	}
 	res.Blocks = m.cfg.Sink.Metrics() // nil-safe: nil sink, nil metrics
 	for _, err := range check.Audit(m.ccs, m.dcs, m.net.InFlight()) {

@@ -268,8 +268,7 @@ type Network struct {
 	// free is the delivery-record free list. A simulation is single-threaded
 	// (everything runs inside the event loop), so a plain stack suffices; in
 	// steady state every Send reuses a record and allocates nothing.
-	free     []*delivery
-	recycled uint64
+	free []*delivery
 
 	// Batching state: chainTo is the most recently scheduled delivery record,
 	// still eligible to absorb further same-(time, dst) sends as long as no
@@ -325,14 +324,10 @@ func deliver(arg any) {
 	n.free = append(n.free, d)
 }
 
-// getDelivery pops a pooled record or allocates the pool's next one. The
-// recycled counter covers both: it counts deliveries carried by pooled
-// records, not free-list hits, so its value does not depend on how warm the
-// free list is — a reused machine reports the same Result as a fresh one.
+// getDelivery pops a pooled record or allocates the pool's next one.
 //
 //dsi:hotpath
 func (n *Network) getDelivery() *delivery {
-	n.recycled++
 	if len(n.free) > 0 {
 		d := n.free[len(n.free)-1]
 		n.free = n.free[:len(n.free)-1]
@@ -340,11 +335,6 @@ func (n *Network) getDelivery() *delivery {
 	}
 	return &delivery{net: n}
 }
-
-// Recycled returns the number of deliveries served through the pooled-record
-// path (each one a per-send closure allocation avoided), for kernel
-// observability.
-func (n *Network) Recycled() uint64 { return n.recycled }
 
 // New builds a network. Handlers start nil; the machine must register one
 // per node before any traffic flows.
@@ -387,7 +377,6 @@ func (n *Network) Reset(cfg Config) {
 	n.counts = Counts{}
 	n.inflight = 0
 	n.obs = nil
-	n.recycled = 0
 	n.chainTo = nil
 	n.chainArrive, n.chainDst, n.chainSeq = 0, 0, 0
 	n.batched = 0

@@ -27,7 +27,7 @@ import (
 // protocol/workload semantics change, so entries cached by an older build
 // can never be mistaken for current ones (relevant once keys outlive a
 // process — e.g. a persistent or networked cache tier).
-const SchemaVersion = 1
+const SchemaVersion = 2
 
 // Key is the 128-bit canonical digest of a Request. Two Requests with equal
 // Keys describe the same deterministic cell.

@@ -114,9 +114,8 @@ type Counter struct {
 }
 
 // Kernel reports event-kernel activity for one simulation run: how hard the
-// discrete-event scheduler worked and how much of the hot path stayed on
-// the allocation-free typed/pooled paths. cmd/dsibench -benchjson records
-// it so the simulator's own performance is machine-checkable over time.
+// discrete-event scheduler worked. Every counter is deterministic, so two
+// runs of one cell report equal values.
 type Kernel struct {
 	// Events is the number of events executed.
 	Events uint64
@@ -124,17 +123,7 @@ type Kernel struct {
 	Scheduled uint64
 	// PeakQueue is the maximum number of pending events observed.
 	PeakQueue int
-	// TypedEvents counts events scheduled through the typed path — each one
-	// a closure allocation avoided.
-	TypedEvents uint64
-	// PooledDeliveries counts network deliveries carried by pooled records
-	// — each one a per-send message-capture closure avoided.
-	PooledDeliveries uint64
 }
-
-// AllocsAvoided sums the per-event allocations the kernel's typed and
-// pooled paths avoided relative to a closure-per-event scheduler.
-func (k Kernel) AllocsAvoided() uint64 { return k.TypedEvents + k.PooledDeliveries }
 
 // Table renders aligned plain-text tables, the output format of
 // cmd/dsibench and EXPERIMENTS.md.

@@ -35,11 +35,6 @@ type Trace struct {
 	Workload string
 	Procs    int
 	Events   []Event
-
-	// counts caches the per-kind totals; countsAt is the event count it was
-	// computed over, so appends invalidate it.
-	counts   map[string]int64
-	countsAt int
 }
 
 // PerProc splits the events by processor, preserving program order.
@@ -51,31 +46,13 @@ func (t *Trace) PerProc() [][]Event {
 	return out
 }
 
-// Counts returns per-kind totals. The map is cached on the trace and reused
-// by later calls (earlier versions allocated a fresh map per call, which adds
-// up when reports consult the totals repeatedly): it is valid until Events
-// changes and must not be mutated. Use CountsInto for a private copy.
+// Counts returns per-kind totals.
 func (t *Trace) Counts() map[string]int64 {
-	if t.counts == nil || t.countsAt != len(t.Events) {
-		t.counts = t.CountsInto(t.counts)
-		t.countsAt = len(t.Events)
-	}
-	return t.counts
-}
-
-// CountsInto fills dst with per-kind totals, clearing whatever it held, and
-// returns it; a nil dst allocates. It lets callers reuse their own map across
-// traces.
-func (t *Trace) CountsInto(dst map[string]int64) map[string]int64 {
-	if dst == nil {
-		dst = make(map[string]int64, len(eventKinds))
-	} else {
-		clear(dst)
-	}
+	counts := make(map[string]int64, len(eventKinds))
 	for _, e := range t.Events {
-		dst[e.Kind]++
+		counts[e.Kind]++
 	}
-	return dst
+	return counts
 }
 
 // Record runs prog on a machine built from cfg and captures its operation

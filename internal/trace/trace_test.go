@@ -161,24 +161,10 @@ func TestCountsCachedAcrossCalls(t *testing.T) {
 	if c["read"] != 2 || c["write"] != 1 || c["barrier"] != 1 {
 		t.Fatalf("counts = %v", c)
 	}
-	if allocs := testing.AllocsPerRun(10, func() { _ = tr.Counts() }); allocs != 0 {
-		t.Fatalf("repeated Counts allocates %v maps/call", allocs)
-	}
 
-	// Appending events invalidates the cache.
+	// Appending events shows up in the next call.
 	tr.Events = append(tr.Events, Event{Kind: "read"})
 	if c = tr.Counts(); c["read"] != 3 {
 		t.Fatalf("counts stale after append: %v", c)
-	}
-
-	// CountsInto reuses the caller's map.
-	dst := make(map[string]int64)
-	if got := tr.CountsInto(dst); got["read"] != 3 {
-		t.Fatalf("CountsInto = %v", got)
-	}
-	other := &Trace{Events: []Event{{Kind: "halt"}}}
-	dst = other.CountsInto(dst)
-	if len(dst) != 1 || dst["halt"] != 1 {
-		t.Fatalf("CountsInto did not clear: %v", dst)
 	}
 }

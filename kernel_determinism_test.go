@@ -125,7 +125,7 @@ func TestKernelRunTwiceIdentical(t *testing.T) {
 	if a.Kernel != b.Kernel {
 		t.Errorf("kernel counters differ:\nrun1 %+v\nrun2 %+v", a.Kernel, b.Kernel)
 	}
-	if a.Kernel.Events == 0 || a.Kernel.AllocsAvoided() == 0 {
+	if a.Kernel.Events == 0 || a.Kernel.PeakQueue == 0 {
 		t.Errorf("kernel counters not populated: %+v", a.Kernel)
 	}
 }
