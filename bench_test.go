@@ -246,21 +246,34 @@ func BenchmarkAblationLimitedDirectory(b *testing.B) {
 // pair of runs before and after a kernel change benchstats cleanly. README.md
 // §Performance records the current numbers.
 
-// BenchmarkEventQueue measures the typed scheduling path: one pending event
-// rearming itself through AfterCall. Steady state allocates nothing; heap
-// growth is amortized away by the rearm pattern.
+// BenchmarkEventQueue measures the typed scheduling path at a realistic
+// queue depth: 64 events stay pending, each rearming itself through
+// AfterCall when it runs. Rearm delays cycle through the mix measured on the
+// paper grid (1, 3, 10, 103 and 111 cycles), and one rearm in 64 waits
+// 1,312 cycles, the default retry timer at the paper's 100-cycle network,
+// so the overflow tier runs too. One op is one event scheduled and run;
+// steady state allocates nothing.
 func BenchmarkEventQueue(b *testing.B) {
 	b.ReportAllocs()
+	var delays [64]event.Time
+	mix := [...]event.Time{1, 3, 10, 103, 111}
+	for i := range delays {
+		delays[i] = mix[i%len(mix)]
+	}
+	delays[len(delays)-1] = 1312
 	var q event.Queue
-	n := 0
+	scheduled := 0
 	var rearm event.Action
 	rearm = func(arg any) {
-		n++
-		if n < b.N {
-			q.AfterCall(1, rearm, arg)
+		if scheduled < b.N {
+			q.AfterCall(delays[scheduled%len(delays)], rearm, arg)
+			scheduled++
 		}
 	}
-	q.AfterCall(1, rearm, &n)
+	for scheduled < min(len(delays), b.N) {
+		q.AfterCall(delays[scheduled], rearm, nil)
+		scheduled++
+	}
 	b.ResetTimer()
 	q.Run()
 }

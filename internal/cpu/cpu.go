@@ -17,6 +17,7 @@ package cpu
 
 import (
 	"fmt"
+	"runtime"
 
 	"dsisim/internal/event"
 	"dsisim/internal/mem"
@@ -65,6 +66,9 @@ type Value struct {
 type response struct {
 	value Value
 	old   uint64
+	// stop releases a kernel the run left parked: the kernel goroutine
+	// unwinds and exits instead of resuming (see Stop).
+	stop bool
 }
 
 // Proc is one simulated processor. Kernel-side methods (Read, Write, …)
@@ -96,8 +100,10 @@ type Proc struct {
 	lostConch bool
 	// gone receives one token when the kernel goroutine exits; see Join.
 	// Allocated once at construction and reused across runs (Join consumes
-	// the token), keeping Start allocation-free.
+	// the token), keeping Start allocation-free. live is set from Start to
+	// Join, while the kernel goroutine may still run.
 	gone chan struct{}
+	live bool
 
 	seq  uint64 // store sequence for value tokens
 	done bool
@@ -178,16 +184,15 @@ func New(id, n int, q *event.Queue, cc *proto.CacheCtrl, barrier *Barrier, brk *
 	return p
 }
 
-// Reset returns a halted processor to its just-built state for machine
-// reuse, keeping the channels and the continuation closures bound at
-// construction. The queue, cache controller, barrier, and breakdown wiring
-// persist; only the run state (RNG, store sequence, halt/err, in-flight
-// operation context) is cleared. Resetting a processor whose kernel has not
-// halted would leave its goroutine blocked on the old run's channels, so
-// that is a hard error — the machine rebuilds such processors instead.
+// Reset returns a processor to its just-built state for machine reuse,
+// keeping the channels and the continuation closures bound at construction.
+// The queue, cache controller, barrier, and breakdown wiring persist; only
+// the run state (RNG, store sequence, halt/err, in-flight operation context)
+// is cleared. The previous run's kernel goroutine must have exited: Reset
+// before Join would race with it, so that is a hard error.
 func (p *Proc) Reset(seed uint64) {
-	if !p.done {
-		panic("cpu: Reset of a processor that has not halted")
+	if p.live {
+		panic("cpu: Reset of a processor whose kernel has not been joined")
 	}
 	p.rnd.Reseed(seed ^ uint64(p.id)*0x9e3779b97f4a7c15)
 	p.respReady = false
@@ -335,16 +340,27 @@ func (p *Proc) rpc(r request) response {
 			// Another processor's kernel drives now; park until an event
 			// resumes us (the response rides the handoff).
 			p.lostConch = false
-			return <-p.res
+			return p.park()
 		}
 		if !d.step() {
 			// The run is over (drained or budget expired) with this kernel
-			// still blocked mid-operation. Park forever: the machine observes
-			// Done() == false, reports the deadlock, and rebuilds this
-			// processor before the next run.
-			return <-p.res
+			// still blocked mid-operation. Park until Stop releases it: the
+			// machine observes Done() == false and reports the deadlock.
+			return p.park()
 		}
 	}
+}
+
+// park blocks the kernel goroutine until the conch or a stop response
+// arrives. A stop unwinds the goroutine through runtime.Goexit, which runs
+// the kernel's deferred calls but is not a panic, so no error is recorded
+// and the drive loop never runs again.
+func (p *Proc) park() response {
+	r := <-p.res
+	if r.stop {
+		runtime.Goexit()
+	}
+	return r
 }
 
 // Read performs a load and returns the accessed word with its block's
@@ -455,9 +471,10 @@ func (p *Proc) Start(k Kernel) {
 	case <-p.gone: // drop a stale token from an unjoined previous run
 	default:
 	}
+	p.live = true
 	go func() {
 		defer func() { p.gone <- struct{}{} }()
-		<-p.res // conch gate
+		p.park() // conch gate
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
@@ -476,11 +493,21 @@ func (p *Proc) Start(k Kernel) {
 // exited. A halted processor's goroutine may still be unwinding its drive
 // loop (reading lostConch) for a few instructions after the run's outcome
 // is posted; the next run's Reset would race with that read. The machine
-// joins every halted processor before reusing it. Join must only be called
-// for a processor whose kernel has halted — a deadlocked kernel's goroutine
-// is parked forever (the machine rebuilds such processors instead).
+// joins every processor before reusing it. A kernel that has not halted is
+// parked until Stop releases it, so Stop it before joining.
 func (p *Proc) Join() {
 	<-p.gone
+	p.live = false
+}
+
+// Stop releases a kernel that the finished run left parked mid-operation
+// (a deadlock, or an event budget that expired). Its goroutine unwinds out
+// of the kernel without recording an error or driving events, and the
+// processor keeps reporting Done() == false. Call Stop only after
+// Driver.Run has returned, for a processor that has not halted, then Join
+// it; the processor can then be Reset and reused.
+func (p *Proc) Stop() {
+	p.res <- response{stop: true}
 }
 
 // resumeProc is the static typed-event action every operation completion

@@ -3,18 +3,29 @@
 // runs that schedule the same events in the same order produce identical
 // executions regardless of map iteration order or goroutine scheduling.
 //
-// The queue is a hand-specialized 4-ary min-heap in structure-of-arrays
-// layout: the heap proper holds only the 16-byte (time, seq) ordering keys
-// plus a 4-byte payload slot index, while the event bodies (fn/act/arg) live
-// in a stable side pool addressed by slot. Sift-up and sift-down therefore
-// move 20 bytes per level instead of a full 48-byte event record, and the
-// key lane packs three heap entries per cache line. No container/heap, no
-// interface boxing, no per-event allocation. Callers on hot paths use the
-// typed path (AtCall/AfterCall), which dispatches a static Action with a
-// caller-pooled argument instead of a fresh closure; the closure path
-// (At/After) remains for cold call sites. Both paths share one (time, seq)
-// total order, so mixing them cannot perturb determinism.
+// The queue is a timing wheel with an overflow heap. The wheel covers the
+// window [now, now+W) with one FIFO list per cycle plus an occupancy bitmap:
+// scheduling appends to its cycle's list and popping takes the head of the
+// first occupied cycle, both in O(1). Insertion order is sequence order, so
+// each list already holds its cycle's events in (time, seq) order. Events
+// due W or more cycles ahead (retry timers, long compute delays) wait in a
+// 4-ary min-heap over (time, seq). Whenever the clock advances, the heap
+// moves every event the new window covers onto the wheel before any event
+// at the new time runs. An overflow event was scheduled before any event
+// could be inserted directly for its cycle, so appending it first keeps the
+// total order.
+//
+// Event bodies live in a node pool addressed by index: a wheel list links
+// nodes, and the heap orders 16-byte (time, seq) keys beside node indexes,
+// so no tier moves a body. No container/heap, no interface boxing, no
+// per-event allocation. Callers on hot paths use the typed path
+// (AtCall/AfterCall), which dispatches a static Action with a caller-pooled
+// argument instead of a fresh closure; the closure path (At/After) remains
+// for cold call sites. Both paths share one (time, seq) total order, so
+// mixing them cannot perturb determinism.
 package event
+
+import "math/bits"
 
 // Time is a simulated clock value in processor cycles.
 type Time int64
@@ -25,24 +36,42 @@ type Func func()
 
 // Action is a typed event body: a static function invoked with the argument
 // it was scheduled with. Schedule pointer-shaped arguments (pointers, funcs)
-// — they store into the payload pool without allocating, which is the point;
+// — they store into the node pool without allocating, which is the point;
 // pooled records let steady-state simulation schedule without any allocation.
 type Action func(arg any)
 
-// key is the ordering lane of one pending event: exactly the 16 bytes the
-// heap compares. The payload lives in the side pool (see Queue.pays).
+// The wheel covers wheelSize cycles. Over the paper's 32-processor grid
+// every scheduling delay is under 512 cycles, so 1,024 keeps all of them on
+// the wheel; only retry timers (8×latency+512 cycles by default) and long
+// compute delays overflow. A 2,048-cycle wheel measured no faster, on the
+// paper grid or on soak traffic.
+const (
+	wheelBits  = 10
+	wheelSize  = 1 << wheelBits
+	wheelMask  = wheelSize - 1
+	wheelWords = wheelSize / 64
+)
+
+// node is one pending event's body. next links the node to the one after it
+// in its wheel cycle's FIFO list; it is meaningful only while the node is
+// on the wheel and not its list's tail.
+type node struct {
+	act  Action
+	arg  any
+	next int32
+}
+
+// list is one wheel cycle's FIFO of nodes, head first. It is meaningful only
+// while the cycle's occupancy bit is set.
+type list struct {
+	head, tail int32
+}
+
+// key is the ordering lane of one overflow event: exactly the 16 bytes the
+// heap compares.
 type key struct {
 	at  Time
 	seq uint64
-}
-
-// payload is the dispatch lane of one pending event. Exactly one of fn/act
-// is set. Payloads never move while pending: the heap refers to them by slot
-// index, so sifts touch only the key and slot lanes.
-type payload struct {
-	fn  Func
-	act Action
-	arg any
 }
 
 // Stats counts kernel activity for observability (reported per run as
@@ -59,13 +88,23 @@ type Queue struct {
 	now Time
 	seq uint64
 
-	// The heap, split structure-of-arrays: keys[i]/slots[i] describe one
-	// pending event, ordered as a 4-ary min-heap over (at, seq); pays[slots[i]]
-	// is its body. freeSlots recycles payload slots of executed events.
-	keys      []key
-	slots     []int32
-	pays      []payload
-	freeSlots []int32
+	// The wheel: lists[t&wheelMask] holds the events due at cycle t for t in
+	// [now, now+wheelSize), and bit t&wheelMask of occ says whether that
+	// list is non-empty. onWheel counts the events on all lists.
+	lists   [wheelSize]list
+	occ     [wheelWords]uint64
+	onWheel int
+
+	// The overflow tier, split structure-of-arrays: keys[i]/slots[i]
+	// describe one event due at now+wheelSize or later, ordered as a 4-ary
+	// min-heap over (at, seq); nodes[slots[i]] is its body.
+	keys  []key
+	slots []int32
+
+	// nodes holds every pending event's body; free recycles the nodes of
+	// executed events.
+	nodes []node
+	free  []int32
 
 	ran  uint64
 	peak int
@@ -75,7 +114,7 @@ type Queue struct {
 func (q *Queue) Now() Time { return q.now }
 
 // Len returns the number of pending events.
-func (q *Queue) Len() int { return len(q.keys) }
+func (q *Queue) Len() int { return q.onWheel + len(q.keys) }
 
 // Executed returns the total number of events that have run.
 func (q *Queue) Executed() uint64 { return q.ran }
@@ -84,7 +123,7 @@ func (q *Queue) Executed() uint64 { return q.ran }
 // event. Two events are adjacent in the execution order if they share a time
 // and were assigned consecutive sequences with none in between — the
 // condition internal/netsim uses to chain same-(time, dst) deliveries onto
-// one heap entry without reordering anything.
+// one queue entry without reordering anything.
 func (q *Queue) LastSeq() uint64 { return q.seq }
 
 // Stats returns a snapshot of the kernel counters.
@@ -92,23 +131,28 @@ func (q *Queue) Stats() Stats {
 	return Stats{Executed: q.ran, Scheduled: q.seq, PeakLen: q.peak}
 }
 
-// Reset returns the queue to its zero state (clock 0, empty heap, counters
-// cleared) while keeping every lane's capacity, so a pooled machine reused
-// across experiments starts from a clean ordering state.
+// Reset returns the queue to its zero state (clock 0, no pending events,
+// counters cleared) while keeping the capacity of the node pool and the
+// heap, so a pooled machine reused across experiments starts from a clean
+// ordering state.
 func (q *Queue) Reset() {
-	clear(q.pays) // drop fn/arg references so recycled queues don't pin them
+	clear(q.nodes) // drop act/arg references so recycled queues don't pin them
+	q.nodes = q.nodes[:0]
+	q.free = q.free[:0]
 	q.keys = q.keys[:0]
 	q.slots = q.slots[:0]
-	q.pays = q.pays[:0]
-	q.freeSlots = q.freeSlots[:0]
+	q.occ = [wheelWords]uint64{} // lists are read only under a set bit
+	q.onWheel = 0
 	q.now, q.seq, q.ran, q.peak = 0, 0, 0, 0
 }
 
-// next allocates the insertion sequence number for an event at time t,
-// validating the schedule time. The sequence is the FIFO tiebreaker for
-// same-time events; if it ever wrapped, ordering between runs would diverge
-// silently, so wraparound is a hard stop.
-func (q *Queue) next(t Time) uint64 {
+// schedule enqueues act(arg) at absolute time t: on the wheel when t falls
+// in the window, in the overflow heap otherwise. The insertion sequence is
+// the FIFO tiebreaker for same-time events; if it ever wrapped, ordering
+// between runs would diverge silently, so wraparound is a hard stop.
+//
+//dsi:hotpath
+func (q *Queue) schedule(t Time, act Action, arg any) {
 	if t < q.now {
 		panic("event: scheduled in the past")
 	}
@@ -116,27 +160,32 @@ func (q *Queue) next(t Time) uint64 {
 	if q.seq == 0 {
 		panic("event: sequence counter wrapped; Reset the queue between runs")
 	}
-	return q.seq
+	var s int32
+	if n := len(q.free); n > 0 {
+		s = q.free[n-1]
+		q.free = q.free[:n-1]
+		q.nodes[s] = node{act: act, arg: arg}
+	} else {
+		s = int32(len(q.nodes))
+		q.nodes = append(q.nodes, node{act: act, arg: arg})
+	}
+	if t-q.now < wheelSize {
+		q.enwheel(t, s)
+	} else {
+		q.push(key{at: t, seq: q.seq}, s)
+	}
+	if n := q.onWheel + len(q.keys); n > q.peak {
+		q.peak = n
+	}
 }
 
-// alloc places a payload in the side pool and returns its slot.
-//
-//dsi:hotpath
-func (q *Queue) alloc(fn Func, act Action, arg any) int32 {
-	if n := len(q.freeSlots); n > 0 {
-		s := q.freeSlots[n-1]
-		q.freeSlots = q.freeSlots[:n-1]
-		q.pays[s] = payload{fn: fn, act: act, arg: arg}
-		return s
-	}
-	q.pays = append(q.pays, payload{fn: fn, act: act, arg: arg})
-	return int32(len(q.pays) - 1)
-}
+// callFunc dispatches a closure scheduled through At or After.
+func callFunc(fn any) { fn.(Func)() }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it always indicates a protocol timing bug, not a recoverable condition.
 func (q *Queue) At(t Time, fn Func) {
-	q.push(key{at: t, seq: q.next(t)}, q.alloc(fn, nil, nil))
+	q.schedule(t, callFunc, fn)
 }
 
 // After schedules fn to run d cycles from now.
@@ -153,7 +202,7 @@ func (q *Queue) After(d Time, fn Func) {
 //
 //dsi:hotpath
 func (q *Queue) AtCall(t Time, act Action, arg any) {
-	q.push(key{at: t, seq: q.next(t)}, q.alloc(nil, act, arg))
+	q.schedule(t, act, arg)
 }
 
 // AfterCall schedules act(arg) d cycles from now (typed path).
@@ -163,7 +212,7 @@ func (q *Queue) AfterCall(d Time, act Action, arg any) {
 	if d < 0 {
 		panic("event: negative delay")
 	}
-	q.AtCall(q.now+d, act, arg)
+	q.schedule(q.now+d, act, arg)
 }
 
 // Step runs the single earliest pending event, advancing the clock to its
@@ -171,22 +220,31 @@ func (q *Queue) AfterCall(d Time, act Action, arg any) {
 //
 //dsi:hotpath
 func (q *Queue) Step() bool {
-	if len(q.keys) == 0 {
-		return false
+	if q.onWheel == 0 {
+		if len(q.keys) == 0 {
+			return false
+		}
+		q.advance(q.keys[0].at)
+	} else if t := q.nextTime(); t != q.now {
+		q.advance(t)
 	}
-	at, s := q.pop()
-	q.now = at
-	q.ran++
-	// Copy the body and release the slot before dispatch: the event may
-	// schedule (and the slot be reused) while it runs.
-	p := q.pays[s]
-	q.pays[s] = payload{}
-	q.freeSlots = append(q.freeSlots, s)
-	if p.fn != nil {
-		p.fn()
+	b := int(q.now) & wheelMask
+	l := &q.lists[b]
+	s := l.head
+	if s == l.tail {
+		q.occ[b>>6] &^= 1 << (b & 63)
 	} else {
-		p.act(p.arg)
+		l.head = q.nodes[s].next
 	}
+	q.onWheel--
+	q.ran++
+	// Copy the body and release the node before dispatch: the event may
+	// schedule (and the node be reused) while it runs.
+	n := &q.nodes[s]
+	act, arg := n.act, n.arg
+	n.act, n.arg = nil, nil
+	q.free = append(q.free, s)
+	act(arg)
 	return true
 }
 
@@ -195,15 +253,6 @@ func (q *Queue) Run() Time {
 	for q.Step() {
 	}
 	return q.now
-}
-
-// RunUntil executes events with time ≤ limit. Events scheduled beyond the
-// limit remain queued. It reports whether the queue drained.
-func (q *Queue) RunUntil(limit Time) bool {
-	for len(q.keys) > 0 && q.keys[0].at <= limit {
-		q.Step()
-	}
-	return len(q.keys) == 0
 }
 
 // RunSteps executes at most n events; it reports how many ran. Useful as a
@@ -218,15 +267,67 @@ func (q *Queue) RunSteps(n uint64) uint64 {
 	return i
 }
 
-// --- 4-ary min-heap -----------------------------------------------------------
+// --- timing wheel --------------------------------------------------------------
+
+// enwheel appends node s to the list of cycle t, which must lie in the
+// window [now, now+wheelSize).
 //
-// A 4-ary layout halves the tree depth of the binary heap, trading slightly
-// wider sift-down scans for fewer cache-missing levels — the classic d-ary
-// tradeoff, and a consistent win for the simulator's push/pop-dominated
-// access pattern. Ordering is the same (time, seq) total order the binary
-// heap used; since it is total (seq is unique), heap shape cannot affect
-// pop order and results stay bit-exact. The keys/slots lanes move together;
-// payloads stay put.
+//dsi:hotpath
+func (q *Queue) enwheel(t Time, s int32) {
+	b := int(t) & wheelMask
+	l := &q.lists[b]
+	if w, bit := b>>6, uint64(1)<<(b&63); q.occ[w]&bit == 0 {
+		q.occ[w] |= bit
+		l.head = s
+	} else {
+		q.nodes[l.tail].next = s
+	}
+	l.tail = s
+	q.onWheel++
+}
+
+// nextTime returns the earliest cycle with an event on the wheel: the first
+// set occupancy bit at or after now's, wrapping around the bitmap. The
+// wheel must not be empty.
+//
+//dsi:hotpath
+func (q *Queue) nextTime() Time {
+	b := int(q.now) & wheelMask
+	w := b >> 6
+	if m := q.occ[w] >> (b & 63); m != 0 {
+		return q.now + Time(bits.TrailingZeros64(m))
+	}
+	// The last probe revisits word w, whose bits at and after b are clear,
+	// so it finds only the cycles that wrapped past the end of the bitmap.
+	for i := 1; i <= wheelWords; i++ {
+		j := (w + i) & (wheelWords - 1)
+		if m := q.occ[j]; m != 0 {
+			return q.now + Time((j<<6+bits.TrailingZeros64(m)-b)&wheelMask)
+		}
+	}
+	panic("event: wheel count and occupancy bitmap disagree")
+}
+
+// advance moves the clock forward to t and, before any event at t runs,
+// moves every overflow event the new window covers onto the wheel, in
+// (at, seq) order.
+//
+//dsi:hotpath
+func (q *Queue) advance(t Time) {
+	q.now = t
+	for len(q.keys) > 0 && q.keys[0].at-t < wheelSize {
+		at, s := q.pop()
+		q.enwheel(at, s)
+	}
+}
+
+// --- overflow heap -------------------------------------------------------------
+//
+// A 4-ary layout halves the tree depth of a binary heap, trading slightly
+// wider sift-down scans for fewer cache-missing levels. Ordering is the
+// (time, seq) total order; since it is total (seq is unique), heap shape
+// cannot affect pop order. The keys/slots lanes move together; nodes stay
+// put.
 
 // before reports whether a orders strictly before b.
 func before(a, b key) bool {
@@ -240,9 +341,6 @@ func before(a, b key) bool {
 func (q *Queue) push(k key, s int32) {
 	q.keys = append(q.keys, k)
 	q.slots = append(q.slots, s)
-	if len(q.keys) > q.peak {
-		q.peak = len(q.keys)
-	}
 	// Sift up: move the hole toward the root until the parent orders first.
 	ks, sl := q.keys, q.slots
 	i := len(ks) - 1
@@ -257,7 +355,7 @@ func (q *Queue) push(k key, s int32) {
 	ks[i], sl[i] = k, s
 }
 
-// pop removes the minimum, returning its time and payload slot.
+// pop removes the minimum, returning its time and node.
 //
 //dsi:hotpath
 func (q *Queue) pop() (Time, int32) {

@@ -76,23 +76,6 @@ func TestSchedulingInPastPanics(t *testing.T) {
 	q.Run()
 }
 
-func TestRunUntilLeavesLaterEvents(t *testing.T) {
-	var q Queue
-	ran := 0
-	q.At(5, func() { ran++ })
-	q.At(10, func() { ran++ })
-	q.At(15, func() { ran++ })
-	if drained := q.RunUntil(10); drained {
-		t.Fatal("RunUntil(10) reported drained with an event at 15 pending")
-	}
-	if ran != 2 {
-		t.Fatalf("ran = %d, want 2", ran)
-	}
-	if q.Len() != 1 {
-		t.Fatalf("pending = %d, want 1", q.Len())
-	}
-}
-
 func TestRunStepsWatchdog(t *testing.T) {
 	var q Queue
 	// A self-perpetuating event chain must be stoppable.
@@ -209,6 +192,7 @@ func TestReset(t *testing.T) {
 	var q Queue
 	q.At(1, func() {})
 	q.At(2, func() { t.Error("event survived Reset") })
+	q.At(2*wheelSize, func() { t.Error("overflow event survived Reset") })
 	q.Step()
 	q.Reset()
 	if q.Now() != 0 || q.Len() != 0 {
@@ -242,108 +226,158 @@ func TestSeqWraparoundPanics(t *testing.T) {
 	q.At(1, func() {})
 }
 
-// TestHeapOrderingFuzz drives the 4-ary heap with random interleavings of
-// pushes and pops and checks every pop sequence against a reference sort by
-// (time, seq). This is the heap-shape test: the public ordering properties
-// above can't distinguish a correct heap from one that works only for
-// monotone schedules.
-func TestHeapOrderingFuzz(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 200; trial++ {
-		var q Queue
-		type rec struct {
-			at  Time
-			seq int
+// fuzzDelay draws a scheduling delay across three wheel windows, [0, 3W):
+// one draw in four is 0 or 1 cycles (the common handoff delays), one in four
+// sits on a window edge (W−1, W, W+1 and their 2W counterparts), and the
+// rest are uniform, so events land on the wheel, in the overflow heap and on
+// both sides of every boundary where one tier hands over to the other.
+func fuzzDelay(rng *rand.Rand) Time {
+	switch rng.Intn(4) {
+	case 0:
+		return Time(rng.Intn(2))
+	case 1:
+		edges := [...]Time{wheelSize - 1, wheelSize, wheelSize + 1, 2*wheelSize - 1, 2 * wheelSize, 2*wheelSize + 1}
+		return edges[rng.Intn(len(edges))]
+	default:
+		return Time(rng.Intn(3 * wheelSize))
+	}
+}
+
+// fuzzRec is one scheduled event of the fuzz tests: its due time, its
+// insertion order, and whether it went through the typed path.
+type fuzzRec struct {
+	at    Time
+	seq   int
+	typed bool
+}
+
+// checkReference fails unless popped lists every scheduled record in the
+// reference execution order: by time, then by insertion sequence.
+func checkReference(t *testing.T, trial int, scheduled, popped []fuzzRec) {
+	t.Helper()
+	sort.Slice(scheduled, func(i, j int) bool {
+		if scheduled[i].at != scheduled[j].at {
+			return scheduled[i].at < scheduled[j].at
 		}
-		var scheduled, popped []rec
-		n := 0
-		for op := 0; op < 400; op++ {
-			if q.Len() > 0 && rng.Intn(3) == 0 {
-				q.Step() // pops the minimum and runs its closure
-				continue
-			}
-			at := q.Now() + Time(rng.Intn(50))
-			r := rec{at, n}
-			n++
-			scheduled = append(scheduled, r)
-			q.At(at, func() { popped = append(popped, r) })
-		}
-		q.Run()
-		sort.Slice(scheduled, func(i, j int) bool {
-			if scheduled[i].at != scheduled[j].at {
-				return scheduled[i].at < scheduled[j].at
-			}
-			return scheduled[i].seq < scheduled[j].seq
-		})
-		if len(popped) != len(scheduled) {
-			t.Fatalf("trial %d: popped %d of %d events", trial, len(popped), len(scheduled))
-		}
-		for i := range scheduled {
-			if popped[i] != scheduled[i] {
-				t.Fatalf("trial %d: pop %d = %+v, reference sort has %+v",
-					trial, i, popped[i], scheduled[i])
-			}
+		return scheduled[i].seq < scheduled[j].seq
+	})
+	if len(popped) != len(scheduled) {
+		t.Fatalf("trial %d: popped %d of %d events", trial, len(popped), len(scheduled))
+	}
+	for i := range scheduled {
+		if popped[i] != scheduled[i] {
+			t.Fatalf("trial %d: pop %d delivered %+v, reference order has %+v",
+				trial, i, popped[i], scheduled[i])
 		}
 	}
 }
 
-// TestHeapSoAPayloadIntegrityFuzz targets the structure-of-arrays split: the
-// heap lanes (keys/slots) move during sifts while payload bodies stay put in
-// the side pool and slots are recycled across pops. Each scheduled event
-// carries a unique payload identity, mixing typed and closure bodies; every
+// TestQueueOrderingFuzz drives both tiers with random interleavings of
+// schedules and pops, with delays drawn by fuzzDelay and some event bodies
+// scheduling further events while they run, and checks the execution order
+// against a reference sort by (time, seq). The ordering tests above schedule
+// only short delays, so they cannot tell a correct queue from one that
+// mishandles the overflow tier or the wheel's wraparound.
+func TestQueueOrderingFuzz(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		var q Queue
+		var scheduled, popped []fuzzRec
+		var schedule func()
+		schedule = func() {
+			r := fuzzRec{at: q.Now() + fuzzDelay(rng), seq: len(scheduled)}
+			scheduled = append(scheduled, r)
+			q.At(r.at, func() {
+				if q.Now() != r.at {
+					t.Fatalf("trial %d: event %d due at %d ran at %d", trial, r.seq, r.at, q.Now())
+				}
+				popped = append(popped, r)
+				if len(scheduled) < 1000 && rng.Intn(4) == 0 {
+					schedule()
+				}
+			})
+		}
+		for op := 0; op < 400; op++ {
+			if q.Len() > 0 && rng.Intn(3) == 0 {
+				q.Step() // pops the minimum and runs its closure
+			} else {
+				schedule()
+			}
+			if pending := len(scheduled) - len(popped); q.Len() != pending {
+				t.Fatalf("trial %d: Len = %d with %d events pending", trial, q.Len(), pending)
+			}
+		}
+		q.Run()
+		checkReference(t, trial, scheduled, popped)
+	}
+}
+
+// TestQueuePayloadIntegrityFuzz targets the node pool: wheel lists link
+// nodes, heap entries point at them, migration moves them from one tier to
+// the other, and nodes are recycled across pops. Each scheduled event
+// carries a unique payload identity, mixing typed and closure bodies, with
+// delays drawn by fuzzDelay and some bodies scheduling further events. Every
 // pop must surface the body that was scheduled with its key, and the pool
-// must not grow beyond the peak number of pending events (slot recycling).
-func TestHeapSoAPayloadIntegrityFuzz(t *testing.T) {
+// must not grow beyond the peak number of pending events (node recycling).
+func TestQueuePayloadIntegrityFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	const maxEvents = 1200
 	for trial := 0; trial < 100; trial++ {
 		var q Queue
-		type rec struct {
-			at    Time
-			seq   int
-			typed bool
+		var scheduled, popped []fuzzRec
+		ids := make([]fuzzRec, 0, maxEvents) // never reallocates: bodies point into it
+		var schedule func()
+		body := func(id *fuzzRec) {
+			popped = append(popped, *id)
+			if len(scheduled) < maxEvents && rng.Intn(4) == 0 {
+				schedule()
+			}
 		}
-		var scheduled, popped []rec
-		ids := make([]rec, 0, 600)
-		popID := func(arg any) { popped = append(popped, *arg.(*rec)) }
-		n := 0
+		popID := func(arg any) { body(arg.(*fuzzRec)) }
+		schedule = func() {
+			r := fuzzRec{at: q.Now() + fuzzDelay(rng), seq: len(scheduled), typed: rng.Intn(2) == 0}
+			scheduled = append(scheduled, r)
+			ids = append(ids, r)
+			id := &ids[len(ids)-1]
+			if r.typed {
+				q.AtCall(r.at, popID, id)
+			} else {
+				q.At(r.at, func() { body(id) })
+			}
+		}
 		for op := 0; op < 600; op++ {
 			if q.Len() > 0 && rng.Intn(3) == 0 {
 				q.Step()
 				continue
 			}
-			at := q.Now() + Time(rng.Intn(40))
-			r := rec{at: at, seq: n, typed: rng.Intn(2) == 0}
-			n++
-			scheduled = append(scheduled, r)
-			ids = append(ids, r)
-			id := &ids[len(ids)-1]
-			if r.typed {
-				q.AtCall(at, popID, id)
-			} else {
-				q.At(at, func() { popped = append(popped, *id) })
-			}
-		}
-		peak := q.Stats().PeakLen
-		if got := len(q.pays); got > peak {
-			t.Fatalf("trial %d: payload pool has %d slots for peak %d pending (slots not recycled)",
-				trial, got, peak)
+			schedule()
 		}
 		q.Run()
-		sort.Slice(scheduled, func(i, j int) bool {
-			if scheduled[i].at != scheduled[j].at {
-				return scheduled[i].at < scheduled[j].at
-			}
-			return scheduled[i].seq < scheduled[j].seq
-		})
-		if len(popped) != len(scheduled) {
-			t.Fatalf("trial %d: popped %d of %d events", trial, len(popped), len(scheduled))
+		if peak, got := q.Stats().PeakLen, len(q.nodes); got > peak {
+			t.Fatalf("trial %d: node pool has %d nodes for peak %d pending (nodes not recycled)",
+				trial, got, peak)
 		}
-		for i := range scheduled {
-			if popped[i] != scheduled[i] {
-				t.Fatalf("trial %d: pop %d delivered payload %+v, key order says %+v",
-					trial, i, popped[i], scheduled[i])
-			}
-		}
+		checkReference(t, trial, scheduled, popped)
+	}
+}
+
+// TestOverflowEventRunsBeforeLaterDirectInsert pins the hand-over between
+// the tiers. An event scheduled W+5 cycles ahead waits in the overflow heap;
+// an event scheduled for the same cycle once the window covers it goes
+// straight onto the wheel. The overflow event has the lower sequence, so it
+// must run first, which holds only if the heap moved it onto the wheel when
+// the clock advanced, before the direct insert was appended.
+func TestOverflowEventRunsBeforeLaterDirectInsert(t *testing.T) {
+	var q Queue
+	const due = wheelSize + 5
+	var order []string
+	q.At(due, func() { order = append(order, "overflow") })
+	q.At(10, func() {
+		q.At(due, func() { order = append(order, "direct") })
+	})
+	q.Run()
+	if len(order) != 2 || order[0] != "overflow" || order[1] != "direct" {
+		t.Fatalf("order = %v, want [overflow direct]: same-cycle events run in seq order", order)
 	}
 }
 

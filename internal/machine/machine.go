@@ -148,9 +148,8 @@ type Machine struct {
 	plan    *faultinj.Plan
 	fails   []string
 
-	// procs and brks persist across Reset: processors are rebuilt only when
-	// a previous run left their kernel goroutine unhalted (deadlock), so a
-	// pooled machine re-runs without the per-processor construction cost.
+	// procs and brks persist across Reset, so a pooled machine re-runs
+	// without the per-processor construction cost.
 	procs []*cpu.Proc
 	brks  []*stats.Breakdown
 }
@@ -302,10 +301,10 @@ func (m *Machine) Run(prog Program) Result {
 	brks, procs := m.brks, m.procs
 	for i := 0; i < n; i++ {
 		*brks[i] = stats.Breakdown{}
-		if procs[i] != nil && procs[i].Done() {
-			procs[i].Reset(m.cfg.Seed)
-		} else {
+		if procs[i] == nil {
 			procs[i] = cpu.New(i, n, m.q, m.ccs[i], m.barrier, brks[i], m.cfg.Seed)
+		} else {
+			procs[i].Reset(m.cfg.Seed)
 		}
 		if tr := m.cfg.Tracer; tr != nil {
 			i := i
@@ -342,14 +341,17 @@ func (m *Machine) Run(prog Program) Result {
 		procs[i].Start(prog.Kernel)
 	}
 	steps, _ := m.drv.Run()
-	// Join halted kernels before touching processor state: their goroutines
-	// may still be unwinding the drive loop for a few instructions after the
-	// outcome was posted, and a subsequent Reset would race with that.
-	// Deadlocked kernels are parked forever and get rebuilt instead.
+	// Join every kernel before touching processor state: a halted kernel's
+	// goroutine may still be unwinding the drive loop for a few instructions
+	// after the outcome was posted, and a subsequent Reset would race with
+	// that. A kernel the run left blocked mid-operation (deadlock or expired
+	// budget) stays parked until Stop unwinds it; it still reports
+	// Done() == false below.
 	for _, p := range procs {
-		if p.Done() {
-			p.Join()
+		if !p.Done() {
+			p.Stop()
 		}
+		p.Join()
 	}
 
 	res := Result{Program: prog.Name(), TotalTime: m.q.Now(), Barriers: m.barrier.Episodes}

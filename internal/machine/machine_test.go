@@ -1,7 +1,11 @@
 package machine
 
 import (
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"dsisim/internal/core"
 	"dsisim/internal/cpu"
@@ -220,8 +224,10 @@ func TestWarmupClearsStatistics(t *testing.T) {
 	}
 }
 
-func TestDeadlockDetected(t *testing.T) {
-	p := &prog{
+// deadlockProg never finishes: every processor but 0 waits at a barrier
+// that processor 0 never reaches.
+func deadlockProg() *prog {
+	return &prog{
 		name: "deadlock",
 		kernel: func(p *cpu.Proc) {
 			if p.ID() != 0 {
@@ -229,9 +235,63 @@ func TestDeadlockDetected(t *testing.T) {
 			}
 		},
 	}
-	r := New(small(Config{Consistency: proto.SC}, 3)).Run(p)
+}
+
+func TestDeadlockDetected(t *testing.T) {
+	r := New(small(Config{Consistency: proto.SC}, 3)).Run(deadlockProg())
 	if !r.Failed() {
 		t.Fatal("deadlock not reported")
+	}
+}
+
+// TestDeadlockedRunsReleaseKernels checks that a run that ends with kernels
+// blocked mid-operation leaves no goroutine behind: the machine stops and
+// joins each stuck kernel, still reports the run as failed, and reuses the
+// processors. Ten such runs on one machine (deadlocks, and runs whose event
+// budget expires before every kernel has even started) must bring the
+// goroutine count back to its baseline, and the machine must then reproduce
+// a fresh machine's result.
+func TestDeadlockedRunsReleaseKernels(t *testing.T) {
+	cfg := small(Config{Consistency: proto.SC}, 3)
+	want := New(cfg).Run(shareProg(200))
+	mustClean(t, want)
+
+	base := runtime.NumGoroutine()
+	m := New(cfg)
+	for i := 0; i < 10; i++ {
+		if i%2 == 1 {
+			short := cfg
+			short.MaxSteps = 1 // expires inside processor 0's first operation
+			m.Reset(short)
+			if r := m.Run(shareProg(200)); !r.Failed() {
+				t.Fatalf("run %d: expired event budget not reported", i)
+			}
+			continue
+		}
+		m.Reset(cfg)
+		r := m.Run(deadlockProg())
+		stuck := 0
+		for _, e := range r.Errors {
+			if strings.Contains(e, "deadlocked") {
+				stuck++
+			}
+		}
+		if stuck != 2 {
+			t.Fatalf("run %d reported %d deadlocked processors, want 2:\n%s", i, stuck, strings.Join(r.Errors, "\n"))
+		}
+	}
+	// Join returns once a kernel goroutine has sent its exit token, a few
+	// instructions before the goroutine is gone; wait for those to finish.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after ten stuck runs, %d before: stuck kernels leaked", n, base)
+	}
+
+	m.Reset(cfg)
+	if got := m.Run(shareProg(200)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("machine reused after stuck runs diverged:\nfresh:  %+v\nreused: %+v", want, got)
 	}
 }
 
