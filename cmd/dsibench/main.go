@@ -8,11 +8,8 @@
 //	dsibench [-experiment all|tab1|fig3|fig4|fig5|tab2|tab3|sweep|traffic] [-procs N] [-test]
 //	         [-shard i/n] [-cache] [-cachemb N]
 //	         [-cpuprofile f] [-memprofile f] [-trace f]
-//	         [-blockstats workload] [-protocol label] [-cachebytes n]
-//	         [-faults spec]
 //	         [-soak | -fuzz N] [-soakcells N] [-soakdur d] [-soakseed S] [-soakjournal f]
 //	         [-resume] [-soakcorpus dir] [-soakworkers N]
-//	         [-transition-coverage] [-transition-model f] [-transition-litmus N]
 //
 // Output is plain text, one table per artifact, with execution times
 // normalized exactly as the paper reports them. Expect the full suite at
@@ -42,16 +39,6 @@
 //	go run ./cmd/dsibench -experiment all -shard 2/3
 //	go run ./cmd/dsibench -soak -shard 2/3 -soakjournal soak-2of3.jsonl
 //
-// -blockstats runs one workload with the coherence-event sink attached and
-// prints the per-block lifetime metrics (time-in-state histograms,
-// premature-self-invalidation and echo-loss counters, transaction
-// latencies); see docs/OBSERVABILITY.md. -protocol picks the protocol and
-// -cachebytes shrinks the cache (echo losses are a frame-recycling
-// phenomenon). For example:
-//
-//	go run ./cmd/dsibench -blockstats ocean -protocol W+DSI -test
-//	go run ./cmd/dsibench -blockstats em3d -protocol V -cachebytes 32768
-//
 // -soak runs the fault-seed soak farm (internal/soak) instead of
 // experiments: the default campaign sweeps every paper and traffic workload
 // plus generated litmus programs under SC, V, and W+DSI across four fault
@@ -67,24 +54,19 @@
 //
 // -fuzz N runs a soak sitting over the litmus-only space instead
 // (soak.LitmusSpace(N)): N repetitions of generated litmus programs under
-// every protocol (SC, W, S, V, W+DSI) × fault plan (none, lossy, jitter),
-// 15 cells per repetition, each checked by the kernel's read assertions,
-// the coherence audit and an outcome cross-check against a sequential
-// reference model. Every -soak* flag, -resume and -shard apply; failing
-// cells are minimized and persisted under -soakcorpus like any soak
-// failure. The 3000-cell sweep:
+// every protocol label (all 13 of proto.Labels) × fault plan (none, lossy,
+// jitter), 39 cells per repetition, each checked by the kernel's read
+// assertions, the coherence audit and an outcome cross-check against a
+// sequential reference model. Every -soak* flag, -resume and -shard
+// apply; failing cells are minimized and persisted under -soakcorpus like
+// any soak failure. The 7800-cell sweep:
 //
 //	go run ./cmd/dsibench -fuzz 200 -soakseed 1
 //
-// -transition-coverage runs the runtime half of the protomodel cross-check:
-// paper workloads plus generated litmus programs (clean and under fault
-// injection) with the coherence-event sink attached, folding every observed
-// (controller, trigger, state) triple against the statically extracted
-// transition table (-transition-model, default docs/protomodel.json). The
-// exit status is nonzero if the running protocol ever took a transition the
-// static model calls impossible. CI runs:
+// One cell, with the coherence-event sink attached (event stream,
+// block-lifetime tables, Chrome JSON), is cmd/dsisim's job:
 //
-//	go run ./cmd/dsibench -transition-coverage -procs 8
+//	go run ./cmd/dsisim -workload ocean -protocol W+DSI -test -blocks
 package main
 
 import (
@@ -111,12 +93,8 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	traceFile := flag.String("trace", "", "write a runtime execution trace to this file")
-	blockstats := flag.String("blockstats", "", "run this workload with the coherence-event sink and print block-lifetime metrics instead of running experiments")
-	protocol := flag.String("protocol", "V", "protocol label for -blockstats")
-	cacheBytes := flag.Int("cachebytes", 0, "cache size for -blockstats (0 = default 256 KiB)")
-	faultSpec := flag.String("faults", "", "fault-injection spec for -blockstats runs, e.g. drop=0.01,seed=7 (see docs/FAULTS.md)")
 	shard := flag.String("shard", "", "run only the i-th of n artifact slices, as i/n (1-based), e.g. 2/3")
-	fuzzN := flag.Int("fuzz", 0, "run a soak sitting over N repetitions of the litmus-only space (15 protocol x fault-plan cells each) instead of experiments")
+	fuzzN := flag.Int("fuzz", 0, "run a soak sitting over N repetitions of the litmus-only space (39 protocol x fault-plan cells each) instead of experiments")
 	soakRun := flag.Bool("soak", false, "run the fault-seed soak campaign instead of experiments")
 	soakCells := flag.Int("soakcells", 0, "bound one -soak sitting to N cells (0 = all owned cells)")
 	soakDur := flag.Duration("soakdur", 0, "stop claiming new -soak cells after this long, e.g. 10m (0 = no bound)")
@@ -125,9 +103,6 @@ func main() {
 	soakResume := flag.Bool("resume", false, "resume the -soakjournal campaign, skipping journaled cells")
 	soakCorpus := flag.String("soakcorpus", "soak-failures", "directory for minimized replayable specs of -soak and -fuzz failures")
 	soakWorkers := flag.Int("soakworkers", 0, "work-stealing workers for -soak and -fuzz (0 = GOMAXPROCS)")
-	transCov := flag.Bool("transition-coverage", false, "cross-check runtime transitions against the static protocol model instead of running experiments")
-	transModel := flag.String("transition-model", "docs/protomodel.json", "static transition table for -transition-coverage")
-	transLitmus := flag.Int("transition-litmus", 8, "litmus programs per protocol x fault cell for -transition-coverage")
 	useCache := flag.Bool("cache", false, "memoize cell results in a content-addressed cache shared across the run (paper artifacts, -soak and -fuzz)")
 	cacheMB := flag.Int64("cachemb", 256, "result-cache budget in MiB (with -cache)")
 	flag.Parse()
@@ -135,15 +110,6 @@ func main() {
 	var cache *dsisim.ResultCache
 	if *useCache {
 		cache = dsisim.NewResultCache(*cacheMB << 20)
-	}
-
-	var faults *dsisim.FaultConfig
-	if *faultSpec != "" {
-		fc, err := dsisim.ParseFaults(*faultSpec)
-		if err != nil {
-			fatal(err)
-		}
-		faults = &fc
 	}
 
 	if *cpuprofile != "" {
@@ -213,24 +179,6 @@ func main() {
 	}
 	if *soakResume {
 		fatal(fmt.Errorf("-resume requires -soak or -fuzz"))
-	}
-
-	if *transCov {
-		if err := runTransitionCoverage(*transModel, *procs, *transLitmus); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *blockstats != "" {
-		if err := runBlockStats(*blockstats, *protocol, *procs, *cacheBytes, *testScale, faults); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if faults != nil {
-		fatal(fmt.Errorf("-faults applies to -blockstats runs, not paper artifacts"))
 	}
 
 	o := experiments.Options{Processors: *procs, Cache: cache}
@@ -358,39 +306,4 @@ func runSoak(o soakOptions) error {
 		}
 	}
 	return fmt.Errorf("%d failing soak cells", rep.Failures)
-}
-
-// probeProcs normalizes the processor count the way machine.Config.Defaults
-// does (0 means the paper's 32).
-func probeProcs(n int) int {
-	if n == 0 {
-		return 32
-	}
-	return n
-}
-
-// runBlockStats simulates one workload with a coherence-event sink attached
-// and prints the derived block-lifetime metrics.
-func runBlockStats(wl, protocol string, procs, cacheBytes int, testScale bool, faults *dsisim.FaultConfig) error {
-	scale := dsisim.ScalePaper
-	if testScale {
-		scale = dsisim.ScaleTest
-	}
-	sink := dsisim.NewCoherenceSink()
-	res, err := dsisim.Run(dsisim.Config{
-		Workload:   wl,
-		Scale:      scale,
-		Protocol:   dsisim.Protocol(protocol),
-		Processors: procs,
-		CacheBytes: cacheBytes,
-		Sink:       sink,
-		Faults:     faults,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("=== block lifetimes: %s / %s, %d procs ===\n", wl, protocol, probeProcs(procs))
-	fmt.Printf("%d cycles simulated, %d coherence events\n\n", res.TotalTime, sink.Total())
-	fmt.Print(res.Blocks.Render())
-	return nil
 }

@@ -15,7 +15,7 @@
 //
 // The same model doubles as a runtime oracle: coverage.go folds an obs.Sink
 // event stream into observed (controller, trigger, state) triples and checks
-// each against the static table (see dsibench -transition-coverage).
+// each against the static table (see TestTransitionCoverage).
 package protomodel
 
 import (

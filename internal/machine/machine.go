@@ -38,9 +38,6 @@ type Config struct {
 	// MaxSteps bounds the event count (a livelock watchdog). 0 means the
 	// package default.
 	MaxSteps uint64
-	// Tracer, if set, observes every operation each processor issues in
-	// program order (internal/trace records with it).
-	Tracer func(proc int, op cpu.TraceOp)
 	// Sink, if set, receives one coherence event per protocol message, state
 	// transition, self-invalidation, FIFO displacement, and tear-off grant,
 	// and derives the Result's Blocks metrics. Nil costs nothing (see
@@ -305,10 +302,6 @@ func (m *Machine) Run(prog Program) Result {
 			procs[i] = cpu.New(i, n, m.q, m.ccs[i], m.barrier, brks[i], m.cfg.Seed)
 		} else {
 			procs[i].Reset(m.cfg.Seed)
-		}
-		if tr := m.cfg.Tracer; tr != nil {
-			i := i
-			procs[i].OnOp = func(op cpu.TraceOp) { tr(i, op) }
 		}
 	}
 

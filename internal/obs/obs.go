@@ -108,6 +108,16 @@ func (k Kind) String() string {
 	return kindNames[k]
 }
 
+// ParseKind resolves an event-kind name as produced by Kind.String.
+func ParseKind(name string) (Kind, bool) {
+	for i, n := range kindNames {
+		if n == name {
+			return Kind(i), true
+		}
+	}
+	return 0, false
+}
+
 // Event flag bits (Event.Flags).
 const (
 	// FlagSI: the message or copy was marked for self-invalidation.

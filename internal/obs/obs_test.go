@@ -408,3 +408,15 @@ func TestEventStringAndKindNames(t *testing.T) {
 	}
 	var _ event.Time = obs.DefaultPrematureWindow // schema stability: type check
 }
+
+func TestParseKind(t *testing.T) {
+	for k := obs.Kind(0); k < obs.NumKinds; k++ {
+		got, ok := obs.ParseKind(k.String())
+		if !ok || got != k {
+			t.Errorf("ParseKind(%q) = %v, %v", k.String(), got, ok)
+		}
+	}
+	if _, ok := obs.ParseKind("not-a-kind"); ok {
+		t.Error("ParseKind accepted an unknown name")
+	}
+}

@@ -63,8 +63,8 @@ type Request struct {
 
 // RequestOf builds the canonical request for a machine config plus the
 // workload/scale/protocol names the caller resolved it from. Configs with a
-// Tracer or Sink attached have side effects beyond the Result and must not
-// be cached — callers gate on that before asking for a key.
+// Sink attached have side effects beyond the Result and must not be cached
+// — callers gate on that before asking for a key.
 func RequestOf(workload, scale, protocol string, cfg machine.Config) Request {
 	return Request{
 		Workload: workload, Scale: scale, Protocol: protocol,

@@ -237,7 +237,7 @@ func TestRunCanaryFailurePipeline(t *testing.T) {
 			}
 		}
 		// Honest replay passes — the bug was the canary's, not the spec's.
-		if err := spec.Replay(); err != nil {
+		if err := spec.Replay(nil); err != nil {
 			t.Fatalf("honest replay of %s failed: %v", v.Spec, err)
 		}
 		checked++
@@ -264,8 +264,8 @@ func TestLitmusSpaceKnownSeedClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Ran != 180 {
-		t.Fatalf("ran %d cells, want 180", rep.Ran)
+	if rep.Ran != o.Space.Cells() {
+		t.Fatalf("ran %d cells, want %d", rep.Ran, o.Space.Cells())
 	}
 	if rep.Failures != 0 {
 		for _, v := range rep.Verdicts {

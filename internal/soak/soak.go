@@ -150,13 +150,14 @@ func DefaultSpace() Space {
 }
 
 // LitmusSpace is the litmus-only campaign `dsibench -fuzz N` sweeps:
-// generated litmus programs under SC, W, S, V and W+DSI, fault-free and
-// under the lossy and jitter templates — 15 cells, each a fresh program,
-// per repetition.
+// generated litmus programs under every shipped protocol label
+// (proto.Labels: SC, W, S, V, V-FIFO, S-FIFO, W+DSI, W+DSI-S, V-TO, HIST,
+// V-naive, MIG, MIG+V), fault-free and under the lossy and jitter
+// templates — 39 cells, each a fresh program, per repetition.
 func LitmusSpace(reps int) Space {
 	return Space{
 		Workloads: []string{LitmusWorkload},
-		Protocols: ProtocolsByName("SC", "W", "S", "V", "W+DSI"),
+		Protocols: proto.Labels(),
 		Templates: DefaultTemplates()[:3],
 		Reps:      reps,
 	}

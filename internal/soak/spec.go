@@ -11,6 +11,7 @@ import (
 	"dsisim/internal/event"
 	"dsisim/internal/faultinj"
 	"dsisim/internal/machine"
+	"dsisim/internal/obs"
 	"dsisim/internal/proto"
 	"dsisim/internal/workload"
 )
@@ -241,8 +242,9 @@ func scaleOf(name string) (workload.Scale, error) {
 // Replay re-runs a persisted failure spec once, exactly as the campaign
 // cell ran it, and returns the cell's verdict error (nil means the bug the
 // spec pinned no longer reproduces — which, for a committed corpus entry,
-// is the permanently expected outcome).
-func (s *Spec) Replay() error {
+// is the permanently expected outcome). A non-nil sink records the replay's
+// coherence-event stream; recording never changes the verdict.
+func (s *Spec) Replay(sink *obs.Sink) error {
 	pr, err := proto.LabelOf(s.Protocol)
 	if err != nil {
 		return err
@@ -252,7 +254,7 @@ func (s *Spec) Replay() error {
 		return err
 	}
 	if s.Workload == LitmusWorkload {
-		_, _, err := workload.RunLitmus(s.Litmus, pr, fc, workload.LitmusRun{})
+		_, _, err := workload.RunLitmus(s.Litmus, pr, fc, workload.LitmusRun{Sink: sink})
 		return err
 	}
 	scale, err := scaleOf(s.Scale)
@@ -264,6 +266,7 @@ func (s *Spec) Replay() error {
 		return err
 	}
 	cfg := machineConfig(Cell{Protocol: pr, Seed: s.Seed}, Options{Procs: s.Procs, CacheBytes: s.CacheBytes}, fc)
+	cfg.Sink = sink
 	res := machine.New(cfg).Run(prog)
 	if res.Failed() {
 		return fmt.Errorf("%s/%s: %s", s.Workload, s.Protocol, res.Errors[0])

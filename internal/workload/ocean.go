@@ -96,14 +96,15 @@ func (w *Ocean) Kernel(p *Proc) {
 		// be old or new (no assertions); the point is the conflict timing —
 		// each rewrite must invalidate the neighbor's fresh copy inside the
 		// phase, where self-invalidation (which runs at sync points) cannot
-		// have removed it.
-		for round := 0; round < w.P.RelaxedRounds; round++ {
-			if p.ID()+1 < p.N() {
+		// have removed it. A processor that owns no rows (more processors
+		// than rows) has no edge to exchange.
+		for round := 0; round < w.P.RelaxedRounds && rlo < rhi; round++ {
+			if rhi < n {
 				for c := 0; c < n; c++ {
 					p.Read(w.grid.At(w.at(rhi, c)))
 				}
 			}
-			if p.ID() > 0 {
+			if rlo > 0 {
 				for c := 0; c < n; c++ {
 					p.Read(w.grid.At(w.at(rlo-1, c)))
 				}

@@ -78,6 +78,16 @@ func TestAllWorkloadsTinyCache(t *testing.T) {
 	}
 }
 
+// Test-scale inputs are small enough that past 16 processors some
+// partitions come out empty; every workload must still run there.
+func TestAllWorkloadsManyProcs(t *testing.T) {
+	for _, name := range Names() {
+		for _, procs := range []int{17, 32, 64} {
+			runOne(t, name, machine.Config{Consistency: proto.SC}, procs, 0)
+		}
+	}
+}
+
 func TestUnknownWorkload(t *testing.T) {
 	if _, err := New("nosuch", ScaleTest); err == nil {
 		t.Fatal("unknown workload did not error")

@@ -37,7 +37,7 @@ func TestSoakCorpusReplaysClean(t *testing.T) {
 			if spec.Err == "" {
 				t.Errorf("%s records no pinned failure; corpus entries document what they once caught", path)
 			}
-			if err := spec.Replay(); err != nil {
+			if err := spec.Replay(nil); err != nil {
 				t.Fatalf("pinned failure regressed: %v\n(reproduce: go run ./cmd/dsisim -replay %s)", err, path)
 			}
 		})

@@ -16,7 +16,10 @@ import (
 // observed while running real workloads must appear as a handled transition
 // in the statically extracted table docs/protomodel.json. A violation means
 // the protocol took a transition the extractor calls impossible — either
-// the extractor lost a path or a //dsi:unreachable waiver is wrong.
+// the extractor lost a path or a //dsi:unreachable waiver is wrong. The
+// grid is the paper workloads, prodcons under every protocol label with
+// and without faults, and generated litmus programs; -v logs the coverage
+// summary and every handled transition the grid leaves unexercised.
 func TestTransitionCoverage(t *testing.T) {
 	data, err := os.ReadFile("docs/protomodel.json")
 	if err != nil {
@@ -40,13 +43,10 @@ func TestTransitionCoverage(t *testing.T) {
 		cov.FoldSink(sink)
 	}
 
-	// Paper workloads under the two main DSI protocols; the 2 KiB variant
-	// forces capacity evictions (WB/Repl replacement transitions).
-	faults, err := dsisim.ParseFaults("drop=0.05,dup=0.02,delay=0.1,jitter=32,seed=7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, wl := range []string{"tomcatv", "em3d"} {
+	// Every paper workload under the two main DSI protocols; the 2 KiB
+	// variant forces capacity evictions (the WB/Repl replacement
+	// transitions never fire otherwise at test scale).
+	for _, wl := range dsisim.PaperWorkloads() {
 		for _, pr := range []dsisim.Protocol{dsisim.V, dsisim.WDSI} {
 			for _, cacheBytes := range []int{0, 2048} {
 				fold(wl+"/"+string(pr), func(sink *dsisim.CoherenceSink) error {
@@ -61,22 +61,29 @@ func TestTransitionCoverage(t *testing.T) {
 	}
 
 	// One cheap workload under every protocol label, clean and faulty (the
-	// fault plan enables the hardened Nack/timeout transitions).
-	for _, pr := range dsisim.Protocols() {
-		for _, fc := range []*dsisim.FaultConfig{nil, &faults} {
-			fold("prodcons/"+string(pr), func(sink *dsisim.CoherenceSink) error {
-				_, err := dsisim.Run(dsisim.Config{
-					Workload: "prodcons", Scale: dsisim.ScaleTest, Protocol: pr,
-					Sink: sink, Faults: fc,
+	// fault plan enables the hardened Nack/timeout transitions), on 8 and on
+	// the default 32 processors: the two machines interleave differently.
+	faults, err := dsisim.ParseFaults("drop=0.05,dup=0.02,delay=0.1,jitter=32,seed=7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{8, 32} {
+		for _, pr := range dsisim.Protocols() {
+			for _, fc := range []*dsisim.FaultConfig{nil, &faults} {
+				fold("prodcons/"+string(pr), func(sink *dsisim.CoherenceSink) error {
+					_, err := dsisim.Run(dsisim.Config{
+						Workload: "prodcons", Scale: dsisim.ScaleTest, Protocol: pr,
+						Processors: procs, Sink: sink, Faults: fc,
+					})
+					return err
 				})
-				return err
-			})
+			}
 		}
 	}
 
 	// Litmus programs across the litmus campaign's protocol x fault-plan
 	// matrix, each plan seeded the way a soak cell seeds it.
-	n := 4
+	n := 8
 	if testing.Short() {
 		n = 1
 	}
@@ -106,6 +113,9 @@ func TestTransitionCoverage(t *testing.T) {
 
 	sum := cov.Summarize()
 	t.Logf("%s", sum)
+	for _, m := range cov.Missing() {
+		t.Logf("unexercised: %s", m)
+	}
 	if sum.Exercised < 30 {
 		t.Errorf("only %d handled transitions exercised; the event fold is likely broken", sum.Exercised)
 	}
