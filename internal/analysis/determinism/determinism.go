@@ -6,8 +6,8 @@
 // iteration order, or goroutine scheduling.
 //
 // Checked in the configured packages (DefaultSimPackages by default:
-// internal/machine and every internal package it builds on except cpu, plus
-// the workload generators and the result cache):
+// internal/machine and every internal package it builds on, plus the
+// workload generators and the result cache):
 //
 //   - calls into package time that read the wall clock or create timers
 //     (time.Now, Since, Until, Sleep, After, Tick, NewTimer, NewTicker,
@@ -38,21 +38,22 @@ var timeBanned = map[string]bool{
 }
 
 // DefaultSimPackages lists the packages whose results feed deterministic
-// simulation state: the event kernel, the protocol engines, the network, the
-// fault-injection plan, the machine assembly, the DSI policies, the hardware
-// structures, memory and its golden values, the seeded random streams, the
-// statistics and breakdowns, the coherence audit, the coherence-event sink
-// (whose metrics land in Result.Blocks), the workload generators (whose
-// construction and litmus programs must be bit-identical across runs given
-// a seed), and the result cache (whose keys and stored payloads stand in for
-// real simulations).
+// simulation state: the event kernel, the processors and their kernel
+// runtime, the protocol engines, the network, the fault-injection plan, the
+// machine assembly, the DSI policies, the hardware structures, memory and
+// its golden values, the seeded random streams, the statistics and
+// breakdowns, the coherence audit, the coherence-event sink (whose metrics
+// land in Result.Blocks), the workload generators (whose construction and
+// litmus programs must be bit-identical across runs given a seed), and the
+// result cache (whose keys and stored payloads stand in for real
+// simulations).
 //
-// Every internal package that internal/machine depends on is listed except
-// internal/cpu: its processor runtime runs each kernel on a goroutine by
-// design and hands control over channels, so the determinism of its
-// schedule is pinned by the goldens rather than this check.
+// Every internal package that internal/machine depends on is listed. The
+// processor runtime in internal/cpu runs kernels on coroutines that the
+// event loop switches to, so it needs no go statement either.
 var DefaultSimPackages = []string{
 	"dsisim/internal/event",
+	"dsisim/internal/cpu",
 	"dsisim/internal/proto",
 	"dsisim/internal/netsim",
 	"dsisim/internal/faultinj",

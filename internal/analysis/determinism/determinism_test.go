@@ -25,9 +25,7 @@ func TestNonSimPackageSkipped(t *testing.T) {
 
 // TestDefaultSimPackagesCoverMachine checks that every internal package the
 // simulated machine is built from is on DefaultSimPackages, so a package
-// that starts feeding Result fields cannot slip past the check. internal/cpu
-// is the one exception: its processor runtime starts a goroutine per kernel
-// by design.
+// that starts feeding Result fields cannot slip past the check.
 func TestDefaultSimPackagesCoverMachine(t *testing.T) {
 	out, err := exec.Command("go", "list", "-deps", "dsisim/internal/machine").Output()
 	if err != nil {
@@ -38,7 +36,7 @@ func TestDefaultSimPackagesCoverMachine(t *testing.T) {
 		listed[p] = true
 	}
 	for _, p := range strings.Fields(string(out)) {
-		if !strings.HasPrefix(p, "dsisim/internal/") || p == "dsisim/internal/cpu" {
+		if !strings.HasPrefix(p, "dsisim/internal/") {
 			continue
 		}
 		if !listed[p] {

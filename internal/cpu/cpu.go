@@ -4,20 +4,22 @@
 // consistency model, and attributing every stalled cycle to the categories
 // of the paper's Figure 3.
 //
-// Workload kernels are ordinary Go functions run on one goroutine per
-// simulated processor, scheduled cooperatively: exactly one goroutine — the
-// current "conch holder" — executes events at any moment, and the conch
-// moves between goroutines only when an event resumes a different
-// processor's kernel (see Driver). A kernel blocks inside each Proc method
-// while the simulator advances; execution is fully serialized through the
-// conch handoff, so simulations are deterministic as long as kernels do not
+// Workload kernels are ordinary Go functions, each run on a coroutine
+// (iter.Pull) while every event runs on the goroutine that drives the event
+// queue. The event that completes a processor's operation resumes its
+// kernel, which runs until it has issued its next operation and then yields
+// back into that event (see resumeProc). Exactly one of them runs at any
+// moment and control moves by coroutine switch, never through the Go
+// scheduler, so simulations are deterministic as long as kernels do not
 // mutate Go state shared between processors (read-only shared setup is
 // fine).
 package cpu
 
 import (
+	"errors"
 	"fmt"
-	"runtime"
+	"iter"
+	"sync"
 
 	"dsisim/internal/event"
 	"dsisim/internal/mem"
@@ -26,7 +28,9 @@ import (
 	"dsisim/internal/stats"
 )
 
-// Kernel is the per-processor body of a workload.
+// Kernel is the per-processor body of a workload. Kernels must not
+// recover(): a kernel released mid-operation unwinds through a panic (see
+// Proc.Release).
 type Kernel func(p *Proc)
 
 // opKind enumerates kernel→driver requests.
@@ -66,14 +70,17 @@ type Value struct {
 type response struct {
 	value Value
 	old   uint64
-	// stop releases a kernel the run left parked: the kernel goroutine
-	// unwinds and exits instead of resuming (see Stop).
+	// stop releases a kernel the run left parked: the kernel unwinds
+	// instead of resuming (see Release).
 	stop bool
 }
 
+// errReleased is the panic value that unwinds a released kernel.
+var errReleased = errors.New("cpu: kernel released")
+
 // Proc is one simulated processor. Kernel-side methods (Read, Write, …)
-// must only be called from the kernel goroutine; everything else belongs to
-// the driver.
+// must only be called from the processor's own kernel; everything else
+// belongs to the event loop.
 type Proc struct {
 	id int
 	n  int
@@ -83,27 +90,10 @@ type Proc struct {
 	barrier *Barrier
 	brk     *stats.Breakdown
 	rnd     *rng.RNG
-	drv     *Driver
 
-	// res carries the conch into this processor's kernel goroutine: the
-	// initial start gate and every cross-processor resume arrive here. A
-	// self-resume (this processor's own drive loop executes its resume event)
-	// uses the respReady flag instead and costs no channel operation at all —
-	// the structural win over the old per-op request/response handshake.
-	res chan response
-	// respReady: this processor's response is in resp (set only while it
-	// holds the conch). lostConch: the conch was handed to another goroutine
-	// mid-event; stop driving. Both fields are only ever written by the
-	// goroutine that currently holds the conch, which for these flags is the
-	// owning goroutine itself (see resumeProc), so they need no atomics.
-	respReady bool
-	lostConch bool
-	// gone receives one token when the kernel goroutine exits; see Join.
-	// Allocated once at construction and reused across runs (Join consumes
-	// the token), keeping Start allocation-free. live is set from Start to
-	// Join, while the kernel goroutine may still run.
-	gone chan struct{}
-	live bool
+	// co is the coroutine running this processor's kernel, from Start to
+	// Release.
+	co *coro
 
 	seq  uint64 // store sequence for value tokens
 	done bool
@@ -165,8 +155,6 @@ func New(id, n int, q *event.Queue, cc *proto.CacheCtrl, barrier *Barrier, brk *
 	p := &Proc{
 		id: id, n: n, q: q, cc: cc, barrier: barrier, brk: brk,
 		rnd:            rng.New(seed ^ uint64(id)*0x9e3779b97f4a7c15),
-		res:            make(chan response),
-		gone:           make(chan struct{}, 1),
 		SpinBackoffMax: 256,
 	}
 	p.contRead = p.onRead
@@ -185,18 +173,16 @@ func New(id, n int, q *event.Queue, cc *proto.CacheCtrl, barrier *Barrier, brk *
 }
 
 // Reset returns a processor to its just-built state for machine reuse,
-// keeping the channels and the continuation closures bound at construction.
-// The queue, cache controller, barrier, and breakdown wiring persist; only
-// the run state (RNG, store sequence, halt/err, in-flight operation context)
-// is cleared. The previous run's kernel goroutine must have exited: Reset
-// before Join would race with it, so that is a hard error.
+// keeping the continuation closures bound at construction. The queue, cache
+// controller, barrier, and breakdown wiring persist; only the run state
+// (RNG, store sequence, halt/err, in-flight operation context) is cleared.
+// The previous run's kernel must have been released: Reset before Release
+// would leave it holding a coroutine, so that is a hard error.
 func (p *Proc) Reset(seed uint64) {
-	if p.live {
-		panic("cpu: Reset of a processor whose kernel has not been joined")
+	if p.co != nil {
+		panic("cpu: Reset of a processor whose kernel has not been released")
 	}
 	p.rnd.Reseed(seed ^ uint64(p.id)*0x9e3779b97f4a7c15)
-	p.respReady = false
-	p.lostConch = false
 	p.seq = 0
 	p.done = false
 	p.halt = 0
@@ -233,134 +219,23 @@ func (p *Proc) Err() error { return p.err }
 // Breakdown returns the processor's cycle attribution.
 func (p *Proc) Breakdown() *stats.Breakdown { return p.brk }
 
-// --- cooperative driver --------------------------------------------------------
-
-// Driver owns one machine's event-loop run. Exactly one goroutine at a time
-// — the conch holder — executes events: initially the goroutine that calls
-// Run ("main"), and after the per-processor start events fire, whichever
-// kernel goroutine an event most recently resumed. A kernel that issues an
-// operation drives the queue itself until its own response is ready
-// (respReady, no channel traffic) or until an event resumes a different
-// processor, at which point the conch moves with a single channel send and
-// the loser parks. Compared to the previous design — every operation
-// crossing two unbuffered channels into a central loop — this removes all
-// scheduler traffic from self-resumes and halves it for handoffs, without
-// changing the event stream: operations are issued at exactly the same
-// (time, seq) positions the central loop issued them at.
-//
-// Every field is only accessed by the current conch holder; the handoff
-// channel sends establish the happens-before edges that make that sound
-// under the race detector.
-type Driver struct {
-	q      *event.Queue
-	max    uint64
-	budget uint64
-
-	// cur is the processor holding the conch; nil means main (the Run
-	// caller). mainLost tells main's drive loop the conch moved on.
-	cur      *Proc
-	mainLost bool
-
-	// done receives the run outcome (drained vs budget expired) from
-	// whichever holder stops driving; buffered so main can finish its own
-	// drive loop before receiving.
-	done chan bool
-}
-
-// NewDriver builds a driver for q. Reset arms it for a run.
-func NewDriver(q *event.Queue) *Driver {
-	return &Driver{q: q, done: make(chan bool, 1)}
-}
-
-// Reset arms the driver for one run with an event budget (the livelock
-// watchdog). A driver is reusable: each run consumes exactly one done
-// notification.
-func (d *Driver) Reset(budget uint64) {
-	d.max, d.budget = budget, budget
-	d.cur = nil
-	d.mainLost = false
-}
-
-// step executes one event within the budget. It returns false when driving
-// must stop for good — the queue drained or the budget expired — in which
-// case the outcome has been posted and the conch dies with this holder.
-//
-//dsi:hotpath
-func (d *Driver) step() bool {
-	if d.budget == 0 {
-		d.done <- false
-		return false
-	}
-	// Decrement before dispatch: the event may hand the conch to another
-	// goroutine mid-Step, and every driver access after the handoff send
-	// belongs to the new holder. An empty queue refunds the charge (no
-	// event ran, so no handoff happened and the refund is still private).
-	d.budget--
-	if !d.q.Step() {
-		d.budget++
-		d.cur = nil
-		d.done <- true
-		return false
-	}
-	return true
-}
-
-// Run drives the queue from the calling goroutine until the conch is handed
-// to a kernel goroutine, then blocks until the run completes. It returns the
-// number of events executed and whether the queue drained (false: the budget
-// expired with events still pending).
-func (d *Driver) Run() (steps uint64, drained bool) {
-	for {
-		if d.mainLost {
-			d.mainLost = false
-			break
-		}
-		if !d.step() {
-			break
-		}
-	}
-	drained = <-d.done
-	return d.max - d.budget, drained
-}
-
 // --- kernel-side API ---------------------------------------------------------
 
-// rpc issues the operation and drives the event loop until this processor's
-// response is ready or the conch moves to another goroutine. Called on the
-// kernel goroutine, which holds the conch whenever kernel code runs.
+// rpc issues the operation, yields to the event loop, and returns the
+// response the operation's completion resumed the kernel with.
 func (p *Proc) rpc(r request) response {
 	p.issue(r)
-	d := p.drv
-	for {
-		if p.respReady {
-			p.respReady = false
-			return p.resp
-		}
-		if p.lostConch {
-			// Another processor's kernel drives now; park until an event
-			// resumes us (the response rides the handoff).
-			p.lostConch = false
-			return p.park()
-		}
-		if !d.step() {
-			// The run is over (drained or budget expired) with this kernel
-			// still blocked mid-operation. Park until Stop releases it: the
-			// machine observes Done() == false and reports the deadlock.
-			return p.park()
-		}
-	}
+	p.co.yield(struct{}{})
+	return p.resumed()
 }
 
-// park blocks the kernel goroutine until the conch or a stop response
-// arrives. A stop unwinds the goroutine through runtime.Goexit, which runs
-// the kernel's deferred calls but is not a panic, so no error is recorded
-// and the drive loop never runs again.
-func (p *Proc) park() response {
-	r := <-p.res
-	if r.stop {
-		runtime.Goexit()
+// resumed returns the response the kernel was resumed with, unwinding a
+// released kernel instead.
+func (p *Proc) resumed() response {
+	if p.resp.stop {
+		panic(errReleased)
 	}
-	return r
+	return p.resp
 }
 
 // Read performs a load and returns the accessed word with its block's
@@ -450,94 +325,128 @@ func (p *Proc) Assert(cond bool, format string, args ...any) {
 	}
 }
 
-// --- driver side -------------------------------------------------------------
+// --- processor runtime ---------------------------------------------------------
 
-// Bind attaches the processor to the run's driver. The machine binds every
-// processor before starting kernels; a pooled processor is re-bound each
-// run.
-func (p *Proc) Bind(d *Driver) {
-	p.drv = d
-	p.respReady = false
-	p.lostConch = false
+// coro is a kernel coroutine. Its loop runs one kernel per borrowing: the
+// first next() after Start runs the kernel to its first operation, and each
+// later next() resumes it. When the kernel has ended, the loop yields once
+// more and waits, idle, for the next kernel a borrower hands it.
+type coro struct {
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+
+	// p and k are the processor and kernel the coroutine runs, from Start
+	// to Release.
+	p *Proc
+	k Kernel
 }
 
-// Start launches the kernel goroutine and schedules the processor's start
-// event at the current simulation time. The goroutine parks on the conch
-// gate immediately; the start event hands it the conch with an empty
-// response, exactly where the old design issued the kernel's first
-// operation.
-func (p *Proc) Start(k Kernel) {
-	select {
-	case <-p.gone: // drop a stale token from an unjoined previous run
-	default:
+func (c *coro) loop(yield func(struct{}) bool) {
+	c.yield = yield
+	for {
+		c.p.run(c.k)
+		yield(struct{}{})
 	}
-	p.live = true
-	go func() {
-		defer func() { p.gone <- struct{}{} }()
-		p.park() // conch gate
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					p.err = fmt.Errorf("%v", r)
-				}
-			}()
-			k(p)
-		}()
-		p.haltDrain()
-	}()
+}
+
+// idle holds the kernel coroutines no processor is using, for every machine
+// in the process: package-level because a coroutine outlives the machine
+// that last used it, and machines are often dropped without a final call
+// (pools evict them, one-shot runs discard them). An idle coroutine is a
+// goroutine parked in its loop's yield, so the list must keep it until the
+// next borrower resumes it; sync.Pool cannot, since an entry the GC dropped
+// would strand its goroutine for good. The list holds no simulation state
+// and never more coroutines than the peak number of kernels running at
+// once, so it needs no cap. Borrowing one allocates nothing; making one
+// costs about a dozen allocations.
+var idle struct {
+	sync.Mutex
+	coros []*coro
+}
+
+// borrow takes an idle coroutine, or makes one.
+func borrow() *coro {
+	idle.Lock()
+	if n := len(idle.coros); n > 0 {
+		c := idle.coros[n-1]
+		idle.coros = idle.coros[:n-1]
+		idle.Unlock()
+		return c
+	}
+	idle.Unlock()
+	c := &coro{}
+	// An idle coroutine is resumed by its next borrower, never stopped.
+	c.next, _ = iter.Pull(c.loop)
+	return c
+}
+
+// Start borrows a coroutine for kernel k and schedules the processor's
+// start event at the current simulation time; the start event runs the
+// kernel up to its first operation. Release returns the coroutine.
+func (p *Proc) Start(k Kernel) {
+	c := borrow()
+	c.p, c.k = p, k
+	p.co = c
 	p.resp = response{}
 	p.q.AfterCall(0, resumeProc, p)
 }
 
-// Join blocks until the kernel goroutine launched by Start has fully
-// exited. A halted processor's goroutine may still be unwinding its drive
-// loop (reading lostConch) for a few instructions after the run's outcome
-// is posted; the next run's Reset would race with that read. The machine
-// joins every processor before reusing it. A kernel that has not halted is
-// parked until Stop releases it, so Stop it before joining.
-func (p *Proc) Join() {
-	<-p.gone
-	p.live = false
+// Release ends the processor's part in a finished run and returns its
+// coroutine to the idle list. A kernel the run left parked mid-operation (a
+// deadlock, or an event budget that expired), or never started, is first
+// resumed with a stop response: it unwinds without recording an error, and
+// the processor keeps reporting Done() == false. Call Release once the
+// event loop has stopped; the processor can then be Reset and reused.
+func (p *Proc) Release() {
+	c := p.co
+	if c == nil {
+		return
+	}
+	if !p.done {
+		p.resp = response{stop: true}
+		c.next()
+	}
+	p.co = nil
+	c.p, c.k = nil, nil
+	idle.Lock()
+	idle.coros = append(idle.coros, c)
+	idle.Unlock()
 }
 
-// Stop releases a kernel that the finished run left parked mid-operation
-// (a deadlock, or an event budget that expired). Its goroutine unwinds out
-// of the kernel without recording an error or driving events, and the
-// processor keeps reporting Done() == false. Call Stop only after
-// Driver.Run has returned, for a processor that has not halted, then Join
-// it; the processor can then be Reset and reused.
-func (p *Proc) Stop() {
-	p.res <- response{stop: true}
+// run executes kernel k on the coroutine, from its start event until it
+// returns or panics, and then marks the processor halted. A released kernel
+// unwinds through errReleased instead and is left not done.
+func (p *Proc) run(k Kernel) {
+	defer func() {
+		r := recover()
+		if r == errReleased {
+			return
+		}
+		if r != nil {
+			p.err = fmt.Errorf("%v", r)
+		}
+		p.done = true
+		p.halt = p.q.Now()
+	}()
+	p.resumed()
+	k(p)
+	if p.OnOp != nil {
+		p.OnOp(TraceOp{Kind: opNames[opHalt]})
+	}
 }
 
 // resumeProc is the static typed-event action every operation completion
-// funnels through. Executed by the current conch holder: a self-resume just
-// flags the response ready; resuming any other processor hands the conch
-// over with a single channel send (the holder's drive loop then stops via
-// lostConch/mainLost, set before the send so no queue state is touched
-// after it).
+// funnels through. It switches to the processor's kernel coroutine, which
+// takes its response, runs until it has issued its next operation (or
+// halted), and switches back, so the kernel issues inside this event.
 //
 //dsi:hotpath
 func resumeProc(arg any) {
-	p := arg.(*Proc)
-	d := p.drv
-	h := d.cur
-	if h == p {
-		p.respReady = true
-		return
-	}
-	d.cur = p
-	if h != nil {
-		h.lostConch = true
-	} else {
-		d.mainLost = true
-	}
-	p.res <- p.resp
+	arg.(*Proc).co.next()
 }
 
 // issue starts executing the kernel's operation at the current simulated
-// time. Runs on the kernel goroutine while it holds the conch — the same
-// stream position the old central loop issued from.
+// time. Runs on the kernel's coroutine inside the event that resumed it.
 func (p *Proc) issue(r request) {
 	if p.OnOp != nil {
 		p.OnOp(TraceOp{Kind: opNames[r.kind], Addr: r.addr, Word: r.word, Cycles: r.cycles, Sync: r.sync})
@@ -567,29 +476,6 @@ func (p *Proc) issue(r request) {
 		p.cc.DrainWB(p.contBarrierDrained)
 	case opHalt:
 		panic("cpu: halt is not an issued operation")
-	}
-}
-
-// haltDrain marks the kernel halted and keeps driving the event loop until
-// the conch moves on or the run ends — a halted processor cannot abandon the
-// conch, or the simulation would stall with events pending. Runs on the
-// kernel goroutine after the kernel function returns; the goroutine exits
-// when this returns.
-func (p *Proc) haltDrain() {
-	if p.OnOp != nil {
-		p.OnOp(TraceOp{Kind: opNames[opHalt]})
-	}
-	p.done = true
-	p.halt = p.q.Now()
-	d := p.drv
-	for {
-		if p.lostConch {
-			p.lostConch = false
-			return
-		}
-		if !d.step() {
-			return
-		}
 	}
 }
 

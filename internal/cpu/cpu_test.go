@@ -11,17 +11,16 @@ import (
 	"dsisim/internal/stats"
 )
 
-// harness wires one standalone processor to a 2-node protocol stack.
+// harness wires standalone processors to a protocol stack.
 type harness struct {
-	q    *event.Queue
-	d    *Driver
-	bar  *Barrier
-	proc *Proc
-	brk  *stats.Breakdown
-	net  *netsim.Network
+	q     *event.Queue
+	bar   *Barrier
+	procs []*Proc
+	brk   *stats.Breakdown // procs[0]'s
+	net   *netsim.Network
 }
 
-func newHarness(t *testing.T, nprocs int, cons proto.Consistency) ([]*Proc, *harness) {
+func newHarness(t testing.TB, nprocs int, cons proto.Consistency) ([]*Proc, *harness) {
 	t.Helper()
 	q := &event.Queue{}
 	layout := mem.NewLayout(nprocs)
@@ -30,7 +29,6 @@ func newHarness(t *testing.T, nprocs int, cons proto.Consistency) ([]*Proc, *har
 		CheckFail: func(f string, a ...any) { t.Fatalf("protocol: "+f, a...) }}
 	cfg := proto.Config{Consistency: cons, WriteBufferEntries: 16}
 	bar := NewBarrier(q, nprocs, 100)
-	d := NewDriver(q)
 	var procs []*Proc
 	for i := 0; i < nprocs; i++ {
 		cc := proto.NewCacheCtrl(env, i, cfg, cache.Config{SizeBytes: 64 * mem.BlockSize, Assoc: 4})
@@ -43,26 +41,26 @@ func newHarness(t *testing.T, nprocs int, cons proto.Consistency) ([]*Proc, *har
 				dc.Handle(m)
 			}
 		})
-		brk := &stats.Breakdown{}
-		p := New(i, nprocs, q, cc, bar, brk, 42)
-		p.Bind(d)
-		procs = append(procs, p)
+		procs = append(procs, New(i, nprocs, q, cc, bar, &stats.Breakdown{}, 42))
 	}
-	d.Reset(10_000_000)
-	return procs, &harness{q: q, d: d, bar: bar, proc: procs[0], brk: procs[0].Breakdown(), net: net}
+	return procs, &harness{q: q, bar: bar, procs: procs, brk: procs[0].Breakdown(), net: net}
+}
+
+// drive runs the event loop until the queue drains or a livelock budget
+// expires, then releases every processor's kernel. It reports whether the
+// queue drained.
+func (h *harness) drive() bool {
+	h.q.RunSteps(10_000_000)
+	for _, p := range h.procs {
+		p.Release()
+	}
+	return h.q.Len() == 0
 }
 
 func run(t *testing.T, h *harness, procs []*Proc) {
 	t.Helper()
-	steps, drained := h.d.Run()
-	if !drained {
-		t.Fatalf("livelock: budget expired after %d events", steps)
-	}
-	for i, p := range procs {
-		if p.Done() {
-			p.Join()
-		}
-		_ = i
+	if !h.drive() {
+		t.Fatal("livelock: event budget expired")
 	}
 	for i, p := range procs {
 		if !p.Done() {
@@ -92,7 +90,7 @@ func TestComputeCharges(t *testing.T) {
 func TestNegativeComputePanicsIntoErr(t *testing.T) {
 	procs, h := newHarness(t, 1, proto.SC)
 	procs[0].Start(func(p *Proc) { p.Compute(-1) })
-	h.d.Run()
+	h.drive()
 	if procs[0].Err() == nil {
 		t.Fatal("negative compute did not error")
 	}
@@ -259,5 +257,33 @@ func TestWCWriteIsNonBlocking(t *testing.T) {
 	run(t, h, procs)
 	if h.brk.Cycles[stats.WriteOther]+h.brk.Cycles[stats.WriteInval] > 5 {
 		t.Fatalf("WC write stalled: %v", h.brk)
+	}
+}
+
+// BenchmarkProcResume measures the processor runtime's handoff: two
+// processors alternate Compute(1), so every operation resumes the other
+// processor's kernel. One op is one operation: its completion event, the
+// switch into the kernel and back, and the kernel issuing its next
+// operation.
+func BenchmarkProcResume(b *testing.B) {
+	procs, h := newHarness(b, 2, proto.SC)
+	ops := [2]int{b.N - b.N/2, b.N / 2}
+	for i, p := range procs {
+		n := ops[i]
+		p.Start(func(p *Proc) {
+			for range n {
+				p.Compute(1)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	h.q.Run()
+	b.StopTimer()
+	for _, p := range procs {
+		p.Release()
+		if !p.Done() {
+			b.Fatalf("proc %d did not halt", p.ID())
+		}
 	}
 }

@@ -141,7 +141,6 @@ type Machine struct {
 	ccs     []*proto.CacheCtrl
 	dcs     []*proto.DirCtrl
 	barrier *cpu.Barrier
-	drv     *cpu.Driver
 	plan    *faultinj.Plan
 	fails   []string
 
@@ -208,7 +207,6 @@ func New(cfg Config) *Machine {
 		})
 	}
 	m.barrier = cpu.NewBarrier(m.q, cfg.Processors, cfg.BarrierLatency)
-	m.drv = cpu.NewDriver(m.q)
 	return m
 }
 
@@ -328,28 +326,25 @@ func (m *Machine) Run(prog Program) Result {
 		}
 	}
 
-	m.drv.Reset(m.cfg.MaxSteps)
-	for i := 0; i < n; i++ {
-		procs[i].Bind(m.drv)
-		procs[i].Start(prog.Kernel)
-	}
-	steps, _ := m.drv.Run()
-	// Join every kernel before touching processor state: a halted kernel's
-	// goroutine may still be unwinding the drive loop for a few instructions
-	// after the outcome was posted, and a subsequent Reset would race with
-	// that. A kernel the run left blocked mid-operation (deadlock or expired
-	// budget) stays parked until Stop unwinds it; it still reports
-	// Done() == false below.
+	kernel := prog.Kernel // one method value, which allocates, for every processor
 	for _, p := range procs {
-		if !p.Done() {
-			p.Stop()
-		}
-		p.Join()
+		p.Start(kernel)
+	}
+	steps, panicked := m.simulate()
+	// Release every kernel before reading processor state. A kernel the run
+	// left blocked mid-operation (deadlock, expired budget, or a panicking
+	// event) unwinds without halting; it still reports Done() == false below.
+	for _, p := range procs {
+		p.Release()
 	}
 
 	res := Result{Program: prog.Name(), TotalTime: m.q.Now(), Barriers: m.barrier.Episodes}
 	res.Errors = append(res.Errors, m.fails...)
 	res.Faults = m.net.FaultStats()
+	if panicked != nil {
+		res.Errors = append(res.Errors, panicked.Error())
+		return res
+	}
 	if steps == m.cfg.MaxSteps && m.q.Len() > 0 {
 		// Livelock watchdog: the event budget expired with work still
 		// queued. Fail with the structured dump instead of expiring
@@ -415,6 +410,18 @@ func (m *Machine) Run(prog Program) Result {
 		res.Errors = append(res.Errors, "audit: "+err.Error())
 	}
 	return res
+}
+
+// simulate runs the event loop on the calling goroutine until the queue
+// drains or MaxSteps events have run, and returns the number of events run.
+// An event that panics ends the run; its panic comes back as the error.
+func (m *Machine) simulate() (steps uint64, panicked error) {
+	defer func() {
+		if r := recover(); r != nil {
+			panicked = fmt.Errorf("t=%d: event panicked: %v", m.q.Now(), r)
+		}
+	}()
+	return m.q.RunSteps(m.cfg.MaxSteps), nil
 }
 
 // deadlocked reports whether the machine stopped with coherence work still

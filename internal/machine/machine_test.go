@@ -1,9 +1,12 @@
 package machine
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -293,6 +296,90 @@ func TestDeadlockedRunsReleaseKernels(t *testing.T) {
 	if got := m.Run(shareProg(200)); !reflect.DeepEqual(got, want) {
 		t.Fatalf("machine reused after stuck runs diverged:\nfresh:  %+v\nreused: %+v", want, got)
 	}
+}
+
+// TestEventPanicFailsRun checks that an event that panics fails the run with
+// a named error on the caller's goroutine, both while kernels are parked
+// mid-operation (t=50) and after every kernel has halted (t=5000). The
+// parked kernels are released, no goroutine is left behind, and the machine
+// then reproduces a fresh machine's result.
+func TestEventPanicFailsRun(t *testing.T) {
+	cfg := small(Config{Consistency: proto.SC}, 3)
+	want := New(cfg).Run(shareProg(200))
+	mustClean(t, want)
+
+	base := runtime.NumGoroutine()
+	m := New(cfg)
+	for _, c := range []struct {
+		at     event.Time
+		halted bool // every kernel has halted when the event panics
+	}{{50, false}, {5000, true}} {
+		var halted bool
+		prog := shareProg(20)
+		setup := prog.setup
+		prog.setup = func(m *Machine) {
+			setup(m)
+			m.q.At(c.at, func() {
+				halted = true
+				for _, p := range m.procs {
+					halted = halted && p.Done()
+				}
+				panic("boom")
+			})
+		}
+		m.Reset(cfg)
+		r := m.Run(prog)
+		wantErr := fmt.Sprintf("t=%d: event panicked: boom", c.at)
+		if !r.Failed() || !slices.Contains(r.Errors, wantErr) {
+			t.Fatalf("t=%d: run errors %q, want %q among them", c.at, r.Errors, wantErr)
+		}
+		if halted != c.halted {
+			t.Fatalf("t=%d: every kernel halted = %v when the event ran, want %v", c.at, halted, c.halted)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("t=%d: %d goroutines after the panicked run, %d before: kernels leaked", c.at, n, base)
+		}
+		m.Reset(cfg)
+		if got := m.Run(shareProg(200)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("t=%d: machine reused after the panicked run diverged:\nfresh:  %+v\nreused: %+v", c.at, want, got)
+		}
+	}
+}
+
+// TestConcurrentMachinesMatchSerial runs machines of two shapes from four
+// goroutines at once, through one Pool, so kernel coroutines and machines
+// both move between goroutines. Every run must equal its shape's serial
+// result.
+func TestConcurrentMachinesMatchSerial(t *testing.T) {
+	shapes := []Config{
+		small(Config{Consistency: proto.SC}, 3),
+		small(Config{Consistency: proto.WC, Policy: core.Policy{Identifier: core.Versions{}, TearOff: true}}, 5),
+	}
+	want := make([]Result, len(shapes))
+	for i, cfg := range shapes {
+		want[i] = New(cfg).Run(shareProg(300))
+		mustClean(t, want[i])
+	}
+	var (
+		pool Pool
+		wg   sync.WaitGroup
+	)
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 6 {
+				s := (g + i) % len(shapes)
+				m := pool.Get(shapes[s])
+				got := m.Run(shareProg(300))
+				pool.Put(m)
+				if !reflect.DeepEqual(got, want[s]) {
+					t.Errorf("goroutine %d run %d (shape %d) diverged from the serial run:\nserial:     %+v\nconcurrent: %+v", g, i, s, want[s], got)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestKernelAssertSurfacesAsError(t *testing.T) {

@@ -67,8 +67,7 @@ func TestPoolRecyclesByShape(t *testing.T) {
 // TestWarmRunEventPathAllocFree pins the steady-state allocation contract: on
 // a warm (Reset) machine, a full Run's allocations must not scale with the
 // number of simulated operations — the event path itself allocates nothing.
-// Only the per-run constant (program setup, goroutine starts, result
-// assembly) remains.
+// Only the per-run constant (program setup, result assembly) remains.
 func TestWarmRunEventPathAllocFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement needs full runs")

@@ -22,14 +22,13 @@ func TestNilSinkAllocsUnchanged(t *testing.T) {
 		protocol Protocol
 		budget   float64
 	}{
-		{"em3d", V, 73},
-		{"ocean", WDSI, 106},
-		{"zipf", V, 84},
+		{"em3d", V, 58},
+		{"ocean", WDSI, 91},
+		{"zipf", V, 69},
 	}
 	// Absolute ceiling over every cell: with the block tables and machine
 	// pool in place, a warm run's allocations are the per-run constant
-	// (workload setup, goroutine starts, result assembly), not a function
-	// of simulated work.
+	// (workload setup, result assembly), not a function of simulated work.
 	const warmRunCap = 128
 	for _, c := range cells {
 		t.Run(c.workload+"/"+string(c.protocol), func(t *testing.T) {
