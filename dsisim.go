@@ -194,7 +194,7 @@ const (
 // Message-kind names in dropkind (Inv, GetX, DataS, ...) resolve through the
 // interconnect's kind table. An empty spec yields the zero FaultConfig.
 func ParseFaults(spec string) (FaultConfig, error) {
-	return faultinj.Parse(spec, func(name string) (int, bool) {
+	return faultinj.Parse(spec, int(netsim.NumKinds), func(name string) (int, bool) {
 		k, ok := netsim.ParseKind(name)
 		return int(k), ok
 	})

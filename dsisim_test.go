@@ -138,3 +138,23 @@ func TestResultsAreDeterministic(t *testing.T) {
 		t.Fatal("same config, different results")
 	}
 }
+
+// TestParseFaultsRejectsOutOfRange checks the public fault-spec parser
+// against the interconnect's real kind table: input no plan can honour is a
+// named error, never an accepted plan that crashes or silently does nothing
+// when the run builds it.
+func TestParseFaultsRejectsOutOfRange(t *testing.T) {
+	for _, bad := range []string{
+		"dropkind=1000000000000:0.5",       // would size a dense kind table by the key
+		"dropkind=9223372036854775807:0.5", // would overflow that table's length
+		"dropkind=100:0.5",                 // no such kind: would drop nothing
+		"drop=NaN",
+	} {
+		if _, err := ParseFaults(bad); err == nil {
+			t.Errorf("ParseFaults(%q) succeeded, want error", bad)
+		}
+	}
+	if _, err := ParseFaults("drop=1,dropkind=NackHome:0.5"); err != nil {
+		t.Errorf("boundary spec rejected: %v", err)
+	}
+}

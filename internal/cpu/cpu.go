@@ -6,13 +6,25 @@
 //
 // Workload kernels are ordinary Go functions, each run on a coroutine
 // (iter.Pull) while every event runs on the goroutine that drives the event
-// queue. The event that completes a processor's operation resumes its
-// kernel, which runs until it has issued its next operation and then yields
-// back into that event (see resumeProc). Exactly one of them runs at any
-// moment and control moves by coroutine switch, never through the Go
-// scheduler, so simulations are deterministic as long as kernels do not
-// mutate Go state shared between processors (read-only shared setup is
-// fine).
+// queue. Every kernel-side operation is a straight line of steps issued from
+// the kernel's coroutine: a load or a store is one step, and a
+// synchronization access drains the write buffer, performs its access, and
+// self-invalidates the marked blocks (§4.2). A step completes in one of two
+// ways:
+//
+//   - An intermediate step, one another step follows, switches straight back
+//     into the kernel, which issues the next step inside the completing
+//     event. A step that completes inside the call that issued it (a hit, an
+//     SC or empty drain) lets the kernel go on without yielding.
+//   - An operation's last step charges the issue cycle and resumes the kernel
+//     one cycle later (see resumeProc). The kernel charges the step's stall
+//     and runs until it has issued its next operation, then yields back into
+//     that event.
+//
+// Exactly one of them runs at any moment and control moves by coroutine
+// switch, never through the Go scheduler, so simulations are deterministic
+// as long as kernels do not mutate Go state shared between processors
+// (read-only shared setup is fine).
 package cpu
 
 import (
@@ -33,32 +45,6 @@ import (
 // Proc.Release).
 type Kernel func(p *Proc)
 
-// opKind enumerates kernel→driver requests.
-type opKind int
-
-const (
-	opRead opKind = iota
-	opWrite
-	opSwap
-	opCompute
-	opBarrier
-	opUnlock
-	opFlush
-	opHalt
-)
-
-type request struct {
-	kind   opKind
-	addr   mem.Addr
-	word   uint64
-	cycles int64
-	sync   bool // charge stall time to the synchronization category
-	// noFlush suppresses the self-invalidation flush after a swap: failed
-	// spin-lock attempts are not treated as completed synchronization
-	// points (the flush runs once, after the successful acquire).
-	noFlush bool
-}
-
 // Value is what a kernel observes from a load or swap: the block's
 // coherence token plus the data word at the accessed address.
 type Value struct {
@@ -67,13 +53,8 @@ type Value struct {
 	Word   uint64
 }
 
-type response struct {
-	value Value
-	old   uint64
-	// stop releases a kernel the run left parked: the kernel unwinds
-	// instead of resuming (see Release).
-	stop bool
-}
+// spinBackoffMax bounds the exponential backoff between lock retries.
+const spinBackoffMax = 256
 
 // errReleased is the panic value that unwinds a released kernel.
 var errReleased = errors.New("cpu: kernel released")
@@ -100,36 +81,20 @@ type Proc struct {
 	halt event.Time
 	err  error
 
-	// In-order operation state: the core has at most one operation in
-	// flight, so its continuation context lives here instead of in per-op
-	// closures. r is the current request, start its issue time, resp the
-	// response to deliver at the next resume, pending the response parked
-	// across a trailing self-invalidation flush.
-	r       request
-	start   event.Time
-	resp    response
-	pending response
+	// The core has at most one step in flight. res is the latest completed
+	// step's result. ready marks an intermediate step that completed inside
+	// the call that issued it, waiting a kernel parked on an intermediate
+	// step, and stop a kernel released while parked (see Release).
+	res     proto.Result
+	ready   bool
+	waiting bool
+	stop    bool
 
-	// drained/arrived are the intermediate timestamps of the multi-stage
-	// synchronization sequences (drain → access → flush → barrier).
-	drained event.Time
-	arrived event.Time
-
-	// flushNext runs after the current self-invalidation flush completes.
-	flushNext  func()
-	flushStart event.Time
-
-	// Continuations bound once at construction so issuing an operation
-	// allocates nothing.
-	contRead, contWrite, contSwap, contUnlockWrite func(proto.Result)
-	contFlushed                                    func(proto.Result)
-	contSwapDrained, contUnlockDrained             func()
-	contBarrierDrained, contBarrierFlushed         func()
-	contBarrierReleased, contFinishResp            func()
-	contFlushFinish                                func()
-
-	// SpinBackoffMax bounds the exponential backoff between lock retries.
-	SpinBackoffMax int64
+	// The step completions, bound once at construction so issuing a step
+	// allocates nothing: step and stepRes end an intermediate step, last and
+	// lastRes an operation's last step.
+	step, last       func()
+	stepRes, lastRes func(proto.Result)
 
 	// OnOp, if set, observes every operation the kernel issues, in program
 	// order, before it executes. Used by the trace tooling.
@@ -145,39 +110,23 @@ type TraceOp struct {
 	Sync   bool
 }
 
-var opNames = map[opKind]string{
-	opRead: "read", opWrite: "write", opSwap: "swap", opCompute: "compute",
-	opBarrier: "barrier", opUnlock: "unlock", opFlush: "flush", opHalt: "halt",
-}
-
 // New builds a processor. Start must be called to launch its kernel.
 func New(id, n int, q *event.Queue, cc *proto.CacheCtrl, barrier *Barrier, brk *stats.Breakdown, seed uint64) *Proc {
 	p := &Proc{
 		id: id, n: n, q: q, cc: cc, barrier: barrier, brk: brk,
-		rnd:            rng.New(seed ^ uint64(id)*0x9e3779b97f4a7c15),
-		SpinBackoffMax: 256,
+		rnd: rng.New(seed ^ uint64(id)*0x9e3779b97f4a7c15),
 	}
-	p.contRead = p.onRead
-	p.contWrite = p.onWrite
-	p.contSwap = p.onSwap
-	p.contUnlockWrite = p.onUnlockWrite
-	p.contFlushed = p.onFlushed
-	p.contSwapDrained = p.onSwapDrained
-	p.contUnlockDrained = p.onUnlockDrained
-	p.contBarrierDrained = p.onBarrierDrained
-	p.contBarrierFlushed = p.onBarrierFlushed
-	p.contBarrierReleased = p.onBarrierReleased
-	p.contFinishResp = p.finishResp
-	p.contFlushFinish = p.onFlushFinish
+	p.step, p.stepRes = p.stepDoneNow, p.stepDone
+	p.last, p.lastRes = p.lastDoneNow, p.lastDone
 	return p
 }
 
 // Reset returns a processor to its just-built state for machine reuse,
-// keeping the continuation closures bound at construction. The queue, cache
+// keeping the completions bound at construction. The queue, cache
 // controller, barrier, and breakdown wiring persist; only the run state
-// (RNG, store sequence, halt/err, in-flight operation context) is cleared.
-// The previous run's kernel must have been released: Reset before Release
-// would leave it holding a coroutine, so that is a hard error.
+// (RNG, store sequence, halt/err, step state) is cleared. The previous run's
+// kernel must have been released: Reset before Release would leave it
+// holding a coroutine, so that is a hard error.
 func (p *Proc) Reset(seed uint64) {
 	if p.co != nil {
 		panic("cpu: Reset of a processor whose kernel has not been released")
@@ -187,14 +136,8 @@ func (p *Proc) Reset(seed uint64) {
 	p.done = false
 	p.halt = 0
 	p.err = nil
-	p.r = request{}
-	p.start = 0
-	p.resp = response{}
-	p.pending = response{}
-	p.drained, p.arrived = 0, 0
-	p.flushNext = nil
-	p.flushStart = 0
-	p.SpinBackoffMax = 256
+	p.res = proto.Result{}
+	p.ready, p.waiting, p.stop = false, false, false
 	p.OnOp = nil
 }
 
@@ -221,44 +164,72 @@ func (p *Proc) Breakdown() *stats.Breakdown { return p.brk }
 
 // --- kernel-side API ---------------------------------------------------------
 
-// rpc issues the operation, yields to the event loop, and returns the
-// response the operation's completion resumed the kernel with.
-func (p *Proc) rpc(r request) response {
-	p.issue(r)
-	p.co.yield(struct{}{})
-	return p.resumed()
-}
-
-// resumed returns the response the kernel was resumed with, unwinding a
-// released kernel instead.
-func (p *Proc) resumed() response {
-	if p.resp.stop {
-		panic(errReleased)
-	}
-	return p.resp
-}
-
 // Read performs a load and returns the accessed word with its block's
 // coherence token.
-func (p *Proc) Read(a mem.Addr) Value {
-	return p.rpc(request{kind: opRead, addr: a}).value
+func (p *Proc) Read(a mem.Addr) Value { return p.read(a, false) }
+
+// ReadSync is Read with the stall charged to synchronization (spin loops).
+func (p *Proc) ReadSync(a mem.Addr) Value { return p.read(a, true) }
+
+// read is a load: one last step.
+//
+//dsi:hotpath
+func (p *Proc) read(a mem.Addr, sync bool) Value {
+	if p.OnOp != nil {
+		p.OnOp(TraceOp{Kind: "read", Addr: a, Sync: sync})
+	}
+	start := p.q.Now()
+	p.cc.Read(a, p.lastRes)
+	res := p.waitLast()
+	stall := int64(res.Done - start)
+	switch {
+	case sync:
+		p.brk.Add(stats.Sync, stall)
+	case res.WBRead:
+		p.brk.Add(stats.ReadWB, stall)
+	default:
+		inv := min(int64(res.InvWait), stall)
+		p.brk.Add(stats.ReadInval, inv)
+		p.brk.Add(stats.ReadOther, stall-inv)
+	}
+	return Value{Writer: res.Value.Writer, Seq: res.Value.Seq, Word: res.Value.WordAt(a)}
 }
 
 // Write performs a store of a fresh value token (Word = 0).
-func (p *Proc) Write(a mem.Addr) {
-	p.rpc(request{kind: opWrite, addr: a})
-}
+func (p *Proc) Write(a mem.Addr) { p.WriteWord(a, 0) }
 
-// WriteWord stores a fresh token carrying the given word (for flags).
+// WriteWord stores a fresh token carrying the given word (for flags). A
+// store is one last step.
+//
+//dsi:hotpath
 func (p *Proc) WriteWord(a mem.Addr, w uint64) {
-	p.rpc(request{kind: opWrite, addr: a, word: w})
+	if p.OnOp != nil {
+		p.OnOp(TraceOp{Kind: "write", Addr: a, Word: w})
+	}
+	start := p.q.Now()
+	p.cc.Write(a, p.token(w), p.lastRes)
+	res := p.waitLast()
+	stall := int64(res.Done - start)
+	full := min(int64(res.WBFullWait), stall)
+	inv := min(int64(res.InvWait), stall-full)
+	p.brk.Add(stats.WBFull, full)
+	p.brk.Add(stats.WriteInval, inv)
+	p.brk.Add(stats.WriteOther, stall-full-inv)
 }
 
 // Swap atomically exchanges the block's word, returning the old word. It is
-// a synchronization access: the write buffer drains first and marked blocks
-// self-invalidate after.
+// a synchronization access: drain, swap, then self-invalidation.
 func (p *Proc) Swap(a mem.Addr, w uint64) uint64 {
-	return p.rpc(request{kind: opSwap, addr: a, word: w, sync: true}).old
+	if p.OnOp != nil {
+		p.OnOp(TraceOp{Kind: "swap", Addr: a, Word: w, Sync: true})
+	}
+	p.drain()
+	drained := p.q.Now()
+	p.cc.Swap(a, w, p.token(w), p.stepRes)
+	res := p.waitStep()
+	p.brk.Add(stats.Sync, int64(res.Done-drained))
+	p.selfInvalidate()
+	return res.OldWord
 }
 
 // Compute advances the processor by the given number of cycles.
@@ -266,10 +237,26 @@ func (p *Proc) Compute(cycles int64) {
 	if cycles < 0 {
 		panic("cpu: negative compute")
 	}
-	if cycles == 0 {
-		return
+	if cycles > 0 {
+		p.compute(cycles, false)
 	}
-	p.rpc(request{kind: opCompute, cycles: cycles})
+}
+
+// compute is a compute delay, charged to synchronization for a lock's
+// backoff: one last step, completed by its own resume event.
+//
+//dsi:hotpath
+func (p *Proc) compute(cycles int64, sync bool) {
+	if p.OnOp != nil {
+		p.OnOp(TraceOp{Kind: "compute", Cycles: cycles, Sync: sync})
+	}
+	cat := stats.Compute
+	if sync {
+		cat = stats.Sync
+	}
+	p.brk.Add(cat, cycles)
+	p.q.AfterCall(event.Time(cycles), resumeProc, p)
+	p.waitLast()
 }
 
 // ComputeInstr charges instruction-count work at the 3-issue rate of the
@@ -278,41 +265,69 @@ func (p *Proc) ComputeInstr(instructions int64) {
 	p.Compute((instructions + 2) / 3)
 }
 
-// ReadSync is Read with the stall charged to synchronization (spin loops).
-func (p *Proc) ReadSync(a mem.Addr) Value {
-	return p.rpc(request{kind: opRead, addr: a, sync: true}).value
-}
-
 // Lock acquires a spin lock with test&set plus exponential backoff. The
 // acquire loop spins on the swap itself — not on a plain test read —
 // because every swap is a synchronization access that self-invalidates
 // marked blocks: a plain-read spin on a stale tear-off copy of the lock
 // word would never observe the release (the forward-progress hazard §3.3
 // of the paper describes).
+//
+// Each attempt is its own swap operation, drain then swap, followed by a
+// backoff compute while the word is taken. A failed attempt is not a
+// completed synchronization point, so the self-invalidation runs once, as
+// a flush operation after the acquire.
 func (p *Proc) Lock(a mem.Addr) {
 	backoff := int64(8)
 	for {
-		if p.rpc(request{kind: opSwap, addr: a, word: 1, sync: true, noFlush: true}).old == 0 {
-			p.rpc(request{kind: opFlush})
-			return
+		if p.OnOp != nil {
+			p.OnOp(TraceOp{Kind: "swap", Addr: a, Word: 1, Sync: true})
 		}
-		p.rpc(request{kind: opCompute, cycles: backoff, sync: true})
-		if backoff < p.SpinBackoffMax {
+		p.drain()
+		drained := p.q.Now()
+		p.cc.Swap(a, 1, p.token(1), p.lastRes)
+		res := p.waitLast()
+		p.brk.Add(stats.Sync, int64(res.Done-drained))
+		if res.OldWord == 0 {
+			break
+		}
+		p.compute(backoff, true)
+		if backoff < spinBackoffMax {
 			backoff *= 2
 		}
 	}
+	if p.OnOp != nil {
+		p.OnOp(TraceOp{Kind: "flush"})
+	}
+	p.selfInvalidate()
 }
 
-// Unlock releases a lock. It is a synchronization access (the write buffer
-// drains before the releasing store and marked blocks self-invalidate), so
-// weak ordering holds for data protected by the lock.
+// Unlock releases a lock. It is a synchronization access (drain, the
+// releasing store, then self-invalidation), so weak ordering holds for data
+// protected by the lock.
 func (p *Proc) Unlock(a mem.Addr) {
-	p.rpc(request{kind: opUnlock, addr: a})
+	if p.OnOp != nil {
+		p.OnOp(TraceOp{Kind: "unlock", Addr: a})
+	}
+	p.drain()
+	drained := p.q.Now()
+	p.cc.Write(a, p.token(0), p.stepRes)
+	p.brk.Add(stats.Sync, int64(p.waitStep().Done-drained))
+	p.selfInvalidate()
 }
 
-// Barrier joins the machine-wide hardware barrier.
+// Barrier joins the machine-wide hardware barrier: drain, self-invalidation,
+// then the arrival, which the barrier's release completes.
 func (p *Proc) Barrier() {
-	p.rpc(request{kind: opBarrier})
+	if p.OnOp != nil {
+		p.OnOp(TraceOp{Kind: "barrier"})
+	}
+	p.drain()
+	start := p.q.Now()
+	p.cc.SyncFlush(p.stepRes)
+	p.brk.Add(stats.DSIStall, int64(p.waitStep().Done-start))
+	arrived := p.q.Now()
+	p.barrier.Arrive(p.last)
+	p.brk.Add(stats.Sync, int64(p.waitLast().Done-arrived))
 }
 
 // Assert aborts the kernel with a diagnostic if cond is false; the failure
@@ -323,6 +338,27 @@ func (p *Proc) Assert(cond bool, format string, args ...any) {
 	if !cond {
 		panic(fmt.Sprintf("proc %d assertion failed: %s", p.id, fmt.Sprintf(format, args...)))
 	}
+}
+
+// drain is a synchronization access's first step: it waits for every
+// buffered write to be acknowledged, charging the wait to sync-wb.
+func (p *Proc) drain() {
+	start := p.q.Now()
+	p.cc.DrainWB(p.step)
+	p.brk.Add(stats.SyncWB, int64(p.waitStep().Done-start))
+}
+
+// selfInvalidate is a synchronization access's last step: the DSI
+// self-invalidation of the marked blocks, charged to dsi-stall.
+func (p *Proc) selfInvalidate() {
+	start := p.q.Now()
+	p.cc.SyncFlush(p.lastRes)
+	p.brk.Add(stats.DSIStall, int64(p.waitLast().Done-start))
+}
+
+func (p *Proc) token(word uint64) proto.Store {
+	p.seq++
+	return proto.Store{Writer: p.id, Seq: p.seq, Word: word}
 }
 
 // --- processor runtime ---------------------------------------------------------
@@ -387,23 +423,23 @@ func (p *Proc) Start(k Kernel) {
 	c := borrow()
 	c.p, c.k = p, k
 	p.co = c
-	p.resp = response{}
 	p.q.AfterCall(0, resumeProc, p)
 }
 
 // Release ends the processor's part in a finished run and returns its
 // coroutine to the idle list. A kernel the run left parked mid-operation (a
-// deadlock, or an event budget that expired), or never started, is first
-// resumed with a stop response: it unwinds without recording an error, and
-// the processor keeps reporting Done() == false. Call Release once the
-// event loop has stopped; the processor can then be Reset and reused.
+// deadlock, or an event budget that expired), in either kind of wait, or
+// never started, is first resumed with stop set: it unwinds without
+// recording an error, and the processor keeps reporting Done() == false.
+// Call Release once the event loop has stopped; the processor can then be
+// Reset and reused.
 func (p *Proc) Release() {
 	c := p.co
 	if c == nil {
 		return
 	}
 	if !p.done {
-		p.resp = response{stop: true}
+		p.stop = true
 		c.next()
 	}
 	p.co = nil
@@ -428,202 +464,85 @@ func (p *Proc) run(k Kernel) {
 		p.done = true
 		p.halt = p.q.Now()
 	}()
-	p.resumed()
+	if p.stop {
+		panic(errReleased)
+	}
 	k(p)
 	if p.OnOp != nil {
-		p.OnOp(TraceOp{Kind: opNames[opHalt]})
+		p.OnOp(TraceOp{Kind: "halt"})
 	}
 }
 
-// resumeProc is the static typed-event action every operation completion
-// funnels through. It switches to the processor's kernel coroutine, which
-// takes its response, runs until it has issued its next operation (or
-// halted), and switches back, so the kernel issues inside this event.
+// resumeProc is the static typed-event action that starts a kernel and
+// resumes it after each operation's last step. It switches to the
+// processor's kernel coroutine, which runs until it has issued its next
+// operation (or halted) and switches back, so the kernel issues inside this
+// event.
 //
 //dsi:hotpath
 func resumeProc(arg any) {
 	arg.(*Proc).co.next()
 }
 
-// issue starts executing the kernel's operation at the current simulated
-// time. Runs on the kernel's coroutine inside the event that resumed it.
-func (p *Proc) issue(r request) {
-	if p.OnOp != nil {
-		p.OnOp(TraceOp{Kind: opNames[r.kind], Addr: r.addr, Word: r.word, Cycles: r.cycles, Sync: r.sync})
+// waitLast parks the kernel until lastDone has completed its operation's
+// last step and resumeProc has resumed it, and returns the step's result.
+//
+//dsi:hotpath
+func (p *Proc) waitLast() proto.Result {
+	p.co.yield(struct{}{})
+	if p.stop {
+		panic(errReleased)
 	}
-	p.r = r
-	p.start = p.q.Now()
-	switch r.kind {
-	case opCompute:
-		cat := stats.Compute
-		if r.sync {
-			cat = stats.Sync
-		}
-		p.brk.Add(cat, r.cycles)
-		p.resp = response{}
-		p.q.AfterCall(event.Time(r.cycles), resumeProc, p)
-	case opRead:
-		p.cc.Read(r.addr, p.contRead)
-	case opWrite:
-		p.cc.Write(r.addr, p.token(r.word), p.contWrite)
-	case opSwap:
-		p.cc.DrainWB(p.contSwapDrained)
-	case opUnlock:
-		p.cc.DrainWB(p.contUnlockDrained)
-	case opFlush:
-		p.flushThen(p.contFlushFinish)
-	case opBarrier:
-		p.cc.DrainWB(p.contBarrierDrained)
-	case opHalt:
-		panic("cpu: halt is not an issued operation")
-	}
+	return p.res
 }
 
-// finish charges one issue cycle, replies to the kernel, and continues.
-func (p *Proc) finish(resp response) {
+// waitStep returns an intermediate step's result. A step that completed
+// inside the call that issued it is already ready; otherwise the kernel
+// parks until stepDone switches back into it.
+//
+//dsi:hotpath
+func (p *Proc) waitStep() proto.Result {
+	if !p.ready {
+		p.waiting = true
+		p.co.yield(struct{}{})
+		p.waiting = false
+		if p.stop {
+			panic(errReleased)
+		}
+	}
+	p.ready = false
+	return p.res
+}
+
+// stepDone completes an intermediate step. It switches straight into a
+// kernel parked in waitStep, which issues its next step inside this event;
+// a step that completed inside the call that issued it is only marked ready.
+//
+//dsi:hotpath
+func (p *Proc) stepDone(res proto.Result) {
+	p.res = res
+	if p.waiting {
+		p.co.next()
+		return
+	}
+	p.ready = true
+}
+
+// lastDone completes an operation's last step: it charges the issue cycle
+// and resumes the kernel one cycle later, which then charges the step's
+// stall.
+//
+//dsi:hotpath
+func (p *Proc) lastDone(res proto.Result) {
+	p.res = res
 	p.brk.Add(stats.Compute, 1)
-	p.resp = resp
 	p.q.AfterCall(1, resumeProc, p)
 }
 
-// finishResp finishes with the response parked across a flush.
-func (p *Proc) finishResp() { p.finish(p.pending) }
-
-// onFlushFinish completes a standalone flush request.
-func (p *Proc) onFlushFinish() { p.finish(response{}) }
-
-func (p *Proc) chargeRead(start event.Time, res proto.Result, sync bool) {
-	stall := int64(res.Done - start)
-	switch {
-	case sync:
-		p.brk.Add(stats.Sync, stall)
-	case res.WBRead:
-		p.brk.Add(stats.ReadWB, stall)
-	default:
-		inv := int64(res.InvWait)
-		if inv > stall {
-			inv = stall
-		}
-		p.brk.Add(stats.ReadInval, inv)
-		p.brk.Add(stats.ReadOther, stall-inv)
-	}
-}
-
-// onRead completes a load (contRead).
-func (p *Proc) onRead(res proto.Result) {
-	p.chargeRead(p.start, res, p.r.sync)
-	p.finish(response{value: loaded(res.Value, p.r.addr)})
-}
-
-// loaded projects block contents onto the kernel-visible Value.
-func loaded(v mem.Value, a mem.Addr) Value {
-	return Value{Writer: v.Writer, Seq: v.Seq, Word: v.WordAt(a)}
-}
-
-func (p *Proc) token(word uint64) proto.Store {
-	p.seq++
-	return proto.Store{Writer: p.id, Seq: p.seq, Word: word}
-}
-
-// onWrite completes a store (contWrite).
-func (p *Proc) onWrite(res proto.Result) {
-	stall := int64(res.Done - p.start)
-	switch {
-	case p.r.sync:
-		p.brk.Add(stats.Sync, stall)
-	default:
-		full := int64(res.WBFullWait)
-		if full > stall {
-			full = stall
-		}
-		inv := int64(res.InvWait)
-		if inv > stall-full {
-			inv = stall - full
-		}
-		p.brk.Add(stats.WBFull, full)
-		p.brk.Add(stats.WriteInval, inv)
-		p.brk.Add(stats.WriteOther, stall-full-inv)
-	}
-	p.finish(response{})
-}
-
-// onSwapDrained continues a swap once the write buffer has drained — the
-// full synchronization-access sequence is drain, swap, self-invalidate.
-func (p *Proc) onSwapDrained() {
-	drained := p.q.Now()
-	p.brk.Add(stats.SyncWB, int64(drained-p.start))
-	p.drained = drained
-	p.cc.Swap(p.r.addr, p.r.word, p.token(p.r.word), p.contSwap)
-}
-
-// onSwap completes the swap access and runs the trailing flush (contSwap).
-func (p *Proc) onSwap(res proto.Result) {
-	if p.r.sync {
-		p.brk.Add(stats.Sync, int64(res.Done-p.drained))
-	} else {
-		inv := int64(res.InvWait)
-		stall := int64(res.Done - p.drained)
-		if inv > stall {
-			inv = stall
-		}
-		p.brk.Add(stats.WriteInval, inv)
-		p.brk.Add(stats.WriteOther, stall-inv)
-	}
-	p.pending = response{old: res.OldWord, value: loaded(res.Value, p.r.addr)}
-	if p.r.noFlush {
-		p.finishResp()
-	} else {
-		p.flushThen(p.contFinishResp)
-	}
-}
-
-// onUnlockDrained issues the releasing store once the buffer has drained.
-func (p *Proc) onUnlockDrained() {
-	drained := p.q.Now()
-	p.brk.Add(stats.SyncWB, int64(drained-p.start))
-	p.drained = drained
-	p.cc.Write(p.r.addr, p.token(0), p.contUnlockWrite)
-}
-
-// onUnlockWrite completes the releasing store and flushes (contUnlockWrite).
-func (p *Proc) onUnlockWrite(res proto.Result) {
-	p.brk.Add(stats.Sync, int64(res.Done-p.drained))
-	p.flushThen(p.contFlushFinish)
-}
-
-// onBarrierDrained flushes marked blocks before joining the barrier.
-func (p *Proc) onBarrierDrained() {
-	drained := p.q.Now()
-	p.brk.Add(stats.SyncWB, int64(drained-p.start))
-	p.flushThen(p.contBarrierFlushed)
-}
-
-// onBarrierFlushed parks the processor at the hardware barrier.
-func (p *Proc) onBarrierFlushed() {
-	p.arrived = p.q.Now()
-	p.barrier.Arrive(p.contBarrierReleased)
-}
-
-// onBarrierReleased charges the barrier wait and resumes the kernel.
-func (p *Proc) onBarrierReleased() {
-	p.brk.Add(stats.Sync, int64(p.q.Now()-p.arrived))
-	p.finish(response{})
-}
-
-// flushThen runs the DSI self-invalidation flush and charges its latency.
-func (p *Proc) flushThen(cont func()) {
-	p.flushStart = p.q.Now()
-	p.flushNext = cont
-	p.cc.SyncFlush(p.contFlushed)
-}
-
-// onFlushed charges the flush stall and continues (contFlushed).
-func (p *Proc) onFlushed(res proto.Result) {
-	p.brk.Add(stats.DSIStall, int64(res.Done-p.flushStart))
-	next := p.flushNext
-	p.flushNext = nil
-	next()
-}
+// stepDoneNow and lastDoneNow complete steps that report no result (a
+// write-buffer drain, a barrier release): the step is done now.
+func (p *Proc) stepDoneNow() { p.stepDone(proto.Result{Done: p.q.Now()}) }
+func (p *Proc) lastDoneNow() { p.lastDone(proto.Result{Done: p.q.Now()}) }
 
 // --- hardware barrier ---------------------------------------------------------
 

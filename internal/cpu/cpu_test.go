@@ -287,3 +287,35 @@ func BenchmarkProcResume(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkProcSync measures the synchronization path: two processors under
+// WC take turns through one critical section (Lock, Read, WriteWord, Unlock
+// on one lock and one data block). One op is one pass through it, with the
+// drains, swaps, self-invalidations and misses of a lock handoff.
+func BenchmarkProcSync(b *testing.B) {
+	procs, h := newHarness(b, 2, proto.WC)
+	lock := mem.Addr(mem.BlockSize)
+	data := mem.Addr(2 * mem.BlockSize)
+	ops := [2]int{b.N - b.N/2, b.N / 2}
+	for i, p := range procs {
+		n := ops[i]
+		p.Start(func(p *Proc) {
+			for range n {
+				p.Lock(lock)
+				v := p.Read(data)
+				p.WriteWord(data, v.Word+1)
+				p.Unlock(lock)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	h.q.Run()
+	b.StopTimer()
+	for _, p := range procs {
+		p.Release()
+		if !p.Done() || p.Err() != nil {
+			b.Fatalf("proc %d did not halt cleanly: %v", p.ID(), p.Err())
+		}
+	}
+}

@@ -28,7 +28,10 @@
 package faultinj
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -116,6 +119,51 @@ type Config struct {
 func (c *Config) Enabled() bool {
 	return c.Drop > 0 || c.Dup > 0 || c.Delay > 0 ||
 		len(c.DropByKind) > 0 || len(c.DropByLink) > 0 || len(c.Rules) > 0
+}
+
+// Validate reports the first field of c that no plan can honour on a network
+// with the given number of message kinds: a probability outside [0, 1] or
+// NaN, a negative Jitter, a DropByKind key outside [0, kinds), or a
+// DropByLink endpoint below 0, checking map entries in key order so the
+// report is stable. Every entry point that builds a Config from
+// outside input (Parse, persisted soak specs) calls it, so bad input fails
+// with a named error instead of crashing the run. The kind count comes from
+// the caller because the message kinds belong to netsim, which imports this
+// package.
+func (c *Config) Validate(kinds int) error {
+	if err := cmp.Or(checkProb("drop", c.Drop), checkProb("dup", c.Dup), checkProb("delay", c.Delay)); err != nil {
+		return err
+	}
+	if c.Jitter < 0 {
+		return fmt.Errorf("faultinj: negative jitter %d", c.Jitter)
+	}
+	for _, k := range slices.Sorted(maps.Keys(c.DropByKind)) {
+		if k < 0 || k >= kinds {
+			return fmt.Errorf("faultinj: dropkind %d outside [0, %d)", k, kinds)
+		}
+		if err := checkProb("dropkind "+strconv.Itoa(k), c.DropByKind[k]); err != nil {
+			return err
+		}
+	}
+	byNodes := func(a, b [2]int) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) }
+	for _, l := range slices.SortedFunc(maps.Keys(c.DropByLink), byNodes) {
+		name := fmt.Sprintf("droplink %d-%d", l[0], l[1])
+		if l[0] < 0 || l[1] < 0 {
+			return fmt.Errorf("faultinj: %s: negative node", name)
+		}
+		if err := checkProb(name, c.DropByLink[l]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkProb range-checks one probability; NaN fails both comparisons.
+func checkProb(name string, p float64) error {
+	if !(p >= 0 && p <= 1) {
+		return fmt.Errorf("faultinj: %s probability %v outside [0, 1]", name, p)
+	}
+	return nil
 }
 
 // DefaultJitter is the delay bound used when Config.Jitter is zero.
@@ -339,10 +387,11 @@ func (p *Plan) jitter() event.Time {
 //	dropkind=<kind>:<p>  per-kind drop override; repeatable
 //	droplink=<s>-<d>:<p> per-link drop override; repeatable
 //
-// kindByName resolves message-kind names (and decimal kind numbers) for
-// dropkind; pass nil to accept numeric kinds only. An empty spec yields the
-// zero Config.
-func Parse(spec string, kindByName func(string) (int, bool)) (Config, error) {
+// kinds is the network's message-kind count, and kindByName resolves
+// message-kind names (and decimal kind numbers) for dropkind; pass nil to
+// accept numeric kinds only. The result passes Validate(kinds). An empty
+// spec yields the zero Config.
+func Parse(spec string, kinds int, kindByName func(string) (int, bool)) (Config, error) {
 	var cfg Config
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -370,9 +419,6 @@ func Parse(spec string, kindByName func(string) (int, bool)) (Config, error) {
 		case "jitter":
 			var j int64
 			j, err = strconv.ParseInt(val, 0, 64)
-			if err == nil && j < 0 {
-				err = fmt.Errorf("negative jitter")
-			}
 			cfg.Jitter = event.Time(j)
 		case "dropkind":
 			name, pstr, ok := strings.Cut(val, ":")
@@ -398,7 +444,7 @@ func Parse(spec string, kindByName func(string) (int, bool)) (Config, error) {
 			}
 			src, serr := strconv.Atoi(strings.TrimSpace(srcStr))
 			dst, derr := strconv.Atoi(strings.TrimSpace(dstStr))
-			if serr != nil || derr != nil || src < 0 || dst < 0 {
+			if serr != nil || derr != nil {
 				return cfg, fmt.Errorf("faultinj: %q: bad link nodes", field)
 			}
 			var prob float64
@@ -415,28 +461,18 @@ func Parse(spec string, kindByName func(string) (int, bool)) (Config, error) {
 			return cfg, fmt.Errorf("faultinj: %q: %v", field, err)
 		}
 	}
-	return cfg, nil
+	return cfg, cfg.Validate(kinds)
 }
 
-// parseProb parses a probability and range-checks it.
+// parseProb parses a probability; Validate range-checks it.
 func parseProb(s string) (float64, error) {
-	p, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-	if err != nil {
-		return 0, err
-	}
-	if p < 0 || p > 1 {
-		return 0, fmt.Errorf("probability %v outside [0, 1]", p)
-	}
-	return p, nil
+	return strconv.ParseFloat(strings.TrimSpace(s), 64)
 }
 
 // resolveKind resolves a message-kind name or decimal number.
 func resolveKind(name string, kindByName func(string) (int, bool)) (int, error) {
 	name = strings.TrimSpace(name)
 	if n, err := strconv.Atoi(name); err == nil {
-		if n < 0 {
-			return 0, fmt.Errorf("negative kind %d", n)
-		}
 		return n, nil
 	}
 	if kindByName != nil {

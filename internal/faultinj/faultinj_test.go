@@ -129,13 +129,14 @@ func TestPerKindAndPerLinkOverrides(t *testing.T) {
 }
 
 func TestParse(t *testing.T) {
+	const numKinds = 18 // netsim's count; this package cannot import it
 	kinds := func(s string) (int, bool) {
 		if s == "Inv" {
 			return 6, true
 		}
 		return 0, false
 	}
-	cfg, err := Parse("drop=0.05, dup=0.01, delay=0.2, jitter=40, seed=7, dropkind=Inv:0.5, droplink=2-5:0.25", kinds)
+	cfg, err := Parse("drop=0.05, dup=0.01, delay=0.2, jitter=40, seed=7, dropkind=Inv:0.5, droplink=2-5:0.25", numKinds, kinds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,18 +153,26 @@ func TestParse(t *testing.T) {
 		t.Fatal("parsed config not Enabled")
 	}
 
-	if cfg, err := Parse("", nil); err != nil || cfg.Enabled() {
+	if cfg, err := Parse("", numKinds, nil); err != nil || cfg.Enabled() {
 		t.Fatalf("empty spec: cfg=%+v err=%v", cfg, err)
 	}
-	if cfg, err := Parse("dropkind=9:1", nil); err != nil || cfg.DropByKind[9] != 1 {
+	if cfg, err := Parse("dropkind=9:1", numKinds, nil); err != nil || cfg.DropByKind[9] != 1 {
 		t.Fatalf("numeric kind: cfg=%+v err=%v", cfg, err)
+	}
+	if cfg, err := Parse("drop=1,dup=0,dropkind=17:0.5,droplink=0-0:1", numKinds, nil); err != nil || cfg.DropByKind[17] != 0.5 {
+		t.Fatalf("boundary values: cfg=%+v err=%v", cfg, err)
 	}
 
 	for _, bad := range []string{
 		"bogus=1", "drop=2", "drop=-0.5", "drop", "jitter=-3",
 		"dropkind=Nope:0.5", "dropkind=Inv", "droplink=2:0.5", "droplink=a-b:0.5",
+		// Out-of-range values a run could not honour: a dense kind table
+		// sized by a huge key, a kind the network does not have, NaN.
+		"dropkind=1000000000000:0.5", "dropkind=9223372036854775807:0.5",
+		"dropkind=18:0.5", "dropkind=100:0.5", "dropkind=-1:0.5", "dropkind=Inv:NaN",
+		"drop=NaN", "dup=NaN", "delay=+Inf", "droplink=2-5:1.5",
 	} {
-		if _, err := Parse(bad, kinds); err == nil {
+		if _, err := Parse(bad, numKinds, kinds); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", bad)
 		}
 	}

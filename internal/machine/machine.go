@@ -28,7 +28,6 @@ type Config struct {
 	CacheBytes         int
 	CacheAssoc         int
 	NetworkLatency     event.Time
-	BarrierLatency     event.Time
 	Consistency        proto.Consistency
 	WriteBufferEntries int
 	// SharerLimit caps directory sharer pointers per block (0 = full map).
@@ -46,13 +45,14 @@ type Config struct {
 	// Faults, if set and non-empty, installs a deterministic fault-injection
 	// plan on the network (internal/faultinj, docs/FAULTS.md): inter-node
 	// messages may be dropped, duplicated, or delayed. Enabling faults also
-	// enables the hardened protocol (see Retry). Nil costs nothing.
+	// enables the hardened protocol with proto.DefaultRetry's parameters.
+	// Nil costs nothing.
 	Faults *faultinj.Config
-	// Retry overrides the hardened protocol's parameters (proto.RetryConfig).
-	// Nil means: DefaultRetry when Faults is enabled, strict base protocol
-	// otherwise.
-	Retry *proto.RetryConfig
 }
+
+// barrierLatency is the hardware barrier's release latency, in cycles, as
+// in the paper.
+const barrierLatency event.Time = 100
 
 // Defaults fills unset fields with the paper's configuration.
 func (c Config) Defaults() Config {
@@ -67,9 +67,6 @@ func (c Config) Defaults() Config {
 	}
 	if c.NetworkLatency == 0 {
 		c.NetworkLatency = 100
-	}
-	if c.BarrierLatency == 0 {
-		c.BarrierLatency = 100
 	}
 	if c.WriteBufferEntries == 0 {
 		c.WriteBufferEntries = 16
@@ -150,7 +147,10 @@ type Machine struct {
 	brks  []*stats.Breakdown
 }
 
-// New assembles a machine from cfg (completed with Defaults).
+// New assembles a machine from cfg (completed with Defaults). It builds the
+// fixed structure, which Reset keeps, and then calls Reset to install the
+// per-run wiring, so a fresh machine and a reused one are wired by the same
+// code.
 func New(cfg Config) *Machine {
 	cfg = cfg.Defaults()
 	m := &Machine{
@@ -158,37 +158,19 @@ func New(cfg Config) *Machine {
 		q:      &event.Queue{},
 		layout: mem.NewLayout(cfg.Processors),
 	}
-	if cfg.Faults != nil && cfg.Faults.Enabled() {
-		m.plan = faultinj.New(*cfg.Faults)
-	}
-	m.net = netsim.New(m.q, netsim.Config{Nodes: cfg.Processors, Latency: cfg.NetworkLatency, Faults: m.plan})
+	m.net = netsim.New(m.q, netsim.Config{Nodes: cfg.Processors})
 	m.env = &proto.Env{
 		Q: m.q, Net: m.net, Layout: m.layout,
 		CheckFail: func(format string, args ...any) {
 			m.fails = append(m.fails, fmt.Sprintf("t=%d: ", m.q.Now())+fmt.Sprintf(format, args...))
 		},
 	}
-	if cfg.Sink != nil {
-		m.env.Sink = cfg.Sink
-		m.net.SetObserver(cfg.Sink)
-	}
-	retry := cfg.Retry
-	if retry == nil && m.plan != nil {
-		// Faults without hardening would deadlock on the first lost message;
-		// install the default recovery parameters.
-		retry = proto.DefaultRetry(cfg.NetworkLatency)
-	}
-	pcfg := proto.Config{
-		Consistency:        cfg.Consistency,
-		WriteBufferEntries: cfg.WriteBufferEntries,
-		SharerLimit:        cfg.SharerLimit,
-		Policy:             cfg.Policy,
-		Retry:              retry,
-	}
 	geo := cache.Config{SizeBytes: cfg.CacheBytes, Assoc: cfg.CacheAssoc}
 	for i := 0; i < cfg.Processors; i++ {
-		m.ccs = append(m.ccs, proto.NewCacheCtrl(m.env, i, pcfg, geo))
-		m.dcs = append(m.dcs, proto.NewDirCtrl(m.env, i, pcfg))
+		// The zero protocol config allocates no mechanism; Reset installs
+		// the run's.
+		m.ccs = append(m.ccs, proto.NewCacheCtrl(m.env, i, proto.Config{}, geo))
+		m.dcs = append(m.dcs, proto.NewDirCtrl(m.env, i, proto.Config{}))
 	}
 	for i := 0; i < cfg.Processors; i++ {
 		cc, dc := m.ccs[i], m.dcs[i]
@@ -206,7 +188,8 @@ func New(cfg Config) *Machine {
 			}
 		})
 	}
-	m.barrier = cpu.NewBarrier(m.q, cfg.Processors, cfg.BarrierLatency)
+	m.barrier = cpu.NewBarrier(m.q, cfg.Processors, barrierLatency)
+	m.Reset(cfg)
 	return m
 }
 
@@ -226,9 +209,9 @@ func (m *Machine) Reusable(cfg Config) bool {
 // cleared: all simulated time, traffic counters, cache and directory
 // contents, memory images, transaction ids, statistics, and accumulated
 // errors. The per-run wiring (sink, fault plan, retry parameters, protocol
-// policy, latencies, seed) is re-derived from cfg exactly as New does, so a
-// Reset machine is observationally identical to a fresh one — the kernel
-// determinism goldens gate this.
+// policy, network latency, seed) is derived from cfg here and only here: New
+// ends by calling Reset, so a Reset machine is observationally identical to
+// a fresh one — the kernel determinism goldens gate this.
 //
 // Reset panics if Reusable(cfg) is false (the structure cannot change).
 func (m *Machine) Reset(cfg Config) {
@@ -241,17 +224,17 @@ func (m *Machine) Reset(cfg Config) {
 	m.layout.Reset()
 	m.fails = m.fails[:0]
 	m.plan = nil
+	var retry *proto.RetryConfig
 	if cfg.Faults != nil && cfg.Faults.Enabled() {
 		m.plan = faultinj.New(*cfg.Faults)
+		// Faults without hardening would deadlock on the first lost message;
+		// install the default recovery parameters.
+		retry = proto.DefaultRetry(cfg.NetworkLatency)
 	}
 	m.net.Reset(netsim.Config{Nodes: cfg.Processors, Latency: cfg.NetworkLatency, Faults: m.plan})
 	m.env.Reset(cfg.Sink)
 	if cfg.Sink != nil {
 		m.net.SetObserver(cfg.Sink)
-	}
-	retry := cfg.Retry
-	if retry == nil && m.plan != nil {
-		retry = proto.DefaultRetry(cfg.NetworkLatency)
 	}
 	pcfg := proto.Config{
 		Consistency:        cfg.Consistency,
@@ -264,7 +247,7 @@ func (m *Machine) Reset(cfg Config) {
 		m.ccs[i].Reset(pcfg)
 		m.dcs[i].Reset(pcfg)
 	}
-	m.barrier.Reset(cfg.BarrierLatency)
+	m.barrier.Reset(barrierLatency)
 }
 
 // Config returns the machine's (defaulted) configuration.

@@ -298,6 +298,69 @@ func TestDeadlockedRunsReleaseKernels(t *testing.T) {
 	}
 }
 
+// syncProg builds a program whose kernels park in every kind of wait. Each
+// processor reads a block the others share and buffers a store to it, so
+// its lock acquire (drain, swap, self-invalidation) first waits for the
+// store's upgrade; it then buffers a second store inside the critical
+// section, which its release (drain, releasing store, self-invalidation)
+// waits for, and joins a barrier (drain, self-invalidation, arrival).
+func syncProg() *prog {
+	var data, lock mem.Region
+	return &prog{
+		name: "sync",
+		setup: func(m *Machine) {
+			data = m.Layout().AllocInterleaved("data", mem.BlockSize)
+			lock = m.Layout().AllocInterleaved("lock", mem.BlockSize)
+		},
+		kernel: func(p *cpu.Proc) {
+			p.Read(data.Addr(0))
+			p.WriteWord(data.Addr(uint64(p.ID())*8), 1)
+			p.Lock(lock.Addr(0))
+			p.WriteWord(data.Addr(uint64(p.ID())*8), 2)
+			p.Unlock(lock.Addr(0))
+			p.Barrier()
+		},
+	}
+}
+
+// TestTruncatedRunsReleaseKernels cuts one run short after every possible
+// number of events, so each truncated run leaves the kernels parked wherever
+// that event finds them: not yet started, inside a write-buffer drain, a
+// swap, a self-invalidation, or at the barrier. Every truncated run must
+// fail and release its kernels without leaking a goroutine, and the reused
+// machine must then reproduce a fresh machine's full run.
+func TestTruncatedRunsReleaseKernels(t *testing.T) {
+	w, err := proto.LabelOf("W+DSI")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := small(Config{Consistency: w.Consistency, Policy: w.Policy}, 3)
+	want := New(cfg).Run(syncProg())
+	mustClean(t, want)
+	if want.Breakdown.Cycles[stats.SyncWB] == 0 {
+		t.Fatal("no kernel ever waited in a write-buffer drain")
+	}
+
+	base := runtime.NumGoroutine()
+	m := New(cfg)
+	for steps := uint64(1); steps < want.Kernel.Events; steps++ {
+		short := cfg
+		short.MaxSteps = steps
+		m.Reset(short)
+		if r := m.Run(syncProg()); !r.Failed() {
+			t.Fatalf("run cut after %d of %d events did not fail", steps, want.Kernel.Events)
+		}
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after %d truncated runs, %d before: kernels leaked", n, want.Kernel.Events-1, base)
+	}
+
+	m.Reset(cfg)
+	if got := m.Run(syncProg()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("machine reused after truncated runs diverged:\nfresh:  %+v\nreused: %+v", want, got)
+	}
+}
+
 // TestEventPanicFailsRun checks that an event that panics fails the run with
 // a named error on the caller's goroutine, both while kernels are parked
 // mid-operation (t=50) and after every kernel has halted (t=5000). The

@@ -20,14 +20,13 @@ import (
 
 	"dsisim/internal/faultinj"
 	"dsisim/internal/machine"
-	"dsisim/internal/proto"
 )
 
 // SchemaVersion tags every key. Bump it whenever the Result layout or any
 // protocol/workload semantics change, so entries cached by an older build
 // can never be mistaken for current ones (relevant once keys outlive a
 // process — e.g. a persistent or networked cache tier).
-const SchemaVersion = 2
+const SchemaVersion = 3
 
 // Key is the 128-bit canonical digest of a Request. Two Requests with equal
 // Keys describe the same deterministic cell.
@@ -51,13 +50,11 @@ type Request struct {
 	CacheBytes         int
 	CacheAssoc         int
 	NetworkLatency     int64
-	BarrierLatency     int64
 	WriteBufferEntries int
 	SharerLimit        int
 	Seed               uint64
 	MaxSteps           uint64
 
-	Retry  *proto.RetryConfig
 	Faults *faultinj.Config
 }
 
@@ -69,10 +66,8 @@ func RequestOf(workload, scale, protocol string, cfg machine.Config) Request {
 	return Request{
 		Workload: workload, Scale: scale, Protocol: protocol,
 		Processors: cfg.Processors, CacheBytes: cfg.CacheBytes, CacheAssoc: cfg.CacheAssoc,
-		NetworkLatency: int64(cfg.NetworkLatency), BarrierLatency: int64(cfg.BarrierLatency),
-		WriteBufferEntries: cfg.WriteBufferEntries, SharerLimit: cfg.SharerLimit,
-		Seed: cfg.Seed, MaxSteps: cfg.MaxSteps,
-		Retry: cfg.Retry, Faults: cfg.Faults,
+		NetworkLatency: int64(cfg.NetworkLatency), WriteBufferEntries: cfg.WriteBufferEntries,
+		SharerLimit: cfg.SharerLimit, Seed: cfg.Seed, MaxSteps: cfg.MaxSteps, Faults: cfg.Faults,
 	}
 }
 
@@ -91,24 +86,12 @@ func (r Request) Key() Key {
 	d.absorb(fieldHash("cachebytes", uint64(r.CacheBytes)))
 	d.absorb(fieldHash("cacheassoc", uint64(r.CacheAssoc)))
 	d.absorb(fieldHash("netlatency", uint64(r.NetworkLatency)))
-	d.absorb(fieldHash("barlatency", uint64(r.BarrierLatency)))
 	d.absorb(fieldHash("wbentries", uint64(r.WriteBufferEntries)))
 	d.absorb(fieldHash("sharerlimit", uint64(r.SharerLimit)))
 	d.absorb(fieldHash("seed", r.Seed))
 	d.absorb(fieldHash("maxsteps", r.MaxSteps))
-	absorbRetry(&d, r.Retry)
 	absorbFaults(&d, r.Faults)
 	return d.key()
-}
-
-// absorbRetry hashes the retry config, distinguishing nil (strict protocol)
-// from a zero-valued config (hardened with zero parameters).
-func absorbRetry(d *digest, rc *proto.RetryConfig) {
-	if rc == nil {
-		d.absorb(fieldHash("retry", 0))
-		return
-	}
-	d.absorb(fieldHash("retry", 1, uint64(rc.Timeout), uint64(rc.Max), uint64(rc.QueueLimit)))
 }
 
 // absorbFaults hashes the fault plan. Map-shaped knobs (DropByKind,

@@ -5,7 +5,6 @@ import (
 
 	"dsisim/internal/faultinj"
 	"dsisim/internal/machine"
-	"dsisim/internal/proto"
 )
 
 // fullRequest returns a request with every field set to a distinctive
@@ -14,10 +13,8 @@ func fullRequest() Request {
 	return Request{
 		Workload: "em3d", Scale: "test", Protocol: "W+DSI",
 		Processors: 8, CacheBytes: 2048, CacheAssoc: 4,
-		NetworkLatency: 40, BarrierLatency: 100,
-		WriteBufferEntries: 16, SharerLimit: 8,
+		NetworkLatency: 40, WriteBufferEntries: 16, SharerLimit: 8,
 		Seed: 0x5eed, MaxSteps: 1 << 20,
-		Retry: &proto.RetryConfig{Timeout: 5000, Max: 10, QueueLimit: 4},
 		Faults: &faultinj.Config{
 			Seed: 99, Drop: 0.01, Dup: 0.002, Delay: 0.05, Jitter: 20,
 			DropByKind: map[int]float64{1: 0.1, 3: 0.2},
@@ -35,7 +32,7 @@ func TestKeyFieldOrderIndependence(t *testing.T) {
 		fieldHash("workload", fnv("em3d")),
 		fieldHash("processors", 8),
 		fieldHash("seed", 0x5eed),
-		fieldHash("retry", 1, 5000, 10, 4),
+		fieldHash("fault.jitter", 20),
 	}
 	var fwd, rev digest
 	for _, f := range fields {
@@ -76,15 +73,10 @@ func TestKeyPerturbation(t *testing.T) {
 		{"cachebytes", func(r *Request) { r.CacheBytes = 4096 }},
 		{"cacheassoc", func(r *Request) { r.CacheAssoc = 2 }},
 		{"netlatency", func(r *Request) { r.NetworkLatency = 41 }},
-		{"barlatency", func(r *Request) { r.BarrierLatency = 99 }},
 		{"wbentries", func(r *Request) { r.WriteBufferEntries = 8 }},
 		{"sharerlimit", func(r *Request) { r.SharerLimit = 4 }},
 		{"seed", func(r *Request) { r.Seed++ }},
 		{"maxsteps", func(r *Request) { r.MaxSteps++ }},
-		{"retry-nil", func(r *Request) { r.Retry = nil }},
-		{"retry-timeout", func(r *Request) { r.Retry.Timeout++ }},
-		{"retry-max", func(r *Request) { r.Retry.Max++ }},
-		{"retry-queuelimit", func(r *Request) { r.Retry.QueueLimit++ }},
 		{"faults-nil", func(r *Request) { r.Faults = nil }},
 		{"fault-seed", func(r *Request) { r.Faults.Seed++ }},
 		{"fault-drop", func(r *Request) { r.Faults.Drop = 0.02 }},
@@ -119,27 +111,23 @@ func TestKeyPerturbation(t *testing.T) {
 	}
 }
 
-// TestKeyNilVsZeroDistinct pins the nil-presence bits: a nil Retry/Faults
-// must not collide with a zero-valued one.
+// TestKeyNilVsZeroDistinct pins the nil-presence bit: a nil Faults must not
+// collide with a zero-valued one.
 func TestKeyNilVsZeroDistinct(t *testing.T) {
 	r := fullRequest()
-	r.Retry = nil
 	r.Faults = nil
 	withNil := r.Key()
-	r.Retry = &proto.RetryConfig{}
 	r.Faults = &faultinj.Config{}
 	if r.Key() == withNil {
-		t.Fatal("nil and zero-valued Retry/Faults hash to the same key")
+		t.Fatal("nil and zero-valued Faults hash to the same key")
 	}
 }
 
 func TestRequestOfRoundTrip(t *testing.T) {
 	cfg := machine.Config{
 		Processors: 8, CacheBytes: 2048, CacheAssoc: 4,
-		NetworkLatency: 40, BarrierLatency: 100,
-		WriteBufferEntries: 16, SharerLimit: 8,
+		NetworkLatency: 40, WriteBufferEntries: 16, SharerLimit: 8,
 		Seed: 0x5eed, MaxSteps: 1 << 20,
-		Retry:  &proto.RetryConfig{Timeout: 5000, Max: 10, QueueLimit: 4},
 		Faults: &faultinj.Config{Seed: 99, Drop: 0.01},
 	}
 	a := RequestOf("em3d", "test", "W+DSI", cfg)

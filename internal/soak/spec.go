@@ -11,6 +11,7 @@ import (
 	"dsisim/internal/event"
 	"dsisim/internal/faultinj"
 	"dsisim/internal/machine"
+	"dsisim/internal/netsim"
 	"dsisim/internal/obs"
 	"dsisim/internal/proto"
 	"dsisim/internal/workload"
@@ -87,7 +88,8 @@ func FaultSpecOf(fc *faultinj.Config) *FaultSpec {
 	return fs
 }
 
-// Config rebuilds the runnable fault config (nil in, nil out).
+// Config rebuilds the runnable fault config (nil in, nil out), rejecting
+// any field faultinj.Config.Validate rejects.
 func (fs *FaultSpec) Config() (*faultinj.Config, error) {
 	if fs == nil {
 		return nil, nil
@@ -118,6 +120,9 @@ func (fs *FaultSpec) Config() (*faultinj.Config, error) {
 			Kind: r.Kind, Src: r.Src, Dst: r.Dst, Nth: r.Nth,
 			Action: a, Delay: event.Time(r.Delay),
 		})
+	}
+	if err := fc.Validate(int(netsim.NumKinds)); err != nil {
+		return nil, err
 	}
 	return fc, nil
 }

@@ -61,6 +61,13 @@ func TestLoadSpecRejectsInvalid(t *testing.T) {
 		{"registry too many procs", `{` + registry + `,"procs":65}`, "procs 65 out of range"},
 		{"registry cache geometry", `{` + registry + `,"cache_bytes":7}`, "cache: bad geometry"},
 		{"registry scale", `{` + registry + `,"scale":"huge"}`, `unknown scale "huge"`},
+		{"fault kind beyond int range", `{` + registry + `,"faults":{"drop_by_kind":{"9223372036854775807":0.5}}}`, "dropkind 9223372036854775807 outside [0, 18)"},
+		{"fault kind the network lacks", `{` + registry + `,"faults":{"drop_by_kind":{"18":0.5}}}`, "dropkind 18 outside [0, 18)"},
+		{"fault kind probability", `{` + registry + `,"faults":{"drop_by_kind":{"3":1.5}}}`, "dropkind 3 probability 1.5 outside [0, 1]"},
+		{"fault drop above one", `{` + registry + `,"faults":{"drop":7}}`, "drop probability 7 outside [0, 1]"},
+		{"fault negative delay", `{` + registry + `,"faults":{"delay":-0.1}}`, "delay probability -0.1 outside [0, 1]"},
+		{"fault negative jitter", `{` + registry + `,"faults":{"jitter":-5}}`, "negative jitter -5"},
+		{"fault negative link node", `{` + registry + `,"faults":{"drop_by_link":[{"src":-1,"dst":2,"prob":0.5}]}}`, "droplink -1-2: negative node"},
 	}
 	dir := t.TempDir()
 	for i, c := range cases {
@@ -82,6 +89,7 @@ func TestLoadSpecRejectsInvalid(t *testing.T) {
 	for _, body := range []string{
 		`{` + registry + `}`,
 		`{` + registry + `,"procs":64,"cache_bytes":4096,"scale":"test"}`,
+		`{` + registry + `,"faults":{"drop":1,"drop_by_kind":{"17":0.5},"drop_by_link":[{"src":0,"dst":0,"prob":1}]}}`,
 		`{"soak":1,` + litmus + `,"litmus":{"seed":1,"procs":1,"blocks":1,"rounds":1,"ops":[{"proc":0,"round":0,"kind":1,"block":0,"value":1}]}}`,
 	} {
 		path := filepath.Join(dir, "good.json")
