@@ -285,11 +285,11 @@ func BenchmarkNetworkDelivery(b *testing.B) {
 	q := &event.Queue{}
 	net := netsim.New(q, netsim.Config{Nodes: 4, Latency: 100})
 	for i := 0; i < 4; i++ {
-		net.SetHandler(i, func(netsim.Message) {})
+		net.SetHandler(i, func(*netsim.Message) {})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.Send(netsim.Message{Kind: netsim.GetS, Src: 0, Dst: 1, Addr: 32})
+		net.Send(&netsim.Message{Kind: netsim.GetS, Src: 0, Dst: 1, Addr: 32})
 		q.Run()
 	}
 }
@@ -315,7 +315,7 @@ func BenchmarkRunOne(b *testing.B) {
 func BenchmarkCacheLookupMicro(b *testing.B) {
 	c := cache.New(cache.Config{SizeBytes: 256 * 1024, Assoc: 4})
 	for i := 0; i < 1024; i++ {
-		c.Install(mem.Addr(i*mem.BlockSize), cache.Fill{State: cache.Shared})
+		c.Install(mem.Addr(i*mem.BlockSize), &cache.Fill{State: cache.Shared})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

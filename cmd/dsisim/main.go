@@ -6,6 +6,12 @@
 // Usage:
 //
 //	dsisim -workload em3d -protocol V [-procs 32] [-cachebytes 262144] [-latency 100] [-test] [-faults spec]
+//
+// -procs takes 1 to 64 processors, the nodes a full-map directory can name.
+// -cachebytes must make a power-of-two number of 4-way sets of 32-byte
+// blocks (128 bytes times a power of two), as the paper's hardware indexes
+// sets by address bits. A configuration outside these bounds, or a negative
+// -latency, is a named error, as is any flag's malformed value.
 //	dsisim -replay spec.json
 //	dsisim ... [-events [-node n] [-block 0xaddr] [-txn id] [-from c] [-to c] [-kinds k,k] [-limit n]]
 //	           [-blocks] [-chrome f]
@@ -70,9 +76,19 @@ func main() {
 		if errors.Is(err, flag.ErrHelp) {
 			return
 		}
-		fmt.Fprintln(os.Stderr, "dsisim:", err)
+		fmt.Fprintln(os.Stderr, errorLine(err))
 		os.Exit(1)
 	}
+}
+
+// errorLine renders err for stderr under the command's name. Errors from the
+// dsisim package already carry that name, so it is not repeated.
+func errorLine(err error) string {
+	msg := err.Error()
+	if strings.HasPrefix(msg, "dsisim: ") {
+		return msg
+	}
+	return "dsisim: " + msg
 }
 
 // replayFixed lists the flags whose values a -replay spec fixes.
@@ -88,7 +104,7 @@ func run(args []string, w io.Writer) error {
 	}
 	protoLabel := fs.String("protocol", "SC", "protocol: "+strings.Join(labels, " "))
 	procs := fs.Int("procs", 32, "simulated processors")
-	cacheBytes := fs.Int("cachebytes", 256*1024, "simulated cache size per node in bytes")
+	cacheBytes := fs.Int("cachebytes", 256*1024, "simulated cache size per node in bytes; must hold a power-of-two number of 4-way sets of 32-byte blocks")
 	useCache := fs.Bool("cache", false, "memoize through a content-addressed result cache and verify the hit is bit-identical")
 	cacheMB := fs.Int64("cachemb", 256, "result-cache budget in MiB (with -cache)")
 	latency := fs.Int64("latency", 100, "network latency in cycles")

@@ -70,3 +70,42 @@ func TestReplayWithEvents(t *testing.T) {
 		t.Errorf("last line %q, want the clean verdict:\n%s", last, out.String())
 	}
 }
+
+// A machine no configuration can build is refused before any run, with an
+// error the command prints under its name once; the boundary shapes run.
+func TestMachineConfigBounds(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string // error line prefix; empty when the cell must run
+	}{
+		{[]string{"-procs", "65"}, "dsisim: Processors 65 out of range: want 1 to 64"},
+		{[]string{"-procs", "-1"}, "dsisim: Processors -1 out of range: want 1 to 64"},
+		{[]string{"-cachebytes", "1000"}, "dsisim: cache: bad geometry {SizeBytes:1000 Assoc:4}: want a positive multiple of 128 bytes"},
+		{[]string{"-cachebytes", "-4096"}, "dsisim: cache: bad geometry {SizeBytes:-4096 Assoc:4}: want a positive multiple of 128 bytes"},
+		{[]string{"-cachebytes", "98304"}, "dsisim: cache: bad geometry {SizeBytes:98304 Assoc:4}: 768 sets, want a power of two"},
+		{[]string{"-latency", "-5"}, "dsisim: NetworkLatency -5 is negative"},
+		{[]string{"-procs", "1", "-cachebytes", "128"}, ""},
+		{[]string{"-procs", "64", "-latency", "0"}, ""},
+	}
+	for _, c := range cases {
+		args := append([]string{"-workload", "prodcons", "-test"}, c.args...)
+		var out bytes.Buffer
+		err := run(args, &out)
+		if c.want == "" {
+			if err != nil {
+				t.Errorf("dsisim %s: %v", strings.Join(args, " "), err)
+			}
+			continue
+		}
+		if err == nil || !strings.HasPrefix(errorLine(err), c.want) {
+			t.Errorf("dsisim %s: got error %v, want a line starting %q", strings.Join(args, " "), err, c.want)
+			continue
+		}
+		if strings.Contains(errorLine(err), "dsisim: dsisim:") {
+			t.Errorf("dsisim %s: error line repeats the command name: %s", strings.Join(args, " "), errorLine(err))
+		}
+		if out.Len() != 0 {
+			t.Errorf("dsisim %s: printed output before failing:\n%s", strings.Join(args, " "), out.String())
+		}
+	}
+}

@@ -35,7 +35,9 @@ package dsisim
 import (
 	"fmt"
 
+	"dsisim/internal/cache"
 	"dsisim/internal/cpu"
+	"dsisim/internal/directory"
 	"dsisim/internal/event"
 	"dsisim/internal/faultinj"
 	"dsisim/internal/machine"
@@ -122,12 +124,16 @@ type Config struct {
 	Scale Scale
 	// Protocol is the paper-style label (default SC).
 	Protocol Protocol
-	// Processors defaults to the paper's 32.
+	// Processors defaults to the paper's 32; at most directory.MaxNodes
+	// (64), the nodes a full-map sharer set can name.
 	Processors int
-	// CacheBytes defaults to 256 KiB; CacheAssoc to 4-way.
+	// CacheBytes defaults to 256 KiB; CacheAssoc to 4-way. The geometry must
+	// hold a power-of-two number of sets of CacheAssoc 32-byte blocks, as the
+	// paper's hardware indexes sets by address bits.
 	CacheBytes int
 	CacheAssoc int
-	// NetworkLatency defaults to the paper's 100 cycles.
+	// NetworkLatency defaults to the paper's 100 cycles; it must not be
+	// negative.
 	NetworkLatency int64
 	// Seed perturbs processor-private randomness (default fixed).
 	Seed uint64
@@ -230,7 +236,7 @@ func NewCoherenceSink() *CoherenceSink { return obs.NewSink(obs.Config{}) }
 
 // Program is a custom workload; see the Proc API in internal/cpu for the
 // kernel-side operations (Read, Write, WriteWord, Swap, Compute, Lock,
-// Unlock, Barrier, Assert).
+// Unlock, Barrier, Failf, Assert).
 type Program = machine.Program
 
 // Proc is the kernel-side processor handle passed to Program.Kernel.
@@ -259,6 +265,9 @@ func Workloads() []string { return workload.Names() }
 // PaperWorkloads lists the five Table 1 applications.
 func PaperWorkloads() []string { return workload.PaperNames() }
 
+// machineConfig checks c and translates it into the machine's
+// configuration. It is the one check of a Config: a machine is only ever
+// built from a configuration it accepted.
 func (c Config) machineConfig() (machine.Config, error) {
 	p := c.Protocol
 	if p == "" {
@@ -268,7 +277,7 @@ func (c Config) machineConfig() (machine.Config, error) {
 	if err != nil {
 		return machine.Config{}, fmt.Errorf("dsisim: %w", err)
 	}
-	return machine.Config{
+	mc := machine.Config{
 		Processors:     c.Processors,
 		CacheBytes:     c.CacheBytes,
 		CacheAssoc:     c.CacheAssoc,
@@ -279,7 +288,19 @@ func (c Config) machineConfig() (machine.Config, error) {
 		MaxSteps:       c.MaxSteps,
 		Sink:           c.Sink,
 		Faults:         c.Faults,
-	}, nil
+	}
+	d := mc.Defaults()
+	if d.Processors < 1 || d.Processors > directory.MaxNodes {
+		return machine.Config{}, fmt.Errorf("dsisim: Processors %d out of range: want 1 to %d, or 0 for %d",
+			c.Processors, directory.MaxNodes, machine.Config{}.Defaults().Processors)
+	}
+	if err := (cache.Config{SizeBytes: d.CacheBytes, Assoc: d.CacheAssoc}).Validate(); err != nil {
+		return machine.Config{}, fmt.Errorf("dsisim: %w", err)
+	}
+	if c.NetworkLatency < 0 {
+		return machine.Config{}, fmt.Errorf("dsisim: NetworkLatency %d is negative", c.NetworkLatency)
+	}
+	return mc, nil
 }
 
 // Run simulates the named built-in workload under cfg.
@@ -287,14 +308,14 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Workload == "" {
 		return Result{}, fmt.Errorf("dsisim: Config.Workload is empty (use RunProgram for custom programs)")
 	}
+	mc, err := cfg.machineConfig()
+	if err != nil {
+		return Result{}, err
+	}
 	if cfg.Cache != nil && cfg.Sink == nil {
 		// Built-in workloads are fully determined by the Config, so the run
 		// has a canonical content address. A Sink disables memoization: event
 		// recording is a side effect a cached result cannot replay.
-		mc, err := cfg.machineConfig()
-		if err != nil {
-			return Result{}, err
-		}
 		proto := cfg.Protocol
 		if proto == "" {
 			proto = SC
@@ -303,7 +324,7 @@ func Run(cfg Config) (Result, error) {
 		var runErr error
 		res, _ := cfg.Cache.Do(key, func() machine.Result {
 			var r Result
-			r, runErr = runUncached(cfg)
+			r, runErr = runUncached(cfg, mc)
 			if runErr != nil && !r.Failed() {
 				// Mark construction failures (e.g. unknown workload) so the
 				// cache never stores them; hits must imply a successful run.
@@ -313,15 +334,17 @@ func Run(cfg Config) (Result, error) {
 		})
 		return res, runErr
 	}
-	return runUncached(cfg)
+	return runUncached(cfg, mc)
 }
 
-func runUncached(cfg Config) (Result, error) {
+// runUncached builds cfg's workload and simulates it on a machine of shape
+// mc, cfg's checked machine configuration.
+func runUncached(cfg Config, mc machine.Config) (Result, error) {
 	prog, err := workload.New(cfg.Workload, cfg.Scale)
 	if err != nil {
 		return Result{}, err
 	}
-	return RunProgram(cfg, prog)
+	return runProgram(mc, prog)
 }
 
 // pool recycles simulated machines across Run/RunProgram calls: experiment
@@ -339,6 +362,11 @@ func RunProgram(cfg Config, prog Program) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	return runProgram(mc, prog)
+}
+
+// runProgram simulates prog on a pooled machine of shape mc.
+func runProgram(mc machine.Config, prog Program) (Result, error) {
 	m := pool.Get(mc)
 	res := m.Run(prog)
 	pool.Put(m)

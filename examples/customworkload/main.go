@@ -69,7 +69,9 @@ func (w *workQueue) Kernel(p *dsisim.Proc) {
 		}
 		// Process the claimed task: read its payload, compute on it.
 		v := p.Read(w.items.Addr(next * dsisim.BlockSize))
-		p.Assert(v.Word == next+1, "task %d payload %d", next, v.Word)
+		if v.Word != next+1 {
+			p.Failf("task %d payload %d", next, v.Word)
+		}
 		p.Compute(200)
 		claimed++
 	}
@@ -136,7 +138,9 @@ func (z *zipfFeed) Kernel(p *dsisim.Proc) {
 		for i := 0; i < z.reads; i++ {
 			b := z.sample(&rng)
 			v := p.Read(z.feed.Addr(uint64(b) * dsisim.BlockSize))
-			p.Assert(v.Word >= 1, "article %d never published (read %d)", b, v.Word)
+			if v.Word < 1 {
+				p.Failf("article %d never published (read %d)", b, v.Word)
+			}
 			p.Compute(20)
 		}
 		p.Barrier()

@@ -43,8 +43,10 @@ const (
 // terminal error paths must register here. The declaration should still
 // carry the //dsi:coldpath comment for readers and same-package call sites.
 var ColdFuncs = map[string]bool{
-	// The workload kernels' panic-or-record assertion.
-	"(*dsisim/internal/cpu.Proc).Assert": true,
+	// The workload kernels' failure report, called under the check it
+	// reports. (*cpu.Proc).Assert is not here: it runs on every check,
+	// passing or not, so its boxed arguments are the hot path's cost.
+	"(*dsisim/internal/cpu.Proc).Failf": true,
 }
 
 // Directives is the per-package index of //dsi: annotations.

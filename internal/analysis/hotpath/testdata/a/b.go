@@ -54,8 +54,13 @@ func crossFileColdExempt(t *table, k int) {
 
 //dsi:hotpath
 func crossPkgColdExempt(p *cpu.Proc, v uint64) {
-	// cpu.Proc.Assert is annotated //dsi:coldpath in its own package, which
+	// cpu.Proc.Failf is annotated //dsi:coldpath in its own package, which
 	// this package's directive harvest cannot see; the ColdFuncs registry
 	// must exempt the call (and its boxing variadic arguments) anyway.
-	p.Assert(v == 0, "val %d", v) // ok: registered cross-package coldpath
+	if v != 0 {
+		p.Failf("val %d", v) // ok: registered cross-package coldpath
+	}
+	// Assert is not coldpath: it boxes its arguments on every call, passing
+	// or not.
+	p.Assert(v == 0, "val %d", v) // want `passing uint64 as any boxes in hot path`
 }

@@ -104,11 +104,16 @@ func (w *walker) evalExpr(st *pstate, e ast.Expr) symVal {
 		}
 		return unknownVal
 	case *ast.UnaryExpr:
-		if ex.Op == token.NOT {
+		switch ex.Op {
+		case token.NOT:
 			v := w.evalExpr(st, ex.X)
 			if v.k == kBool {
 				return symVal{k: kBool, b: !v.b}
 			}
+		case token.AND:
+			// &msg and &netsim.Message{...}: senders pass messages (and pool
+			// constructors their initial records) by pointer.
+			return w.evalExpr(st, ex.X)
 		}
 		return unknownVal
 	case *ast.BinaryExpr:

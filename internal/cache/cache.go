@@ -44,30 +44,46 @@ func (s State) String() string {
 	}
 }
 
-// Frame is one cache frame. Tag and Ver remain meaningful while
-// State == Invalid so the version-number DSI scheme can echo the version of
-// a previously-cached block.
-type Frame struct {
-	Tag     mem.Addr // block address
-	State   State
+// way is one way's entry in the tag array: the block tag, the epoch the way
+// was last written in, and the coherence state. At 16 bytes, the four ways
+// of a set fill one 64-byte host cache line, so a probe touches one line. A
+// way whose epoch is behind the cache's is logically empty: Reset bumps the
+// epoch instead of clearing the arrays, and stale ways are treated as (and
+// rewritten to) empty when next used. This keeps pooled-machine Reset
+// O(marked) rather than O(ways).
+type way struct {
+	tag   mem.Addr
+	ep    uint32
+	state uint8 // a State
+}
+
+// line is one way's entry in the data array: the block contents and the DSI
+// bits kept beside them. Ver and HasVer stay meaningful while the way is
+// Invalid, so the version-number DSI scheme can echo the version of a
+// previously-cached block.
+type line struct {
+	Data    mem.Value
+	lru     uint64
 	SI      bool // s bit: block is marked for self-invalidation
 	TearOff bool // untracked copy; directory has no record of it
 	Ver     uint8
 	HasVer  bool
-	Data    mem.Value
+	inList  bool // member of the marked-frame list
+}
 
-	lru    uint64
-	inList bool // member of the marked-frame list
-	// ep is the cache epoch the frame was last written in. A frame whose
-	// epoch is behind the cache's is logically empty: Reset bumps the epoch
-	// instead of clearing the array, and accessors lazily treat (or rewrite)
-	// stale frames as zero. This keeps pooled-machine Reset O(marked) rather
-	// than O(frames).
-	ep uint32
+// Frame is a view of one valid way, as Lookup, Peek, and ForEachValid return
+// it: the way's tag and its state when the view was taken, plus the way's
+// data line, whose fields (Data, SI, TearOff, Ver, HasVer) it promotes and
+// through which they may be changed in place. The cache's own methods change
+// the state; a view never does, so take a fresh one after calling them.
+type Frame struct {
+	Tag   mem.Addr // block address
+	State State
+	*line
 }
 
 // Valid reports whether the frame holds a usable copy.
-func (f *Frame) Valid() bool { return f.State != Invalid }
+func (f Frame) Valid() bool { return f.State != Invalid }
 
 // Evicted describes a block displaced by a fill or invalidated by a flush;
 // the controller turns it into a writeback/notification message.
@@ -85,11 +101,20 @@ type Config struct {
 	Assoc     int
 }
 
-// Validate reports whether the geometry holds a whole, positive number of
-// sets of Assoc blocks each.
+// Validate reports whether the geometry holds a whole, positive,
+// power-of-two number of sets of Assoc blocks each. The set count must be a
+// power of two because, as in the paper's hardware, the set index is a field
+// of the block address: the low bits of the block number.
 func (c Config) Validate() error {
-	if c.Assoc <= 0 || c.SizeBytes < mem.BlockSize*c.Assoc || c.SizeBytes%(mem.BlockSize*c.Assoc) != 0 {
-		return fmt.Errorf("cache: bad geometry %+v", c)
+	if c.Assoc <= 0 {
+		return fmt.Errorf("cache: bad geometry %+v: associativity must be positive", c)
+	}
+	if c.SizeBytes <= 0 || c.SizeBytes%mem.BlockSize != 0 || (c.SizeBytes/mem.BlockSize)%c.Assoc != 0 {
+		return fmt.Errorf("cache: bad geometry %+v: want a positive multiple of %d bytes (%d ways of %d-byte blocks)",
+			c, c.Assoc*mem.BlockSize, c.Assoc, mem.BlockSize)
+	}
+	if sets := c.SizeBytes / mem.BlockSize / c.Assoc; sets&(sets-1) != 0 {
+		return fmt.Errorf("cache: bad geometry %+v: %d sets, want a power of two", c, sets)
 	}
 	return nil
 }
@@ -112,14 +137,19 @@ type Stats struct {
 	SelfInvals int64 // frames invalidated by the self-invalidation machinery
 }
 
-// Cache is the cache array of one node.
+// Cache is the cache array of one node: a flat tag array and a parallel
+// flat data array, set-major, so set s holds ways [s*assoc, (s+1)*assoc) of
+// both. The set of block b is BlockIndex(b) & setMask.
 type Cache struct {
-	cfg    Config
-	sets   [][]Frame
-	clock  uint64
-	epoch  uint32   // frames with ep != epoch are logically empty
-	marked []*Frame // the hardware linked list of s-bit frames, arrival order
-	stats  Stats
+	cfg     Config
+	assoc   int
+	setMask uint64
+	tags    []way
+	lines   []line
+	clock   uint64
+	epoch   uint32  // ways with ep != epoch are logically empty
+	marked  []int32 // the hardware linked list of s-bit ways, arrival order
+	stats   Stats
 
 	// flushScratch backs MarkedFlush's result so the per-sync flush walk
 	// allocates nothing in steady state. Valid until the next MarkedFlush.
@@ -129,12 +159,13 @@ type Cache struct {
 // New builds an empty cache.
 func New(cfg Config) *Cache {
 	n := cfg.Sets()
-	sets := make([][]Frame, n)
-	frames := make([]Frame, n*cfg.Assoc)
-	for i := range sets {
-		sets[i] = frames[i*cfg.Assoc : (i+1)*cfg.Assoc]
+	return &Cache{
+		cfg:     cfg,
+		assoc:   cfg.Assoc,
+		setMask: uint64(n - 1),
+		tags:    make([]way, n*cfg.Assoc),
+		lines:   make([]line, n*cfg.Assoc),
 	}
-	return &Cache{cfg: cfg, sets: sets}
 }
 
 // Config returns the cache geometry.
@@ -146,65 +177,89 @@ func (c *Cache) Stats() Stats { return c.stats }
 // Reset empties every frame and clears the marked-frame list, LRU clock, and
 // counters, keeping the arrays so a reused machine starts from a cold cache
 // without reallocating. Emptying is lazy: bumping the epoch invalidates
-// every frame at once, and the array is only physically cleared on the
+// every way at once, and the arrays are only physically cleared on the
 // (unreachable in practice) epoch wrap.
 func (c *Cache) Reset() {
 	c.epoch++
 	if c.epoch == 0 {
-		for _, set := range c.sets {
-			for i := range set {
-				set[i] = Frame{}
-			}
-		}
+		clear(c.tags)
+		clear(c.lines)
 	}
 	c.clock = 0
-	clear(c.marked)
 	c.marked = c.marked[:0]
 	c.stats = Stats{}
 }
 
-func (c *Cache) set(a mem.Addr) []Frame {
-	return c.sets[int(mem.BlockIndex(a))%len(c.sets)]
+// set returns the index of the first way of a's set.
+//
+//dsi:hotpath
+func (c *Cache) set(a mem.Addr) int {
+	return int(mem.BlockIndex(a)&c.setMask) * c.assoc
+}
+
+// find returns the index of the way holding a valid copy of block b, or -1.
+//
+//dsi:hotpath
+func (c *Cache) find(b mem.Addr) int {
+	base := c.set(b)
+	ways := c.tags[base : base+c.assoc]
+	for i := range ways {
+		if w := &ways[i]; w.tag == b && w.ep == c.epoch && State(w.state) != Invalid {
+			return base + i
+		}
+	}
+	return -1
+}
+
+// frame returns the view of way i.
+//
+//dsi:hotpath
+func (c *Cache) frame(i int) Frame {
+	w := &c.tags[i]
+	return Frame{Tag: w.tag, State: State(w.state), line: &c.lines[i]}
 }
 
 // Lookup returns the frame holding a valid copy of a's block, recording a
 // hit or miss and updating LRU on hit.
-func (c *Cache) Lookup(a mem.Addr) (*Frame, bool) {
-	b := mem.BlockOf(a)
-	for i := range c.set(a) {
-		f := &c.set(a)[i]
-		if f.ep == c.epoch && f.Valid() && f.Tag == b {
-			c.clock++
-			f.lru = c.clock
-			c.stats.Hits++
-			return f, true
-		}
+//
+//dsi:hotpath
+func (c *Cache) Lookup(a mem.Addr) (Frame, bool) {
+	i := c.find(mem.BlockOf(a))
+	if i < 0 {
+		c.stats.Misses++
+		return Frame{}, false
 	}
-	c.stats.Misses++
-	return nil, false
+	c.clock++
+	c.lines[i].lru = c.clock
+	c.stats.Hits++
+	return c.frame(i), true
 }
 
 // Peek is Lookup without touching LRU or counters, for checkers and tests.
-func (c *Cache) Peek(a mem.Addr) (*Frame, bool) {
-	b := mem.BlockOf(a)
-	for i := range c.set(a) {
-		f := &c.set(a)[i]
-		if f.ep == c.epoch && f.Valid() && f.Tag == b {
-			return f, true
-		}
+//
+//dsi:hotpath
+func (c *Cache) Peek(a mem.Addr) (Frame, bool) {
+	i := c.find(mem.BlockOf(a))
+	if i < 0 {
+		return Frame{}, false
 	}
-	return nil, false
+	return c.frame(i), true
 }
 
 // EchoVersion returns the stored version for a's block if an invalid frame
 // still carries its tag — the condition under which the version-number DSI
 // scheme attaches a version to the outgoing miss request.
+//
+//dsi:hotpath
 func (c *Cache) EchoVersion(a mem.Addr) (uint8, bool) {
 	b := mem.BlockOf(a)
-	for i := range c.set(a) {
-		f := &c.set(a)[i]
-		if f.ep == c.epoch && !f.Valid() && f.HasVer && f.Tag == b {
-			return f.Ver, true
+	base := c.set(b)
+	ways := c.tags[base : base+c.assoc]
+	for i := range ways {
+		if w := &ways[i]; w.tag == b && w.ep == c.epoch && State(w.state) == Invalid {
+			if l := &c.lines[base+i]; l.HasVer {
+				return l.Ver, true
+			}
 		}
 	}
 	return 0, false
@@ -222,97 +277,112 @@ type Fill struct {
 	Data    mem.Value
 }
 
-// Install places a's block per fill, returning a displaced valid block if
+// Install places a's block per *fill, returning a displaced valid block if
 // any.
-func (c *Cache) Install(a mem.Addr, fill Fill) (Evicted, bool) {
+//
+//dsi:hotpath
+func (c *Cache) Install(a mem.Addr, fill *Fill) (Evicted, bool) {
 	if fill.State == Invalid {
 		panic("cache: installing Invalid")
 	}
 	b := mem.BlockOf(a)
-	set := c.set(a)
+	base := c.set(b)
+	ways := c.tags[base : base+c.assoc]
 	victim := -1
 	// Prefer: frame already holding this tag (valid or not), then any
 	// invalid frame, then LRU.
-	for i := range set {
-		if set[i].ep == c.epoch && set[i].Tag == b && (set[i].Valid() || set[i].HasVer) {
+	for i := range ways {
+		if w := &ways[i]; w.ep == c.epoch && w.tag == b && (State(w.state) != Invalid || c.lines[base+i].HasVer) {
 			victim = i
 			break
 		}
 	}
 	if victim < 0 {
-		for i := range set {
-			if set[i].ep != c.epoch || !set[i].Valid() {
+		for i := range ways {
+			if w := &ways[i]; w.ep != c.epoch || State(w.state) == Invalid {
 				victim = i
 				break
 			}
 		}
 	}
 	if victim < 0 {
+		lines := c.lines[base : base+c.assoc]
 		victim = 0
-		for i := 1; i < len(set); i++ {
-			if set[i].lru < set[victim].lru {
+		for i := 1; i < len(lines); i++ {
+			if lines[i].lru < lines[victim].lru {
 				victim = i
 			}
 		}
 	}
-	f := &set[victim]
-	if f.ep != c.epoch {
-		*f = Frame{ep: c.epoch}
+	i := base + victim
+	w, l := &c.tags[i], &c.lines[i]
+	if w.ep != c.epoch {
+		*w = way{ep: c.epoch}
+		*l = line{}
 	}
 	var ev Evicted
 	evicted := false
-	if f.Valid() && f.Tag != b {
-		ev = Evicted{Addr: f.Tag, State: f.State, Data: f.Data, SI: f.SI, TearOff: f.TearOff}
+	if State(w.state) != Invalid && w.tag != b {
+		ev = Evicted{Addr: w.tag, State: State(w.state), Data: l.Data, SI: l.SI, TearOff: l.TearOff}
 		evicted = true
 		c.stats.Evictions++
 	}
 	c.clock++
-	f.Tag = b
-	f.State = fill.State
-	f.SI = fill.SI
-	f.TearOff = fill.TearOff
-	f.Ver = fill.Ver
-	f.HasVer = fill.HasVer
-	f.Data = fill.Data
-	f.lru = c.clock
-	if fill.SI && !f.inList {
-		f.inList = true
-		c.marked = append(c.marked, f)
+	w.tag = b
+	w.state = uint8(fill.State)
+	l.SI = fill.SI
+	l.TearOff = fill.TearOff
+	l.Ver = fill.Ver
+	l.HasVer = fill.HasVer
+	l.Data = fill.Data
+	l.lru = c.clock
+	if fill.SI && !l.inList {
+		l.inList = true
+		c.marked = append(c.marked, int32(i))
 	}
 	return ev, evicted
+}
+
+// drop invalidates way i, keeping its tag and version, and returns the
+// dropped copy.
+//
+//dsi:hotpath
+func (c *Cache) drop(i int) Evicted {
+	w, l := &c.tags[i], &c.lines[i]
+	ev := Evicted{Addr: w.tag, State: State(w.state), Data: l.Data, SI: l.SI, TearOff: l.TearOff}
+	w.state = uint8(Invalid)
+	l.SI = false
+	l.TearOff = false
+	return ev
 }
 
 // Invalidate drops the copy of a's block if present, retaining the tag and
 // version so a later miss can echo it. It returns the dropped copy.
 func (c *Cache) Invalidate(a mem.Addr) (Evicted, bool) {
-	f, ok := c.Peek(a)
-	if !ok {
+	i := c.find(mem.BlockOf(a))
+	if i < 0 {
 		return Evicted{}, false
 	}
-	ev := Evicted{Addr: f.Tag, State: f.State, Data: f.Data, SI: f.SI, TearOff: f.TearOff}
-	f.State = Invalid
-	f.SI = false
-	f.TearOff = false
-	return ev, true
+	return c.drop(i), true
 }
 
 // Downgrade moves a's block from Exclusive to Shared, returning its data for
 // the recall response.
 func (c *Cache) Downgrade(a mem.Addr) (mem.Value, bool) {
-	f, ok := c.Peek(a)
-	if !ok || f.State != Exclusive {
+	i := c.find(mem.BlockOf(a))
+	if i < 0 || State(c.tags[i].state) != Exclusive {
 		return mem.Value{}, false
 	}
-	f.State = Shared
-	return f.Data, true
+	c.tags[i].state = uint8(Shared)
+	return c.lines[i].Data, true
 }
 
 // SetVersion records the version delivered with a fill or reply for a's
 // block, if present.
 func (c *Cache) SetVersion(a mem.Addr, ver uint8) {
-	if f, ok := c.Peek(a); ok {
-		f.Ver = ver
-		f.HasVer = true
+	if i := c.find(mem.BlockOf(a)); i >= 0 {
+		c.lines[i].Ver = ver
+		c.lines[i].HasVer = true
 	}
 }
 
@@ -320,14 +390,15 @@ func (c *Cache) SetVersion(a mem.Addr, ver uint8) {
 // enters it into the marked list. It reports whether a valid frame was
 // marked (false if absent or already marked).
 func (c *Cache) Mark(a mem.Addr) bool {
-	f, ok := c.Peek(a)
-	if !ok || f.SI {
+	i := c.find(mem.BlockOf(a))
+	if i < 0 || c.lines[i].SI {
 		return false
 	}
-	f.SI = true
-	if !f.inList {
-		f.inList = true
-		c.marked = append(c.marked, f)
+	l := &c.lines[i]
+	l.SI = true
+	if !l.inList {
+		l.inList = true
+		c.marked = append(c.marked, int32(i))
 	}
 	return true
 }
@@ -339,13 +410,13 @@ func (c *Cache) Mark(a mem.Addr) bool {
 // reused by the next MarkedFlush call: consume it before flushing again.
 func (c *Cache) MarkedFlush() []Evicted {
 	out := c.flushScratch[:0]
-	for _, f := range c.marked {
-		f.inList = false
-		if f.Valid() && f.SI {
-			out = append(out, Evicted{Addr: f.Tag, State: f.State, Data: f.Data, SI: true, TearOff: f.TearOff})
-			f.State = Invalid
-			f.SI = false
-			f.TearOff = false
+	for _, i := range c.marked {
+		l := &c.lines[i]
+		l.inList = false
+		if State(c.tags[i].state) != Invalid && l.SI {
+			ev := c.drop(int(i))
+			ev.SI = true
+			out = append(out, ev)
 			c.stats.SelfInvals++
 		}
 	}
@@ -362,25 +433,24 @@ func (c *Cache) MarkedLen() int { return len(c.marked) }
 // counting it as a self-invalidation. Used by the FIFO mechanism when an
 // entry falls out of the buffer.
 func (c *Cache) SelfInvalidate(a mem.Addr) (Evicted, bool) {
-	f, ok := c.Peek(a)
-	if !ok || !f.SI {
+	i := c.find(mem.BlockOf(a))
+	if i < 0 || !c.lines[i].SI {
 		return Evicted{}, false
 	}
-	ev := Evicted{Addr: f.Tag, State: f.State, Data: f.Data, SI: true, TearOff: f.TearOff}
-	f.State = Invalid
-	f.SI = false
-	f.TearOff = false
 	c.stats.SelfInvals++
-	return ev, true
+	return c.drop(i), true
 }
 
-// ForEachValid calls fn for every valid frame, for checkers and audits.
-func (c *Cache) ForEachValid(fn func(*Frame)) {
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].ep == c.epoch && set[i].Valid() {
-				fn(&set[i])
-			}
+// Ways returns the cache's total number of ways (sets × associativity): the
+// cost, in tag probes, of a full scan such as ForEachValid.
+func (c *Cache) Ways() int { return len(c.tags) }
+
+// ForEachValid calls fn for every valid frame, in way order, for checkers
+// and audits.
+func (c *Cache) ForEachValid(fn func(Frame)) {
+	for i := range c.tags {
+		if w := &c.tags[i]; w.ep == c.epoch && State(w.state) != Invalid {
+			fn(c.frame(i))
 		}
 	}
 }
@@ -388,6 +458,6 @@ func (c *Cache) ForEachValid(fn func(*Frame)) {
 // CountValid returns the number of valid frames.
 func (c *Cache) CountValid() int {
 	n := 0
-	c.ForEachValid(func(*Frame) { n++ })
+	c.ForEachValid(func(Frame) { n++ })
 	return n
 }

@@ -19,6 +19,20 @@ func TestConfigSets(t *testing.T) {
 	}
 }
 
+// The set index is a field of the block address, so Validate takes only
+// power-of-two set counts.
+func TestValidateSetCounts(t *testing.T) {
+	for _, c := range []struct {
+		sets int
+		ok   bool
+	}{{1, true}, {3, false}, {768, false}, {4096, true}} {
+		cfg := Config{SizeBytes: c.sets * 4 * mem.BlockSize, Assoc: 4}
+		if err := cfg.Validate(); (err == nil) != c.ok {
+			t.Errorf("%d sets: Validate() = %v, want ok=%v", c.sets, err, c.ok)
+		}
+	}
+}
+
 func TestBadGeometryPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -34,7 +48,7 @@ func TestInstallLookup(t *testing.T) {
 	if _, hit := c.Lookup(a); hit {
 		t.Fatal("hit in empty cache")
 	}
-	c.Install(a, Fill{State: Shared, Data: mem.Value{Writer: 1, Seq: 1}})
+	c.Install(a, &Fill{State: Shared, Data: mem.Value{Writer: 1, Seq: 1}})
 	f, hit := c.Lookup(a + 5) // same block
 	if !hit || f.State != Shared || f.Data.Seq != 1 {
 		t.Fatalf("lookup after install: hit=%v f=%+v", hit, f)
@@ -50,10 +64,10 @@ func TestLRUEviction(t *testing.T) {
 	a0 := addrForSet(1, 0, 4)
 	a1 := addrForSet(1, 1, 4)
 	a2 := addrForSet(1, 2, 4)
-	c.Install(a0, Fill{State: Shared})
-	c.Install(a1, Fill{State: Shared})
+	c.Install(a0, &Fill{State: Shared})
+	c.Install(a1, &Fill{State: Shared})
 	c.Lookup(a0) // a0 recently used; a1 is LRU
-	ev, evicted := c.Install(a2, Fill{State: Shared})
+	ev, evicted := c.Install(a2, &Fill{State: Shared})
 	if !evicted || ev.Addr != a1 {
 		t.Fatalf("evicted %+v (%v), want block %#x", ev, evicted, uint64(a1))
 	}
@@ -67,10 +81,10 @@ func TestInstallPrefersInvalidFrame(t *testing.T) {
 	a0 := addrForSet(2, 0, 4)
 	a1 := addrForSet(2, 1, 4)
 	a2 := addrForSet(2, 2, 4)
-	c.Install(a0, Fill{State: Shared})
-	c.Install(a1, Fill{State: Exclusive})
+	c.Install(a0, &Fill{State: Shared})
+	c.Install(a1, &Fill{State: Exclusive})
 	c.Invalidate(a0)
-	if _, evicted := c.Install(a2, Fill{State: Shared}); evicted {
+	if _, evicted := c.Install(a2, &Fill{State: Shared}); evicted {
 		t.Fatal("install evicted a valid block while an invalid frame existed")
 	}
 	if _, hit := c.Peek(a1); !hit {
@@ -81,8 +95,8 @@ func TestInstallPrefersInvalidFrame(t *testing.T) {
 func TestReinstallSameTagNoEviction(t *testing.T) {
 	c := small()
 	a := mem.Addr(96)
-	c.Install(a, Fill{State: Shared})
-	if _, evicted := c.Install(a, Fill{State: Exclusive}); evicted {
+	c.Install(a, &Fill{State: Shared})
+	if _, evicted := c.Install(a, &Fill{State: Exclusive}); evicted {
 		t.Fatal("refill of same tag reported eviction")
 	}
 	f, _ := c.Peek(a)
@@ -94,7 +108,7 @@ func TestReinstallSameTagNoEviction(t *testing.T) {
 func TestInvalidateRetainsVersion(t *testing.T) {
 	c := small()
 	a := mem.Addr(128)
-	c.Install(a, Fill{State: Shared, Ver: 9, HasVer: true})
+	c.Install(a, &Fill{State: Shared, Ver: 9, HasVer: true})
 	ev, ok := c.Invalidate(a)
 	if !ok || ev.State != Shared {
 		t.Fatalf("invalidate = %+v %v", ev, ok)
@@ -103,7 +117,7 @@ func TestInvalidateRetainsVersion(t *testing.T) {
 		t.Fatalf("EchoVersion = %d,%v; want 9,true", v, ok)
 	}
 	// Valid copies never echo.
-	c.Install(a, Fill{State: Shared, Ver: 10, HasVer: true})
+	c.Install(a, &Fill{State: Shared, Ver: 10, HasVer: true})
 	if _, ok := c.EchoVersion(a); ok {
 		t.Fatal("EchoVersion returned for a valid copy")
 	}
@@ -114,11 +128,11 @@ func TestEchoVersionLostOnFrameReuse(t *testing.T) {
 	a0 := addrForSet(3, 0, 4)
 	a1 := addrForSet(3, 1, 4)
 	a2 := addrForSet(3, 2, 4)
-	c.Install(a0, Fill{State: Shared, Ver: 4, HasVer: true})
+	c.Install(a0, &Fill{State: Shared, Ver: 4, HasVer: true})
 	c.Invalidate(a0)
 	// Two new blocks displace both frames of the set.
-	c.Install(a1, Fill{State: Shared})
-	c.Install(a2, Fill{State: Shared})
+	c.Install(a1, &Fill{State: Shared})
+	c.Install(a2, &Fill{State: Shared})
 	if _, ok := c.EchoVersion(a0); ok {
 		t.Fatal("version survived frame reuse")
 	}
@@ -127,7 +141,7 @@ func TestEchoVersionLostOnFrameReuse(t *testing.T) {
 func TestDowngrade(t *testing.T) {
 	c := small()
 	a := mem.Addr(160)
-	c.Install(a, Fill{State: Exclusive, Data: mem.Value{Writer: 2, Seq: 5}})
+	c.Install(a, &Fill{State: Exclusive, Data: mem.Value{Writer: 2, Seq: 5}})
 	v, ok := c.Downgrade(a)
 	if !ok || v.Seq != 5 {
 		t.Fatalf("downgrade = %v,%v", v, ok)
@@ -145,9 +159,9 @@ func TestMarkedFlushOrderAndClearing(t *testing.T) {
 	c := New(Config{SizeBytes: 16 * 32 * 4, Assoc: 4})
 	addrs := []mem.Addr{32, 64, 96}
 	for _, a := range addrs {
-		c.Install(a, Fill{State: Shared, SI: true})
+		c.Install(a, &Fill{State: Shared, SI: true})
 	}
-	c.Install(128, Fill{State: Shared}) // unmarked
+	c.Install(128, &Fill{State: Shared}) // unmarked
 	out := c.MarkedFlush()
 	if len(out) != 3 {
 		t.Fatalf("flushed %d, want 3", len(out))
@@ -175,8 +189,8 @@ func TestMarkedFlushOrderAndClearing(t *testing.T) {
 
 func TestMarkedFlushSkipsDisplacedAndInvalidated(t *testing.T) {
 	c := New(Config{SizeBytes: 16 * 32 * 4, Assoc: 4})
-	c.Install(32, Fill{State: Shared, SI: true})
-	c.Install(64, Fill{State: Shared, SI: true})
+	c.Install(32, &Fill{State: Shared, SI: true})
+	c.Install(64, &Fill{State: Shared, SI: true})
 	c.Invalidate(32) // explicitly invalidated before the sync point
 	out := c.MarkedFlush()
 	if len(out) != 1 || out[0].Addr != 64 {
@@ -186,9 +200,9 @@ func TestMarkedFlushSkipsDisplacedAndInvalidated(t *testing.T) {
 
 func TestMarkedListNoDuplicates(t *testing.T) {
 	c := New(Config{SizeBytes: 16 * 32 * 4, Assoc: 4})
-	c.Install(32, Fill{State: Shared, SI: true})
+	c.Install(32, &Fill{State: Shared, SI: true})
 	c.Invalidate(32)
-	c.Install(32, Fill{State: Exclusive, SI: true}) // same frame re-marked before any flush
+	c.Install(32, &Fill{State: Exclusive, SI: true}) // same frame re-marked before any flush
 	if c.MarkedLen() != 1 {
 		t.Fatalf("marked list len = %d, want 1 (no duplicate entries)", c.MarkedLen())
 	}
@@ -200,11 +214,11 @@ func TestMarkedListNoDuplicates(t *testing.T) {
 
 func TestSelfInvalidateOnlyMarked(t *testing.T) {
 	c := small()
-	c.Install(32, Fill{State: Shared})
+	c.Install(32, &Fill{State: Shared})
 	if _, ok := c.SelfInvalidate(32); ok {
 		t.Fatal("self-invalidated an unmarked block")
 	}
-	c.Install(64, Fill{State: Exclusive, SI: true, Data: mem.Value{Writer: 1, Seq: 2}})
+	c.Install(64, &Fill{State: Exclusive, SI: true, Data: mem.Value{Writer: 1, Seq: 2}})
 	ev, ok := c.SelfInvalidate(64)
 	if !ok || ev.State != Exclusive || ev.Data.Seq != 2 {
 		t.Fatalf("self-invalidate = %+v,%v", ev, ok)
@@ -216,7 +230,7 @@ func TestSelfInvalidateOnlyMarked(t *testing.T) {
 
 func TestTearOffFlagRoundTrip(t *testing.T) {
 	c := small()
-	c.Install(32, Fill{State: Shared, SI: true, TearOff: true})
+	c.Install(32, &Fill{State: Shared, SI: true, TearOff: true})
 	f, _ := c.Peek(32)
 	if !f.TearOff || !f.SI {
 		t.Fatalf("frame = %+v", f)
@@ -237,12 +251,12 @@ func TestCapacityInvariantProperty(t *testing.T) {
 			a := mem.Addr(op%64) * mem.BlockSize
 			switch op % 3 {
 			case 0:
-				c.Install(a, Fill{State: Shared})
+				c.Install(a, &Fill{State: Shared})
 				if _, hit := c.Peek(a); !hit {
 					return false
 				}
 			case 1:
-				c.Install(a, Fill{State: Exclusive, SI: op%5 == 0})
+				c.Install(a, &Fill{State: Exclusive, SI: op%5 == 0})
 			case 2:
 				c.Invalidate(a)
 				if _, hit := c.Peek(a); hit {
@@ -268,7 +282,7 @@ func TestFlushClearsAllMarksProperty(t *testing.T) {
 		c := New(Config{SizeBytes: 8 * 32 * 2, Assoc: 2})
 		for _, op := range ops {
 			a := mem.Addr(op%32) * mem.BlockSize
-			c.Install(a, Fill{State: Shared, SI: op%2 == 0})
+			c.Install(a, &Fill{State: Shared, SI: op%2 == 0})
 		}
 		for _, ev := range c.MarkedFlush() {
 			if !ev.SI {
@@ -276,7 +290,7 @@ func TestFlushClearsAllMarksProperty(t *testing.T) {
 			}
 		}
 		ok := true
-		c.ForEachValid(func(f *Frame) {
+		c.ForEachValid(func(f Frame) {
 			if f.SI {
 				ok = false
 			}

@@ -7,8 +7,10 @@ package check
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
+	"dsisim/internal/blockmap"
 	"dsisim/internal/cache"
 	"dsisim/internal/directory"
 	"dsisim/internal/mem"
@@ -38,13 +40,69 @@ func CrossCheckOutcomes(label string, got, want []uint64) error {
 	return nil
 }
 
+// Scratch is Audit's reusable working storage: the holder sets of every
+// cached block, filled by one scan over the caches' tag arrays. A machine
+// keeps one, so a warm audit allocates only its errors. The zero value is
+// ready to use.
+type Scratch struct {
+	holders blockmap.Map[holders]
+}
+
+// holders records which nodes hold a valid copy of one block: the writable
+// copies, the tracked copies (every copy not torn off), and the tear-off
+// copies.
+type holders struct {
+	exclusive, tracked, tearOff directory.NodeSet
+}
+
+// add records node n's copy f.
+func (h *holders) add(n int, f cache.Frame) {
+	if f.State == cache.Exclusive {
+		h.exclusive = h.exclusive.Add(n)
+	}
+	if f.TearOff {
+		h.tearOff = h.tearOff.Add(n)
+	} else {
+		h.tracked = h.tracked.Add(n)
+	}
+}
+
 // Audit verifies the machine-wide invariants over a quiesced system and
 // returns every violation found. On a system that failed to quiesce it
 // reports exactly which transactions are stuck — per-node outstanding
 // misses and per-home busy blocks, with their transaction ids and retry
 // counts — and skips the entry-level checks, which are only meaningful once
 // nothing is in flight.
-func Audit(ccs []*proto.CacheCtrl, dcs []*proto.DirCtrl, inFlight int) []error {
+//
+// The entry-level checks need each directory entry's holder sets. Audit
+// collects them along the cheaper side: one scan of every cache's ways into
+// s when the caches hold fewer ways than entries × nodes (a large machine
+// with many directory entries), otherwise one probe of every cache per entry.
+// A nil s always probes. Both ways find the same violations, in the same
+// order, with the same text.
+func Audit(ccs []*proto.CacheCtrl, dcs []*proto.DirCtrl, inFlight int, s *Scratch) []error {
+	if s != nil && !scanIsCheaper(ccs, dcs) {
+		s = nil
+	}
+	return audit(ccs, dcs, inFlight, s)
+}
+
+// scanIsCheaper reports whether scanning every cache's ways costs fewer tag
+// probes than probing every cache once per directory entry.
+func scanIsCheaper(ccs []*proto.CacheCtrl, dcs []*proto.DirCtrl) bool {
+	ways, entries := 0, 0
+	for _, cc := range ccs {
+		ways += cc.Cache().Ways()
+	}
+	for _, dc := range dcs {
+		entries += dc.Dir().Len()
+	}
+	return ways < entries*len(ccs)
+}
+
+// audit is Audit with the collection fixed: holder sets from one scan into s,
+// or from per-entry probes when s is nil.
+func audit(ccs []*proto.CacheCtrl, dcs []*proto.DirCtrl, inFlight int, s *Scratch) []error {
 	var errs []error
 	quiesced := inFlight == 0
 	if !quiesced {
@@ -59,6 +117,14 @@ func Audit(ccs []*proto.CacheCtrl, dcs []*proto.DirCtrl, inFlight int) []error {
 			}
 		}
 	}
+	if quiesced && s != nil {
+		s.holders.Reset()
+		for n, cc := range ccs {
+			cc.Cache().ForEachValid(func(f cache.Frame) {
+				s.holders.Ensure(mem.BlockIndex(f.Tag)).add(n, f)
+			})
+		}
+	}
 	for _, dc := range dcs {
 		if b := dc.BusyBlocks(); b != 0 {
 			errs = append(errs, fmt.Errorf("home %d: %d busy blocks", dc.Dir().Node(), b))
@@ -71,7 +137,17 @@ func Audit(ccs []*proto.CacheCtrl, dcs []*proto.DirCtrl, inFlight int) []error {
 			continue
 		}
 		dc.Dir().ForEach(func(b mem.Addr, e *directory.Entry) {
-			if err := auditEntry(ccs, dc, b, e); err != nil {
+			var h holders
+			if s == nil {
+				for n, cc := range ccs {
+					if f, ok := cc.Cache().Peek(b); ok {
+						h.add(n, f)
+					}
+				}
+			} else if p := s.holders.Get(mem.BlockIndex(b)); p != nil {
+				h = *p
+			}
+			if err := auditEntry(ccs, dc, b, e, h); err != nil {
 				errs = append(errs, fmt.Errorf("block %#x (home %d): %w", uint64(b), dc.Dir().Node(), err))
 			}
 		})
@@ -79,25 +155,13 @@ func Audit(ccs []*proto.CacheCtrl, dcs []*proto.DirCtrl, inFlight int) []error {
 	return errs
 }
 
-func auditEntry(ccs []*proto.CacheCtrl, dc *proto.DirCtrl, b mem.Addr, e *directory.Entry) error {
-	var exclusives, tracked, tearoffs directory.NodeSet
-	for n, cc := range ccs {
-		f, ok := cc.Cache().Peek(b)
-		if !ok {
-			continue
-		}
-		if f.State == cache.Exclusive {
-			exclusives = exclusives.Add(n)
-		}
-		if f.TearOff {
-			tearoffs = tearoffs.Add(n)
-			if f.State == cache.Exclusive {
-				return fmt.Errorf("node %d holds a writable tear-off copy", n)
-			}
-		} else {
-			tracked = tracked.Add(n)
-		}
+// auditEntry checks one directory entry against the holder sets of its
+// block and returns the first violation.
+func auditEntry(ccs []*proto.CacheCtrl, dc *proto.DirCtrl, b mem.Addr, e *directory.Entry, h holders) error {
+	if w := h.tearOff & h.exclusive; !w.Empty() {
+		return fmt.Errorf("node %d holds a writable tear-off copy", bits.TrailingZeros64(uint64(w)))
 	}
+	exclusives, tracked := h.exclusive, h.tracked
 	if exclusives.Count() > 1 {
 		return fmt.Errorf("multiple writers: %v", exclusives)
 	}

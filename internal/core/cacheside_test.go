@@ -74,7 +74,7 @@ func TestMarkLocal(t *testing.T) {
 	h := NewInvalHistory(16, 1)
 	c := cache.New(cache.Config{SizeBytes: 16 * mem.BlockSize, Assoc: 4})
 	a := mem.Addr(2 * mem.BlockSize)
-	c.Install(a, cache.Fill{State: cache.Shared})
+	c.Install(a, &cache.Fill{State: cache.Shared})
 	if h.MarkLocal(c, a) {
 		t.Fatal("marked without history")
 	}

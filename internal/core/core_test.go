@@ -298,7 +298,7 @@ func newCache() *cache.Cache {
 func TestSyncFlushMechanism(t *testing.T) {
 	c := newCache()
 	m := SyncFlush{}
-	c.Install(32, cache.Fill{State: cache.Shared, SI: true})
+	c.Install(32, &cache.Fill{State: cache.Shared, SI: true})
 	if out := m.OnInstall(c, 32); out != nil {
 		t.Fatal("sync-flush invalidated on install")
 	}
@@ -314,7 +314,7 @@ func TestFIFODisplacement(t *testing.T) {
 	addrs := []mem.Addr{32, 64, 96}
 	var displaced []cache.Evicted
 	for _, a := range addrs {
-		c.Install(a, cache.Fill{State: cache.Shared, SI: true})
+		c.Install(a, &cache.Fill{State: cache.Shared, SI: true})
 		displaced = append(displaced, f.OnInstall(c, a)...)
 	}
 	if len(displaced) != 1 || displaced[0].Addr != 32 {
@@ -339,7 +339,7 @@ func TestFIFODisplacement(t *testing.T) {
 func TestFIFOSkipsAlreadyInvalidated(t *testing.T) {
 	c := newCache()
 	f := NewFIFO(4)
-	c.Install(32, cache.Fill{State: cache.Shared, SI: true})
+	c.Install(32, &cache.Fill{State: cache.Shared, SI: true})
 	f.OnInstall(c, 32)
 	c.Invalidate(32) // directory got there first
 	if out := f.OnSync(c); len(out) != 0 {
@@ -365,7 +365,7 @@ func TestFIFOCapacityProperty(t *testing.T) {
 		fifo := NewFIFO(capacity)
 		for _, op := range ops {
 			a := mem.Addr(op%32+1) * mem.BlockSize
-			c.Install(a, cache.Fill{State: cache.Shared, SI: true})
+			c.Install(a, &cache.Fill{State: cache.Shared, SI: true})
 			fifo.OnInstall(c, a)
 			if fifo.Len() > capacity {
 				return false
@@ -376,7 +376,7 @@ func TestFIFOCapacityProperty(t *testing.T) {
 			return false
 		}
 		marked := false
-		c.ForEachValid(func(fr *cache.Frame) {
+		c.ForEachValid(func(fr cache.Frame) {
 			if fr.SI {
 				marked = true
 			}

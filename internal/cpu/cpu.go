@@ -81,10 +81,13 @@ type Proc struct {
 	halt event.Time
 	err  error
 
-	// The core has at most one step in flight. res is the latest completed
-	// step's result. ready marks an intermediate step that completed inside
-	// the call that issued it, waiting a kernel parked on an intermediate
-	// step, and stop a kernel released while parked (see Release).
+	// The core has at most one step in flight. res is the processor's own
+	// result slot, lent to the cache controller (see New): every completion
+	// writes the step's result there, and the kernel reads it through the
+	// pointer waitLast or waitStep returns before it issues its next step.
+	// ready marks an intermediate step that completed inside the call that
+	// issued it, waiting a kernel parked on an intermediate step, and stop a
+	// kernel released while parked (see Release).
 	res     proto.Result
 	ready   bool
 	waiting bool
@@ -94,7 +97,7 @@ type Proc struct {
 	// allocates nothing: step and stepRes end an intermediate step, last and
 	// lastRes an operation's last step.
 	step, last       func()
-	stepRes, lastRes func(proto.Result)
+	stepRes, lastRes func(*proto.Result)
 
 	// OnOp, if set, observes every operation the kernel issues, in program
 	// order, before it executes. Used by the trace tooling.
@@ -110,12 +113,15 @@ type TraceOp struct {
 	Sync   bool
 }
 
-// New builds a processor. Start must be called to launch its kernel.
+// New builds a processor and lends its result slot to cc, whose
+// completions then write results straight into it. Start must be called to
+// launch its kernel.
 func New(id, n int, q *event.Queue, cc *proto.CacheCtrl, barrier *Barrier, brk *stats.Breakdown, seed uint64) *Proc {
 	p := &Proc{
 		id: id, n: n, q: q, cc: cc, barrier: barrier, brk: brk,
 		rnd: rng.New(seed ^ uint64(id)*0x9e3779b97f4a7c15),
 	}
+	cc.CompleteInto(&p.res)
 	p.step, p.stepRes = p.stepDoneNow, p.stepDone
 	p.last, p.lastRes = p.lastDoneNow, p.lastDone
 	return p
@@ -228,8 +234,9 @@ func (p *Proc) Swap(a mem.Addr, w uint64) uint64 {
 	p.cc.Swap(a, w, p.token(w), p.stepRes)
 	res := p.waitStep()
 	p.brk.Add(stats.Sync, int64(res.Done-drained))
+	old := res.OldWord // the self-invalidation step reuses the result slot
 	p.selfInvalidate()
-	return res.OldWord
+	return old
 }
 
 // Compute advances the processor by the given number of cycles.
@@ -330,13 +337,22 @@ func (p *Proc) Barrier() {
 	p.brk.Add(stats.Sync, int64(p.waitLast().Done-arrived))
 }
 
-// Assert aborts the kernel with a diagnostic if cond is false; the failure
-// surfaces as a run error. Use it for workload-level data-flow checks.
+// Failf aborts the kernel with a diagnostic; the failure surfaces as a run
+// error. Guard it with the check it reports, as in
+// `if v.Word != want { p.Failf(...) }`, so that its arguments are boxed only
+// when the check fails.
 //
 //dsi:coldpath
+func (p *Proc) Failf(format string, args ...any) {
+	panic(fmt.Sprintf("proc %d assertion failed: %s", p.id, fmt.Sprintf(format, args...)))
+}
+
+// Assert calls Failf if cond is false. A call boxes its arguments whether or
+// not cond holds, so a check made on every access belongs in a guarded
+// Failf instead.
 func (p *Proc) Assert(cond bool, format string, args ...any) {
 	if !cond {
-		panic(fmt.Sprintf("proc %d assertion failed: %s", p.id, fmt.Sprintf(format, args...)))
+		p.Failf(format, args...)
 	}
 }
 
@@ -485,23 +501,25 @@ func resumeProc(arg any) {
 }
 
 // waitLast parks the kernel until lastDone has completed its operation's
-// last step and resumeProc has resumed it, and returns the step's result.
+// last step and resumeProc has resumed it, and returns the step's result:
+// the processor's own slot, valid until the kernel issues its next step.
 //
 //dsi:hotpath
-func (p *Proc) waitLast() proto.Result {
+func (p *Proc) waitLast() *proto.Result {
 	p.co.yield(struct{}{})
 	if p.stop {
 		panic(errReleased)
 	}
-	return p.res
+	return &p.res
 }
 
-// waitStep returns an intermediate step's result. A step that completed
-// inside the call that issued it is already ready; otherwise the kernel
-// parks until stepDone switches back into it.
+// waitStep returns an intermediate step's result, in the processor's own
+// slot like waitLast's. A step that completed inside the call that issued it
+// is already ready; otherwise the kernel parks until stepDone switches back
+// into it.
 //
 //dsi:hotpath
-func (p *Proc) waitStep() proto.Result {
+func (p *Proc) waitStep() *proto.Result {
 	if !p.ready {
 		p.waiting = true
 		p.co.yield(struct{}{})
@@ -511,16 +529,16 @@ func (p *Proc) waitStep() proto.Result {
 		}
 	}
 	p.ready = false
-	return p.res
+	return &p.res
 }
 
-// stepDone completes an intermediate step. It switches straight into a
-// kernel parked in waitStep, which issues its next step inside this event;
-// a step that completed inside the call that issued it is only marked ready.
+// stepDone completes an intermediate step, whose result the controller has
+// written into the processor's slot. It switches straight into a kernel
+// parked in waitStep, which issues its next step inside this event; a step
+// that completed inside the call that issued it is only marked ready.
 //
 //dsi:hotpath
-func (p *Proc) stepDone(res proto.Result) {
-	p.res = res
+func (p *Proc) stepDone(*proto.Result) {
 	if p.waiting {
 		p.co.next()
 		return
@@ -528,21 +546,27 @@ func (p *Proc) stepDone(res proto.Result) {
 	p.ready = true
 }
 
-// lastDone completes an operation's last step: it charges the issue cycle
-// and resumes the kernel one cycle later, which then charges the step's
-// stall.
+// lastDone completes an operation's last step, whose result the controller
+// has written into the processor's slot: it charges the issue cycle and
+// resumes the kernel one cycle later, which then charges the step's stall.
 //
 //dsi:hotpath
-func (p *Proc) lastDone(res proto.Result) {
-	p.res = res
+func (p *Proc) lastDone(*proto.Result) {
 	p.brk.Add(stats.Compute, 1)
 	p.q.AfterCall(1, resumeProc, p)
 }
 
 // stepDoneNow and lastDoneNow complete steps that report no result (a
 // write-buffer drain, a barrier release): the step is done now.
-func (p *Proc) stepDoneNow() { p.stepDone(proto.Result{Done: p.q.Now()}) }
-func (p *Proc) lastDoneNow() { p.lastDone(proto.Result{Done: p.q.Now()}) }
+func (p *Proc) stepDoneNow() {
+	p.res = proto.Result{Done: p.q.Now()}
+	p.stepDone(&p.res)
+}
+
+func (p *Proc) lastDoneNow() {
+	p.res = proto.Result{Done: p.q.Now()}
+	p.lastDone(&p.res)
+}
 
 // --- hardware barrier ---------------------------------------------------------
 

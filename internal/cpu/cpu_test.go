@@ -33,7 +33,7 @@ func newHarness(t testing.TB, nprocs int, cons proto.Consistency) ([]*Proc, *har
 	for i := 0; i < nprocs; i++ {
 		cc := proto.NewCacheCtrl(env, i, cfg, cache.Config{SizeBytes: 64 * mem.BlockSize, Assoc: 4})
 		dc := proto.NewDirCtrl(env, i, cfg)
-		net.SetHandler(i, func(m netsim.Message) {
+		net.SetHandler(i, func(m *netsim.Message) {
 			switch m.Kind {
 			case netsim.Inv, netsim.Recall, netsim.DataS, netsim.DataX, netsim.AckX, netsim.FinalAck:
 				cc.Handle(m)

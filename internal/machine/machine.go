@@ -142,9 +142,11 @@ type Machine struct {
 	fails   []string
 
 	// procs and brks persist across Reset, so a pooled machine re-runs
-	// without the per-processor construction cost.
+	// without the per-processor construction cost; so does audit, the
+	// end-of-run coherence audit's working storage.
 	procs []*cpu.Proc
 	brks  []*stats.Breakdown
+	audit check.Scratch
 }
 
 // New assembles a machine from cfg (completed with Defaults). It builds the
@@ -174,7 +176,7 @@ func New(cfg Config) *Machine {
 	}
 	for i := 0; i < cfg.Processors; i++ {
 		cc, dc := m.ccs[i], m.dcs[i]
-		m.net.SetHandler(i, func(msg netsim.Message) {
+		m.net.SetHandler(i, func(msg *netsim.Message) {
 			switch msg.Kind {
 			case netsim.Inv, netsim.Recall, netsim.DataS, netsim.DataX,
 				netsim.AckX, netsim.FinalAck, netsim.Nack:
@@ -389,7 +391,7 @@ func (m *Machine) Run(prog Program) Result {
 		PeakQueue: qs.PeakLen,
 	}
 	res.Blocks = m.cfg.Sink.Metrics() // nil-safe: nil sink, nil metrics
-	for _, err := range check.Audit(m.ccs, m.dcs, m.net.InFlight()) {
+	for _, err := range check.Audit(m.ccs, m.dcs, m.net.InFlight(), &m.audit) {
 		res.Errors = append(res.Errors, "audit: "+err.Error())
 	}
 	return res

@@ -8,7 +8,6 @@ package mem
 
 import (
 	"fmt"
-	"sort"
 
 	"dsisim/internal/blockmap"
 )
@@ -145,10 +144,29 @@ func (l *Layout) AllocBlocked(name string, size uint64) Region {
 	return l.alloc(name, size, Blocked, 0)
 }
 
+// find returns the index of the region containing a, or -1 if a is
+// unallocated: a binary search for the first region ending past a.
+//
+//dsi:hotpath
+func (l *Layout) find(a Addr) int {
+	lo, hi := 0, len(l.regions)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if l.regions[mid].End() > a {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo < len(l.regions) && l.regions[lo].Contains(a) {
+		return lo
+	}
+	return -1
+}
+
 // RegionOf returns the region containing a, or false if a is unallocated.
 func (l *Layout) RegionOf(a Addr) (Region, bool) {
-	i := sort.Search(len(l.regions), func(i int) bool { return l.regions[i].End() > a })
-	if i < len(l.regions) && l.regions[i].Contains(a) {
+	if i := l.find(a); i >= 0 {
 		return l.regions[i], true
 	}
 	return Region{}, false
@@ -157,11 +175,14 @@ func (l *Layout) RegionOf(a Addr) (Region, bool) {
 // Home returns the home node of the block containing a. Unallocated
 // addresses interleave by block index, so ad-hoc test addresses still have a
 // well-defined home.
+//
+//dsi:hotpath
 func (l *Layout) Home(a Addr) int {
-	r, ok := l.RegionOf(a)
-	if !ok {
+	i := l.find(a)
+	if i < 0 {
 		return int(BlockIndex(a)) % l.nodes
 	}
+	r := &l.regions[i]
 	switch r.Place {
 	case Local:
 		return r.Node

@@ -16,7 +16,7 @@ func newFaultyNet(t *testing.T, plan *faultinj.Plan, lat event.Time) (*event.Que
 	n := New(q, Config{Nodes: 3, Latency: lat, Faults: plan})
 	var got []Message
 	for i := 0; i < 3; i++ {
-		n.SetHandler(i, func(m Message) { got = append(got, m) })
+		n.SetHandler(i, func(m *Message) { got = append(got, *m) })
 	}
 	return q, n, &got
 }
@@ -27,8 +27,8 @@ func TestFaultDropLosesMessage(t *testing.T) {
 	}})
 	q, n, got := newFaultyNet(t, plan, 100)
 	q.At(0, func() {
-		n.Send(Message{Kind: GetS, Src: 0, Dst: 1, Addr: 32})
-		n.Send(Message{Kind: GetS, Src: 0, Dst: 1, Addr: 64})
+		n.Send(&Message{Kind: GetS, Src: 0, Dst: 1, Addr: 32})
+		n.Send(&Message{Kind: GetS, Src: 0, Dst: 1, Addr: 64})
 	})
 	q.Run()
 	if len(*got) != 1 || (*got)[0].Addr != 64 {
@@ -52,7 +52,7 @@ func TestFaultDuplicateDeliversTwice(t *testing.T) {
 	}})
 	q, n, got := newFaultyNet(t, plan, 100)
 	q.At(0, func() {
-		n.Send(Message{Kind: Inv, Src: 0, Dst: 2, Addr: 32})
+		n.Send(&Message{Kind: Inv, Src: 0, Dst: 2, Addr: 32})
 	})
 	q.Run()
 	if len(*got) != 2 {
@@ -73,7 +73,7 @@ func TestFaultDelayPostponesDelivery(t *testing.T) {
 	q, n, _ := newFaultyNet(t, plan, 100)
 	var at event.Time
 	q.At(0, func() {
-		at = n.Send(Message{Kind: GetS, Src: 0, Dst: 1, Addr: 32})
+		at = n.Send(&Message{Kind: GetS, Src: 0, Dst: 1, Addr: 32})
 	})
 	q.Run()
 	if at != 143 { // 3 inject + 100 latency + 40 fault delay
@@ -88,8 +88,8 @@ func TestFaultsPreservePairFIFO(t *testing.T) {
 	}})
 	q, n, got := newFaultyNet(t, plan, 100)
 	q.At(0, func() {
-		n.Send(Message{Kind: Inv, Src: 0, Dst: 1, Addr: 32})
-		n.Send(Message{Kind: DataS, Src: 0, Dst: 1, Addr: 64})
+		n.Send(&Message{Kind: Inv, Src: 0, Dst: 1, Addr: 32})
+		n.Send(&Message{Kind: DataS, Src: 0, Dst: 1, Addr: 64})
 	})
 	q.Run()
 	if len(*got) != 2 {
@@ -106,9 +106,9 @@ func TestFaultsOtherPairsUnaffectedByClamp(t *testing.T) {
 	}})
 	q, n, got := newFaultyNet(t, plan, 100)
 	q.At(0, func() {
-		n.Send(Message{Kind: Inv, Src: 0, Dst: 1, Addr: 32})  // delayed to ~603
-		n.Send(Message{Kind: Inv, Src: 0, Dst: 2, Addr: 64})  // different pair: normal
-		n.Send(Message{Kind: Inv, Src: 1, Dst: 2, Addr: 128}) // different pair: normal
+		n.Send(&Message{Kind: Inv, Src: 0, Dst: 1, Addr: 32})  // delayed to ~603
+		n.Send(&Message{Kind: Inv, Src: 0, Dst: 2, Addr: 64})  // different pair: normal
+		n.Send(&Message{Kind: Inv, Src: 1, Dst: 2, Addr: 128}) // different pair: normal
 	})
 	q.Run()
 	if len(*got) != 3 {
@@ -124,7 +124,7 @@ func TestNonDroppableKindDelayedNotDropped(t *testing.T) {
 	plan := faultinj.New(faultinj.Config{Seed: 9, Drop: 1, Jitter: 20})
 	q, n, got := newFaultyNet(t, plan, 100)
 	q.At(0, func() {
-		n.Send(Message{Kind: WB, Src: 0, Dst: 1, Addr: 32, Data: mem.Value{Writer: 3}})
+		n.Send(&Message{Kind: WB, Src: 0, Dst: 1, Addr: 32, Data: mem.Value{Writer: 3}})
 	})
 	q.Run()
 	if len(*got) != 1 || (*got)[0].Data.Writer != 3 {
@@ -139,7 +139,7 @@ func TestLocalMessagesExemptFromFaults(t *testing.T) {
 	plan := faultinj.New(faultinj.Config{Seed: 1, Drop: 1})
 	q, n, got := newFaultyNet(t, plan, 100)
 	q.At(0, func() {
-		n.Send(Message{Kind: GetS, Src: 1, Dst: 1, Addr: 32})
+		n.Send(&Message{Kind: GetS, Src: 1, Dst: 1, Addr: 32})
 	})
 	q.Run()
 	if len(*got) != 1 {

@@ -215,13 +215,17 @@ func (c Counts) Sub(o Counts) Counts {
 	return out
 }
 
-// Handler consumes a delivered message at its destination node.
-type Handler func(Message)
+// Handler consumes a delivered message at its destination node. The message
+// lives in the network's pooled delivery record and dies with it: it is valid
+// only for the call, so a handler that keeps any of it copies what it keeps.
+type Handler func(*Message)
 
 // Observer receives a callback per message injection and delivery. It exists
 // so the observability layer (internal/obs) can watch traffic without this
 // package importing it; a nil observer costs one predictable branch per
-// send/delivery and zero allocations.
+// send/delivery and zero allocations. Messages reach it by value: a pointer
+// handed to an interface method escapes, which would move every sender's
+// message to the heap.
 type Observer interface {
 	// MsgSent fires inside Send, after the arrival time is computed. For a
 	// duplicated message it fires once per delivered copy; for a dropped
@@ -286,7 +290,9 @@ type Network struct {
 
 // delivery is a pooled in-flight message record: the typed event argument
 // that replaces a per-send closure. A record carries one message plus any
-// batch of later messages chained onto the same (time, dst) heap entry.
+// batch of later messages chained onto the same (time, dst) heap entry. Send
+// copies each message into its record once; handlers then get a pointer into
+// the record, valid until the record is recycled after the batch.
 type delivery struct {
 	net  *Network
 	msg  Message
@@ -307,19 +313,18 @@ func deliver(arg any) {
 	if n.obs != nil {
 		n.obs.MsgDelivered(now, d.msg)
 	}
-	n.handlers[d.msg.Dst](d.msg)
+	n.handlers[d.msg.Dst](&d.msg)
 	// Handlers may Send; a stale chain head can never be rechained (any new
-	// arrival time is strictly greater than now), so d is safe to walk here.
-	for i := 0; i < len(d.more); i++ {
-		m := d.more[i]
+	// arrival time is strictly greater than now), so d.more neither grows nor
+	// moves while it is walked, and each handler's pointer stays valid.
+	for i := range d.more {
+		m := &d.more[i]
 		n.inflight--
 		if n.obs != nil {
-			n.obs.MsgDelivered(now, m)
+			n.obs.MsgDelivered(now, *m)
 		}
 		n.handlers[m.Dst](m)
 	}
-	d.msg = Message{}
-	clear(d.more)
 	d.more = d.more[:0]
 	n.free = append(n.free, d)
 }
@@ -417,19 +422,21 @@ func InjectionTime(k Kind) event.Time {
 	return t
 }
 
-// Send injects m at its source NI. Local messages (Src == Dst) bypass the
+// Send injects *m at its source NI. Local messages (Src == Dst) bypass the
 // network: they are delivered after LocalDelay, are not counted, and are
 // exempt from fault injection. The return value is the time the message will
 // be delivered; if the fault plan drops the message it is the time delivery
-// would have happened, useful only as a scheduling hint.
+// would have happened, useful only as a scheduling hint. Send copies the
+// message into its delivery record and keeps no reference to m, so a sender
+// may build m on its stack and reuse it at once.
 //
 //dsi:hotpath
-func (n *Network) Send(m Message) event.Time {
+func (n *Network) Send(m *Message) event.Time {
 	if m.Src < 0 || m.Src >= len(n.nis) || m.Dst < 0 || m.Dst >= len(n.nis) {
-		panic(fmt.Sprintf("netsim: bad endpoints in %v", m))
+		panic(fmt.Sprintf("netsim: bad endpoints in %v", *m))
 	}
 	if n.handlers[m.Dst] == nil {
-		panic(fmt.Sprintf("netsim: no handler at node %d for %v", m.Dst, m))
+		panic(fmt.Sprintf("netsim: no handler at node %d for %v", m.Dst, *m))
 	}
 	now := n.q.Now()
 	if m.Src == m.Dst {
@@ -453,19 +460,19 @@ func (n *Network) Send(m Message) event.Time {
 // onto that record instead of costing its own heap entry; see delivery.
 //
 //dsi:hotpath
-func (n *Network) sched(m Message, now, arrive event.Time) {
+func (n *Network) sched(m *Message, now, arrive event.Time) {
 	n.inflight++
 	if n.obs != nil {
-		n.obs.MsgSent(now, m, arrive)
+		n.obs.MsgSent(now, *m, arrive)
 	}
 	if n.chainTo != nil && n.chainArrive == arrive && n.chainDst == m.Dst &&
 		n.chainSeq == n.q.LastSeq() {
-		n.chainTo.more = append(n.chainTo.more, m)
+		n.chainTo.more = append(n.chainTo.more, *m)
 		n.batched++
 		return
 	}
 	d := n.getDelivery()
-	d.msg = m
+	d.msg = *m
 	n.q.AtCall(arrive, deliver, d)
 	n.chainTo, n.chainArrive, n.chainDst, n.chainSeq = d, arrive, m.Dst, n.q.LastSeq()
 }
@@ -479,7 +486,7 @@ func (n *Network) Batched() uint64 { return n.batched }
 // through clampFIFO, so faults perturb timing but never per-pair ordering.
 //
 //dsi:hotpath
-func (n *Network) faultySend(m Message, now, arrive event.Time) event.Time {
+func (n *Network) faultySend(m *Message, now, arrive event.Time) event.Time {
 	dec := n.faults.Decide(int(m.Kind), m.Src, m.Dst, m.Kind.Droppable())
 	switch dec.Action {
 	case faultinj.Deliver:
@@ -488,14 +495,14 @@ func (n *Network) faultySend(m Message, now, arrive event.Time) event.Time {
 		return arrive
 	case faultinj.Drop:
 		if n.obs != nil {
-			n.obs.MsgFault(now, m, faultinj.Drop, 0)
+			n.obs.MsgFault(now, *m, faultinj.Drop, 0)
 		}
 		return arrive
 	case faultinj.Duplicate:
 		arrive = n.clampFIFO(m, arrive)
 		copyAt := n.clampFIFO(m, arrive+dec.Delay)
 		if n.obs != nil {
-			n.obs.MsgFault(now, m, faultinj.Duplicate, copyAt-arrive)
+			n.obs.MsgFault(now, *m, faultinj.Duplicate, copyAt-arrive)
 		}
 		n.sched(m, now, arrive)
 		// The copy materializes inside the network but is real traffic on
@@ -506,7 +513,7 @@ func (n *Network) faultySend(m Message, now, arrive event.Time) event.Time {
 	case faultinj.Delay:
 		arrive = n.clampFIFO(m, arrive+dec.Delay)
 		if n.obs != nil {
-			n.obs.MsgFault(now, m, faultinj.Delay, dec.Delay)
+			n.obs.MsgFault(now, *m, faultinj.Delay, dec.Delay)
 		}
 		n.sched(m, now, arrive)
 		return arrive
@@ -521,7 +528,7 @@ func (n *Network) faultySend(m Message, now, arrive event.Time) event.Time {
 // per-pair FIFO delivery survives any fault plan.
 //
 //dsi:hotpath
-func (n *Network) clampFIFO(m Message, arrive event.Time) event.Time {
+func (n *Network) clampFIFO(m *Message, arrive event.Time) event.Time {
 	idx := m.Src*len(n.nis) + m.Dst
 	if last := n.pairLast[idx]; arrive < last {
 		arrive = last

@@ -14,7 +14,7 @@ func newNet(t *testing.T, nodes int, lat event.Time) (*event.Queue, *Network, *[
 	n := New(q, Config{Nodes: nodes, Latency: lat})
 	var got []Message
 	for i := 0; i < nodes; i++ {
-		n.SetHandler(i, func(m Message) { got = append(got, m) })
+		n.SetHandler(i, func(m *Message) { got = append(got, *m) })
 	}
 	return q, n, &got
 }
@@ -23,7 +23,7 @@ func TestDeliveryTiming(t *testing.T) {
 	q, n, got := newNet(t, 2, 100)
 	var at event.Time
 	q.At(0, func() {
-		at = n.Send(Message{Kind: GetS, Src: 0, Dst: 1, Addr: 32})
+		at = n.Send(&Message{Kind: GetS, Src: 0, Dst: 1, Addr: 32})
 	})
 	q.Run()
 	// 3 cycles injection + 100 latency.
@@ -39,7 +39,7 @@ func TestDataMessagePaysBlockInjection(t *testing.T) {
 	q, n, _ := newNet(t, 2, 100)
 	var at event.Time
 	q.At(0, func() {
-		at = n.Send(Message{Kind: DataX, Src: 0, Dst: 1, Addr: 32})
+		at = n.Send(&Message{Kind: DataX, Src: 0, Dst: 1, Addr: 32})
 	})
 	q.Run()
 	if at != 111 { // 3+8 + 100
@@ -51,8 +51,8 @@ func TestInjectionSerializesPerNI(t *testing.T) {
 	q, n, got := newNet(t, 3, 100)
 	var a1, a2 event.Time
 	q.At(0, func() {
-		a1 = n.Send(Message{Kind: GetS, Src: 0, Dst: 1, Addr: 32})
-		a2 = n.Send(Message{Kind: GetS, Src: 0, Dst: 2, Addr: 64})
+		a1 = n.Send(&Message{Kind: GetS, Src: 0, Dst: 1, Addr: 32})
+		a2 = n.Send(&Message{Kind: GetS, Src: 0, Dst: 2, Addr: 64})
 	})
 	q.Run()
 	if a1 != 103 || a2 != 106 {
@@ -67,8 +67,8 @@ func TestDistinctNIsDoNotContend(t *testing.T) {
 	q, n, _ := newNet(t, 3, 100)
 	var a1, a2 event.Time
 	q.At(0, func() {
-		a1 = n.Send(Message{Kind: GetS, Src: 0, Dst: 2, Addr: 32})
-		a2 = n.Send(Message{Kind: GetS, Src: 1, Dst: 2, Addr: 64})
+		a1 = n.Send(&Message{Kind: GetS, Src: 0, Dst: 2, Addr: 32})
+		a2 = n.Send(&Message{Kind: GetS, Src: 1, Dst: 2, Addr: 64})
 	})
 	q.Run()
 	if a1 != 103 || a2 != 103 {
@@ -80,7 +80,7 @@ func TestLocalMessageBypassesNetwork(t *testing.T) {
 	q, n, got := newNet(t, 2, 100)
 	var at event.Time
 	q.At(10, func() {
-		at = n.Send(Message{Kind: GetX, Src: 1, Dst: 1, Addr: 32})
+		at = n.Send(&Message{Kind: GetX, Src: 1, Dst: 1, Addr: 32})
 	})
 	q.Run()
 	if at != 10+LocalDelay {
@@ -97,8 +97,8 @@ func TestLocalMessageBypassesNetwork(t *testing.T) {
 func TestPairwiseFIFO(t *testing.T) {
 	q, n, got := newNet(t, 2, 50)
 	q.At(0, func() {
-		n.Send(Message{Kind: WB, Src: 0, Dst: 1, Addr: 32})     // data: 11 cycles
-		n.Send(Message{Kind: InvAck, Src: 0, Dst: 1, Addr: 64}) // 3 cycles, queued behind
+		n.Send(&Message{Kind: WB, Src: 0, Dst: 1, Addr: 32})     // data: 11 cycles
+		n.Send(&Message{Kind: InvAck, Src: 0, Dst: 1, Addr: 64}) // 3 cycles, queued behind
 	})
 	q.Run()
 	if len(*got) != 2 || (*got)[0].Kind != WB || (*got)[1].Kind != InvAck {
@@ -109,9 +109,9 @@ func TestPairwiseFIFO(t *testing.T) {
 func TestCounts(t *testing.T) {
 	q, n, _ := newNet(t, 2, 10)
 	q.At(0, func() {
-		n.Send(Message{Kind: Inv, Src: 0, Dst: 1})
-		n.Send(Message{Kind: InvAck, Src: 1, Dst: 0})
-		n.Send(Message{Kind: DataS, Src: 0, Dst: 1})
+		n.Send(&Message{Kind: Inv, Src: 0, Dst: 1})
+		n.Send(&Message{Kind: InvAck, Src: 1, Dst: 0})
+		n.Send(&Message{Kind: DataS, Src: 0, Dst: 1})
 	})
 	q.Run()
 	c := n.Counts()
@@ -147,7 +147,7 @@ func TestInFlightDrains(t *testing.T) {
 	q, n, _ := newNet(t, 4, 100)
 	q.At(0, func() {
 		for i := 0; i < 10; i++ {
-			n.Send(Message{Kind: GetS, Src: 0, Dst: 1 + i%3, Addr: mem.Addr(32 * i)})
+			n.Send(&Message{Kind: GetS, Src: 0, Dst: 1 + i%3, Addr: mem.Addr(32 * i)})
 		}
 		if n.InFlight() != 10 {
 			t.Errorf("in-flight = %d, want 10", n.InFlight())
@@ -162,14 +162,14 @@ func TestInFlightDrains(t *testing.T) {
 func TestMissingHandlerPanics(t *testing.T) {
 	q := &event.Queue{}
 	n := New(q, Config{Nodes: 2, Latency: 10})
-	n.SetHandler(0, func(Message) {})
+	n.SetHandler(0, func(*Message) {})
 	q.At(0, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("send to handlerless node did not panic")
 			}
 		}()
-		n.Send(Message{Kind: GetS, Src: 0, Dst: 1})
+		n.Send(&Message{Kind: GetS, Src: 0, Dst: 1})
 	})
 	q.Run()
 }
@@ -184,12 +184,12 @@ func TestPairwiseFIFOProperty(t *testing.T) {
 		q := &event.Queue{}
 		n := New(q, Config{Nodes: 2, Latency: 7})
 		var got []int
-		n.SetHandler(1, func(m Message) { got = append(got, int(m.Ver)) })
-		n.SetHandler(0, func(Message) {})
+		n.SetHandler(1, func(m *Message) { got = append(got, int(m.Ver)) })
+		n.SetHandler(0, func(*Message) {})
 		q.At(0, func() {
 			for i, kb := range kinds {
 				k := Kind(int(kb) % int(NumKinds))
-				n.Send(Message{Kind: k, Src: 0, Dst: 1, Ver: uint8(i)})
+				n.Send(&Message{Kind: k, Src: 0, Dst: 1, Ver: uint8(i)})
 			}
 		})
 		q.Run()
@@ -216,7 +216,7 @@ func TestBatchedLocalBurst(t *testing.T) {
 	q, n, got := newNet(t, 2, 100)
 	q.At(0, func() {
 		for i := 0; i < 5; i++ {
-			n.Send(Message{Kind: SInvNotify, Src: 0, Dst: 0, Ver: uint8(i)})
+			n.Send(&Message{Kind: SInvNotify, Src: 0, Dst: 0, Ver: uint8(i)})
 		}
 	})
 	q.Run()
@@ -236,17 +236,64 @@ func TestBatchedLocalBurst(t *testing.T) {
 	}
 }
 
+// TestBatchedDeliveryPointers: every handler of a batched delivery gets a
+// pointer to its own message in the delivery record, and that message stays
+// intact while the handler Sends (here: a local send, which may open a new
+// record, and a remote one).
+func TestBatchedDeliveryPointers(t *testing.T) {
+	q := &event.Queue{}
+	n := New(q, Config{Nodes: 2, Latency: 100})
+	var ptrs []*Message
+	var vers []uint8
+	n.SetHandler(1, func(*Message) {})
+	n.SetHandler(0, func(m *Message) {
+		for _, p := range ptrs {
+			if p == m {
+				t.Errorf("Ver %d delivered through the pointer of an earlier message", m.Ver)
+			}
+		}
+		ptrs = append(ptrs, m)
+		want := *m
+		if m.Ver < 100 {
+			n.Send(&Message{Kind: SInvNotify, Src: 0, Dst: 0, Ver: 100 + m.Ver})
+			n.Send(&Message{Kind: DataS, Src: 0, Dst: 1, Addr: 64})
+		}
+		if *m != want {
+			t.Errorf("message changed while its handler sent: %v, want %v", *m, want)
+		}
+		vers = append(vers, m.Ver)
+	})
+	q.At(0, func() {
+		for i := 0; i < 4; i++ {
+			n.Send(&Message{Kind: SInvNotify, Src: 0, Dst: 0, Addr: mem.Addr(32 * i), Ver: uint8(i)})
+		}
+	})
+	q.Run()
+	if n.Batched() < 3 {
+		t.Fatalf("Batched = %d, want the four-message burst on one record", n.Batched())
+	}
+	want := []uint8{0, 1, 2, 3, 100, 101, 102, 103}
+	if len(vers) != len(want) {
+		t.Fatalf("delivered Vers %v, want %v", vers, want)
+	}
+	for i := range want {
+		if vers[i] != want[i] {
+			t.Fatalf("delivered Vers %v, want %v", vers, want)
+		}
+	}
+}
+
 // TestBatchingRequiresAdjacency: a foreign event scheduled between two
 // same-(time, dst) sends makes them non-adjacent in execution order, so the
 // second must NOT chain onto the first — global order would change.
 func TestBatchingRequiresAdjacency(t *testing.T) {
 	q, n, _ := newNet(t, 2, 100)
 	var order []string
-	n.SetHandler(0, func(m Message) { order = append(order, "msg") })
+	n.SetHandler(0, func(m *Message) { order = append(order, "msg") })
 	q.At(0, func() {
-		n.Send(Message{Kind: SInvNotify, Src: 0, Dst: 0})
+		n.Send(&Message{Kind: SInvNotify, Src: 0, Dst: 0})
 		q.At(1, func() { order = append(order, "between") })
-		n.Send(Message{Kind: SInvNotify, Src: 0, Dst: 0})
+		n.Send(&Message{Kind: SInvNotify, Src: 0, Dst: 0})
 	})
 	q.Run()
 	if n.Batched() != 0 {
@@ -265,8 +312,8 @@ func TestBatchingRequiresAdjacency(t *testing.T) {
 func TestBatchingDifferentDestinationsNotChained(t *testing.T) {
 	q, n, got := newNet(t, 3, 100)
 	q.At(0, func() {
-		n.Send(Message{Kind: SInvNotify, Src: 0, Dst: 0})
-		n.Send(Message{Kind: SInvNotify, Src: 1, Dst: 1})
+		n.Send(&Message{Kind: SInvNotify, Src: 0, Dst: 0})
+		n.Send(&Message{Kind: SInvNotify, Src: 1, Dst: 1})
 	})
 	q.Run()
 	if n.Batched() != 0 {
@@ -285,13 +332,13 @@ func BenchmarkBatchDelivery(b *testing.B) {
 	q := &event.Queue{}
 	n := New(q, Config{Nodes: 1, Latency: 100})
 	sink := 0
-	n.SetHandler(0, func(m Message) { sink++ })
+	n.SetHandler(0, func(m *Message) { sink++ })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q.At(q.Now(), func() {
 			for j := 0; j < 8; j++ {
-				n.Send(Message{Kind: SInvNotify, Src: 0, Dst: 0})
+				n.Send(&Message{Kind: SInvNotify, Src: 0, Dst: 0})
 			}
 		})
 		q.Run()

@@ -29,17 +29,25 @@ func (k opKind) String() string {
 	return opKindNames[k]
 }
 
+// missReq is the operation a miss is opened for, as the processor-facing
+// call knows it at issue. At 56 bytes it copies inline, so opening an MSHR
+// costs no block copy.
+type missReq struct {
+	kind  opKind
+	addr  mem.Addr // full faulting address (selects the word within the block)
+	st    Store    // store to perform on grant (write/swap)
+	cont  func(*Result)
+	start event.Time
+}
+
 // mshr is one outstanding miss. Under SC there is at most one per
 // processor; under WC there can be one read plus up to WriteBufferEntries
 // write misses.
 type mshr struct {
-	kind  opKind
-	addr  mem.Addr // full faulting address (selects the word within the block)
-	st    Store    // store to perform on grant (write/swap)
-	cont  func(Result)
-	start event.Time
+	missReq
 
-	// WC swap: the grant arrived with Pending set; completion waits for the
+	// waitingFinal marks a WC swap whose grant arrived with Pending set: res
+	// holds its result, complete but for Done, and completion waits for the
 	// FinalAck.
 	waitingFinal bool
 	res          Result
@@ -65,7 +73,7 @@ type wbEntry struct {
 	dataArrived  bool
 	pendingFinal bool
 	// readWaiters are reads stalled until the block's data arrives.
-	readWaiters []func(Result)
+	readWaiters []func(*Result)
 	// blockedStores were issued after the block's data arrived but left the
 	// cache again; they re-execute when the entry retires.
 	blockedStores []pendingStore
@@ -86,8 +94,8 @@ func (e *wbEntry) coalesce(a mem.Addr, st Store) {
 	e.seq = st.Seq
 }
 
-// apply merges the buffered words onto arrived block contents.
-func (e *wbEntry) apply(v mem.Value) mem.Value {
+// apply merges the buffered words into arrived block contents.
+func (e *wbEntry) apply(v *mem.Value) {
 	v.Writer = e.writer
 	v.Seq = e.seq
 	for i, ok := range e.mask {
@@ -95,14 +103,13 @@ func (e *wbEntry) apply(v mem.Value) mem.Value {
 			v.Words[i] = e.words[i]
 		}
 	}
-	return v
 }
 
 type pendingStore struct {
 	addr  mem.Addr
 	st    Store
 	start event.Time
-	cont  func(Result)
+	cont  func(*Result)
 }
 
 // ccHot is the hot plane of one block's cache-controller state: the
@@ -179,6 +186,14 @@ type CacheCtrl struct {
 	stalled []pendingStore
 	drain   []func()
 
+	// slot is where every completion writes its result before handing it to
+	// the continuation: own, the controller's completion slot, unless a
+	// processor lent its own (see CompleteInto). Either way the result is
+	// valid only until the next completion, so a continuation that keeps it
+	// copies it.
+	slot *Result
+	own  Result
+
 	// Free lists for the hot-path records (single-threaded per machine):
 	// retired MSHRs, retired write-buffer entries, and the typed-event
 	// records that replace the per-miss and per-flush closures.
@@ -199,22 +214,22 @@ type sendCall struct {
 	msg netsim.Message
 }
 
-// doSendCall is the static action for deferred request injection.
+// doSendCall is the static action for deferred request injection. The send
+// copies the message out, so the record is recycled afterwards.
 //
 //dsi:hotpath
 func doSendCall(arg any) {
 	c := arg.(*sendCall)
-	cc, m := c.cc, c.msg
-	c.msg = netsim.Message{}
+	cc := c.cc
+	cc.send(&c.msg)
 	cc.sendFree = append(cc.sendFree, c)
-	cc.send(m)
 }
 
 // flushCall is a pooled record resuming the processor after a sync-point
 // self-invalidation flush.
 type flushCall struct {
 	cc   *CacheCtrl
-	cont func(Result)
+	cont func(*Result)
 }
 
 // doFlushCall is the static action completing SyncFlush; it fires exactly
@@ -224,21 +239,60 @@ func doFlushCall(arg any) {
 	cc, cont := c.cc, c.cont
 	c.cont = nil
 	cc.flushFree = append(cc.flushFree, c)
-	cont(Result{Done: cc.env.Q.Now()})
+	cont(cc.result(cc.env.Q.Now()))
 }
 
-// newMshr takes an MSHR from the free list (or allocates one) and
-// initializes it to init.
-func (cc *CacheCtrl) newMshr(init mshr) *mshr {
+// CompleteInto makes r the slot every completion writes its result into
+// and hands its continuation, in place of the controller's own. A processor
+// lends its result slot this way, so results reach it without a copy; r
+// must outlive the controller's use. The slot is rewritten only to complete
+// an operation, and a processor has one operation in flight, so its result
+// stays put until it issues the next.
+func (cc *CacheCtrl) CompleteInto(r *Result) { cc.slot = r }
+
+// result resets the completion slot to a result done at now and returns it
+// for the caller to fill in and hand to a continuation.
+//
+//dsi:hotpath
+func (cc *CacheCtrl) result(now event.Time) *Result {
+	*cc.slot = Result{Done: now}
+	return cc.slot
+}
+
+// newMshr takes an MSHR from the free list (or allocates one) and opens it
+// for req.
+//
+//dsi:hotpath
+func (cc *CacheCtrl) newMshr(req missReq) *mshr {
+	var ms *mshr
 	if n := len(cc.msFree); n > 0 {
-		ms := cc.msFree[n-1]
+		ms = cc.msFree[n-1]
 		cc.msFree = cc.msFree[:n-1]
-		*ms = init
-		return ms
+	} else {
+		ms = new(mshr)
 	}
-	ms := new(mshr)
-	*ms = init
+	ms.missReq = req
 	return ms
+}
+
+// finish completes a miss detached from its block: it recycles the MSHR and
+// hands the continuation r. Callers must not touch ms afterwards.
+//
+//dsi:hotpath
+func (cc *CacheCtrl) finish(ms *mshr, r *Result) {
+	cont := ms.cont
+	cc.freeMshr(ms)
+	cont(r)
+}
+
+// finishParked completes a WC swap parked for its FinalAck with the result
+// its grant left in the MSHR.
+func (cc *CacheCtrl) finishParked(ms *mshr) {
+	now := cc.env.Q.Now()
+	r := cc.slot
+	*r = ms.res
+	r.Done = now
+	cc.finish(ms, r)
 }
 
 // freeMshr recycles a retired MSHR. Callers must not touch ms afterwards.
@@ -256,6 +310,7 @@ func NewCacheCtrl(env *Env, node int, cfg Config, geo cache.Config) *CacheCtrl {
 		c:    cache.New(geo),
 		mech: cfg.Policy.Mechanism(),
 	}
+	cc.slot = &cc.own
 	if cfg.Policy.NewHistory != nil {
 		cc.hist = cfg.Policy.NewHistory()
 	}
@@ -328,8 +383,11 @@ func (cc *CacheCtrl) Outstanding() int { return cc.msCount + cc.wbCount + len(cc
 //dsi:hotpath
 func (cc *CacheCtrl) WBEmpty() bool { return cc.wbCount == 0 && len(cc.stalled) == 0 }
 
+// send stamps m as this node's and injects it. The network copies it, so m
+// may live on the caller's stack.
+//
 //dsi:hotpath
-func (cc *CacheCtrl) send(m netsim.Message) {
+func (cc *CacheCtrl) send(m *netsim.Message) {
 	m.Src = cc.node
 	cc.env.Net.Send(m)
 }
@@ -338,13 +396,19 @@ func (cc *CacheCtrl) home(a mem.Addr) int { return cc.env.Layout.Home(a) }
 
 // --- processor-facing operations -------------------------------------------
 
-// Read performs a load. cont may run synchronously on a hit.
+// Read performs a load. cont may run synchronously on a hit. Every
+// processor-facing completion hands its continuation a pointer to storage
+// the controller owns (the miss's mshr.res or the completion slot), valid
+// only for the call.
 //
 //dsi:hotpath
-func (cc *CacheCtrl) Read(a mem.Addr, cont func(Result)) {
+func (cc *CacheCtrl) Read(a mem.Addr, cont func(*Result)) {
 	now := cc.env.Q.Now()
 	if f, hit := cc.c.Lookup(a); hit {
-		cont(Result{Done: now, Hit: true, Value: f.Data})
+		r := cc.result(now)
+		r.Hit = true
+		r.Value = f.Data
+		cont(r)
 		return
 	}
 	b := mem.BlockOf(a)
@@ -365,7 +429,7 @@ func (cc *CacheCtrl) Read(a mem.Addr, cont func(Result)) {
 		}
 	}
 	cc.stats.ReadMisses++
-	cc.issueMiss(b, blk, cc.newMshr(mshr{kind: opRead, cont: cont, start: now}))
+	cc.issueMiss(b, blk, cc.newMshr(missReq{kind: opRead, cont: cont, start: now}))
 }
 
 // Write performs a store. Under SC the processor stalls until completion;
@@ -373,11 +437,13 @@ func (cc *CacheCtrl) Read(a mem.Addr, cont func(Result)) {
 // accepts it.
 //
 //dsi:hotpath
-func (cc *CacheCtrl) Write(a mem.Addr, st Store, cont func(Result)) {
+func (cc *CacheCtrl) Write(a mem.Addr, st Store, cont func(*Result)) {
 	now := cc.env.Q.Now()
 	if f, hit := cc.c.Lookup(a); hit && f.State == cache.Exclusive {
-		f.Data = st.Merge(f.Data, a)
-		cont(Result{Done: now, Hit: true})
+		st.MergeInto(&f.Data, a)
+		r := cc.result(now)
+		r.Hit = true
+		cont(r)
 		return
 	}
 	if cc.cfg.Consistency == WC {
@@ -386,31 +452,33 @@ func (cc *CacheCtrl) Write(a mem.Addr, st Store, cont func(Result)) {
 	}
 	cc.stats.WriteMisses++
 	b := mem.BlockOf(a)
-	cc.issueMiss(b, cc.block(b), cc.newMshr(mshr{kind: opWrite, addr: a, st: st, cont: cont, start: now}))
+	cc.issueMiss(b, cc.block(b), cc.newMshr(missReq{kind: opWrite, addr: a, st: st, cont: cont, start: now}))
 }
 
 // Swap atomically exchanges the word at a, returning the previous word. The
 // caller must drain the write buffer first under WC.
-func (cc *CacheCtrl) Swap(a mem.Addr, newWord uint64, st Store, cont func(Result)) {
+func (cc *CacheCtrl) Swap(a mem.Addr, newWord uint64, st Store, cont func(*Result)) {
 	now := cc.env.Q.Now()
 	st.Word = newWord
 	if f, hit := cc.c.Lookup(a); hit && f.State == cache.Exclusive {
-		old := f.Data.WordAt(a)
-		prev := f.Data
-		f.Data = st.Merge(f.Data, a)
-		cont(Result{Done: now, Hit: true, OldWord: old, Value: prev})
+		r := cc.result(now)
+		r.Hit = true
+		r.OldWord = f.Data.WordAt(a)
+		r.Value = f.Data
+		st.MergeInto(&f.Data, a)
+		cont(r)
 		return
 	}
 	cc.stats.SwapMisses++
 	b := mem.BlockOf(a)
-	cc.issueMiss(b, cc.block(b), cc.newMshr(mshr{kind: opSwap, addr: a, st: st, cont: cont, start: now}))
+	cc.issueMiss(b, cc.block(b), cc.newMshr(missReq{kind: opSwap, addr: a, st: st, cont: cont, start: now}))
 }
 
 // SyncFlush performs the DSI self-invalidation due at a synchronization
 // point: tear-off blocks flash-clear in one cycle; tracked marked blocks
 // are invalidated and their notifications injected back-to-back. cont runs
 // once the processor may proceed (all notifications injected).
-func (cc *CacheCtrl) SyncFlush(cont func(Result)) {
+func (cc *CacheCtrl) SyncFlush(cont func(*Result)) {
 	now := cc.env.Q.Now()
 	cc.stats.SyncFlushes++
 	evs := cc.mech.OnSync(cc.c)
@@ -513,7 +581,9 @@ func (cc *CacheCtrl) sendRequest(b mem.Addr, ms *mshr, first bool) {
 	}
 	_, done := cc.server.Admit(cc.env.Q.Now(), CacheOccupancy)
 	sc := cc.newSendCall()
-	sc.msg = netsim.Message{Kind: kind, Dst: cc.home(b), Addr: b, Ver: ver, HasVer: hasVer, Txn: ms.txn}
+	// At most four fields in the literal, so it is built in place.
+	sc.msg = netsim.Message{Kind: kind, Dst: cc.home(b), Addr: b, Txn: ms.txn}
+	sc.msg.Ver, sc.msg.HasVer = ver, hasVer
 	cc.env.Q.AtCall(done, doSendCall, sc)
 }
 
@@ -530,7 +600,7 @@ func (cc *CacheCtrl) newSendCall() *sendCall {
 // install places an arriving block, emitting any displacement writeback.
 //
 //dsi:hotpath
-func (cc *CacheCtrl) install(b mem.Addr, st cache.State, m netsim.Message) {
+func (cc *CacheCtrl) install(b mem.Addr, st cache.State, m *netsim.Message) {
 	sk := cc.env.Sink
 	var old cache.State
 	if sk != nil {
@@ -538,7 +608,7 @@ func (cc *CacheCtrl) install(b mem.Addr, st cache.State, m netsim.Message) {
 			old = f.State
 		}
 	}
-	fill := cache.Fill{State: st, SI: m.SI, TearOff: m.TearOff, Ver: m.Ver, HasVer: m.HasVer, Data: m.Data}
+	fill := &cache.Fill{State: st, SI: m.SI, TearOff: m.TearOff, Ver: m.Ver, HasVer: m.HasVer, Data: m.Data}
 	if ev, evicted := cc.c.Install(b, fill); evicted {
 		if sk != nil {
 			var fl uint8
@@ -585,7 +655,7 @@ func (cc *CacheCtrl) install(b mem.Addr, st cache.State, m netsim.Message) {
 // mechanism's install hook. It must run after the pending store/swap has
 // been applied: a full FIFO may displace — and self-invalidate — the block
 // that just arrived.
-func (cc *CacheCtrl) postInstall(b mem.Addr, m netsim.Message) {
+func (cc *CacheCtrl) postInstall(b mem.Addr, m *netsim.Message) {
 	marked := m.SI
 	// Cache-side identification (§3.1): mark locally if this block's
 	// invalidation history crosses the threshold. The home-node exemption
@@ -617,10 +687,10 @@ func (cc *CacheCtrl) evictionMessage(ev cache.Evicted) {
 	}
 	home := cc.home(ev.Addr)
 	if ev.State == cache.Exclusive {
-		cc.send(netsim.Message{Kind: netsim.WB, Dst: home, Addr: ev.Addr, Data: ev.Data, SI: ev.SI})
+		cc.send(&netsim.Message{Kind: netsim.WB, Dst: home, Addr: ev.Addr, Data: ev.Data, SI: ev.SI})
 		return
 	}
-	cc.send(netsim.Message{Kind: netsim.Repl, Dst: home, Addr: ev.Addr, SI: ev.SI})
+	cc.send(&netsim.Message{Kind: netsim.Repl, Dst: home, Addr: ev.Addr, SI: ev.SI})
 }
 
 // notifySelfInval tells the home a tracked block self-invalidated.
@@ -628,10 +698,10 @@ func (cc *CacheCtrl) notifySelfInval(ev cache.Evicted) {
 	home := cc.home(ev.Addr)
 	cc.stats.SINotifies++
 	if ev.State == cache.Exclusive {
-		cc.send(netsim.Message{Kind: netsim.SInvWB, Dst: home, Addr: ev.Addr, Data: ev.Data, SI: true})
+		cc.send(&netsim.Message{Kind: netsim.SInvWB, Dst: home, Addr: ev.Addr, Data: ev.Data, SI: true})
 		return
 	}
-	cc.send(netsim.Message{Kind: netsim.SInvNotify, Dst: home, Addr: ev.Addr, SI: true})
+	cc.send(&netsim.Message{Kind: netsim.SInvNotify, Dst: home, Addr: ev.Addr, SI: true})
 }
 
 // --- write buffer (weak consistency) ----------------------------------------
@@ -645,7 +715,10 @@ func (cc *CacheCtrl) bufferStore(ps pendingStore) {
 		if !e.dataArrived {
 			// Coalesce into the outstanding entry.
 			e.coalesce(ps.addr, ps.st)
-			ps.cont(Result{Done: now, Hit: true, WBFullWait: now - ps.start})
+			r := cc.result(now)
+			r.Hit = true
+			r.WBFullWait = now - ps.start
+			ps.cont(r)
 			return
 		}
 		// Data arrived but the block left the cache (otherwise the store
@@ -665,18 +738,20 @@ func (cc *CacheCtrl) allocateEntry(b mem.Addr, blk *ccHot, w *ccCold, ps pending
 	now := cc.env.Q.Now()
 	var e *wbEntry
 	if n := len(cc.wbFree); n > 0 {
-		e = cc.wbFree[n-1]
+		e = cc.wbFree[n-1] // zeroed by retire
 		cc.wbFree = cc.wbFree[:n-1]
-		*e = wbEntry{addr: b, readWaiters: e.readWaiters[:0], blockedStores: e.blockedStores[:0]}
 	} else {
-		e = &wbEntry{addr: b}
+		e = new(wbEntry)
 	}
+	e.addr = b
 	e.coalesce(ps.addr, ps.st)
 	w.wb = e
 	cc.wbCount++
 	cc.stats.WriteMisses++
-	cc.issueMiss(b, blk, cc.newMshr(mshr{kind: opWrite, addr: ps.addr, st: ps.st, start: ps.start}))
-	ps.cont(Result{Done: now, WBFullWait: now - ps.start})
+	cc.issueMiss(b, blk, cc.newMshr(missReq{kind: opWrite, addr: ps.addr, st: ps.st, start: ps.start}))
+	r := cc.result(now)
+	r.WBFullWait = now - ps.start
+	ps.cont(r)
 }
 
 // retire frees a write-buffer slot and wakes anything waiting on it.
@@ -706,10 +781,11 @@ func (cc *CacheCtrl) retire(e *wbEntry) {
 
 // --- network-facing handlers -------------------------------------------------
 
-// Handle dispatches one incoming coherence message bound for the cache.
+// Handle dispatches one incoming coherence message bound for the cache. m is
+// valid only for the call (see netsim.Handler).
 //
 //dsi:hotpath
-func (cc *CacheCtrl) Handle(m netsim.Message) {
+func (cc *CacheCtrl) Handle(m *netsim.Message) {
 	switch m.Kind {
 	case netsim.Inv:
 		cc.onInv(m)
@@ -730,11 +806,11 @@ func (cc *CacheCtrl) Handle(m netsim.Message) {
 		// directory; only grants, probes, and recall/invalidate traffic ever
 		// target a cache.
 		//dsi:unreachable not-routed — home-bound kinds never reach a cache
-		cc.env.fail("cache %d: unexpected message %v", cc.node, m)
+		cc.env.fail("cache %d: unexpected message %v", cc.node, *m)
 	}
 }
 
-func (cc *CacheCtrl) onInv(m netsim.Message) {
+func (cc *CacheCtrl) onInv(m *netsim.Message) {
 	cc.stats.InvsReceived++
 	b := mem.BlockOf(m.Addr)
 	if cc.hist != nil {
@@ -747,7 +823,7 @@ func (cc *CacheCtrl) onInv(m netsim.Message) {
 	// Acknowledge unconditionally: if the copy is gone, our replacement
 	// notice is already FIFO-ordered ahead of this ack.
 	if had && ev.State == cache.Exclusive {
-		cc.send(netsim.Message{Kind: netsim.InvAckData, Dst: m.Src, Addr: b, Data: ev.Data, Txn: m.Txn})
+		cc.send(&netsim.Message{Kind: netsim.InvAckData, Dst: m.Src, Addr: b, Data: ev.Data, Txn: m.Txn})
 		return
 	}
 	if !had && cc.cfg.Retry != nil {
@@ -756,20 +832,20 @@ func (cc *CacheCtrl) onInv(m netsim.Message) {
 		// negative ack so the taxonomy stays clean; the directory consumes
 		// it like an InvAck.
 		cc.stats.NackHomesSent++
-		cc.send(netsim.Message{Kind: netsim.NackHome, Dst: m.Src, Addr: b, Txn: m.Txn})
+		cc.send(&netsim.Message{Kind: netsim.NackHome, Dst: m.Src, Addr: b, Txn: m.Txn})
 		return
 	}
-	cc.send(netsim.Message{Kind: netsim.InvAck, Dst: m.Src, Addr: b, Txn: m.Txn})
+	cc.send(&netsim.Message{Kind: netsim.InvAck, Dst: m.Src, Addr: b, Txn: m.Txn})
 }
 
-func (cc *CacheCtrl) onRecall(m netsim.Message) {
+func (cc *CacheCtrl) onRecall(m *netsim.Message) {
 	cc.stats.RecallsRecv++
 	b := mem.BlockOf(m.Addr)
 	if data, ok := cc.c.Downgrade(b); ok {
 		if sk := cc.env.Sink; sk != nil {
 			sk.OnCacheState(cc.env.Q.Now(), cc.node, b, m.Txn, cache.Exclusive, cache.Shared, 0)
 		}
-		cc.send(netsim.Message{Kind: netsim.RecallAck, Dst: m.Src, Addr: b, Data: data, Txn: m.Txn})
+		cc.send(&netsim.Message{Kind: netsim.RecallAck, Dst: m.Src, Addr: b, Data: data, Txn: m.Txn})
 		return
 	}
 	// Copy already written back or self-invalidated; the data is on its way
@@ -777,14 +853,14 @@ func (cc *CacheCtrl) onRecall(m netsim.Message) {
 	if cc.cfg.Retry != nil {
 		if _, held := cc.c.Peek(b); !held {
 			cc.stats.NackHomesSent++
-			cc.send(netsim.Message{Kind: netsim.NackHome, Dst: m.Src, Addr: b, Txn: m.Txn})
+			cc.send(&netsim.Message{Kind: netsim.NackHome, Dst: m.Src, Addr: b, Txn: m.Txn})
 			return
 		}
 	}
-	cc.send(netsim.Message{Kind: netsim.InvAck, Dst: m.Src, Addr: b, Txn: m.Txn})
+	cc.send(&netsim.Message{Kind: netsim.InvAck, Dst: m.Src, Addr: b, Txn: m.Txn})
 }
 
-func (cc *CacheCtrl) onDataS(m netsim.Message) {
+func (cc *CacheCtrl) onDataS(m *netsim.Message) {
 	b := mem.BlockOf(m.Addr)
 	blk := cc.block(b)
 	ms := blk.ms
@@ -801,7 +877,7 @@ func (cc *CacheCtrl) onDataS(m netsim.Message) {
 			if ms == nil && cc.wbOf(b).wb == nil && !m.TearOff {
 				if _, held := cc.c.Peek(b); !held {
 					cc.stats.GrantsReturned++
-					cc.send(netsim.Message{Kind: netsim.Repl, Dst: cc.home(b), Addr: b})
+					cc.send(&netsim.Message{Kind: netsim.Repl, Dst: cc.home(b), Addr: b})
 					return
 				}
 			}
@@ -814,13 +890,14 @@ func (cc *CacheCtrl) onDataS(m netsim.Message) {
 	blk.ms = nil
 	cc.msCount--
 	cc.install(b, cache.Shared, m)
-	cont := ms.cont
-	cc.freeMshr(ms)
-	cont(Result{Done: cc.env.Q.Now(), InvWait: m.InvWait, Value: m.Data})
+	r := cc.result(cc.env.Q.Now())
+	r.InvWait = m.InvWait
+	r.Value = m.Data
+	cc.finish(ms, r)
 	cc.postInstall(b, m)
 }
 
-func (cc *CacheCtrl) onDataX(m netsim.Message) {
+func (cc *CacheCtrl) onDataX(m *netsim.Message) {
 	b := mem.BlockOf(m.Addr)
 	blk := cc.block(b)
 	ms := blk.ms
@@ -845,11 +922,7 @@ func (cc *CacheCtrl) onDataX(m netsim.Message) {
 		if hardened && !m.Pending {
 			blk.ms = nil
 			cc.msCount--
-			res := ms.res
-			res.Done = cc.env.Q.Now()
-			cont := ms.cont
-			cc.freeMshr(ms)
-			cont(res)
+			cc.finishParked(ms)
 			return
 		}
 		if hardened {
@@ -866,16 +939,17 @@ func (cc *CacheCtrl) onDataX(m netsim.Message) {
 		// A migratory exclusive grant answering a read: the block arrives
 		// writable in anticipation of the upgrade this processor would
 		// otherwise issue.
-		cont := ms.cont
-		cc.freeMshr(ms)
-		cont(Result{Done: cc.env.Q.Now(), InvWait: m.InvWait, Value: m.Data})
+		r := cc.result(cc.env.Q.Now())
+		r.InvWait = m.InvWait
+		r.Value = m.Data
+		cc.finish(ms, r)
 	} else {
 		cc.applyGrant(b, blk, ms, m)
 	}
 	cc.postInstall(b, m)
 }
 
-func (cc *CacheCtrl) onAckX(m netsim.Message) {
+func (cc *CacheCtrl) onAckX(m *netsim.Message) {
 	b := mem.BlockOf(m.Addr)
 	blk := cc.block(b)
 	ms := blk.ms
@@ -912,7 +986,7 @@ func (cc *CacheCtrl) onAckX(m netsim.Message) {
 // applyGrant performs the buffered store or swap once exclusive ownership
 // arrives, and completes the processor operation (or parks it awaiting the
 // weak-consistency FinalAck).
-func (cc *CacheCtrl) applyGrant(b mem.Addr, blk *ccHot, ms *mshr, m netsim.Message) {
+func (cc *CacheCtrl) applyGrant(b mem.Addr, blk *ccHot, ms *mshr, m *netsim.Message) {
 	now := cc.env.Q.Now()
 	f, ok := cc.c.Peek(b)
 	if !ok {
@@ -935,12 +1009,15 @@ func (cc *CacheCtrl) applyGrant(b mem.Addr, blk *ccHot, ms *mshr, m netsim.Messa
 				cc.env.fail("cache %d: WC write grant without wb entry for %#x", cc.node, uint64(b))
 				return
 			}
-			f.Data = e.apply(f.Data)
+			e.apply(&f.Data)
 			e.dataArrived = true
 			waiters := e.readWaiters
 			e.readWaiters = nil
 			for _, w := range waiters {
-				w(Result{Done: now, WBRead: true, Value: f.Data})
+				r := cc.result(now)
+				r.WBRead = true
+				r.Value = f.Data
+				w(r)
 			}
 			if m.Pending {
 				e.pendingFinal = true
@@ -953,31 +1030,33 @@ func (cc *CacheCtrl) applyGrant(b mem.Addr, blk *ccHot, ms *mshr, m netsim.Messa
 			}
 			return
 		}
-		f.Data = ms.st.Merge(f.Data, ms.addr)
-		cont := ms.cont
-		cc.freeMshr(ms)
-		cont(Result{Done: now, InvWait: m.InvWait})
+		ms.st.MergeInto(&f.Data, ms.addr)
+		r := cc.result(now)
+		r.InvWait = m.InvWait
+		cc.finish(ms, r)
 	case opSwap:
-		old := f.Data.WordAt(ms.addr)
-		prev := f.Data
-		f.Data = ms.st.Merge(f.Data, ms.addr)
-		res := Result{Done: now, InvWait: m.InvWait, OldWord: old, Value: prev}
-		if m.Pending {
-			// WC: the swap is a synchronization access; hold completion
-			// until the directory's FinalAck.
-			ms.waitingFinal = true
-			ms.res = res
-			blk.ms = ms
-			cc.msCount++
+		// Under WC the swap is a synchronization access: with Pending set,
+		// completion waits for the directory's FinalAck, the result parked
+		// in the MSHR.
+		r := &ms.res
+		if !m.Pending {
+			r = cc.result(now)
+		}
+		r.InvWait = m.InvWait
+		r.OldWord = f.Data.WordAt(ms.addr)
+		r.Value = f.Data
+		ms.st.MergeInto(&f.Data, ms.addr)
+		if !m.Pending {
+			cc.finish(ms, r)
 			return
 		}
-		cont := ms.cont
-		cc.freeMshr(ms)
-		cont(res)
+		ms.waitingFinal = true
+		blk.ms = ms
+		cc.msCount++
 	}
 }
 
-func (cc *CacheCtrl) onFinalAck(m netsim.Message) {
+func (cc *CacheCtrl) onFinalAck(m *netsim.Message) {
 	b := mem.BlockOf(m.Addr)
 	hardened := cc.cfg.Retry != nil
 	id, blk := cc.blocks.Ensure(mem.BlockIndex(b))
@@ -1000,11 +1079,7 @@ func (cc *CacheCtrl) onFinalAck(m netsim.Message) {
 		}
 		blk.ms = nil
 		cc.msCount--
-		res := ms.res
-		res.Done = cc.env.Q.Now()
-		cont := ms.cont
-		cc.freeMshr(ms)
-		cont(res)
+		cc.finishParked(ms)
 		return
 	}
 	if hardened {

@@ -37,7 +37,7 @@ func TestDebugChaosTrace(t *testing.T) {
 			for i := 0; i < 6; i++ {
 				i := i
 				cc, dc := r.ccs[i], r.dcs[i]
-				r.net.SetHandler(i, func(m netsim.Message) {
+				r.net.SetHandler(i, func(m *netsim.Message) {
 					if mem.BlockOf(m.Addr) == watch {
 						fmt.Printf("t=%-8d %v\n", r.q.Now(), m)
 					}
@@ -73,7 +73,7 @@ func runChaosBody(r *rig, seed uint64) {
 			return
 		}
 		a := mem.Addr(1+rnd.Intn(blocks)) * mem.BlockSize
-		next := func(Result) {
+		next := func(*Result) {
 			r.q.After(event.Time(rnd.Intn(50)), func() {
 				issue(node, remaining-1, seq+1)
 			})

@@ -26,7 +26,7 @@ func TestInjectStrayInvAck(t *testing.T) {
 	r := newRig(t, rigOpts{cfg: scCfg(), tolerate: true})
 	a := blockHomedAt(1, 4, 0)
 	r.at(0, func() {
-		r.net.Send(netsim.Message{Kind: netsim.InvAck, Src: 2, Dst: 1, Addr: a})
+		r.net.Send(&netsim.Message{Kind: netsim.InvAck, Src: 2, Dst: 1, Addr: a})
 	})
 	r.run()
 	expectFail(t, r, "stray ack")
@@ -41,7 +41,7 @@ func TestInjectDuplicateAck(t *testing.T) {
 	// count.
 	r.write(1000, 2, a, 1)
 	r.at(1250, func() {
-		r.net.Send(netsim.Message{Kind: netsim.InvAck, Src: 0, Dst: 3, Addr: a})
+		r.net.Send(&netsim.Message{Kind: netsim.InvAck, Src: 0, Dst: 3, Addr: a})
 	})
 	r.run()
 	if len(r.fails) == 0 {
@@ -55,7 +55,7 @@ func TestInjectBystanderWriteback(t *testing.T) {
 	r.write(0, 0, a, 1) // node 0 owns the block
 	r.at(1000, func() {
 		// Node 2 claims to write back a block it never owned.
-		r.net.Send(netsim.Message{Kind: netsim.WB, Src: 2, Dst: 1, Addr: a})
+		r.net.Send(&netsim.Message{Kind: netsim.WB, Src: 2, Dst: 1, Addr: a})
 	})
 	r.run()
 	expectFail(t, r, "writeback")
@@ -65,7 +65,7 @@ func TestInjectDataWithoutRequest(t *testing.T) {
 	r := newRig(t, rigOpts{cfg: scCfg(), tolerate: true})
 	a := blockHomedAt(1, 4, 0)
 	r.at(0, func() {
-		r.net.Send(netsim.Message{Kind: netsim.DataS, Src: 1, Dst: 0, Addr: a})
+		r.net.Send(&netsim.Message{Kind: netsim.DataS, Src: 1, Dst: 0, Addr: a})
 	})
 	r.run()
 	expectFail(t, r, "unexpected DataS")
@@ -75,7 +75,7 @@ func TestInjectFinalAckWithoutPending(t *testing.T) {
 	r := newRig(t, rigOpts{cfg: wcCfg(), tolerate: true})
 	a := blockHomedAt(1, 4, 0)
 	r.at(0, func() {
-		r.net.Send(netsim.Message{Kind: netsim.FinalAck, Src: 1, Dst: 0, Addr: a})
+		r.net.Send(&netsim.Message{Kind: netsim.FinalAck, Src: 1, Dst: 0, Addr: a})
 	})
 	r.run()
 	expectFail(t, r, "stray FinalAck")
@@ -88,7 +88,7 @@ func TestInjectGetXFromOwner(t *testing.T) {
 	r.at(1000, func() {
 		// Node 0 already owns the block; a second exclusive request from it
 		// indicates state corruption.
-		r.net.Send(netsim.Message{Kind: netsim.GetX, Src: 0, Dst: 1, Addr: a})
+		r.net.Send(&netsim.Message{Kind: netsim.GetX, Src: 0, Dst: 1, Addr: a})
 	})
 	r.run()
 	expectFail(t, r, "current owner")

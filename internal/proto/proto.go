@@ -137,15 +137,16 @@ type Store struct {
 	Word   uint64
 }
 
-// Merge applies the store to block contents v at address a.
-func (s Store) Merge(v mem.Value, a mem.Addr) mem.Value {
+// MergeInto applies the store to block contents *v at address a.
+func (s Store) MergeInto(v *mem.Value, a mem.Addr) {
 	v.Writer = s.Writer
 	v.Seq = s.Seq
 	v.Words[mem.WordIndex(a)] = s.Word
-	return v
 }
 
-// Result reports the completion of a processor-initiated access.
+// Result reports the completion of a processor-initiated access. A
+// controller hands its continuation a *Result that points into storage the
+// controller owns and is valid only for the call.
 type Result struct {
 	// Done is the simulated time the access completed.
 	Done event.Time

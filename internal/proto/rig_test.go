@@ -15,7 +15,7 @@ import (
 // cache controller and a directory controller, wired to a network, with no
 // processor model on top.
 type rig struct {
-	t      *testing.T
+	t      testing.TB
 	q      *event.Queue
 	net    *netsim.Network
 	layout *mem.Layout
@@ -36,7 +36,7 @@ type rigOpts struct {
 	tolerate bool
 }
 
-func newRig(t *testing.T, o rigOpts) *rig {
+func newRig(t testing.TB, o rigOpts) *rig {
 	t.Helper()
 	if o.nodes == 0 {
 		o.nodes = 4
@@ -69,7 +69,7 @@ func newRig(t *testing.T, o rigOpts) *rig {
 	}
 	for i := 0; i < o.nodes; i++ {
 		cc, dc := r.ccs[i], r.dcs[i]
-		r.net.SetHandler(i, func(m netsim.Message) {
+		r.net.SetHandler(i, func(m *netsim.Message) {
 			switch m.Kind {
 			case netsim.Inv, netsim.Recall, netsim.DataS, netsim.DataX,
 				netsim.AckX, netsim.FinalAck:
@@ -98,27 +98,27 @@ func (r *rig) at(t event.Time, fn func()) { r.q.At(t, fn) }
 // the result after run().
 func (r *rig) read(t event.Time, node int, a mem.Addr) *Result {
 	res := &Result{Done: -1}
-	r.at(t, func() { r.ccs[node].Read(a, func(x Result) { *res = x }) })
+	r.at(t, func() { r.ccs[node].Read(a, func(x *Result) { *res = *x }) })
 	return res
 }
 
 func (r *rig) write(t event.Time, node int, a mem.Addr, seq uint64) *Result {
 	res := &Result{Done: -1}
 	st := Store{Writer: node, Seq: seq}
-	r.at(t, func() { r.ccs[node].Write(a, st, func(x Result) { *res = x }) })
+	r.at(t, func() { r.ccs[node].Write(a, st, func(x *Result) { *res = *x }) })
 	return res
 }
 
 func (r *rig) swap(t event.Time, node int, a mem.Addr, word uint64, seq uint64) *Result {
 	res := &Result{Done: -1}
 	st := Store{Writer: node, Seq: seq}
-	r.at(t, func() { r.ccs[node].Swap(a, word, st, func(x Result) { *res = x }) })
+	r.at(t, func() { r.ccs[node].Swap(a, word, st, func(x *Result) { *res = *x }) })
 	return res
 }
 
 func (r *rig) flush(t event.Time, node int) *Result {
 	res := &Result{Done: -1}
-	r.at(t, func() { r.ccs[node].SyncFlush(func(x Result) { *res = x }) })
+	r.at(t, func() { r.ccs[node].SyncFlush(func(x *Result) { *res = *x }) })
 	return res
 }
 

@@ -199,10 +199,10 @@ func (cc *CacheCtrl) sendProbe(b mem.Addr, txnID uint64) {
 
 // onNack handles a directory Nack (request refused under overload): bump the
 // retry count and re-arm the backoff timer; the timer retransmits.
-func (cc *CacheCtrl) onNack(m netsim.Message) {
+func (cc *CacheCtrl) onNack(m *netsim.Message) {
 	b := mem.BlockOf(m.Addr)
 	if cc.cfg.Retry == nil {
-		cc.env.fail("cache %d: Nack without retry enabled: %v", cc.node, m)
+		cc.env.fail("cache %d: Nack without retry enabled: %v", cc.node, *m)
 		return
 	}
 	id, blk := cc.blocks.Ensure(mem.BlockIndex(b))
@@ -247,7 +247,7 @@ func (cc *CacheCtrl) onNack(m netsim.Message) {
 // quiesce: instead the ownership is handed straight back with a writeback
 // (giveBackGrant). A duplicate of a grant whose copy is still live here is
 // the one genuinely ignorable case — directory and cache already agree.
-func (cc *CacheCtrl) recoverGrantReplay(b mem.Addr, m netsim.Message) {
+func (cc *CacheCtrl) recoverGrantReplay(b mem.Addr, m *netsim.Message) {
 	w := cc.wbOf(b)
 	if e := w.wb; e != nil && e.pendingFinal && e.txn == m.Txn && !m.Pending {
 		if _, held := cc.c.Peek(b); !held {
@@ -280,7 +280,7 @@ func (cc *CacheCtrl) recoverGrantReplay(b mem.Addr, m netsim.Message) {
 // back — so the directory must treat it purely as an ownership return and
 // never let it overwrite memory (see onWriteback). This node wrote nothing
 // under the refused grant; home memory already holds the right contents.
-func (cc *CacheCtrl) giveBackGrant(b mem.Addr, m netsim.Message) {
+func (cc *CacheCtrl) giveBackGrant(b mem.Addr, m *netsim.Message) {
 	if f, held := cc.c.Peek(b); held {
 		if f.State == cache.Exclusive {
 			cc.stats.StraysIgnored++
@@ -295,7 +295,7 @@ func (cc *CacheCtrl) giveBackGrant(b mem.Addr, m netsim.Message) {
 		}
 	}
 	cc.stats.GrantsReturned++
-	cc.send(netsim.Message{Kind: netsim.WB, Dst: cc.home(b), Addr: b, Txn: m.Txn, Probe: true})
+	cc.send(&netsim.Message{Kind: netsim.WB, Dst: cc.home(b), Addr: b, Txn: m.Txn, Probe: true})
 }
 
 // OutstandingMiss describes one stuck cache-side operation, for the
@@ -401,14 +401,14 @@ func (dc *DirCtrl) onTxnTimeout(b mem.Addr, t *txn) {
 	}
 	t.pending.ForEach(func(n int) {
 		dc.stats.RetriesSent++
-		dc.send(netsim.Message{Kind: t.action, Dst: n, Addr: b, Txn: t.req.Txn})
+		dc.send(&netsim.Message{Kind: t.action, Dst: n, Addr: b, Txn: t.req.Txn})
 	})
 	dc.armTxnTimer(b, t)
 }
 
 // isDuplicate reports whether m is a retransmission of the block's live
 // transaction or of a request already queued behind it.
-func (dc *DirCtrl) isDuplicate(t *txn, q *dirCold, m netsim.Message) bool {
+func (dc *DirCtrl) isDuplicate(t *txn, q *dirCold, m *netsim.Message) bool {
 	if t.req.Src == m.Src && t.req.Txn == m.Txn {
 		return true
 	}
@@ -426,13 +426,13 @@ func (dc *DirCtrl) isDuplicate(t *txn, q *dirCold, m netsim.Message) bool {
 // touching the sharer set or the DSI policy (a conservative unmarked replay
 // only delays self-invalidation, never breaks coherence). Reports whether
 // the request was consumed.
-func (dc *DirCtrl) replayed(b mem.Addr, m netsim.Message) bool {
+func (dc *DirCtrl) replayed(b mem.Addr, m *netsim.Message) bool {
 	e := dc.dir.Entry(b)
 	switch m.Kind {
 	case netsim.GetS:
 		if e.State.IsShared() && e.Sharers.Has(m.Src) {
 			dc.stats.Replays++
-			dc.send(netsim.Message{
+			dc.send(&netsim.Message{
 				Kind: netsim.DataS, Dst: m.Src, Addr: b, Txn: m.Txn,
 				Data: dc.memory.Read(b),
 			})
@@ -442,7 +442,7 @@ func (dc *DirCtrl) replayed(b mem.Addr, m netsim.Message) bool {
 			// A migratory read answered with an exclusive grant that was
 			// lost: replay it.
 			dc.stats.Replays++
-			dc.send(netsim.Message{
+			dc.send(&netsim.Message{
 				Kind: netsim.DataX, Dst: m.Src, Addr: b, Txn: m.Txn,
 				Data: dc.memory.Read(b),
 			})
@@ -455,7 +455,7 @@ func (dc *DirCtrl) replayed(b mem.Addr, m netsim.Message) bool {
 			// data is simulator bookkeeping (the receiver installs it only
 			// when its copy is gone).
 			dc.stats.Replays++
-			dc.send(netsim.Message{
+			dc.send(&netsim.Message{
 				Kind: netsim.DataX, Dst: m.Src, Addr: b, Txn: m.Txn,
 				Data: dc.memory.Read(b),
 			})

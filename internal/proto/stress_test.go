@@ -84,7 +84,7 @@ func runChaos(t *testing.T, cfg Config, seed uint64) {
 			return
 		}
 		a := mem.Addr(1+rnd.Intn(blocks)) * mem.BlockSize
-		next := func(Result) {
+		next := func(*Result) {
 			completed++
 			// Small random think time keeps nodes out of lockstep.
 			r.q.After(event.Time(rnd.Intn(50)), func() {

@@ -35,8 +35,8 @@ func TestWCStoreIsBufferedNotStalled(t *testing.T) {
 	if !r.ccs[0].WBEmpty() {
 		t.Fatal("write buffer did not drain")
 	}
-	f, _ := r.ccs[0].Cache().Peek(a)
-	if f == nil || f.State != cache.Exclusive || f.Data.Seq != 1 {
+	f, ok := r.ccs[0].Cache().Peek(a)
+	if !ok || f.State != cache.Exclusive || f.Data.Seq != 1 {
 		t.Fatalf("frame = %+v", f)
 	}
 }
@@ -96,7 +96,7 @@ func TestWCGrantDoesNotWaitForAcks(t *testing.T) {
 	// Track when the data lands by reading our own write afterwards.
 	var dataAt event.Time = -1
 	r.at(2000, func() {
-		r.ccs[2].Write(a, Store{Writer: 2, Seq: 1}, func(Result) {})
+		r.ccs[2].Write(a, Store{Writer: 2, Seq: 1}, func(*Result) {})
 	})
 	// Poll: the frame appears when DataX arrives.
 	var poll func()
@@ -210,8 +210,8 @@ func TestTearOffGrantIsUntracked(t *testing.T) {
 	res := r.read(3000, 0, a) // echo 0 ≠ 1: marked → tear-off
 	r.run()
 	mustDone(t, "tear-off read", res)
-	f, _ := r.ccs[0].Cache().Peek(a)
-	if f == nil || !f.SI || !f.TearOff {
+	f, ok := r.ccs[0].Cache().Peek(a)
+	if !ok || !f.SI || !f.TearOff {
 		t.Fatalf("frame = %+v, want marked tear-off", f)
 	}
 	e, _ := r.home(a).Dir().Peek(a)

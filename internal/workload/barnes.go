@@ -104,7 +104,9 @@ func (w *Barnes) Kernel(p *Proc) {
 			for k := 1; k <= 3; k++ {
 				nb := (b + k*17) % w.P.Bodies
 				v := p.Read(w.pos.At(nb))
-				p.Assert(v.Word == uint64(t), "barnes: pos[%d] word %d, want %d", nb, v.Word, t)
+				if v.Word != uint64(t) {
+					p.Failf("barnes: pos[%d] word %d, want %d", nb, v.Word, t)
+				}
 			}
 			p.Compute(w.cost[b])
 			p.WriteWord(w.force.At(b), uint64(t+1))
@@ -113,7 +115,9 @@ func (w *Barnes) Kernel(p *Proc) {
 		// Update: advance owned bodies to the next generation.
 		for b := lo; b < hi; b++ {
 			v := p.Read(w.force.At(b))
-			p.Assert(v.Word == uint64(t+1), "barnes: force[%d] word %d, want %d", b, v.Word, t+1)
+			if v.Word != uint64(t+1) {
+				p.Failf("barnes: force[%d] word %d, want %d", b, v.Word, t+1)
+			}
 			p.WriteWord(w.pos.At(b), uint64(t+1))
 		}
 		p.Barrier()
@@ -124,7 +128,8 @@ func (w *Barnes) Kernel(p *Proc) {
 		for c := 0; c < w.P.Cells; c++ {
 			sum += p.Read(w.cells.At(c)).Word
 		}
-		p.Assert(sum == uint64(w.P.Bodies*w.P.Iters),
-			"barnes: cell inserts %d, want %d", sum, w.P.Bodies*w.P.Iters)
+		if sum != uint64(w.P.Bodies*w.P.Iters) {
+			p.Failf("barnes: cell inserts %d, want %d", sum, w.P.Bodies*w.P.Iters)
+		}
 	}
 }

@@ -135,7 +135,9 @@ func (w *EM3D) Kernel(p *Proc) {
 			for d := 0; d < deg; d++ {
 				dep := deps[k*deg+d]
 				v := p.Read(readVals[dep[0]].At(dep[1]))
-				p.Assert(v.Word == expect, "em3d: dep (%d,%d) word %d, want %d", dep[0], dep[1], v.Word, expect)
+				if v.Word != expect {
+					p.Failf("em3d: dep (%d,%d) word %d, want %d", dep[0], dep[1], v.Word, expect)
+				}
 				p.Read(weights.At(k*deg + d)) // private edge coefficient
 			}
 			p.Compute(w.P.ComputePerDep * int64(deg))

@@ -264,9 +264,10 @@ func (w *litmusProgram) Kernel(p *Proc) {
 			case LitmusRead:
 				a := w.ref.allowed[i]
 				v := p.Read(w.data.At(op.Block * 4))
-				p.Assert(v.Word == a[0] || v.Word == a[1],
-					"litmus: op %d round %d block %d read %d, allowed {%d, %d}",
-					i, t, op.Block, v.Word, a[0], a[1])
+				if v.Word != a[0] && v.Word != a[1] {
+					p.Failf("litmus: op %d round %d block %d read %d, allowed {%d, %d}",
+						i, t, op.Block, v.Word, a[0], a[1])
+				}
 			}
 		}
 		p.Barrier()

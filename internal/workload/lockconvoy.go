@@ -84,7 +84,9 @@ func (w *LockConvoy) Kernel(p *Proc) {
 		s := p.Read(w.seq.At(0)).Word
 		for b := 0; b < w.P.PayloadBlocks; b++ {
 			v := p.Read(w.payload.At(b * 4))
-			p.Assert(v.Word == s, "lockconvoy: acq %d payload block %d word %d, want seq %d", i, b, v.Word, s)
+			if v.Word != s {
+				p.Failf("lockconvoy: acq %d payload block %d word %d, want seq %d", i, b, v.Word, s)
+			}
 			p.WriteWord(w.payload.At(b*4), s+1)
 		}
 		p.Compute(w.P.HoldCompute)
@@ -96,10 +98,14 @@ func (w *LockConvoy) Kernel(p *Proc) {
 	if p.ID() == 0 {
 		total := uint64(p.N() * w.P.Acquisitions)
 		s := p.Read(w.seq.At(0)).Word
-		p.Assert(s == total, "lockconvoy: final seq %d, want %d", s, total)
+		if s != total {
+			p.Failf("lockconvoy: final seq %d, want %d", s, total)
+		}
 		for b := 0; b < w.P.PayloadBlocks; b++ {
 			v := p.Read(w.payload.At(b * 4))
-			p.Assert(v.Word == total, "lockconvoy: final payload block %d word %d, want %d", b, v.Word, total)
+			if v.Word != total {
+				p.Failf("lockconvoy: final payload block %d word %d, want %d", b, v.Word, total)
+			}
 		}
 	}
 }

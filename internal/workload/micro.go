@@ -36,7 +36,9 @@ func (w *ProducerConsumer) Kernel(p *Proc) {
 		if p.ID() != 0 {
 			for b := 0; b < w.Blocks; b++ {
 				v := p.Read(w.data.At(b * 4))
-				p.Assert(v.Word == uint64(t+1), "prodcons: block %d word %d, want %d", b, v.Word, t+1)
+				if v.Word != uint64(t+1) {
+					p.Failf("prodcons: block %d word %d, want %d", b, v.Word, t+1)
+				}
 			}
 		}
 		p.Barrier()
@@ -70,7 +72,9 @@ func (w *Migratory) Kernel(p *Proc) {
 				for b := 0; b < w.Blocks; b++ {
 					v := p.Read(w.data.At(b * 4))
 					expect := uint64(t*p.N() + turn)
-					p.Assert(v.Word == expect, "migratory: block %d word %d, want %d", b, v.Word, expect)
+					if v.Word != expect {
+						p.Failf("migratory: block %d word %d, want %d", b, v.Word, expect)
+					}
 					p.WriteWord(w.data.At(b*4), v.Word+1)
 				}
 			}
@@ -111,7 +115,9 @@ func (w *ReadShared) Kernel(p *Proc) {
 	for t := 0; t < w.Rounds; t++ {
 		for b := 0; b < w.Blocks; b++ {
 			v := p.Read(w.data.At(b * 4))
-			p.Assert(v.Word == 7, "readshared: block %d word %d", b, v.Word)
+			if v.Word != 7 {
+				p.Failf("readshared: block %d word %d", b, v.Word)
+			}
 		}
 		p.Barrier()
 	}
@@ -154,7 +160,9 @@ func (w *LockContention) Kernel(p *Proc) {
 		for i := 0; i < w.Locks; i++ {
 			sum += p.Read(w.ctr.At(i * 4)).Word
 		}
-		p.Assert(sum == uint64(p.N()*w.Rounds), "locks: sum %d, want %d", sum, p.N()*w.Rounds)
+		if sum != uint64(p.N()*w.Rounds) {
+			p.Failf("locks: sum %d, want %d", sum, p.N()*w.Rounds)
+		}
 	}
 }
 
@@ -186,5 +194,7 @@ func (w *FalseSharing) Kernel(p *Proc) {
 	}
 	p.Barrier()
 	v := p.Read(w.data.At(p.ID()))
-	p.Assert(v.Word == uint64(w.Rounds), "falseshare: own word %d, want %d", v.Word, w.Rounds)
+	if v.Word != uint64(w.Rounds) {
+		p.Failf("falseshare: own word %d, want %d", v.Word, w.Rounds)
+	}
 }

@@ -124,7 +124,8 @@ func (w *Ocean) Kernel(p *Proc) {
 	}
 	if p.ID() == 0 {
 		v := p.Read(w.residual.At(0))
-		p.Assert(v.Word == uint64(p.N()*w.P.Iters),
-			"ocean: residual %d, want %d", v.Word, p.N()*w.P.Iters)
+		if v.Word != uint64(p.N()*w.P.Iters) {
+			p.Failf("ocean: residual %d, want %d", v.Word, p.N()*w.P.Iters)
+		}
 	}
 }

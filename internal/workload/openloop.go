@@ -130,7 +130,9 @@ func (w *OpenLoop) Kernel(p *Proc) {
 			p.Compute(req.gap)
 			for _, b := range req.reads {
 				v := p.Read(w.data.At(int(b) * 4))
-				p.Assert(v.Word <= max[b], "openloop: epoch %d block %d gen %d, max %d", e, b, v.Word, max[b])
+				if v.Word > max[b] {
+					p.Failf("openloop: epoch %d block %d gen %d, max %d", e, b, v.Word, max[b])
+				}
 			}
 			if req.write >= 0 {
 				p.WriteWord(w.data.At(int(req.write)*4), req.newGen)
@@ -141,7 +143,9 @@ func (w *OpenLoop) Kernel(p *Proc) {
 	if p.ID() == 0 {
 		for b := 0; b < w.P.WorkingSet; b++ {
 			v := p.Read(w.data.At(b * 4))
-			p.Assert(v.Word == w.finalGen[b], "openloop: final block %d gen %d, want %d", b, v.Word, w.finalGen[b])
+			if v.Word != w.finalGen[b] {
+				p.Failf("openloop: final block %d gen %d, want %d", b, v.Word, w.finalGen[b])
+			}
 		}
 	}
 }

@@ -116,8 +116,10 @@ func (w *ProdRing) Kernel(p *Proc) {
 				}
 				for k := 0; k < w.P.SlotBlocks; k++ {
 					v := p.Read(w.rings.At(w.slotWord(src, s2, k)))
-					p.Assert(v.Word == want, "prodring: round %d ring %d slot %d word %d, want %d",
-						t, src, s2, v.Word, want)
+					if v.Word != want {
+						p.Failf("prodring: round %d ring %d slot %d word %d, want %d",
+							t, src, s2, v.Word, want)
+					}
 				}
 			}
 		}

@@ -69,7 +69,9 @@ func (w *Sparse) Kernel(p *Proc) {
 		for pass := 0; pass < passes; pass++ {
 			for j := 0; j < w.P.N; j++ {
 				v := p.Read(w.x.At(j))
-				p.Assert(v.Word == uint64(t), "sparse: x[%d] word %d, want %d", j, v.Word, t)
+				if v.Word != uint64(t) {
+					p.Failf("sparse: x[%d] word %d, want %d", j, v.Word, t)
+				}
 				p.Compute(w.P.ComputePerRow)
 			}
 		}

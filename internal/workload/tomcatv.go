@@ -84,13 +84,17 @@ func (w *Tomcatv) Kernel(p *Proc) {
 		if rlo > 0 {
 			for c := 0; c < n; c++ {
 				v := p.Read(cur.At(at(rlo-1, c)))
-				p.Assert(v.Word == uint64(t), "tomcatv: mesh[%d,%d] word %d, want %d", rlo-1, c, v.Word, t)
+				if v.Word != uint64(t) {
+					p.Failf("tomcatv: mesh[%d,%d] word %d, want %d", rlo-1, c, v.Word, t)
+				}
 			}
 		}
 		if rhi < n {
 			for c := 0; c < n; c++ {
 				v := p.Read(cur.At(at(rhi, c)))
-				p.Assert(v.Word == uint64(t), "tomcatv: mesh[%d,%d] word %d, want %d", rhi, c, v.Word, t)
+				if v.Word != uint64(t) {
+					p.Failf("tomcatv: mesh[%d,%d] word %d, want %d", rhi, c, v.Word, t)
+				}
 			}
 		}
 		// Sweep the owned rows: read current mesh and working arrays,
@@ -114,7 +118,8 @@ func (w *Tomcatv) Kernel(p *Proc) {
 	}
 	if p.ID() == 0 {
 		v := p.Read(w.residual.At(0))
-		p.Assert(v.Word == uint64(p.N()*w.P.Iters),
-			"tomcatv: residual %d, want %d", v.Word, p.N()*w.P.Iters)
+		if v.Word != uint64(p.N()*w.P.Iters) {
+			p.Failf("tomcatv: residual %d, want %d", v.Word, p.N()*w.P.Iters)
+		}
 	}
 }

@@ -187,7 +187,9 @@ func (w *Zipf) Kernel(p *Proc) {
 		exp := w.expect[t]
 		for _, b := range w.reads[p.ID()][t] {
 			v := p.Read(w.data.At(int(b) * 4))
-			p.Assert(v.Word == exp[b], "zipf: round %d block %d word %d, want %d", t, b, v.Word, exp[b])
+			if v.Word != exp[b] {
+				p.Failf("zipf: round %d block %d word %d, want %d", t, b, v.Word, exp[b])
+			}
 			p.Compute(w.P.ComputePerOp)
 		}
 		p.Barrier() // round done; next round's writers may overwrite
