@@ -6,15 +6,15 @@
 // Usage:
 //
 //	dsisim -workload em3d -protocol V [-procs 32] [-cachebytes 262144] [-latency 100] [-test] [-faults spec]
+//	dsisim -replay spec.json
+//	dsisim ... [-events [-node n] [-block 0xaddr] [-txn id] [-from c] [-to c] [-kinds k,k] [-limit n]]
+//	           [-blocks] [-chrome f]
 //
 // -procs takes 1 to 64 processors, the nodes a full-map directory can name.
 // -cachebytes must make a power-of-two number of 4-way sets of 32-byte
 // blocks (128 bytes times a power of two), as the paper's hardware indexes
 // sets by address bits. A configuration outside these bounds, or a negative
-// -latency, is a named error, as is any flag's malformed value.
-//	dsisim -replay spec.json
-//	dsisim ... [-events [-node n] [-block 0xaddr] [-txn id] [-from c] [-to c] [-kinds k,k] [-limit n]]
-//	           [-blocks] [-chrome f]
+// -latency, is a named error.
 //
 // -cache runs the cell twice through a content-addressed result cache
 // (budget -cachemb): once computed, once memoized. The two results must be
