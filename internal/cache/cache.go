@@ -23,7 +23,7 @@ import (
 // State is a cache-side block state. Exclusive is both readable and
 // writable and implies the copy may be dirty (the protocol always writes
 // back Exclusive copies on eviction or invalidation).
-type State int
+type State uint8
 
 const (
 	Invalid State = iota
@@ -54,7 +54,7 @@ func (s State) String() string {
 type way struct {
 	tag   mem.Addr
 	ep    uint32
-	state uint8 // a State
+	state State
 }
 
 // line is one way's entry in the data array: the block contents and the DSI
@@ -86,11 +86,12 @@ type Frame struct {
 func (f Frame) Valid() bool { return f.State != Invalid }
 
 // Evicted describes a block displaced by a fill or invalidated by a flush;
-// the controller turns it into a writeback/notification message.
+// the controller turns it into a writeback/notification message. At 64
+// bytes it copies inline.
 type Evicted struct {
 	Addr    mem.Addr
-	State   State
 	Data    mem.Value
+	State   State
 	SI      bool
 	TearOff bool
 }
@@ -204,7 +205,7 @@ func (c *Cache) find(b mem.Addr) int {
 	base := c.set(b)
 	ways := c.tags[base : base+c.assoc]
 	for i := range ways {
-		if w := &ways[i]; w.tag == b && w.ep == c.epoch && State(w.state) != Invalid {
+		if w := &ways[i]; w.tag == b && w.ep == c.epoch && w.state != Invalid {
 			return base + i
 		}
 	}
@@ -216,7 +217,7 @@ func (c *Cache) find(b mem.Addr) int {
 //dsi:hotpath
 func (c *Cache) frame(i int) Frame {
 	w := &c.tags[i]
-	return Frame{Tag: w.tag, State: State(w.state), line: &c.lines[i]}
+	return Frame{Tag: w.tag, State: w.state, line: &c.lines[i]}
 }
 
 // Lookup returns the frame holding a valid copy of a's block, recording a
@@ -256,7 +257,7 @@ func (c *Cache) EchoVersion(a mem.Addr) (uint8, bool) {
 	base := c.set(b)
 	ways := c.tags[base : base+c.assoc]
 	for i := range ways {
-		if w := &ways[i]; w.tag == b && w.ep == c.epoch && State(w.state) == Invalid {
+		if w := &ways[i]; w.tag == b && w.ep == c.epoch && w.state == Invalid {
 			if l := &c.lines[base+i]; l.HasVer {
 				return l.Ver, true
 			}
@@ -292,14 +293,14 @@ func (c *Cache) Install(a mem.Addr, fill *Fill) (Evicted, bool) {
 	// Prefer: frame already holding this tag (valid or not), then any
 	// invalid frame, then LRU.
 	for i := range ways {
-		if w := &ways[i]; w.ep == c.epoch && w.tag == b && (State(w.state) != Invalid || c.lines[base+i].HasVer) {
+		if w := &ways[i]; w.ep == c.epoch && w.tag == b && (w.state != Invalid || c.lines[base+i].HasVer) {
 			victim = i
 			break
 		}
 	}
 	if victim < 0 {
 		for i := range ways {
-			if w := &ways[i]; w.ep != c.epoch || State(w.state) == Invalid {
+			if w := &ways[i]; w.ep != c.epoch || w.state == Invalid {
 				victim = i
 				break
 			}
@@ -322,14 +323,14 @@ func (c *Cache) Install(a mem.Addr, fill *Fill) (Evicted, bool) {
 	}
 	var ev Evicted
 	evicted := false
-	if State(w.state) != Invalid && w.tag != b {
-		ev = Evicted{Addr: w.tag, State: State(w.state), Data: l.Data, SI: l.SI, TearOff: l.TearOff}
+	if w.state != Invalid && w.tag != b {
+		ev = Evicted{Addr: w.tag, State: w.state, Data: l.Data, SI: l.SI, TearOff: l.TearOff}
 		evicted = true
 		c.stats.Evictions++
 	}
 	c.clock++
 	w.tag = b
-	w.state = uint8(fill.State)
+	w.state = fill.State
 	l.SI = fill.SI
 	l.TearOff = fill.TearOff
 	l.Ver = fill.Ver
@@ -349,8 +350,8 @@ func (c *Cache) Install(a mem.Addr, fill *Fill) (Evicted, bool) {
 //dsi:hotpath
 func (c *Cache) drop(i int) Evicted {
 	w, l := &c.tags[i], &c.lines[i]
-	ev := Evicted{Addr: w.tag, State: State(w.state), Data: l.Data, SI: l.SI, TearOff: l.TearOff}
-	w.state = uint8(Invalid)
+	ev := Evicted{Addr: w.tag, State: w.state, Data: l.Data, SI: l.SI, TearOff: l.TearOff}
+	w.state = Invalid
 	l.SI = false
 	l.TearOff = false
 	return ev
@@ -370,10 +371,10 @@ func (c *Cache) Invalidate(a mem.Addr) (Evicted, bool) {
 // the recall response.
 func (c *Cache) Downgrade(a mem.Addr) (mem.Value, bool) {
 	i := c.find(mem.BlockOf(a))
-	if i < 0 || State(c.tags[i].state) != Exclusive {
+	if i < 0 || c.tags[i].state != Exclusive {
 		return mem.Value{}, false
 	}
-	c.tags[i].state = uint8(Shared)
+	c.tags[i].state = Shared
 	return c.lines[i].Data, true
 }
 
@@ -413,7 +414,7 @@ func (c *Cache) MarkedFlush() []Evicted {
 	for _, i := range c.marked {
 		l := &c.lines[i]
 		l.inList = false
-		if State(c.tags[i].state) != Invalid && l.SI {
+		if c.tags[i].state != Invalid && l.SI {
 			ev := c.drop(int(i))
 			ev.SI = true
 			out = append(out, ev)
@@ -449,7 +450,7 @@ func (c *Cache) Ways() int { return len(c.tags) }
 // and audits.
 func (c *Cache) ForEachValid(fn func(Frame)) {
 	for i := range c.tags {
-		if w := &c.tags[i]; w.ep == c.epoch && State(w.state) != Invalid {
+		if w := &c.tags[i]; w.ep == c.epoch && w.state != Invalid {
 			fn(c.frame(i))
 		}
 	}
