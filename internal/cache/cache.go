@@ -10,6 +10,10 @@
 //   - membership in the hardware linked list of marked frames that the
 //     flush-at-synchronization mechanism walks.
 //
+// As in hardware, tags and states sit in a tag array apart from the data
+// and DSI bits, and a block's set is given by the low bits of its block
+// number, so the set count is a power of two.
+//
 // Policy — when to mark, when to flush, FIFO vs list — lives in
 // internal/core; this package is the mechanism.
 package cache
@@ -81,9 +85,6 @@ type Frame struct {
 	State State
 	*line
 }
-
-// Valid reports whether the frame holds a usable copy.
-func (f Frame) Valid() bool { return f.State != Invalid }
 
 // Evicted describes a block displaced by a fill or invalidated by a flush;
 // the controller turns it into a writeback/notification message. At 64

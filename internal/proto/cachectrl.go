@@ -397,9 +397,9 @@ func (cc *CacheCtrl) home(a mem.Addr) int { return cc.env.Layout.Home(a) }
 // --- processor-facing operations -------------------------------------------
 
 // Read performs a load. cont may run synchronously on a hit. Every
-// processor-facing completion hands its continuation a pointer to storage
-// the controller owns (the miss's mshr.res or the completion slot), valid
-// only for the call.
+// processor-facing completion writes its result into the completion slot
+// (see CompleteInto) and hands cont a pointer to it, valid until the next
+// completion.
 //
 //dsi:hotpath
 func (cc *CacheCtrl) Read(a mem.Addr, cont func(*Result)) {
@@ -581,7 +581,8 @@ func (cc *CacheCtrl) sendRequest(b mem.Addr, ms *mshr, first bool) {
 	}
 	_, done := cc.server.Admit(cc.env.Q.Now(), CacheOccupancy)
 	sc := cc.newSendCall()
-	// At most four fields in the literal, so it is built in place.
+	// At most four fields in the literal, so the compiler builds it in
+	// place instead of copying it from a temporary.
 	sc.msg = netsim.Message{Kind: kind, Dst: cc.home(b), Addr: b, Txn: ms.txn}
 	sc.msg.Ver, sc.msg.HasVer = ver, hasVer
 	cc.env.Q.AtCall(done, doSendCall, sc)

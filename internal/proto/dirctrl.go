@@ -249,8 +249,8 @@ type dirCall struct {
 }
 
 // processCall is the static action for admitted requests. The request is
-// processed in place, so the record is recycled only afterwards (a request
-// processing releases from the queue takes a record of its own).
+// processed in place, so the record is recycled only afterwards; a queued
+// request that processing re-admits takes a record of its own.
 //
 //dsi:hotpath
 func processCall(arg any) {
