@@ -82,6 +82,7 @@ import (
 
 	"dsisim"
 	"dsisim/internal/experiments"
+	"dsisim/internal/machine"
 	"dsisim/internal/soak"
 	"dsisim/internal/workload"
 )
@@ -181,6 +182,9 @@ func main() {
 		fatal(fmt.Errorf("-resume requires -soak or -fuzz"))
 	}
 
+	if err := (machine.Config{Processors: *procs}).Validate(); err != nil {
+		fatal(fmt.Errorf("-procs: %w", err))
+	}
 	o := experiments.Options{Processors: *procs, Cache: cache}
 	if *testScale {
 		o.Scale = workload.ScaleTest

@@ -78,12 +78,12 @@ func TestMachineConfigBounds(t *testing.T) {
 		args []string
 		want string // error line prefix; empty when the cell must run
 	}{
-		{[]string{"-procs", "65"}, "dsisim: Processors 65 out of range: want 1 to 64"},
-		{[]string{"-procs", "-1"}, "dsisim: Processors -1 out of range: want 1 to 64"},
-		{[]string{"-cachebytes", "1000"}, "dsisim: cache: bad geometry {SizeBytes:1000 Assoc:4}: want a positive multiple of 128 bytes"},
-		{[]string{"-cachebytes", "-4096"}, "dsisim: cache: bad geometry {SizeBytes:-4096 Assoc:4}: want a positive multiple of 128 bytes"},
-		{[]string{"-cachebytes", "98304"}, "dsisim: cache: bad geometry {SizeBytes:98304 Assoc:4}: 768 sets, want a power of two"},
-		{[]string{"-latency", "-5"}, "dsisim: NetworkLatency -5 is negative"},
+		{[]string{"-procs", "65"}, "dsisim: machine: Processors 65 out of range: want 1 to 64"},
+		{[]string{"-procs", "-1"}, "dsisim: machine: Processors -1 out of range: want 1 to 64"},
+		{[]string{"-cachebytes", "1000"}, "dsisim: machine: cache: bad geometry {SizeBytes:1000 Assoc:4}: want a positive multiple of 128 bytes"},
+		{[]string{"-cachebytes", "-4096"}, "dsisim: machine: cache: bad geometry {SizeBytes:-4096 Assoc:4}: want a positive multiple of 128 bytes"},
+		{[]string{"-cachebytes", "98304"}, "dsisim: machine: cache: bad geometry {SizeBytes:98304 Assoc:4}: 768 sets, want a power of two"},
+		{[]string{"-latency", "-5"}, "dsisim: machine: NetworkLatency -5 is negative"},
 		{[]string{"-procs", "1", "-cachebytes", "128"}, ""},
 		{[]string{"-procs", "64", "-latency", "0"}, ""},
 	}

@@ -35,9 +35,7 @@ package dsisim
 import (
 	"fmt"
 
-	"dsisim/internal/cache"
 	"dsisim/internal/cpu"
-	"dsisim/internal/directory"
 	"dsisim/internal/event"
 	"dsisim/internal/faultinj"
 	"dsisim/internal/machine"
@@ -289,16 +287,8 @@ func (c Config) machineConfig() (machine.Config, error) {
 		Sink:           c.Sink,
 		Faults:         c.Faults,
 	}
-	d := mc.Defaults()
-	if d.Processors < 1 || d.Processors > directory.MaxNodes {
-		return machine.Config{}, fmt.Errorf("dsisim: Processors %d out of range: want 1 to %d, or 0 for %d",
-			c.Processors, directory.MaxNodes, machine.Config{}.Defaults().Processors)
-	}
-	if err := (cache.Config{SizeBytes: d.CacheBytes, Assoc: d.CacheAssoc}).Validate(); err != nil {
+	if err := mc.Validate(); err != nil {
 		return machine.Config{}, fmt.Errorf("dsisim: %w", err)
-	}
-	if c.NetworkLatency < 0 {
-		return machine.Config{}, fmt.Errorf("dsisim: NetworkLatency %d is negative", c.NetworkLatency)
 	}
 	return mc, nil
 }

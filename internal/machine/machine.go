@@ -12,6 +12,7 @@ import (
 	"dsisim/internal/check"
 	"dsisim/internal/core"
 	"dsisim/internal/cpu"
+	"dsisim/internal/directory"
 	"dsisim/internal/event"
 	"dsisim/internal/faultinj"
 	"dsisim/internal/mem"
@@ -84,6 +85,27 @@ func (c Config) Defaults() Config {
 		panic("machine: SCTearOff applies to sequential consistency only")
 	}
 	return c
+}
+
+// Validate reports the first field of c, completed by Defaults, that no
+// machine can be built with: a processor count outside 1 to
+// directory.MaxNodes (the nodes a full-map sharer set can name), a cache
+// geometry cache.Config.Validate refuses, or a negative network latency.
+// Drivers check a configuration from outside the program with it before
+// they build a machine; New itself assumes a valid one.
+func (c Config) Validate() error {
+	d := c.Defaults()
+	if d.Processors < 1 || d.Processors > directory.MaxNodes {
+		return fmt.Errorf("machine: Processors %d out of range: want 1 to %d, or 0 for %d",
+			c.Processors, directory.MaxNodes, Config{}.Defaults().Processors)
+	}
+	if err := (cache.Config{SizeBytes: d.CacheBytes, Assoc: d.CacheAssoc}).Validate(); err != nil {
+		return fmt.Errorf("machine: %w", err)
+	}
+	if c.NetworkLatency < 0 {
+		return fmt.Errorf("machine: NetworkLatency %d is negative", c.NetworkLatency)
+	}
+	return nil
 }
 
 // Program is a runnable workload: it allocates its address space in Setup
