@@ -43,7 +43,8 @@
 // experiments: the default campaign sweeps every paper and traffic workload
 // plus generated litmus programs under SC, V, and W+DSI across four fault
 // templates — 2040 cells — on a work-stealing runner. -soakcells and
-// -soakdur bound one sitting (unbounded by default); -soakjournal
+// -soakdur bound one sitting (unbounded by default; a negative -fuzz,
+// -soakcells, -soakdur or -soakworkers is an error); -soakjournal
 // checkpoints every verdict so -resume continues a killed campaign exactly
 // where it stopped (SIGINT/SIGTERM drain in-flight cells and flush a final
 // checkpoint first); -soakcorpus collects minimized replayable specs of
@@ -107,6 +108,9 @@ func main() {
 	useCache := flag.Bool("cache", false, "memoize cell results in a content-addressed cache shared across the run (paper artifacts, -soak and -fuzz)")
 	cacheMB := flag.Int64("cachemb", 256, "result-cache budget in MiB (with -cache)")
 	flag.Parse()
+	if err := checkCampaignBounds(*fuzzN, *soakCells, *soakWorkers, *soakDur); err != nil {
+		fatal(err)
+	}
 
 	var cache *dsisim.ResultCache
 	if *useCache {
@@ -213,6 +217,24 @@ func main() {
 	if cache != nil {
 		fmt.Println(cache.Stats().Table().Render())
 	}
+}
+
+// checkCampaignBounds rejects negative campaign bounds before anything
+// runs: a negative -fuzz would fall through to regenerating the paper
+// artifacts, and a negative -soakcells, -soakworkers or -soakdur would mean
+// every cell, GOMAXPROCS workers or no time bound.
+func checkCampaignBounds(fuzz, cells, workers int, dur time.Duration) error {
+	switch {
+	case fuzz < 0:
+		return fmt.Errorf("-fuzz %d: the repetition count is negative", fuzz)
+	case cells < 0:
+		return fmt.Errorf("-soakcells %d: the cell bound is negative", cells)
+	case workers < 0:
+		return fmt.Errorf("-soakworkers %d: the worker count is negative", workers)
+	case dur < 0:
+		return fmt.Errorf("-soakdur %v: the time bound is negative", dur)
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -6,25 +6,35 @@
 //
 // Workload kernels are ordinary Go functions, each run on a coroutine
 // (iter.Pull) while every event runs on the goroutine that drives the event
-// queue. Every kernel-side operation is a straight line of steps issued from
-// the kernel's coroutine: a load or a store is one step, and a
-// synchronization access drains the write buffer, performs its access, and
-// self-invalidates the marked blocks (§4.2). A step completes in one of two
-// ways:
+// queue. Exactly one of them runs at any moment and control moves by
+// coroutine switch, never through the Go scheduler.
 //
-//   - An intermediate step, one another step follows, switches straight back
-//     into the kernel, which issues the next step inside the completing
-//     event. A step that completes inside the call that issued it (a hit, an
-//     SC or empty drain) lets the kernel go on without yielding.
-//   - An operation's last step charges the issue cycle and resumes the kernel
-//     one cycle later (see resumeProc). The kernel charges the step's stall
-//     and runs until it has issued its next operation, then yields back into
-//     that event.
+// A kernel posts its simple operations (loads whose value it does not use,
+// stores and compute delays: Touch, Write, WriteWord, Compute) and runs on.
+// The processor holds at most one simple operation in flight and queues the
+// posted ones behind it, in program order. An operation completes through
+// resumeProc, which charges its stall and issues the next posted operation
+// inside the same event, at the simulated time the in-order core would have
+// issued it, so posting moves no simulated number. The kernel parks, and is
+// switched back into only once every operation it posted has retired, at:
 //
-// Exactly one of them runs at any moment and control moves by coroutine
-// switch, never through the Go scheduler, so simulations are deterministic
-// as long as kernels do not mutate Go state shared between processors
-// (read-only shared setup is fine).
+//   - a load whose value it uses (Read, ReadSync);
+//   - a synchronization operation (Swap, Lock, Unlock, Barrier), which then
+//     runs as a straight line of steps on the kernel's coroutine: drain the
+//     write buffer, perform the access, self-invalidate the marked blocks
+//     (§4.2). An intermediate step switches straight back into the kernel,
+//     which issues the next step inside the completing event; a step that
+//     completes inside the call that issued it (a hit, an SC or empty drain)
+//     lets the kernel go on without yielding. The last step charges the
+//     issue cycle and resumes the kernel one cycle later;
+//   - a post into a full FIFO (postedMax operations queued);
+//   - its return, or its failure: a kernel that ends with operations posted
+//     halts when the last of them retires.
+//
+// A kernel's Go code therefore runs ahead of simulated time, up to its next
+// parking point. Simulations stay deterministic as long as kernels do not
+// mutate Go state shared between processors (read-only shared setup is
+// fine).
 package cpu
 
 import (
@@ -56,8 +66,38 @@ type Value struct {
 // spinBackoffMax bounds the exponential backoff between lock retries.
 const spinBackoffMax = 256
 
+// postedMax bounds the simple operations a kernel may post behind the one in
+// flight. A kernel that fills the FIFO parks until it empties, so the bound
+// trades one extra switch per postedMax+1 operations against the FIFO's
+// memory and how far a kernel's Go code runs ahead of simulated time: at 64
+// a long run of stores or compute delays switches less than twice per
+// hundred operations, and the FIFO is 3 KiB per processor.
+const postedMax = 64
+
 // errReleased is the panic value that unwinds a released kernel.
 var errReleased = errors.New("cpu: kernel released")
+
+// opKind is the kind of a simple operation: one a kernel posts and
+// resumeProc issues and retires.
+type opKind uint8
+
+const (
+	opNone    opKind = iota // no simple operation in flight
+	opRead                  // a load (Read, ReadSync, Touch)
+	opWrite                 // a store (Write, WriteWord)
+	opCompute               // a compute delay (Compute, a lock's backoff)
+)
+
+// simpleOp is one posted simple operation.
+type simpleOp struct {
+	kind opKind
+	// sync charges a load's stall, or a compute delay, to synchronization
+	// (ReadSync, a lock's backoff).
+	sync   bool
+	addr   mem.Addr
+	st     proto.Store // a store's token, drawn when it is posted
+	cycles int64       // a compute delay's length
+}
 
 // Proc is one simulated processor. Kernel-side methods (Read, Write, …)
 // must only be called from the processor's own kernel; everything else
@@ -83,15 +123,24 @@ type Proc struct {
 
 	// The core has at most one step in flight. res is the processor's own
 	// result slot, lent to the cache controller (see New): every completion
-	// writes the step's result there, and the kernel reads it through the
-	// pointer waitLast or waitStep returns before it issues its next step.
-	// ready marks an intermediate step that completed inside the call that
-	// issued it, waiting a kernel parked on an intermediate step, and stop a
-	// kernel released while parked (see Release).
+	// writes the step's result there, where resumeProc retires a simple
+	// operation and the kernel reads the pointer waitLast or waitStep
+	// returns. ready marks an intermediate step that completed inside the
+	// call that issued it, waiting a kernel parked on an intermediate step,
+	// and stop a kernel released while parked (see Release).
 	res     proto.Result
 	ready   bool
 	waiting bool
 	stop    bool
+
+	// cur is the simple operation in flight (kind opNone when none is, as
+	// while a synchronization operation runs its steps), issued at curStart.
+	// posted, last in the struct so that it keeps the other fields close
+	// together, holds the simple operations queued behind cur: npost of
+	// them, in a ring from head.
+	cur         simpleOp
+	curStart    event.Time
+	head, npost int
 
 	// The step completions, bound once at construction so issuing a step
 	// allocates nothing: step and stepRes end an intermediate step, last and
@@ -100,8 +149,10 @@ type Proc struct {
 	stepRes, lastRes func(*proto.Result)
 
 	// OnOp, if set, observes every operation the kernel issues, in program
-	// order, before it executes. Used by the trace tooling.
+	// order, when the kernel posts or starts it. Used by the trace tooling.
 	OnOp func(TraceOp)
+
+	posted [postedMax]simpleOp
 }
 
 // TraceOp is one kernel-issued operation as seen by a tracer.
@@ -130,9 +181,9 @@ func New(id, n int, q *event.Queue, cc *proto.CacheCtrl, barrier *Barrier, brk *
 // Reset returns a processor to its just-built state for machine reuse,
 // keeping the completions bound at construction. The queue, cache
 // controller, barrier, and breakdown wiring persist; only the run state
-// (RNG, store sequence, halt/err, step state) is cleared. The previous run's
-// kernel must have been released: Reset before Release would leave it
-// holding a coroutine, so that is a hard error.
+// (RNG, store sequence, halt/err, step state, posted operations) is cleared.
+// The previous run's kernel must have been released: Reset before Release
+// would leave it holding a coroutine, so that is a hard error.
 func (p *Proc) Reset(seed uint64) {
 	if p.co != nil {
 		panic("cpu: Reset of a processor whose kernel has not been released")
@@ -144,6 +195,7 @@ func (p *Proc) Reset(seed uint64) {
 	p.err = nil
 	p.res = proto.Result{}
 	p.ready, p.waiting, p.stop = false, false, false
+	p.dropPosted()
 	p.OnOp = nil
 }
 
@@ -171,56 +223,48 @@ func (p *Proc) Breakdown() *stats.Breakdown { return p.brk }
 // --- kernel-side API ---------------------------------------------------------
 
 // Read performs a load and returns the accessed word with its block's
-// coherence token.
+// coherence token. The kernel parks until the load retires.
 func (p *Proc) Read(a mem.Addr) Value { return p.read(a, false) }
 
 // ReadSync is Read with the stall charged to synchronization (spin loops).
 func (p *Proc) ReadSync(a mem.Addr) Value { return p.read(a, true) }
 
-// read is a load: one last step.
+// read posts a load and parks until it retires.
 //
 //dsi:hotpath
 func (p *Proc) read(a mem.Addr, sync bool) Value {
 	if p.OnOp != nil {
 		p.OnOp(TraceOp{Kind: "read", Addr: a, Sync: sync})
 	}
-	start := p.q.Now()
-	p.cc.Read(a, p.lastRes)
-	res := p.waitLast()
-	stall := int64(res.Done - start)
-	switch {
-	case sync:
-		p.brk.Add(stats.Sync, stall)
-	case res.WBRead:
-		p.brk.Add(stats.ReadWB, stall)
-	default:
-		inv := min(int64(res.InvWait), stall)
-		p.brk.Add(stats.ReadInval, inv)
-		p.brk.Add(stats.ReadOther, stall-inv)
+	p.post(simpleOp{kind: opRead, sync: sync, addr: a})
+	p.settle()
+	v := &p.res.Value
+	return Value{Writer: v.Writer, Seq: v.Seq, Word: v.WordAt(a)}
+}
+
+// Touch performs a load whose value the kernel does not use, charged
+// exactly like Read. It posts the load and returns at once.
+//
+//dsi:hotpath
+func (p *Proc) Touch(a mem.Addr) {
+	if p.OnOp != nil {
+		p.OnOp(TraceOp{Kind: "read", Addr: a})
 	}
-	return Value{Writer: res.Value.Writer, Seq: res.Value.Seq, Word: res.Value.WordAt(a)}
+	p.post(simpleOp{kind: opRead, addr: a})
 }
 
 // Write performs a store of a fresh value token (Word = 0).
 func (p *Proc) Write(a mem.Addr) { p.WriteWord(a, 0) }
 
-// WriteWord stores a fresh token carrying the given word (for flags). A
-// store is one last step.
+// WriteWord stores a fresh token carrying the given word (for flags). It
+// posts the store and returns at once.
 //
 //dsi:hotpath
 func (p *Proc) WriteWord(a mem.Addr, w uint64) {
 	if p.OnOp != nil {
 		p.OnOp(TraceOp{Kind: "write", Addr: a, Word: w})
 	}
-	start := p.q.Now()
-	p.cc.Write(a, p.token(w), p.lastRes)
-	res := p.waitLast()
-	stall := int64(res.Done - start)
-	full := min(int64(res.WBFullWait), stall)
-	inv := min(int64(res.InvWait), stall-full)
-	p.brk.Add(stats.WBFull, full)
-	p.brk.Add(stats.WriteInval, inv)
-	p.brk.Add(stats.WriteOther, stall-full-inv)
+	p.post(simpleOp{kind: opWrite, addr: a, st: p.token(w)})
 }
 
 // Swap atomically exchanges the block's word, returning the old word. It is
@@ -229,6 +273,7 @@ func (p *Proc) Swap(a mem.Addr, w uint64) uint64 {
 	if p.OnOp != nil {
 		p.OnOp(TraceOp{Kind: "swap", Addr: a, Word: w, Sync: true})
 	}
+	p.settle()
 	p.drain()
 	drained := p.q.Now()
 	p.cc.Swap(a, w, p.token(w), p.stepRes)
@@ -239,7 +284,8 @@ func (p *Proc) Swap(a mem.Addr, w uint64) uint64 {
 	return old
 }
 
-// Compute advances the processor by the given number of cycles.
+// Compute advances the processor by the given number of cycles. It posts
+// the delay and returns at once.
 func (p *Proc) Compute(cycles int64) {
 	if cycles < 0 {
 		panic("cpu: negative compute")
@@ -249,21 +295,15 @@ func (p *Proc) Compute(cycles int64) {
 	}
 }
 
-// compute is a compute delay, charged to synchronization for a lock's
-// backoff: one last step, completed by its own resume event.
+// compute posts a compute delay, charged to synchronization for a lock's
+// backoff.
 //
 //dsi:hotpath
 func (p *Proc) compute(cycles int64, sync bool) {
 	if p.OnOp != nil {
 		p.OnOp(TraceOp{Kind: "compute", Cycles: cycles, Sync: sync})
 	}
-	cat := stats.Compute
-	if sync {
-		cat = stats.Sync
-	}
-	p.brk.Add(cat, cycles)
-	p.q.AfterCall(event.Time(cycles), resumeProc, p)
-	p.waitLast()
+	p.post(simpleOp{kind: opCompute, sync: sync, cycles: cycles})
 }
 
 // ComputeInstr charges instruction-count work at the 3-issue rate of the
@@ -280,15 +320,16 @@ func (p *Proc) ComputeInstr(instructions int64) {
 // of the paper describes).
 //
 // Each attempt is its own swap operation, drain then swap, followed by a
-// backoff compute while the word is taken. A failed attempt is not a
-// completed synchronization point, so the self-invalidation runs once, as
-// a flush operation after the acquire.
+// posted backoff compute while the word is taken, which the next attempt
+// waits out. A failed attempt is not a completed synchronization point, so
+// the self-invalidation runs once, as a flush operation after the acquire.
 func (p *Proc) Lock(a mem.Addr) {
 	backoff := int64(8)
 	for {
 		if p.OnOp != nil {
 			p.OnOp(TraceOp{Kind: "swap", Addr: a, Word: 1, Sync: true})
 		}
+		p.settle()
 		p.drain()
 		drained := p.q.Now()
 		p.cc.Swap(a, 1, p.token(1), p.lastRes)
@@ -315,6 +356,7 @@ func (p *Proc) Unlock(a mem.Addr) {
 	if p.OnOp != nil {
 		p.OnOp(TraceOp{Kind: "unlock", Addr: a})
 	}
+	p.settle()
 	p.drain()
 	drained := p.q.Now()
 	p.cc.Write(a, p.token(0), p.stepRes)
@@ -328,6 +370,7 @@ func (p *Proc) Barrier() {
 	if p.OnOp != nil {
 		p.OnOp(TraceOp{Kind: "barrier"})
 	}
+	p.settle()
 	p.drain()
 	start := p.q.Now()
 	p.cc.SyncFlush(p.stepRes)
@@ -377,12 +420,110 @@ func (p *Proc) token(word uint64) proto.Store {
 	return proto.Store{Writer: p.id, Seq: p.seq, Word: word}
 }
 
+// --- posted simple operations --------------------------------------------------
+
+// post queues simple operation op behind the one in flight, or issues it
+// now when none is. A post into a full FIFO first parks the kernel until
+// every posted operation has retired.
+//
+//dsi:hotpath
+func (p *Proc) post(op simpleOp) {
+	if p.cur.kind != opNone {
+		if p.npost < postedMax {
+			p.posted[(p.head+p.npost)&(postedMax-1)] = op
+			p.npost++
+			return
+		}
+		p.settle()
+	}
+	p.issue(&op)
+}
+
+// settle parks the kernel until every simple operation it posted has
+// retired; resumeProc switches back into it once the FIFO is empty.
+//
+//dsi:hotpath
+func (p *Proc) settle() {
+	if p.cur.kind != opNone {
+		p.waitLast()
+	}
+}
+
+// issue starts simple operation op at the current time and puts it in
+// flight. A load or a store completes through lastDone; a compute delay
+// charges its cycles now and completes through its own resume event. op
+// goes in flight only once issued, so an issue that panics leaves nothing
+// in flight for the kernel to wait on.
+//
+//dsi:hotpath
+func (p *Proc) issue(op *simpleOp) {
+	p.curStart = p.q.Now()
+	switch op.kind {
+	case opRead:
+		p.cc.Read(op.addr, p.lastRes)
+	case opWrite:
+		p.cc.Write(op.addr, op.st, p.lastRes)
+	case opCompute:
+		cat := stats.Compute
+		if op.sync {
+			cat = stats.Sync
+		}
+		p.brk.Add(cat, op.cycles)
+		p.q.AfterCall(event.Time(op.cycles), resumeProc, p)
+	case opNone:
+		panic("cpu: issue with no operation")
+	}
+	p.cur = *op
+}
+
+// retire completes the simple operation in flight, charging a load's or a
+// store's stall, from its issue to the completion the controller wrote into
+// the result slot, to the categories of Figure 3.
+//
+//dsi:hotpath
+func (p *Proc) retire() {
+	op := &p.cur
+	switch op.kind {
+	case opRead:
+		stall := int64(p.res.Done - p.curStart)
+		switch {
+		case op.sync:
+			p.brk.Add(stats.Sync, stall)
+		case p.res.WBRead:
+			p.brk.Add(stats.ReadWB, stall)
+		default:
+			inv := min(int64(p.res.InvWait), stall)
+			p.brk.Add(stats.ReadInval, inv)
+			p.brk.Add(stats.ReadOther, stall-inv)
+		}
+	case opWrite:
+		stall := int64(p.res.Done - p.curStart)
+		full := min(int64(p.res.WBFullWait), stall)
+		inv := min(int64(p.res.InvWait), stall-full)
+		p.brk.Add(stats.WBFull, full)
+		p.brk.Add(stats.WriteInval, inv)
+		p.brk.Add(stats.WriteOther, stall-full-inv)
+	case opCompute:
+		// Charged when issued.
+	case opNone:
+		panic("cpu: retire with no operation in flight")
+	}
+	op.kind = opNone
+}
+
+// dropPosted forgets the operation in flight and every posted one, for a
+// processor whose run has ended.
+func (p *Proc) dropPosted() {
+	p.cur = simpleOp{}
+	p.head, p.npost = 0, 0
+}
+
 // --- processor runtime ---------------------------------------------------------
 
 // coro is a kernel coroutine. Its loop runs one kernel per borrowing: the
-// first next() after Start runs the kernel to its first operation, and each
-// later next() resumes it. When the kernel has ended, the loop yields once
-// more and waits, idle, for the next kernel a borrower hands it.
+// first next() after Start runs the kernel to its first parking point, and
+// each later next() resumes it. When the kernel has ended, the loop yields
+// once more and waits, idle, for the next kernel a borrower hands it.
 type coro struct {
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
@@ -434,7 +575,7 @@ func borrow() *coro {
 
 // Start borrows a coroutine for kernel k and schedules the processor's
 // start event at the current simulation time; the start event runs the
-// kernel up to its first operation. Release returns the coroutine.
+// kernel up to its first parking point. Release returns the coroutine.
 func (p *Proc) Start(k Kernel) {
 	c := borrow()
 	c.p, c.k = p, k
@@ -443,12 +584,12 @@ func (p *Proc) Start(k Kernel) {
 }
 
 // Release ends the processor's part in a finished run and returns its
-// coroutine to the idle list. A kernel the run left parked mid-operation (a
-// deadlock, or an event budget that expired), in either kind of wait, or
-// never started, is first resumed with stop set: it unwinds without
-// recording an error, and the processor keeps reporting Done() == false.
-// Call Release once the event loop has stopped; the processor can then be
-// Reset and reused.
+// coroutine to the idle list. A kernel the run left parked (a deadlock, or
+// an event budget that expired), in any kind of wait, or never started, is
+// first resumed with stop set: it unwinds without recording an error, and
+// the processor keeps reporting Done() == false. Operations it left posted
+// are dropped. Call Release once the event loop has stopped; the processor
+// can then be Reset and reused.
 func (p *Proc) Release() {
 	c := p.co
 	if c == nil {
@@ -458,6 +599,7 @@ func (p *Proc) Release() {
 		p.stop = true
 		c.next()
 	}
+	p.dropPosted()
 	p.co = nil
 	c.p, c.k = nil, nil
 	idle.Lock()
@@ -466,19 +608,33 @@ func (p *Proc) Release() {
 }
 
 // run executes kernel k on the coroutine, from its start event until it
-// returns or panics, and then marks the processor halted. A released kernel
-// unwinds through errReleased instead and is left not done.
+// returns or panics, waits for the operations it left posted to retire, and
+// then marks the processor halted. A released kernel unwinds through
+// errReleased instead and is left not done.
 func (p *Proc) run(k Kernel) {
 	defer func() {
-		r := recover()
-		if r == errReleased {
-			return
+		if r := recover(); r != nil && r != errReleased {
+			panic(r)
 		}
-		if r != nil {
-			p.err = fmt.Errorf("%v", r)
+	}()
+	err := p.call(k)
+	p.settle()
+	p.err = err
+	p.done = true
+	p.halt = p.q.Now()
+}
+
+// call runs kernel k and returns its failure, if it panicked. A release
+// keeps unwinding.
+func (p *Proc) call(k Kernel) (err error) {
+	defer func() {
+		switch r := recover(); r {
+		case nil:
+		case errReleased:
+			panic(r)
+		default:
+			err = fmt.Errorf("%v", r)
 		}
-		p.done = true
-		p.halt = p.q.Now()
 	}()
 	if p.stop {
 		panic(errReleased)
@@ -487,22 +643,36 @@ func (p *Proc) run(k Kernel) {
 	if p.OnOp != nil {
 		p.OnOp(TraceOp{Kind: "halt"})
 	}
+	return nil
 }
 
-// resumeProc is the static typed-event action that starts a kernel and
-// resumes it after each operation's last step. It switches to the
-// processor's kernel coroutine, which runs until it has issued its next
-// operation (or halted) and switches back, so the kernel issues inside this
-// event.
+// resumeProc is the static typed-event action that completes a simple
+// operation, starts a kernel, and resumes it after a synchronization
+// operation's last step. A retired simple operation with another posted
+// behind it issues that one inside this event; otherwise resumeProc
+// switches to the processor's kernel coroutine, which runs until it parks
+// (or halts) and switches back, so the kernel issues inside this event.
 //
 //dsi:hotpath
 func resumeProc(arg any) {
-	arg.(*Proc).co.next()
+	p := arg.(*Proc)
+	if p.cur.kind != opNone {
+		p.retire()
+		if p.npost > 0 {
+			op := &p.posted[p.head]
+			p.head = (p.head + 1) & (postedMax - 1)
+			p.npost--
+			p.issue(op)
+			return
+		}
+	}
+	p.co.next()
 }
 
-// waitLast parks the kernel until lastDone has completed its operation's
-// last step and resumeProc has resumed it, and returns the step's result:
-// the processor's own slot, valid until the kernel issues its next step.
+// waitLast parks the kernel until resumeProc switches back into it: after
+// an operation's last step, whose result it returns (the processor's own
+// slot, valid until the kernel issues its next step), or once the FIFO has
+// emptied.
 //
 //dsi:hotpath
 func (p *Proc) waitLast() *proto.Result {
@@ -546,9 +716,10 @@ func (p *Proc) stepDone(*proto.Result) {
 	p.ready = true
 }
 
-// lastDone completes an operation's last step, whose result the controller
-// has written into the processor's slot: it charges the issue cycle and
-// resumes the kernel one cycle later, which then charges the step's stall.
+// lastDone completes a load, a store, or an operation's last step, whose
+// result the controller has written into the processor's slot: it charges
+// the issue cycle and schedules resumeProc one cycle later, which charges
+// the stall.
 //
 //dsi:hotpath
 func (p *Proc) lastDone(*proto.Result) {

@@ -261,18 +261,21 @@ func TestWCWriteIsNonBlocking(t *testing.T) {
 }
 
 // BenchmarkProcResume measures the processor runtime's handoff: two
-// processors alternate Compute(1), so every operation resumes the other
-// processor's kernel. One op is one operation: its completion event, the
-// switch into the kernel and back, and the kernel issuing its next
-// operation.
+// processors each issue blocking Read hits on a block it already holds
+// (after one miss to fetch it), and their completions alternate, so every
+// operation resumes the other processor's kernel. One op is one operation:
+// its completion event, the switch into the kernel and back, and the kernel
+// issuing its next load.
 func BenchmarkProcResume(b *testing.B) {
 	procs, h := newHarness(b, 2, proto.SC)
 	ops := [2]int{b.N - b.N/2, b.N / 2}
 	for i, p := range procs {
 		n := ops[i]
+		a := mem.Addr((i + 1) * mem.BlockSize)
 		p.Start(func(p *Proc) {
+			p.Read(a)
 			for range n {
-				p.Compute(1)
+				p.Read(a)
 			}
 		})
 	}
@@ -285,6 +288,35 @@ func BenchmarkProcResume(b *testing.B) {
 		if !p.Done() {
 			b.Fatalf("proc %d did not halt", p.ID())
 		}
+	}
+}
+
+// BenchmarkProcPosted measures posted simple operations: one processor
+// alternates Compute(1) and WriteWord hits on a block it holds exclusive
+// (after one miss to fetch it), so its kernel parks only when its FIFO of
+// posted operations fills. One op is one posted operation: the post, its
+// issue and completion event, and its retirement.
+func BenchmarkProcPosted(b *testing.B) {
+	procs, h := newHarness(b, 1, proto.SC)
+	a := mem.Addr(mem.BlockSize)
+	n := b.N
+	procs[0].Start(func(p *Proc) {
+		p.WriteWord(a, 0)
+		for i := range n {
+			if i%2 == 0 {
+				p.Compute(1)
+			} else {
+				p.WriteWord(a, uint64(i))
+			}
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	h.q.Run()
+	b.StopTimer()
+	procs[0].Release()
+	if !procs[0].Done() || procs[0].Err() != nil {
+		b.Fatalf("proc 0 did not halt cleanly: %v", procs[0].Err())
 	}
 }
 

@@ -298,12 +298,20 @@ func TestDeadlockedRunsReleaseKernels(t *testing.T) {
 	}
 }
 
+// syncPosts is how many loads and compute delays each syncProg kernel posts
+// in one run: more than a processor's FIFO of posted operations holds (64
+// behind the one in flight), so the kernel parks at a full FIFO.
+const syncPosts = 140
+
 // syncProg builds a program whose kernels park in every kind of wait. Each
-// processor reads a block the others share and buffers a store to it, so
-// its lock acquire (drain, swap, self-invalidation) first waits for the
-// store's upgrade; it then buffers a second store inside the critical
+// processor first posts syncPosts discarded loads and compute delays, so it
+// parks at a full FIFO and then, at the read that follows, behind a
+// non-empty one. It reads a block the others share and buffers a store to
+// it, so its lock acquire (drain, swap, self-invalidation) first waits for
+// the store's upgrade; it then buffers a second store inside the critical
 // section, which its release (drain, releasing store, self-invalidation)
-// waits for, and joins a barrier (drain, self-invalidation, arrival).
+// waits for, joins a barrier (drain, self-invalidation, arrival), and
+// returns with two more stores posted, which it waits for before it halts.
 func syncProg() *prog {
 	var data, lock mem.Region
 	return &prog{
@@ -313,22 +321,33 @@ func syncProg() *prog {
 			lock = m.Layout().AllocInterleaved("lock", mem.BlockSize)
 		},
 		kernel: func(p *cpu.Proc) {
+			for i := range syncPosts {
+				if i%2 == 0 {
+					p.Touch(data.Addr(0))
+				} else {
+					p.Compute(1)
+				}
+			}
 			p.Read(data.Addr(0))
 			p.WriteWord(data.Addr(uint64(p.ID())*8), 1)
 			p.Lock(lock.Addr(0))
 			p.WriteWord(data.Addr(uint64(p.ID())*8), 2)
 			p.Unlock(lock.Addr(0))
 			p.Barrier()
+			p.WriteWord(data.Addr(uint64(p.ID())*8), 3)
+			p.WriteWord(data.Addr(uint64(p.ID())*8), 4)
 		},
 	}
 }
 
 // TestTruncatedRunsReleaseKernels cuts one run short after every possible
 // number of events, so each truncated run leaves the kernels parked wherever
-// that event finds them: not yet started, inside a write-buffer drain, a
-// swap, a self-invalidation, or at the barrier. Every truncated run must
-// fail and release its kernels without leaking a goroutine, and the reused
-// machine must then reproduce a fresh machine's full run.
+// that event finds them: not yet started, at a full FIFO of posted
+// operations, behind a non-empty one, inside a write-buffer drain, a swap, a
+// self-invalidation, at the barrier, or returned with stores still posted.
+// Every truncated run must fail and release its kernels without leaking a
+// goroutine, and the reused machine must then reproduce a fresh machine's
+// full run.
 func TestTruncatedRunsReleaseKernels(t *testing.T) {
 	w, err := proto.LabelOf("W+DSI")
 	if err != nil {

@@ -59,6 +59,21 @@ type Options struct {
 	canary bool
 }
 
+// checkBounds rejects negative sitting bounds, which would otherwise fall
+// into the zero values' meanings: every owned cell, GOMAXPROCS workers, no
+// wall-clock bound.
+func (o *Options) checkBounds() error {
+	switch {
+	case o.MaxCells < 0:
+		return fmt.Errorf("soak: MaxCells %d is negative (0 runs every owned cell)", o.MaxCells)
+	case o.Workers < 0:
+		return fmt.Errorf("soak: Workers %d is negative (0 means GOMAXPROCS)", o.Workers)
+	case o.Duration < 0:
+		return fmt.Errorf("soak: Duration %v is negative (0 means no bound)", o.Duration)
+	}
+	return nil
+}
+
 // Report summarizes one campaign sitting.
 type Report struct {
 	Owned     int // cells this shard owns
@@ -80,6 +95,9 @@ type Report struct {
 // cell failures are data, not errors — they land in the journal, the
 // corpus, and Report.Failures.
 func Run(o Options) (*Report, error) {
+	if err := o.checkBounds(); err != nil {
+		return nil, err
+	}
 	if len(o.Space.Workloads) == 0 {
 		o.Space = DefaultSpace()
 	}

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"dsisim/internal/proto"
 	"dsisim/internal/workload"
@@ -321,6 +322,34 @@ func TestRunStopDrains(t *testing.T) {
 	}
 	if rep.Recovered != 0 || rep.Ran != o.Space.Cells() {
 		t.Fatalf("resume after drain: recovered %d, ran %d", rep.Recovered, rep.Ran)
+	}
+}
+
+// Negative sitting bounds are errors, returned before anything runs or any
+// journal is opened, not the zero values' "all cells, GOMAXPROCS workers, no
+// time bound".
+func TestRunRejectsNegativeBounds(t *testing.T) {
+	cases := []struct {
+		name string
+		o    Options
+		want string
+	}{
+		{"cells", Options{MaxCells: -5}, "soak: MaxCells -5 is negative"},
+		{"workers", Options{Workers: -2}, "soak: Workers -2 is negative"},
+		{"duration", Options{Duration: -time.Second}, "soak: Duration -1s is negative"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			jpath := filepath.Join(t.TempDir(), "soak.jsonl")
+			c.o.Space, c.o.Journal = testSpace(), jpath
+			rep, err := Run(c.o)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Run: report %+v, error %v; want an error containing %q", rep, err, c.want)
+			}
+			if _, statErr := os.Stat(jpath); !os.IsNotExist(statErr) {
+				t.Fatalf("journal touched before the bounds were checked: %v", statErr)
+			}
+		})
 	}
 }
 

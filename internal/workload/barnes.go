@@ -98,7 +98,7 @@ func (w *Barnes) Kernel(p *Proc) {
 		// Force computation: read the visit set and neighboring bodies.
 		for b := lo; b < hi; b++ {
 			for _, cell := range w.visit[t][b] {
-				p.Read(w.cells.At(cell))
+				p.Touch(w.cells.At(cell))
 			}
 			// Read a few other bodies' positions (previous generation).
 			for k := 1; k <= 3; k++ {

@@ -138,7 +138,7 @@ func (w *EM3D) Kernel(p *Proc) {
 				if v.Word != expect {
 					p.Failf("em3d: dep (%d,%d) word %d, want %d", dep[0], dep[1], v.Word, expect)
 				}
-				p.Read(weights.At(k*deg + d)) // private edge coefficient
+				p.Touch(weights.At(k*deg + d)) // private edge coefficient
 			}
 			p.Compute(w.P.ComputePerDep * int64(deg))
 			p.WriteWord(own.At(k), write)

@@ -79,7 +79,7 @@ func (w *Ocean) Kernel(p *Proc) {
 					if nr < 0 || nr >= n || nc < 0 || nc >= n {
 						continue
 					}
-					p.Read(w.grid.At(w.at(nr, nc)))
+					p.Touch(w.grid.At(w.at(nr, nc)))
 				}
 				p.Compute(w.P.ComputePerCell)
 				p.WriteWord(w.grid.At(w.at(r, c)), write)
@@ -101,12 +101,12 @@ func (w *Ocean) Kernel(p *Proc) {
 		for round := 0; round < w.P.RelaxedRounds && rlo < rhi; round++ {
 			if rhi < n {
 				for c := 0; c < n; c++ {
-					p.Read(w.grid.At(w.at(rhi, c)))
+					p.Touch(w.grid.At(w.at(rhi, c)))
 				}
 			}
 			if rlo > 0 {
 				for c := 0; c < n; c++ {
-					p.Read(w.grid.At(w.at(rlo-1, c)))
+					p.Touch(w.grid.At(w.at(rlo-1, c)))
 				}
 			}
 			for c := 0; c < n; c++ {

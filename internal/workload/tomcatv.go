@@ -101,9 +101,9 @@ func (w *Tomcatv) Kernel(p *Proc) {
 		// write the next generation.
 		for r := rlo; r < rhi; r++ {
 			for c := 0; c < n; c++ {
-				p.Read(cur.At(at(r, c)))
+				p.Touch(cur.At(at(r, c)))
 				for _, wa := range w.work {
-					p.Read(wa.At(at(r, c)))
+					p.Touch(wa.At(at(r, c)))
 				}
 				p.Compute(w.P.ComputePerCell)
 				p.WriteWord(nxt.At(at(r, c)), uint64(t+1))
