@@ -9,14 +9,15 @@
 // queue. Exactly one of them runs at any moment and control moves by
 // coroutine switch, never through the Go scheduler.
 //
-// A kernel posts its simple operations (loads whose value it does not use,
-// stores and compute delays: Touch, Write, WriteWord, Compute) and runs on.
-// The processor holds at most one simple operation in flight and queues the
-// posted ones behind it, in program order. An operation completes through
-// resumeProc, which charges its stall and issues the next posted operation
-// inside the same event, at the simulated time the in-order core would have
-// issued it, so posting moves no simulated number. The kernel parks, and is
-// switched back into only once every operation it posted has retired, at:
+// A kernel posts its simple operations (loads whose value it does not use
+// or only compares, stores and compute delays: Touch, Expect, Write,
+// WriteWord, Compute) and runs on. The processor holds at most one simple
+// operation in flight and queues the posted ones behind it, in program
+// order. An operation completes through resumeProc, which charges its stall
+// and issues the next posted operation inside the same event, at the
+// simulated time the in-order core would have issued it, so posting moves no
+// simulated number. The kernel parks, and is switched back into only once
+// every operation it posted has retired, at:
 //
 //   - a load whose value it uses (Read, ReadSync);
 //   - a synchronization operation (Swap, Lock, Unlock, Barrier), which then
@@ -35,6 +36,15 @@
 // parking point. Simulations stay deterministic as long as kernels do not
 // mutate Go state shared between processors (read-only shared setup is
 // fine).
+//
+// Expect is a posted load whose word must equal the one the kernel expects.
+// resumeProc compares the word when the load retires. On a mismatch it drops
+// the operations posted behind the load, which never issue, and switches
+// into the kernel, which unwinds from its parking point with the failure;
+// the processor halts at the load's retire time, exactly where a Read
+// followed by a guarded Failf with the same text would have halted it. OnOp
+// has already seen the dropped operations, since it sees each operation when
+// the kernel posts it.
 package cpu
 
 import (
@@ -93,10 +103,14 @@ type simpleOp struct {
 	kind opKind
 	// sync charges a load's stall, or a compute delay, to synchronization
 	// (ReadSync, a lock's backoff).
-	sync   bool
-	addr   mem.Addr
-	st     proto.Store // a store's token, drawn when it is posted
-	cycles int64       // a compute delay's length
+	sync bool
+	// check marks a load whose word must equal st.Word (Expect).
+	check bool
+	addr  mem.Addr
+	// st is a store's token, drawn when it is posted; a checked load keeps
+	// the word it expects in st.Word.
+	st     proto.Store
+	cycles int64 // a compute delay's length
 }
 
 // Proc is one simulated processor. Kernel-side methods (Read, Write, …)
@@ -214,7 +228,8 @@ func (p *Proc) Done() bool { return p.done }
 // HaltTime returns the simulated time the kernel halted.
 func (p *Proc) HaltTime() event.Time { return p.halt }
 
-// Err returns the kernel's panic error, if any.
+// Err returns the kernel's failure, if any: its panic, or the first of its
+// Expect loads that read a word other than the one expected.
 func (p *Proc) Err() error { return p.err }
 
 // Breakdown returns the processor's cycle attribution.
@@ -251,6 +266,20 @@ func (p *Proc) Touch(a mem.Addr) {
 		p.OnOp(TraceOp{Kind: "read", Addr: a})
 	}
 	p.post(simpleOp{kind: opRead, addr: a})
+}
+
+// Expect performs a load whose word must equal want, charged exactly like
+// Read. It posts the load and returns at once; resumeProc compares the word
+// when the load retires. A mismatch fails the kernel with
+// "proc N assertion failed: load of 0x… word X, want Y" (see the package
+// comment).
+//
+//dsi:hotpath
+func (p *Proc) Expect(a mem.Addr, want uint64) {
+	if p.OnOp != nil {
+		p.OnOp(TraceOp{Kind: "read", Addr: a})
+	}
+	p.post(simpleOp{kind: opRead, check: true, addr: a, st: proto.Store{Word: want}})
 }
 
 // Write performs a store of a fresh value token (Word = 0).
@@ -382,8 +411,9 @@ func (p *Proc) Barrier() {
 
 // Failf aborts the kernel with a diagnostic; the failure surfaces as a run
 // error. Guard it with the check it reports, as in
-// `if v.Word != want { p.Failf(...) }`, so that its arguments are boxed only
-// when the check fails.
+// `if v.Word > max { p.Failf(...) }`, so that its arguments are boxed only
+// when the check fails. A load whose word must equal a known one is an
+// Expect, which needs no Failf.
 //
 //dsi:coldpath
 func (p *Proc) Failf(format string, args ...any) {
@@ -440,12 +470,16 @@ func (p *Proc) post(op simpleOp) {
 }
 
 // settle parks the kernel until every simple operation it posted has
-// retired; resumeProc switches back into it once the FIFO is empty.
+// retired; resumeProc switches back into it once the FIFO is empty, or once
+// a posted check has failed, and then the kernel unwinds with the failure.
 //
 //dsi:hotpath
 func (p *Proc) settle() {
 	if p.cur.kind != opNone {
 		p.waitLast()
+		if p.err != nil {
+			panic(p.err)
+		}
 	}
 }
 
@@ -496,6 +530,9 @@ func (p *Proc) retire() {
 			p.brk.Add(stats.ReadInval, inv)
 			p.brk.Add(stats.ReadOther, stall-inv)
 		}
+		if op.check && p.res.Value.WordAt(op.addr) != op.st.Word {
+			p.failCheck()
+		}
 	case opWrite:
 		stall := int64(p.res.Done - p.curStart)
 		full := min(int64(p.res.WBFullWait), stall)
@@ -509,6 +546,18 @@ func (p *Proc) retire() {
 		panic("cpu: retire with no operation in flight")
 	}
 	op.kind = opNone
+}
+
+// failCheck records the failure of the checked load in flight as the
+// kernel's error and drops the operations posted behind it, so resumeProc
+// switches into the kernel, which unwinds from its parking point (settle).
+//
+//dsi:coldpath
+func (p *Proc) failCheck() {
+	op := &p.cur
+	p.err = fmt.Errorf("proc %d assertion failed: load of %#x word %d, want %d",
+		p.id, uint64(op.addr), p.res.Value.WordAt(op.addr), op.st.Word)
+	p.head, p.npost = 0, 0
 }
 
 // dropPosted forgets the operation in flight and every posted one, for a
@@ -609,8 +658,10 @@ func (p *Proc) Release() {
 
 // run executes kernel k on the coroutine, from its start event until it
 // returns or panics, waits for the operations it left posted to retire, and
-// then marks the processor halted. A released kernel unwinds through
-// errReleased instead and is left not done.
+// then marks the processor halted. A posted check that fails meanwhile ends
+// the wait, and its failure, which the in-order core would have met first,
+// replaces the kernel's own. A released kernel unwinds through errReleased
+// instead and is left not done.
 func (p *Proc) run(k Kernel) {
 	defer func() {
 		if r := recover(); r != nil && r != errReleased {
@@ -618,8 +669,12 @@ func (p *Proc) run(k Kernel) {
 		}
 	}()
 	err := p.call(k)
-	p.settle()
-	p.err = err
+	if p.cur.kind != opNone {
+		p.waitLast()
+	}
+	if p.err == nil {
+		p.err = err
+	}
 	p.done = true
 	p.halt = p.q.Now()
 }

@@ -291,6 +291,35 @@ func BenchmarkProcResume(b *testing.B) {
 	}
 }
 
+// BenchmarkProcExpect is BenchmarkProcResume with its loads posted: the two
+// processors issue Expect hits on the blocks they hold, so their kernels
+// park only when their FIFOs fill. One op is one checked load: the post, its
+// issue and completion event, and its retirement with the word compared.
+func BenchmarkProcExpect(b *testing.B) {
+	procs, h := newHarness(b, 2, proto.SC)
+	ops := [2]int{b.N - b.N/2, b.N / 2}
+	for i, p := range procs {
+		n := ops[i]
+		a := mem.Addr((i + 1) * mem.BlockSize)
+		p.Start(func(p *Proc) {
+			p.Read(a)
+			for range n {
+				p.Expect(a, 0)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	h.q.Run()
+	b.StopTimer()
+	for _, p := range procs {
+		p.Release()
+		if !p.Done() || p.Err() != nil {
+			b.Fatalf("proc %d did not halt cleanly: %v", p.ID(), p.Err())
+		}
+	}
+}
+
 // BenchmarkProcPosted measures posted simple operations: one processor
 // alternates Compute(1) and WriteWord hits on a block it holds exclusive
 // (after one miss to fetch it), so its kernel parks only when its FIFO of

@@ -304,14 +304,16 @@ func TestDeadlockedRunsReleaseKernels(t *testing.T) {
 const syncPosts = 140
 
 // syncProg builds a program whose kernels park in every kind of wait. Each
-// processor first posts syncPosts discarded loads and compute delays, so it
-// parks at a full FIFO and then, at the read that follows, behind a
-// non-empty one. It reads a block the others share and buffers a store to
-// it, so its lock acquire (drain, swap, self-invalidation) first waits for
-// the store's upgrade; it then buffers a second store inside the critical
-// section, which its release (drain, releasing store, self-invalidation)
-// waits for, joins a barrier (drain, self-invalidation, arrival), and
-// returns with two more stores posted, which it waits for before it halts.
+// processor first posts syncPosts discarded loads, checked loads and
+// compute delays, so it parks at a full FIFO and then, at the read that
+// follows, behind a non-empty one. It reads a block the others share and
+// buffers a store to it, so its lock acquire (drain, swap,
+// self-invalidation) first waits for the store's upgrade; it then buffers a
+// second store inside the critical section, which its release (drain,
+// releasing store, self-invalidation) waits for, joins a barrier (drain,
+// self-invalidation, arrival), and returns with two more stores and a
+// checked load posted, which it waits for before it halts. The checked
+// loads read the block's last word, which no processor writes.
 func syncProg() *prog {
 	var data, lock mem.Region
 	return &prog{
@@ -321,10 +323,14 @@ func syncProg() *prog {
 			lock = m.Layout().AllocInterleaved("lock", mem.BlockSize)
 		},
 		kernel: func(p *cpu.Proc) {
+			unwritten := data.Addr((mem.WordsPerBlock - 1) * 8)
 			for i := range syncPosts {
-				if i%2 == 0 {
+				switch i % 4 {
+				case 0:
 					p.Touch(data.Addr(0))
-				} else {
+				case 2:
+					p.Expect(unwritten, 0)
+				default:
 					p.Compute(1)
 				}
 			}
@@ -335,6 +341,7 @@ func syncProg() *prog {
 			p.Unlock(lock.Addr(0))
 			p.Barrier()
 			p.WriteWord(data.Addr(uint64(p.ID())*8), 3)
+			p.Expect(unwritten, 0)
 			p.WriteWord(data.Addr(uint64(p.ID())*8), 4)
 		},
 	}

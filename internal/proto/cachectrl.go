@@ -408,6 +408,9 @@ func (cc *CacheCtrl) Read(a mem.Addr, cont func(*Result)) {
 		r := cc.result(now)
 		r.Hit = true
 		r.Value = f.Data
+		if cc.wbCount > 0 {
+			cc.forwardBuffered(a, &r.Value)
+		}
 		cont(r)
 		return
 	}
@@ -430,6 +433,24 @@ func (cc *CacheCtrl) Read(a mem.Addr, cont func(*Result)) {
 	}
 	cc.stats.ReadMisses++
 	cc.issueMiss(b, blk, cc.newMshr(missReq{kind: opRead, cont: cont, start: now}))
+}
+
+// forwardBuffered merges into v the stores a's block has waiting in the
+// write buffer, so a processor sees its own stores: a hit on a copy whose
+// write miss or upgrade is still outstanding finds them only there. Once the
+// block's data has arrived the entry's stores are in the cache copy, and a
+// stalled or blocked store has not completed, so its processor is not
+// loading yet.
+//
+//dsi:hotpath
+func (cc *CacheCtrl) forwardBuffered(a mem.Addr, v *mem.Value) {
+	id := cc.blocks.ID(mem.BlockIndex(mem.BlockOf(a)))
+	if id < 0 {
+		return
+	}
+	if e := cc.blocks.Cold(id).wb; e != nil && !e.dataArrived {
+		e.apply(v)
+	}
 }
 
 // Write performs a store. Under SC the processor stalls until completion;

@@ -103,10 +103,7 @@ func (w *Barnes) Kernel(p *Proc) {
 			// Read a few other bodies' positions (previous generation).
 			for k := 1; k <= 3; k++ {
 				nb := (b + k*17) % w.P.Bodies
-				v := p.Read(w.pos.At(nb))
-				if v.Word != uint64(t) {
-					p.Failf("barnes: pos[%d] word %d, want %d", nb, v.Word, t)
-				}
+				p.Expect(w.pos.At(nb), uint64(t))
 			}
 			p.Compute(w.cost[b])
 			p.WriteWord(w.force.At(b), uint64(t+1))
@@ -114,10 +111,7 @@ func (w *Barnes) Kernel(p *Proc) {
 		p.Barrier()
 		// Update: advance owned bodies to the next generation.
 		for b := lo; b < hi; b++ {
-			v := p.Read(w.force.At(b))
-			if v.Word != uint64(t+1) {
-				p.Failf("barnes: force[%d] word %d, want %d", b, v.Word, t+1)
-			}
+			p.Expect(w.force.At(b), uint64(t+1))
 			p.WriteWord(w.pos.At(b), uint64(t+1))
 		}
 		p.Barrier()

@@ -134,10 +134,7 @@ func (w *EM3D) Kernel(p *Proc) {
 		for k := 0; k < w.P.NodesPerProc; k++ {
 			for d := 0; d < deg; d++ {
 				dep := deps[k*deg+d]
-				v := p.Read(readVals[dep[0]].At(dep[1]))
-				if v.Word != expect {
-					p.Failf("em3d: dep (%d,%d) word %d, want %d", dep[0], dep[1], v.Word, expect)
-				}
+				p.Expect(readVals[dep[0]].At(dep[1]), expect)
 				p.Touch(weights.At(k*deg + d)) // private edge coefficient
 			}
 			p.Compute(w.P.ComputePerDep * int64(deg))

@@ -14,12 +14,15 @@ package workload
 // this style of randomized litmus exploration finds).
 //
 // The reference model is deliberately conservative about weak consistency:
-// a read of a block written in the same round (by any processor, writes are
+// a read of a block another processor writes in the same round (writes are
 // unique per round×block by construction) may observe either the round's
-// previous value or its new value; a read of a block not written this round
-// must observe the last value published by an earlier barrier. These are
-// exactly the guarantees every simulated protocol — SC, WC's write buffer,
-// tear-off self-invalidation, versions/states DSI — must preserve.
+// previous value or its new value; the writer's own read observes the
+// previous value before its write in program order and the new value after
+// it, since a processor sees its own stores; a read of a block not written
+// this round must observe the last value published by an earlier barrier.
+// These are exactly the guarantees every simulated protocol — SC, WC's
+// write buffer, tear-off self-invalidation, versions/states DSI — must
+// preserve.
 
 import (
 	"fmt"
@@ -141,14 +144,14 @@ func referenceOutcome(s *LitmusSpec) litmusOutcome {
 		final:   make([]uint64, s.Blocks+1),
 		allowed: make([][2]uint64, len(s.Ops)),
 	}
-	cur := make([]uint64, s.Blocks)     // value published by the last barrier
-	prev := make([]uint64, s.Blocks)    // value before this round's write
-	roundNew := make([]int64, s.Blocks) // this round's written value, -1 = none
+	cur := make([]uint64, s.Blocks)  // value published by the last barrier
+	prev := make([]uint64, s.Blocks) // value before this round's write
+	writer := make([]int, s.Blocks)  // this round's write op, -1 = none
 	var counter uint64
 	for t := 0; t < s.Rounds; t++ {
 		for b := 0; b < s.Blocks; b++ {
 			prev[b] = cur[b]
-			roundNew[b] = -1
+			writer[b] = -1
 		}
 		// Pass 1: the round's writes. Processors run concurrently within a
 		// round, so a read races with the round's write regardless of where
@@ -160,7 +163,7 @@ func referenceOutcome(s *LitmusSpec) litmusOutcome {
 			}
 			switch op.Kind {
 			case LitmusWrite:
-				roundNew[op.Block] = int64(op.Value)
+				writer[op.Block] = i
 				cur[op.Block] = op.Value
 			case LitmusLockInc:
 				counter++
@@ -168,17 +171,24 @@ func referenceOutcome(s *LitmusSpec) litmusOutcome {
 				// Reads are resolved in pass 2.
 			}
 		}
-		// Pass 2: the round's reads, against the full write set.
+		// Pass 2: the round's reads, against the full write set. A
+		// processor's ops within a round run in spec order.
 		for i := range s.Ops {
 			op := &s.Ops[i]
 			if op.Round != t || op.Kind != LitmusRead {
 				continue
 			}
-			if nv := roundNew[op.Block]; nv >= 0 {
-				// Racing with this round's write: either value is legal.
-				out.allowed[i] = [2]uint64{prev[op.Block], uint64(nv)}
-			} else {
-				out.allowed[i] = [2]uint64{prev[op.Block], prev[op.Block]}
+			old := prev[op.Block]
+			switch w := writer[op.Block]; {
+			case w < 0:
+				out.allowed[i] = [2]uint64{old, old}
+			case s.Ops[w].Proc != op.Proc:
+				// Racing with another processor's write: either value is legal.
+				out.allowed[i] = [2]uint64{old, s.Ops[w].Value}
+			case i < w:
+				out.allowed[i] = [2]uint64{old, old}
+			default:
+				out.allowed[i] = [2]uint64{s.Ops[w].Value, s.Ops[w].Value}
 			}
 		}
 	}

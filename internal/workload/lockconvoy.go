@@ -83,10 +83,7 @@ func (w *LockConvoy) Kernel(p *Proc) {
 		p.Lock(w.lk.Addr(0))
 		s := p.Read(w.seq.At(0)).Word
 		for b := 0; b < w.P.PayloadBlocks; b++ {
-			v := p.Read(w.payload.At(b * 4))
-			if v.Word != s {
-				p.Failf("lockconvoy: acq %d payload block %d word %d, want seq %d", i, b, v.Word, s)
-			}
+			p.Expect(w.payload.At(b*4), s)
 			p.WriteWord(w.payload.At(b*4), s+1)
 		}
 		p.Compute(w.P.HoldCompute)

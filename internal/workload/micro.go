@@ -35,10 +35,7 @@ func (w *ProducerConsumer) Kernel(p *Proc) {
 		p.Barrier()
 		if p.ID() != 0 {
 			for b := 0; b < w.Blocks; b++ {
-				v := p.Read(w.data.At(b * 4))
-				if v.Word != uint64(t+1) {
-					p.Failf("prodcons: block %d word %d, want %d", b, v.Word, t+1)
-				}
+				p.Expect(w.data.At(b*4), uint64(t+1))
 			}
 		}
 		p.Barrier()
@@ -70,12 +67,9 @@ func (w *Migratory) Kernel(p *Proc) {
 		for turn := 0; turn < p.N(); turn++ {
 			if turn == p.ID() {
 				for b := 0; b < w.Blocks; b++ {
-					v := p.Read(w.data.At(b * 4))
 					expect := uint64(t*p.N() + turn)
-					if v.Word != expect {
-						p.Failf("migratory: block %d word %d, want %d", b, v.Word, expect)
-					}
-					p.WriteWord(w.data.At(b*4), v.Word+1)
+					p.Expect(w.data.At(b*4), expect)
+					p.WriteWord(w.data.At(b*4), expect+1)
 				}
 			}
 			p.Barrier()
@@ -114,10 +108,7 @@ func (w *ReadShared) Kernel(p *Proc) {
 	p.Barrier()
 	for t := 0; t < w.Rounds; t++ {
 		for b := 0; b < w.Blocks; b++ {
-			v := p.Read(w.data.At(b * 4))
-			if v.Word != 7 {
-				p.Failf("readshared: block %d word %d", b, v.Word)
-			}
+			p.Expect(w.data.At(b*4), 7)
 		}
 		p.Barrier()
 	}

@@ -115,11 +115,7 @@ func (w *ProdRing) Kernel(p *Proc) {
 					want = uint64(t-(t-s2)%w.P.Depth) + 1
 				}
 				for k := 0; k < w.P.SlotBlocks; k++ {
-					v := p.Read(w.rings.At(w.slotWord(src, s2, k)))
-					if v.Word != want {
-						p.Failf("prodring: round %d ring %d slot %d word %d, want %d",
-							t, src, s2, v.Word, want)
-					}
+					p.Expect(w.rings.At(w.slotWord(src, s2, k)), want)
 				}
 			}
 		}

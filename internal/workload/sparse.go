@@ -68,10 +68,7 @@ func (w *Sparse) Kernel(p *Proc) {
 		// vector.
 		for pass := 0; pass < passes; pass++ {
 			for j := 0; j < w.P.N; j++ {
-				v := p.Read(w.x.At(j))
-				if v.Word != uint64(t) {
-					p.Failf("sparse: x[%d] word %d, want %d", j, v.Word, t)
-				}
+				p.Expect(w.x.At(j), uint64(t))
 				p.Compute(w.P.ComputePerRow)
 			}
 		}

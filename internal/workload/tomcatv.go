@@ -83,18 +83,12 @@ func (w *Tomcatv) Kernel(p *Proc) {
 		// Boundary rows of the current generation from the neighbors.
 		if rlo > 0 {
 			for c := 0; c < n; c++ {
-				v := p.Read(cur.At(at(rlo-1, c)))
-				if v.Word != uint64(t) {
-					p.Failf("tomcatv: mesh[%d,%d] word %d, want %d", rlo-1, c, v.Word, t)
-				}
+				p.Expect(cur.At(at(rlo-1, c)), uint64(t))
 			}
 		}
 		if rhi < n {
 			for c := 0; c < n; c++ {
-				v := p.Read(cur.At(at(rhi, c)))
-				if v.Word != uint64(t) {
-					p.Failf("tomcatv: mesh[%d,%d] word %d, want %d", rhi, c, v.Word, t)
-				}
+				p.Expect(cur.At(at(rhi, c)), uint64(t))
 			}
 		}
 		// Sweep the owned rows: read current mesh and working arrays,

@@ -186,10 +186,7 @@ func (w *Zipf) Kernel(p *Proc) {
 		p.Barrier() // updates published
 		exp := w.expect[t]
 		for _, b := range w.reads[p.ID()][t] {
-			v := p.Read(w.data.At(int(b) * 4))
-			if v.Word != exp[b] {
-				p.Failf("zipf: round %d block %d word %d, want %d", t, b, v.Word, exp[b])
-			}
+			p.Expect(w.data.At(int(b)*4), exp[b])
 			p.Compute(w.P.ComputePerOp)
 		}
 		p.Barrier() // round done; next round's writers may overwrite
