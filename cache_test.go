@@ -61,3 +61,21 @@ func TestCampaignCacheSpeedup(t *testing.T) {
 	t.Logf("campaign mix: %d requests, uncached %v, cached %v (%.1fx)",
 		len(mix), uncachedTime, cachedTime, float64(uncachedTime)/float64(cachedTime))
 }
+
+// An unknown workload fails the same way with and without a result cache:
+// a zero Result and the registry's error, and the cache stores nothing.
+func TestUnknownWorkloadCachedOrNot(t *testing.T) {
+	plain, plainErr := Run(testCfg("bogus", SC))
+	cfg := testCfg("bogus", SC)
+	cfg.Cache = NewResultCache(0)
+	cached, cachedErr := Run(cfg)
+	if plainErr == nil || cachedErr == nil || plainErr.Error() != cachedErr.Error() {
+		t.Fatalf("errors differ: uncached %v, cached %v", plainErr, cachedErr)
+	}
+	if !reflect.DeepEqual(plain, Result{}) || !reflect.DeepEqual(cached, Result{}) {
+		t.Fatalf("results are not zero: uncached errors %q, cached errors %q", plain.Errors, cached.Errors)
+	}
+	if s := cfg.Cache.Stats(); s.Entries != 0 {
+		t.Fatalf("cache stored a failed run: %+v", s)
+	}
+}

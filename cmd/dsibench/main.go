@@ -42,14 +42,15 @@
 // -soak runs the fault-seed soak farm (internal/soak) instead of
 // experiments: the default campaign sweeps every paper and traffic workload
 // plus generated litmus programs under SC, V, and W+DSI across four fault
-// templates — 2040 cells — on a work-stealing runner. -soakcells and
-// -soakdur bound one sitting (unbounded by default; a negative -fuzz,
-// -soakcells, -soakdur or -soakworkers is an error); -soakjournal
-// checkpoints every verdict so -resume continues a killed campaign exactly
-// where it stopped (SIGINT/SIGTERM drain in-flight cells and flush a final
-// checkpoint first); -soakcorpus collects minimized replayable specs of
-// deterministic failures (replay with `dsisim -replay`). The exit status is
-// nonzero if any cell failed. A full campaign with a checkpoint:
+// templates — 2040 cells — on -soakworkers workers, each claiming the next
+// unrun cell. -soakcells and -soakdur bound one sitting (unbounded by
+// default; a negative -fuzz, -soakcells, -soakdur or -soakworkers is an
+// error); -soakjournal checkpoints every verdict so -resume continues a
+// killed campaign exactly where it stopped (SIGINT/SIGTERM drain in-flight
+// cells and flush a final checkpoint first); -soakcorpus collects minimized
+// replayable specs of deterministic failures (replay with `dsisim
+// -replay`). The exit status is nonzero if any cell failed. A full campaign
+// with a checkpoint:
 //
 //	go run ./cmd/dsibench -soak -soakjournal soak.jsonl -soakcorpus soak-failures
 //
@@ -104,7 +105,7 @@ func main() {
 	soakJournal := flag.String("soakjournal", "", "append-only JSONL checkpoint journal for -soak and -fuzz ('' = no checkpointing)")
 	soakResume := flag.Bool("resume", false, "resume the -soakjournal campaign, skipping journaled cells")
 	soakCorpus := flag.String("soakcorpus", "soak-failures", "directory for minimized replayable specs of -soak and -fuzz failures")
-	soakWorkers := flag.Int("soakworkers", 0, "work-stealing workers for -soak and -fuzz (0 = GOMAXPROCS)")
+	soakWorkers := flag.Int("soakworkers", 0, "workers for -soak and -fuzz, each claiming the next unrun cell (0 = GOMAXPROCS)")
 	useCache := flag.Bool("cache", false, "memoize cell results in a content-addressed cache shared across the run (paper artifacts, -soak and -fuzz)")
 	cacheMB := flag.Int64("cachemb", 256, "result-cache budget in MiB (with -cache)")
 	flag.Parse()
@@ -311,9 +312,9 @@ func runSoak(o soakOptions) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("soak: %d/%d owned cells verdicted (%d recovered, %d run this sitting, %d still pending), %d steals, %d triage reruns, %.1fs\n",
+	fmt.Printf("soak: %d/%d owned cells verdicted (%d recovered, %d run this sitting, %d still pending), %d triage reruns, %.1fs\n",
 		rep.Recovered+rep.Ran, rep.Owned, rep.Recovered, rep.Ran, rep.Drained,
-		rep.Steals, rep.Reruns, time.Since(start).Seconds())
+		rep.Reruns, time.Since(start).Seconds())
 	fmt.Println(soak.Aggregate(rep.Verdicts).Render())
 	if o.cache != nil {
 		fmt.Println(o.cache.Stats().Table().Render())

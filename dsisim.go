@@ -302,39 +302,22 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if cfg.Cache != nil && cfg.Sink == nil {
-		// Built-in workloads are fully determined by the Config, so the run
-		// has a canonical content address. A Sink disables memoization: event
-		// recording is a side effect a cached result cannot replay.
-		proto := cfg.Protocol
-		if proto == "" {
-			proto = SC
-		}
-		key := simcache.RequestOf(cfg.Workload, cfg.Scale.String(), string(proto), mc).Key()
-		var runErr error
-		res, _ := cfg.Cache.Do(key, func() machine.Result {
-			var r Result
-			r, runErr = runUncached(cfg, mc)
-			if runErr != nil && !r.Failed() {
-				// Mark construction failures (e.g. unknown workload) so the
-				// cache never stores them; hits must imply a successful run.
-				r.Errors = append(r.Errors, runErr.Error())
-			}
-			return r
-		})
-		return res, runErr
+	// Built-in workloads are fully determined by the Config, so the run has
+	// a canonical content address. A Sink disables memoization: event
+	// recording is a side effect a cached result cannot replay.
+	cache := cfg.Cache
+	if cfg.Sink != nil {
+		cache = nil
 	}
-	return runUncached(cfg, mc)
-}
-
-// runUncached builds cfg's workload and simulates it on a machine of shape
-// mc, cfg's checked machine configuration.
-func runUncached(cfg Config, mc machine.Config) (Result, error) {
-	prog, err := workload.New(cfg.Workload, cfg.Scale)
-	if err != nil {
-		return Result{}, err
+	proto := cfg.Protocol
+	if proto == "" {
+		proto = SC
 	}
-	return runProgram(mc, prog)
+	res, _, err := cache.Run(&pool, cfg.Workload, cfg.Scale, string(proto), mc)
+	if err == nil {
+		err = failure(&res)
+	}
+	return res, err
 }
 
 // pool recycles simulated machines across Run/RunProgram calls: experiment
@@ -352,18 +335,17 @@ func RunProgram(cfg Config, prog Program) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return runProgram(mc, prog)
+	res := pool.Run(mc, prog)
+	return res, failure(&res)
 }
 
-// runProgram simulates prog on a pooled machine of shape mc.
-func runProgram(mc machine.Config, prog Program) (Result, error) {
-	m := pool.Get(mc)
-	res := m.Run(prog)
-	pool.Put(m)
+// failure names res's first failure, or is nil when the run succeeded. It
+// takes a pointer so a cache hit pays no extra copy of the Result.
+func failure(res *Result) error {
 	if res.Failed() {
-		return res, fmt.Errorf("dsisim: run of %q failed: %s", prog.Name(), res.Errors[0])
+		return fmt.Errorf("dsisim: run of %q failed: %s", res.Program, res.Errors[0])
 	}
-	return res, nil
+	return nil
 }
 
 // BlockSize is the simulated cache block size in bytes.

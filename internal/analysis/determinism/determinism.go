@@ -14,8 +14,9 @@
 //     AfterFunc);
 //   - any import of math/rand or math/rand/v2 — simulation randomness must
 //     come from internal/rng, whose streams are seeded and stable;
-//   - go statements — concurrency belongs in internal/experiments, which
-//     fans out whole (internally single-threaded) simulations;
+//   - go statements — concurrency belongs in the drivers' fan-out
+//     (internal/fanout), which runs whole (internally single-threaded)
+//     simulations side by side;
 //   - range over a map, unless the statement carries a //dsi:anyorder
 //     directive asserting the iteration order cannot reach simulation state
 //     or output (e.g. directory.Dir.ForEach, whose callers sort).
@@ -106,7 +107,7 @@ func run(pass *analysis.Pass, simPkg func(string) bool) error {
 			switch n := n.(type) {
 			case *ast.GoStmt:
 				pass.Reportf(n.Pos(),
-					"goroutine spawned in simulation package; concurrency belongs in internal/experiments")
+					"goroutine spawned in simulation package; concurrency belongs in the drivers' fan-out (internal/fanout)")
 			case *ast.RangeStmt:
 				t := pass.TypeOf(n.X)
 				if t == nil {

@@ -240,7 +240,7 @@ func (w *walker) cacheCall(st *pstate, call *ast.CallExpr, name string, k cont) 
 		st.wrote = true
 		k(st, []symVal{unknownVal, unknownVal})
 	default:
-		// Mark, SetVersion, EchoVersion, ...: no state transition.
+		// Mark, EchoVersion, ...: no state transition.
 		k(st, []symVal{unknownVal, unknownVal})
 	}
 }

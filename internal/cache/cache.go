@@ -379,15 +379,6 @@ func (c *Cache) Downgrade(a mem.Addr) (mem.Value, bool) {
 	return c.lines[i].Data, true
 }
 
-// SetVersion records the version delivered with a fill or reply for a's
-// block, if present.
-func (c *Cache) SetVersion(a mem.Addr, ver uint8) {
-	if i := c.find(mem.BlockOf(a)); i >= 0 {
-		c.lines[i].Ver = ver
-		c.lines[i].HasVer = true
-	}
-}
-
 // Mark sets the s bit on a's valid frame (cache-side identification) and
 // enters it into the marked list. It reports whether a valid frame was
 // marked (false if absent or already marked).

@@ -410,7 +410,6 @@ func (q *Queue) siftDown(k key, s int32) {
 // requests queue FIFO behind whatever the server is already committed to.
 type Server struct {
 	freeAt Time
-	busy   Time // total occupied cycles, for utilization stats
 }
 
 // Admit reserves the server for dur cycles starting no earlier than now,
@@ -427,7 +426,6 @@ func (s *Server) Admit(now Time, dur Time) (start, done Time) {
 	}
 	done = start + dur
 	s.freeAt = done
-	s.busy += dur
 	return start, done
 }
 
@@ -435,7 +433,4 @@ func (s *Server) Admit(now Time, dur Time) (start, done Time) {
 func (s *Server) FreeAt() Time { return s.freeAt }
 
 // Reset returns the server to idle at time 0, for machine reuse.
-func (s *Server) Reset() { s.freeAt, s.busy = 0, 0 }
-
-// Busy returns the cumulative cycles the server has been occupied.
-func (s *Server) Busy() Time { return s.busy }
+func (s *Server) Reset() { s.freeAt = 0 }

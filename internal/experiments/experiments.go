@@ -8,16 +8,15 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"dsisim/internal/core"
 	"dsisim/internal/event"
+	"dsisim/internal/fanout"
 	"dsisim/internal/faultinj"
 	"dsisim/internal/machine"
 	"dsisim/internal/proto"
 	"dsisim/internal/simcache"
 	"dsisim/internal/stats"
-	"dsisim/internal/steal"
 	"dsisim/internal/workload"
 )
 
@@ -118,10 +117,10 @@ func (o Options) machineConfig(cons proto.Consistency, pol core.Policy) machine.
 	}
 }
 
-// machines recycles simulated machines across grid cells: every cell of a
-// matrix shares one machine shape, so the structural allocations (event
-// queue, network, block tables, cache arrays) are paid once per concurrent
-// worker rather than once per cell.
+// machines recycles simulated machines across the cells run outside a
+// matrix (RunOne, the ablations, the sweeps), so the structural allocations
+// (event queue, network, block tables, cache arrays) are paid once per
+// machine shape rather than once per cell.
 var machines machine.Pool
 
 // RunOne simulates one (workload, protocol) cell.
@@ -129,9 +128,9 @@ func RunOne(name string, label Label, o Options) (machine.Result, error) {
 	return runOneIn(&machines, name, label, o)
 }
 
-// runOneIn is RunOne against a caller-owned machine pool. RunMatrix gives
-// each work-stealing worker its own pool so cell turnover never contends on
-// a shared free list and every worker reuses its own still-warm machine.
+// runOneIn is RunOne against a caller-owned machine pool: RunMatrix passes
+// each fan-out worker's own pool, so every worker reuses its own still-warm
+// machine.
 func runOneIn(pool *machine.Pool, name string, label Label, o Options) (machine.Result, error) {
 	o = o.defaults()
 	return runCell(pool, name, label, o.machineConfig(label.Config()), o)
@@ -141,25 +140,9 @@ func runOneIn(pool *machine.Pool, name string, label Label, o Options) (machine.
 // cache identifies a policy by its label alone, so cfg's policy must be
 // label's; a caller running a policy no label names clears o.Cache.
 func runCell(pool *machine.Pool, name string, label Label, cfg machine.Config, o Options) (machine.Result, error) {
-	// The workload build lives inside the compute closure so a cache hit
-	// skips program construction along with the simulation. A workload
-	// error surfaces as a failed Result, which the cache never stores.
-	var wlErr error
-	compute := func() machine.Result {
-		prog, err := workload.New(name, o.Scale)
-		if err != nil {
-			wlErr = err
-			return machine.Result{Errors: []string{err.Error()}}
-		}
-		m := pool.Get(cfg)
-		res := m.Run(prog)
-		pool.Put(m)
-		return res
-	}
-	key := simcache.RequestOf(name, o.Scale.String(), string(label), cfg).Key()
-	res, _ := o.Cache.Do(key, compute)
-	if wlErr != nil {
-		return machine.Result{}, wlErr
+	res, _, err := o.Cache.Run(pool, name, o.Scale, string(label), cfg)
+	if err != nil {
+		return res, err
 	}
 	if res.Failed() {
 		return res, fmt.Errorf("%s/%s (%v, %d-cycle net): %s", name, label, o.Class, o.Latency, res.Errors[0])
@@ -177,21 +160,15 @@ type Matrix struct {
 
 // RunMatrix simulates the full grid. Cells are independent simulations
 // (each builds its own machine and workload instance), so they run
-// concurrently on a work-stealing runner (internal/steal): the grid is
-// split into contiguous chunks, one per worker, and a worker that drains
-// its chunk steals half of a loaded victim's remainder — so a few slow
-// cells (large workload × expensive protocol) no longer serialize the tail
-// the way the old flat semaphore did. Each worker owns a private machine
-// pool, so machine reuse never contends across workers. Each cell remains
-// bit-deterministic, and the grid's results are independent of completion
-// order (each cell writes only its own slot).
+// concurrently through internal/fanout: each worker claims the next
+// unclaimed cell, so a few slow cells (large workload × expensive protocol)
+// hold back only their own workers, and each worker reuses machines from
+// its own pool. Each cell remains bit-deterministic and writes only its own
+// slot, so the grid's results are independent of completion order.
 func RunMatrix(workloads []string, labels []Label, o Options) (*Matrix, error) {
 	o = o.defaults()
 	m := &Matrix{Opt: o, Workloads: workloads, Labels: labels,
 		cells: make(map[string]map[Label]machine.Result)}
-	for _, w := range workloads {
-		m.cells[w] = make(map[Label]machine.Result)
-	}
 	type cell struct {
 		w string
 		l Label
@@ -202,20 +179,18 @@ func RunMatrix(workloads []string, labels []Label, o Options) (*Matrix, error) {
 			todo = append(todo, cell{w, l})
 		}
 	}
-	var (
-		mu   sync.Mutex
-		errs = make([]error, len(todo)) // one slot per cell, in grid order
-	)
-	runner := steal.New(len(todo), 0)
-	pools := make([]machine.Pool, runner.Workers())
-	runner.Run(func(worker, i int) {
-		c := todo[i]
-		res, err := runOneIn(&pools[worker], c.w, c.l, o)
-		mu.Lock()
-		defer mu.Unlock()
-		errs[i] = err
-		m.cells[c.w][c.l] = res
+	// One slot per cell, in grid order.
+	results := make([]machine.Result, len(todo))
+	errs := make([]error, len(todo))
+	fanout.Run(len(todo), 0, func(pool *machine.Pool, i int) {
+		results[i], errs[i] = runOneIn(pool, todo[i].w, todo[i].l, o)
 	})
+	for _, w := range workloads {
+		m.cells[w] = make(map[Label]machine.Result)
+	}
+	for i, c := range todo {
+		m.cells[c.w][c.l] = results[i]
+	}
 	// Report every failed cell, not just the first: a grid-wide pathology
 	// (one workload failing under every protocol, say) should be visible in
 	// one error. The matrix is still returned so callers can render the

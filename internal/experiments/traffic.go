@@ -46,9 +46,7 @@ func ZipfSkewSweep(fracs []float64, o Options) (stats.Table, error) {
 		for i, l := range []Label{SC, WDSI} {
 			// Not keyed in o.Cache: the cache names a workload by registry
 			// name, and this zipf instance has its own parameters.
-			m := machines.Get(o.machineConfig(l.Config()))
-			res[i] = m.Run(workload.NewZipf(p))
-			machines.Put(m)
+			res[i] = machines.Run(o.machineConfig(l.Config()), workload.NewZipf(p))
 			if res[i].Failed() {
 				return t, fmt.Errorf("zipf frac %.3f under %s: %s", f, l, res[i].Errors[0])
 			}

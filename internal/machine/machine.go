@@ -143,6 +143,9 @@ type Result struct {
 	// Faults reports fault-plan statistics for the full run (all zero when
 	// Config.Faults was not set).
 	Faults faultinj.Stats
+	// Errors lists the run's failures in this order: controller failures,
+	// an event panic or the watchdog's dump, kernel failures, processors
+	// left parked, a warm-up that never ended, audit findings.
 	Errors []string
 }
 
@@ -368,10 +371,14 @@ func (m *Machine) Run(prog Program) Result {
 		res.Errors = append(res.Errors, m.diagnose()...)
 	}
 
+	// Kernel failures lead the processors' errors: a processor left parked
+	// is usually waiting on one that failed, and Errors[0] is what callers
+	// report.
 	var last event.Time
+	var parked []string
 	for i, p := range procs {
 		if !p.Done() {
-			res.Errors = append(res.Errors, fmt.Sprintf("proc %d deadlocked (%d parked at barrier)", i, m.barrier.Waiting()))
+			parked = append(parked, fmt.Sprintf("proc %d deadlocked (%d parked at barrier)", i, m.barrier.Waiting()))
 			continue
 		}
 		if p.Err() != nil {
@@ -381,6 +388,7 @@ func (m *Machine) Run(prog Program) Result {
 			last = p.HaltTime()
 		}
 	}
+	res.Errors = append(res.Errors, parked...)
 	if !warmTaken {
 		res.Errors = append(res.Errors, fmt.Sprintf("warm-up never ended: %d barrier episodes < %d",
 			m.barrier.Episodes, prog.WarmupBarriers()))

@@ -247,6 +247,31 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 }
 
+// TestKernelFailureLeadsErrors: when one kernel fails and the others then
+// wait forever at a barrier it never reaches, the failure comes first and
+// the parked processors follow in processor order.
+func TestKernelFailureLeadsErrors(t *testing.T) {
+	p := &prog{
+		name: "fail-then-park",
+		kernel: func(p *cpu.Proc) {
+			if p.ID() == 2 {
+				p.Failf("boom")
+			}
+			p.Barrier()
+		},
+	}
+	r := New(small(Config{Consistency: proto.SC}, 4)).Run(p)
+	want := []string{
+		"proc 2: proc 2 assertion failed: boom",
+		"proc 0 deadlocked (3 parked at barrier)",
+		"proc 1 deadlocked (3 parked at barrier)",
+		"proc 3 deadlocked (3 parked at barrier)",
+	}
+	if !slices.Equal(r.Errors, want) {
+		t.Fatalf("errors = %q, want %q", r.Errors, want)
+	}
+}
+
 // TestDeadlockedRunsReleaseKernels checks that a run that ends with kernels
 // blocked mid-operation leaves no goroutine behind: the machine stops and
 // joins each stuck kernel, still reports the run as failed, and reuses the

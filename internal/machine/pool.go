@@ -11,7 +11,8 @@ const poolCap = 4
 // that simulates the same machine shape hundreds of times pays the
 // structural allocation cost (event queue, network, block tables, cache
 // arrays) once: Get returns a Reset machine when a compatible one is idle,
-// and Put parks a finished machine for the next Get.
+// and Put parks a finished machine for the next Get. Run does both around
+// one simulation, and is how every driver runs a pooled machine.
 //
 // Reuse never changes results — Reset restores a just-assembled state, and
 // the kernel determinism goldens run every protocol through pooled machines
@@ -56,4 +57,13 @@ func (p *Pool) Put(m *Machine) {
 		p.free = append(p.free, m)
 	}
 	p.mu.Unlock()
+}
+
+// Run simulates prog on a machine of shape cfg taken from the pool, and
+// parks the machine again once the run is over.
+func (p *Pool) Run(cfg Config, prog Program) Result {
+	m := p.Get(cfg)
+	res := m.Run(prog)
+	p.Put(m)
+	return res
 }

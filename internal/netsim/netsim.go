@@ -546,10 +546,6 @@ func (n *Network) FaultStats() faultinj.Stats {
 	return n.faults.Stats()
 }
 
-// NIBusy returns cumulative injection occupancy of a node's NI, for
-// utilization reporting.
-func (n *Network) NIBusy(node int) event.Time { return n.nis[node].Busy() }
-
 // NIFree returns the earliest time node's NI can begin a new injection. The
 // self-invalidation machinery uses it to model the processor stalling until
 // its notification messages have all been injected.

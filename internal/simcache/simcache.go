@@ -7,6 +7,7 @@ import (
 
 	"dsisim/internal/machine"
 	"dsisim/internal/stats"
+	"dsisim/internal/workload"
 )
 
 // Cache is a bounded, concurrency-safe result store. Do either returns a
@@ -50,8 +51,17 @@ func New(budgetBytes int64) *Cache {
 // re-running a failing cell always re-executes it — triage and flake
 // classification see real runs.
 func (c *Cache) Do(key Key, compute func() machine.Result) (machine.Result, bool) {
+	var res machine.Result
+	hit := c.do(key, compute, &res)
+	return res, hit
+}
+
+// do is Do with the Result written to *res. Run passes its own result, so a
+// hit copies the Result out of the cache once instead of once per return.
+func (c *Cache) do(key Key, compute func() machine.Result, res *machine.Result) bool {
 	if c == nil {
-		return compute(), false
+		*res = compute()
+		return false
 	}
 	for {
 		c.mu.Lock()
@@ -59,9 +69,9 @@ func (c *Cache) Do(key Key, compute func() machine.Result) (machine.Result, bool
 			if e.done == nil {
 				c.hits++
 				c.touch(e)
-				res := e.res
+				*res = e.res
 				c.mu.Unlock()
-				return res, true
+				return true
 			}
 			// Another caller is computing this key right now: wait for it,
 			// then loop to re-check. The entry may be gone if that compute
@@ -77,14 +87,14 @@ func (c *Cache) Do(key Key, compute func() machine.Result) (machine.Result, bool
 		c.misses++
 		c.mu.Unlock()
 
-		res := compute()
+		*res = compute()
 
 		c.mu.Lock()
 		if res.Failed() {
 			delete(c.m, key)
 		} else {
-			e.res = res
-			e.size = resultSize(&res)
+			e.res = *res
+			e.size = resultSize(res)
 			c.bytes += e.size
 			c.pushFront(e)
 			c.evict()
@@ -93,8 +103,33 @@ func (c *Cache) Do(key Key, compute func() machine.Result) (machine.Result, bool
 		e.done = nil
 		c.mu.Unlock()
 		close(done)
-		return res, false
+		return false
 	}
+}
+
+// Run simulates registry workload name at scale on a machine of shape cfg
+// from pool, memoized under the cell's key (label names cfg's protocol). The
+// workload is built only on a miss. One that cannot be built comes back as
+// err with a zero Result; the failed Result the cache saw is never stored.
+// A nil cache runs the cell without computing a key.
+func (c *Cache) Run(pool *machine.Pool, name string, scale workload.Scale, label string, cfg machine.Config) (res machine.Result, hit bool, err error) {
+	compute := func() machine.Result {
+		prog, perr := workload.New(name, scale)
+		if perr != nil {
+			err = perr
+			return machine.Result{Errors: []string{perr.Error()}}
+		}
+		return pool.Run(cfg, prog)
+	}
+	if c == nil {
+		res = compute()
+	} else {
+		hit = c.do(RequestOf(name, scale.String(), label, cfg).Key(), compute, &res)
+	}
+	if err != nil {
+		return machine.Result{}, false, err
+	}
+	return res, hit, nil
 }
 
 // touch moves e to the LRU head. Caller holds mu.

@@ -10,11 +10,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dsisim/internal/fanout"
 	"dsisim/internal/faultinj"
 	"dsisim/internal/machine"
 	"dsisim/internal/simcache"
 	"dsisim/internal/stats"
-	"dsisim/internal/steal"
 	"dsisim/internal/workload"
 )
 
@@ -76,12 +76,11 @@ func (o *Options) checkBounds() error {
 
 // Report summarizes one campaign sitting.
 type Report struct {
-	Owned     int // cells this shard owns
-	Recovered int // verdicts recovered from the journal on resume
-	Ran       int // cells executed this sitting
-	Drained   int // owned cells left unrun by a stop/duration/MaxCells bound
-	Failures  int // failing verdicts across the union
-	Steals    int64
+	Owned     int   // cells this shard owns
+	Recovered int   // verdicts recovered from the journal on resume
+	Ran       int   // cells executed this sitting
+	Drained   int   // owned cells left unrun by a stop/duration/MaxCells bound
+	Failures  int   // failing verdicts across the union
 	Reruns    int64 // triage re-executions
 
 	// Verdicts is the union of recovered and fresh verdicts, sorted by cell
@@ -126,8 +125,7 @@ func Run(o Options) (*Report, error) {
 	}
 
 	// The work list: owned cells with no journaled verdict, bounded by
-	// MaxCells. Kept in index order so steal.Runner's contiguous chunks map
-	// to contiguous cell ranges.
+	// MaxCells, in index order.
 	rep := &Report{}
 	var todo []int
 	for i := 0; i < o.Space.Cells(); i++ {
@@ -160,8 +158,6 @@ func Run(o Options) (*Report, error) {
 		return !deadline.IsZero() && time.Now().After(deadline)
 	}
 
-	runner := steal.New(len(todo), o.Workers)
-	pools := make([]machine.Pool, runner.Workers())
 	fresh := make([]*Verdict, len(todo))
 	var done, failed, reruns atomic.Int64
 	var appendErr error
@@ -181,9 +177,9 @@ func Run(o Options) (*Report, error) {
 				case <-hbStop:
 					return
 				case <-tick.C:
-					line := fmt.Sprintf("soak: %d/%d cells this sitting (%d recovered), %d fail, %d steals, %d triage reruns, %s elapsed",
+					line := fmt.Sprintf("soak: %d/%d cells this sitting (%d recovered), %d fail, %d triage reruns, %s elapsed",
 						done.Load(), len(todo), rep.Recovered, failed.Load(),
-						runner.Steals(), reruns.Load(), time.Since(start).Round(time.Second))
+						reruns.Load(), time.Since(start).Round(time.Second))
 					if o.Cache != nil {
 						cs := o.Cache.Stats()
 						line += fmt.Sprintf(", cache %dh/%dm/%de %dKB",
@@ -195,14 +191,14 @@ func Run(o Options) (*Report, error) {
 		}()
 	}
 
-	runner.Run(func(worker, item int) {
+	fanout.Run(len(todo), o.Workers, func(pool *machine.Pool, item int) {
 		if stopped() {
 			return
 		}
 		cell := o.Space.Cell(o.Seed, todo[item])
-		v := runCell(&pools[worker], cell, o)
+		v := runCell(pool, cell, o)
 		if v.Status == StatusFail {
-			triage(&pools[worker], cell, &v, o, &reruns)
+			triage(pool, cell, &v, o, &reruns)
 			failed.Add(1)
 		}
 		fresh[item] = &v
@@ -223,7 +219,6 @@ func Run(o Options) (*Report, error) {
 		return nil, fmt.Errorf("soak: journal append: %w", appendErr)
 	}
 
-	rep.Steals = runner.Steals()
 	rep.Reruns = reruns.Load()
 	union := make(map[int]Verdict)
 	if j != nil {
@@ -303,31 +298,13 @@ func runCell(pool *machine.Pool, cell Cell, o Options) Verdict {
 			faultsFor(cell), workload.LitmusRun{Canary: o.canary})
 	} else {
 		err = func() error {
-			scale, serr := scaleOf(o.Scale)
-			if serr != nil {
-				return serr
+			scale, err := scaleOf(o.Scale)
+			if err != nil {
+				return err
 			}
-			cfg := machineConfig(cell, o, faultsFor(cell))
-			// The workload build lives inside the compute closure so a cache
-			// hit skips program construction along with the simulation; a
-			// workload error surfaces as a failed Result, which the cache
-			// never stores.
-			var wlErr error
-			compute := func() machine.Result {
-				prog, perr := workload.New(cell.Workload, scale)
-				if perr != nil {
-					wlErr = perr
-					return machine.Result{Errors: []string{perr.Error()}}
-				}
-				m := pool.Get(cfg)
-				res := m.Run(prog)
-				pool.Put(m)
-				return res
-			}
-			key := simcache.RequestOf(cell.Workload, scale.String(), cell.Protocol.Name, cfg).Key()
-			res, hit := o.Cache.Do(key, compute)
-			if wlErr != nil {
-				return wlErr
+			res, hit, err := o.Cache.Run(pool, cell.Workload, scale, cell.Protocol.Name, machineConfig(cell, o, faultsFor(cell)))
+			if err != nil {
+				return err
 			}
 			v.Cached = hit
 			v.Events, v.Cycles = res.Kernel.Events, int64(res.TotalTime)
@@ -400,9 +377,7 @@ func triage(pool *machine.Pool, cell Cell, v *Verdict, o Options, rerunCount *at
 		}
 		fails := func(fc *faultinj.Config) bool {
 			rerunCount.Add(1)
-			m := pool.Get(machineConfig(cell, o, fc))
-			res := m.Run(prog)
-			pool.Put(m)
+			res := pool.Run(machineConfig(cell, o, fc), prog)
 			return res.Failed()
 		}
 		minF = workload.MinimizeFaultConfig(faultsFor(cell), fails)

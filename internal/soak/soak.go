@@ -1,7 +1,7 @@
 // Package soak implements the fault-seed soak farm: a long-running campaign
 // engine that sweeps a deterministic cell space — workload × protocol ×
-// fault-plan template × seed — through a work-stealing runner, journals
-// every per-cell verdict to an append-only JSONL checkpoint so a killed
+// fault-plan template × seed — on workers that each claim the next unrun
+// cell (internal/fanout), journals every per-cell verdict to an append-only JSONL checkpoint so a killed
 // campaign resumes exactly where it stopped, and pushes every failure
 // through a triage pipeline (bounded re-run classification, greedy
 // minimization of fault-plan rules and litmus ops, persistence into a
