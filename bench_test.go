@@ -5,8 +5,8 @@ package dsisim
 // experiment grid at paper scale (32 simulated processors) and reports the
 // headline series as custom metrics, so `go test -bench=.` reproduces the
 // numbers EXPERIMENTS.md records. The kernel benchmarks (BenchmarkEventQueue,
-// BenchmarkNetworkDelivery, BenchmarkRunOne, BenchmarkCacheLookupMicro)
-// measure simulator throughput itself.
+// BenchmarkNetworkDelivery, BenchmarkRunOne, BenchmarkCacheLookupMicro,
+// BenchmarkPaperCell) measure simulator throughput itself.
 //
 // One full iteration of a paper artifact simulates dozens of machine
 // configurations; expect minutes, not microseconds.
@@ -18,6 +18,7 @@ import (
 	"dsisim/internal/cache"
 	"dsisim/internal/event"
 	"dsisim/internal/experiments"
+	"dsisim/internal/machine"
 	"dsisim/internal/mem"
 	"dsisim/internal/netsim"
 	"dsisim/internal/workload"
@@ -321,6 +322,42 @@ func BenchmarkCacheLookupMicro(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.Lookup(mem.Addr((i % 1024) * mem.BlockSize))
 	}
+}
+
+// BenchmarkPaperCell times one paper-scale cell, em3d under V on 32
+// processors with the 512 KiB cache class, on a warm pooled machine, and
+// reports host time per simulated event. The other kernel benchmarks work
+// within the host's L1 cache (CacheLookupMicro cycles through 1,024 blocks,
+// DirHandle touches one entry); this one spans a paper-scale machine's
+// tables and cache arrays, so it sees changes to the host memory each
+// simulated access touches. Building the program is left out of the time.
+func BenchmarkPaperCell(b *testing.B) {
+	mc, err := Config{Protocol: V, Processors: 32, CacheBytes: 512 << 10}.machineConfig()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var pool machine.Pool
+	run := func() machine.Result {
+		b.StopTimer()
+		prog, err := workload.New("em3d", workload.ScalePaper)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		res := pool.Run(mc, prog)
+		if res.Failed() {
+			b.Fatal(res.Errors[0])
+		}
+		return res
+	}
+	run() // warm the pool
+	b.ReportAllocs()
+	b.ResetTimer()
+	var events uint64
+	for range b.N {
+		events += run().Kernel.Events
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }
 
 // campaignMix builds the zipf-popular request stream that

@@ -141,7 +141,7 @@ func (w *walker) execCall(fr *frame, st *pstate, call *ast.CallExpr, k cont) {
 			k(st, nil)
 			return
 		case "DirCtrl.block", "DirCtrl.pushQueue", "DirCtrl.popQueue",
-			"CacheCtrl.freeMshr", "CacheCtrl.block", "CacheCtrl.home", "DirCtrl.home":
+			"CacheCtrl.freeMshr", "CacheCtrl.home", "DirCtrl.home":
 			// Pooling and queue plumbing: protocol-neutral by construction.
 			k(st, []symVal{unknownVal, unknownVal})
 			return

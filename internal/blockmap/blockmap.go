@@ -1,10 +1,13 @@
-// Package blockmap provides the dense, address-indexed block tables that
-// back every per-block structure on the simulation hot path: directory
-// entries, in-flight directory transactions, cache-side MSHRs and
-// write-buffer entries, simulated memory contents, and the observability
-// tracker. It replaces the per-Addr Go hash maps those layers used before —
-// a hash, a bucket probe, and a pointer chase per simulated access — with a
-// flat slot array indexed by block number.
+// Package blockmap provides the block tables behind the simulator's
+// per-block state: dense, address-indexed tables for the machine's
+// directory, home memory image, directory transactions and request queues,
+// the audit's holder sets and the observability tracker, and a short
+// scanned list (List) for a table that only ever holds a few live records,
+// such as a cache controller's outstanding misses and write-buffer entries.
+// The dense tables replace the per-Addr Go hash maps those layers used
+// before — a hash, a bucket probe, and a pointer chase per simulated access
+// — with a flat slot array indexed by block number. A slot array spans the
+// address space, so a dense table belongs to a machine, not to each node.
 //
 // Simulated address spaces are block-aligned and bounded by mem.Layout, so
 // a block index (Addr >> BlockShift) is a small dense integer: the common
@@ -16,7 +19,8 @@
 // by raw uint64 block indexes, not mem.Addr) so that internal/mem itself can
 // build on it without an import cycle.
 //
-// Two record layouts share one key structure (the internal index type):
+// The two dense record layouts share one key structure (the internal index
+// type):
 //
 //   - Map[T] stores one record plane — the right shape when every handler
 //     touches most of the record.
@@ -25,7 +29,7 @@
 //     uses, for tables where the common path reads one small field and the
 //     rest is rare-path state.
 //
-// Design constraints, in order:
+// Design constraints of the dense tables, in order:
 //
 //   - Stable pointers. Records live in fixed-size pages that are never
 //     reallocated, so a *T returned by Get or Ensure stays valid for the

@@ -10,9 +10,9 @@
 //   - membership in the hardware linked list of marked frames that the
 //     flush-at-synchronization mechanism walks.
 //
-// As in hardware, tags and states sit in a tag array apart from the data
-// and DSI bits, and a block's set is given by the low bits of its block
-// number, so the set count is a power of two.
+// As in hardware, tags, states and LRU ranks sit in a tag array apart from
+// the data and DSI bits, and a block's set is given by the low bits of its
+// block number, so the set count is a power of two.
 //
 // Policy — when to mark, when to flush, FIFO vs list — lives in
 // internal/core; this package is the mechanism.
@@ -49,30 +49,41 @@ func (s State) String() string {
 }
 
 // way is one way's entry in the tag array: the block tag, the epoch the way
-// was last written in, and the coherence state. At 16 bytes, the four ways
-// of a set fill one 64-byte host cache line, so a probe touches one line. A
-// way whose epoch is behind the cache's is logically empty: Reset bumps the
-// epoch instead of clearing the arrays, and stale ways are treated as (and
-// rewritten to) empty when next used. This keeps pooled-machine Reset
-// O(marked) rather than O(ways).
+// was last written in, the coherence state, and the way's LRU rank in its
+// set. At 16 bytes, the four ways of a set fill one 64-byte host cache line,
+// so a hit's probe and its LRU update touch one line. A way whose epoch is
+// behind the cache's is logically empty: Reset bumps the epoch instead of
+// clearing the arrays, and stale ways are treated as (and rewritten to)
+// empty when next used. This keeps pooled-machine Reset O(marked) rather
+// than O(ways).
+//
+// The ranks of a set's ways are a permutation of 0..assoc-1, assoc-1 the
+// most recently used. Way i stores its rank minus i (mod 256), so an
+// all-zero tag array, fresh or cleared, ranks its ways in way order, and
+// neither New nor a clear needs a pass over the ways. Only a set whose ways
+// are all valid in the current epoch picks its victim by rank, and each of
+// those ways was installed, and ranked, in this epoch, so the ranks a Reset
+// leaves behind never decide a victim.
 type way struct {
 	tag   mem.Addr
 	ep    uint32
 	state State
+	rank  uint8 // LRU rank minus the way's index in its set, mod 256
 }
 
 // line is one way's entry in the data array: the block contents and the DSI
 // bits kept beside them. Ver and HasVer stay meaningful while the way is
 // Invalid, so the version-number DSI scheme can echo the version of a
-// previously-cached block.
+// previously-cached block. The padding keeps each line within one 64-byte
+// host cache line.
 type line struct {
 	Data    mem.Value
-	lru     uint64
 	SI      bool // s bit: block is marked for self-invalidation
 	TearOff bool // untracked copy; directory has no record of it
 	Ver     uint8
 	HasVer  bool
 	inList  bool // member of the marked-frame list
+	_       [11]byte
 }
 
 // Frame is a view of one valid way, as Lookup, Peek, and ForEachValid return
@@ -103,13 +114,17 @@ type Config struct {
 	Assoc     int
 }
 
+// MaxAssoc is the largest associativity a cache takes: a way's LRU rank is
+// one byte.
+const MaxAssoc = 256
+
 // Validate reports whether the geometry holds a whole, positive,
-// power-of-two number of sets of Assoc blocks each. The set count must be a
-// power of two because, as in the paper's hardware, the set index is a field
-// of the block address: the low bits of the block number.
+// power-of-two number of sets of at most MaxAssoc blocks each. The set count
+// must be a power of two because, as in the paper's hardware, the set index
+// is a field of the block address: the low bits of the block number.
 func (c Config) Validate() error {
-	if c.Assoc <= 0 {
-		return fmt.Errorf("cache: bad geometry %+v: associativity must be positive", c)
+	if c.Assoc <= 0 || c.Assoc > MaxAssoc {
+		return fmt.Errorf("cache: bad geometry %+v: associativity must be 1 to %d", c, MaxAssoc)
 	}
 	if c.SizeBytes <= 0 || c.SizeBytes%mem.BlockSize != 0 || (c.SizeBytes/mem.BlockSize)%c.Assoc != 0 {
 		return fmt.Errorf("cache: bad geometry %+v: want a positive multiple of %d bytes (%d ways of %d-byte blocks)",
@@ -148,7 +163,6 @@ type Cache struct {
 	setMask uint64
 	tags    []way
 	lines   []line
-	clock   uint64
 	epoch   uint32  // ways with ep != epoch are logically empty
 	marked  []int32 // the hardware linked list of s-bit ways, arrival order
 	stats   Stats
@@ -176,18 +190,17 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns a snapshot of the structural counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// Reset empties every frame and clears the marked-frame list, LRU clock, and
-// counters, keeping the arrays so a reused machine starts from a cold cache
-// without reallocating. Emptying is lazy: bumping the epoch invalidates
-// every way at once, and the arrays are only physically cleared on the
-// (unreachable in practice) epoch wrap.
+// Reset empties every frame and clears the marked-frame list and counters,
+// keeping the arrays so a reused machine starts from a cold cache without
+// reallocating. Emptying is lazy: bumping the epoch invalidates every way
+// at once, and the arrays are only physically cleared on the (unreachable
+// in practice) epoch wrap.
 func (c *Cache) Reset() {
 	c.epoch++
 	if c.epoch == 0 {
 		clear(c.tags)
 		clear(c.lines)
 	}
-	c.clock = 0
 	c.marked = c.marked[:0]
 	c.stats = Stats{}
 }
@@ -221,20 +234,56 @@ func (c *Cache) frame(i int) Frame {
 	return Frame{Tag: w.tag, State: w.state, line: &c.lines[i]}
 }
 
+// promote makes way i of the set starting at way base the most recently
+// used of its set: the ways ranked above it move down one.
+//
+//dsi:hotpath
+func (c *Cache) promote(base, i int) {
+	ways := c.tags[base : base+c.assoc]
+	top := uint8(c.assoc - 1)
+	me := i - base
+	old := ways[me].rank + uint8(me)
+	if old == top {
+		return
+	}
+	for j := range ways {
+		if ways[j].rank+uint8(j) > old {
+			ways[j].rank--
+		}
+	}
+	ways[me].rank = top - uint8(me)
+}
+
 // Lookup returns the frame holding a valid copy of a's block, recording a
 // hit or miss and updating LRU on hit.
 //
 //dsi:hotpath
 func (c *Cache) Lookup(a mem.Addr) (Frame, bool) {
-	i := c.find(mem.BlockOf(a))
+	b := mem.BlockOf(a)
+	i := c.find(b)
 	if i < 0 {
 		c.stats.Misses++
 		return Frame{}, false
 	}
-	c.clock++
-	c.lines[i].lru = c.clock
+	c.promote(c.set(b), i)
 	c.stats.Hits++
 	return c.frame(i), true
+}
+
+// Touch is Lookup for a load whose value is discarded: on a hit it records
+// the hit and updates LRU, reads nothing from the data array, and returns
+// true. A miss is left to the Lookup that serves it, which counts it.
+//
+//dsi:hotpath
+func (c *Cache) Touch(a mem.Addr) bool {
+	b := mem.BlockOf(a)
+	i := c.find(b)
+	if i < 0 {
+		return false
+	}
+	c.promote(c.set(b), i)
+	c.stats.Hits++
+	return true
 }
 
 // Peek is Lookup without touching LRU or counters, for checkers and tests.
@@ -308,18 +357,18 @@ func (c *Cache) Install(a mem.Addr, fill *Fill) (Evicted, bool) {
 		}
 	}
 	if victim < 0 {
-		lines := c.lines[base : base+c.assoc]
-		victim = 0
-		for i := 1; i < len(lines); i++ {
-			if lines[i].lru < lines[victim].lru {
+		// Every way is valid: the least recently used, rank 0, goes.
+		for i := range ways {
+			if ways[i].rank+uint8(i) == 0 {
 				victim = i
+				break
 			}
 		}
 	}
 	i := base + victim
 	w, l := &c.tags[i], &c.lines[i]
 	if w.ep != c.epoch {
-		*w = way{ep: c.epoch}
+		*w = way{ep: c.epoch, rank: w.rank}
 		*l = line{}
 	}
 	var ev Evicted
@@ -329,15 +378,14 @@ func (c *Cache) Install(a mem.Addr, fill *Fill) (Evicted, bool) {
 		evicted = true
 		c.stats.Evictions++
 	}
-	c.clock++
 	w.tag = b
 	w.state = fill.State
+	c.promote(base, i)
 	l.SI = fill.SI
 	l.TearOff = fill.TearOff
 	l.Ver = fill.Ver
 	l.HasVer = fill.HasVer
 	l.Data = fill.Data
-	l.lru = c.clock
 	if fill.SI && !l.inList {
 		l.inList = true
 		c.marked = append(c.marked, int32(i))

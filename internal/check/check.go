@@ -74,6 +74,11 @@ func (h *holders) add(n int, f cache.Frame) {
 // counts — and skips the entry-level checks, which are only meaningful once
 // nothing is in flight.
 //
+// dcs[n] is node n's directory controller; they share the machine's one
+// directory, and Audit reports each entry under its block's home. Findings
+// are listed home by home in node order, each home's busy blocks first and
+// then its entries in first-touch order.
+//
 // The entry-level checks need each directory entry's holder sets. Audit
 // collects them along the cheaper side: one scan of every cache's ways into
 // s when the caches hold fewer ways than entries × nodes (a large machine
@@ -90,14 +95,11 @@ func Audit(ccs []*proto.CacheCtrl, dcs []*proto.DirCtrl, inFlight int, s *Scratc
 // scanIsCheaper reports whether scanning every cache's ways costs fewer tag
 // probes than probing every cache once per directory entry.
 func scanIsCheaper(ccs []*proto.CacheCtrl, dcs []*proto.DirCtrl) bool {
-	ways, entries := 0, 0
+	ways := 0
 	for _, cc := range ccs {
 		ways += cc.Cache().Ways()
 	}
-	for _, dc := range dcs {
-		entries += dc.Dir().Len()
-	}
-	return ways < entries*len(ccs)
+	return len(dcs) > 0 && ways < dcs[0].Dir().Len()*len(ccs)
 }
 
 // audit is Audit with the collection fixed: holder sets from one scan into s,
@@ -125,18 +127,12 @@ func audit(ccs []*proto.CacheCtrl, dcs []*proto.DirCtrl, inFlight int, s *Scratc
 			})
 		}
 	}
-	for _, dc := range dcs {
-		if b := dc.BusyBlocks(); b != 0 {
-			errs = append(errs, fmt.Errorf("home %d: %d busy blocks", dc.Dir().Node(), b))
-			for _, bt := range dc.DumpBusy() {
-				errs = append(errs, fmt.Errorf("home %d: stuck txn %d (%v for %#x from node %d) awaiting %v via %v (%d retries, %d queued)",
-					dc.Dir().Node(), bt.Txn, bt.Req, uint64(bt.Addr), bt.From, bt.Pending, bt.Action, bt.Retries, bt.Queued))
-			}
-		}
-		if !quiesced {
-			continue
-		}
-		dc.Dir().ForEach(func(b mem.Addr, e *directory.Entry) {
+	// found[n] holds home n's entry findings in first-touch order, from one
+	// pass over the shared directory; it is made on the first finding, so a
+	// clean audit looks up no entry's home.
+	var found [][]error
+	if quiesced && len(dcs) > 0 {
+		dcs[0].Dir().ForEach(func(b mem.Addr, e *directory.Entry) {
 			var h holders
 			if s == nil {
 				for n, cc := range ccs {
@@ -147,17 +143,33 @@ func audit(ccs []*proto.CacheCtrl, dcs []*proto.DirCtrl, inFlight int, s *Scratc
 			} else if p := s.holders.Get(mem.BlockIndex(b)); p != nil {
 				h = *p
 			}
-			if err := auditEntry(ccs, dc, b, e, h); err != nil {
-				errs = append(errs, fmt.Errorf("block %#x (home %d): %w", uint64(b), dc.Dir().Node(), err))
+			if err := auditEntry(ccs, dcs[0].Memory(), b, e, h); err != nil {
+				home := dcs[0].HomeOf(b)
+				if found == nil {
+					found = make([][]error, len(dcs))
+				}
+				found[home] = append(found[home], fmt.Errorf("block %#x (home %d): %w", uint64(b), home, err))
 			}
 		})
+	}
+	for n, dc := range dcs {
+		if b := dc.BusyBlocks(); b != 0 {
+			errs = append(errs, fmt.Errorf("home %d: %d busy blocks", dc.Node(), b))
+			for _, bt := range dc.DumpBusy() {
+				errs = append(errs, fmt.Errorf("home %d: stuck txn %d (%v for %#x from node %d) awaiting %v via %v (%d retries, %d queued)",
+					dc.Node(), bt.Txn, bt.Req, uint64(bt.Addr), bt.From, bt.Pending, bt.Action, bt.Retries, bt.Queued))
+			}
+		}
+		if found != nil {
+			errs = append(errs, found[n]...)
+		}
 	}
 	return errs
 }
 
 // auditEntry checks one directory entry against the holder sets of its
-// block and returns the first violation.
-func auditEntry(ccs []*proto.CacheCtrl, dc *proto.DirCtrl, b mem.Addr, e *directory.Entry, h holders) error {
+// block and the home memory image, and returns the first violation.
+func auditEntry(ccs []*proto.CacheCtrl, memory *mem.Memory, b mem.Addr, e *directory.Entry, h holders) error {
 	if w := h.tearOff & h.exclusive; !w.Empty() {
 		return fmt.Errorf("node %d holds a writable tear-off copy", bits.TrailingZeros64(uint64(w)))
 	}
@@ -180,7 +192,7 @@ func auditEntry(ccs []*proto.CacheCtrl, dc *proto.DirCtrl, b mem.Addr, e *direct
 		if tracked != e.Sharers {
 			return fmt.Errorf("directory sharers %v, tracked copies %v", e.Sharers, tracked)
 		}
-		want := dc.Memory().Read(b)
+		want := memory.Read(b)
 		var err error
 		e.Sharers.ForEach(func(n int) {
 			if f, ok := ccs[n].Cache().Peek(b); ok && f.Data != want && err == nil {

@@ -187,14 +187,13 @@ func buildSeeded(seed uint64) ([]*proto.CacheCtrl, []*proto.DirCtrl) {
 func entriesIn(dcs []*proto.DirCtrl, match func(*directory.Entry) bool) ([]mem.Addr, []*directory.Entry) {
 	var bs []mem.Addr
 	var es []*directory.Entry
-	for _, dc := range dcs {
-		dc.Dir().ForEach(func(b mem.Addr, e *directory.Entry) {
-			if match(e) {
-				bs = append(bs, b)
-				es = append(es, e)
-			}
-		})
-	}
+	// One directory holds every home's entries.
+	dcs[0].Dir().ForEach(func(b mem.Addr, e *directory.Entry) {
+		if match(e) {
+			bs = append(bs, b)
+			es = append(es, e)
+		}
+	})
 	return bs, es
 }
 
@@ -326,5 +325,36 @@ func TestCrossCheckOutcomes(t *testing.T) {
 	}
 	if err := CrossCheckOutcomes("block", []uint64{1}, []uint64{1, 2}); err == nil {
 		t.Fatal("length mismatch not flagged")
+	}
+}
+
+// TestAuditOrdersFindingsByHome corrupts entries at three homes whose
+// first touches interleave across the homes (blocks 2, 5, 1, 3 in that
+// order, homed at 2, 1, 1 and 3) and requires the findings home by home in
+// node order, each home's in first-touch order, with either collection: the
+// order the audit gave while every home kept a directory of its own.
+func TestAuditOrdersFindingsByHome(t *testing.T) {
+	want := []string{
+		"block 0xa0 (home 1): directory says owner 3, caches say {}",
+		"block 0x20 (home 1): directory says owner 3, caches say {}",
+		"block 0x40 (home 2): directory says owner 3, caches say {}",
+		"block 0x60 (home 3): directory says owner 3, caches say {}",
+	}
+	for _, s := range []*Scratch{nil, {}} {
+		ccs, dcs := buildSeeded(3)
+		for _, b := range []mem.Addr{1 * mem.BlockSize, 2 * mem.BlockSize, 3 * mem.BlockSize, 5 * mem.BlockSize} {
+			e, ok := dcs[0].Dir().Peek(b)
+			if !ok {
+				t.Fatalf("block %#x has no entry", uint64(b))
+			}
+			e.State, e.Owner, e.Sharers = directory.Exclusive, 3, 0
+		}
+		var got []string
+		for _, err := range audit(ccs, dcs, 0, s) {
+			got = append(got, err.Error())
+		}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("scratch %v: findings\n%s\nwant\n%s", s != nil, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
 	}
 }

@@ -98,7 +98,8 @@ const (
 	opCompute               // a compute delay (Compute, a lock's backoff)
 )
 
-// simpleOp is one posted simple operation.
+// simpleOp is one posted simple operation. The kernel writes it straight
+// into its FIFO slot (see slot and post), never through a copy.
 type simpleOp struct {
 	kind opKind
 	// sync charges a load's stall, or a compute delay, to synchronization
@@ -106,6 +107,9 @@ type simpleOp struct {
 	sync bool
 	// check marks a load whose word must equal st.Word (Expect).
 	check bool
+	// touch marks a load whose value nobody reads (Touch), so a hit need
+	// not copy the block out of the cache.
+	touch bool
 	addr  mem.Addr
 	// st is a store's token, drawn when it is posted; a checked load keeps
 	// the word it expects in st.Word.
@@ -251,7 +255,9 @@ func (p *Proc) read(a mem.Addr, sync bool) Value {
 	if p.OnOp != nil {
 		p.OnOp(TraceOp{Kind: "read", Addr: a, Sync: sync})
 	}
-	p.post(simpleOp{kind: opRead, sync: sync, addr: a})
+	op := p.slot()
+	*op = simpleOp{kind: opRead, sync: sync, addr: a}
+	p.post(op)
 	p.settle()
 	v := &p.res.Value
 	return Value{Writer: v.Writer, Seq: v.Seq, Word: v.WordAt(a)}
@@ -265,7 +271,9 @@ func (p *Proc) Touch(a mem.Addr) {
 	if p.OnOp != nil {
 		p.OnOp(TraceOp{Kind: "read", Addr: a})
 	}
-	p.post(simpleOp{kind: opRead, addr: a})
+	op := p.slot()
+	*op = simpleOp{kind: opRead, touch: true, addr: a}
+	p.post(op)
 }
 
 // Expect performs a load whose word must equal want, charged exactly like
@@ -279,7 +287,9 @@ func (p *Proc) Expect(a mem.Addr, want uint64) {
 	if p.OnOp != nil {
 		p.OnOp(TraceOp{Kind: "read", Addr: a})
 	}
-	p.post(simpleOp{kind: opRead, check: true, addr: a, st: proto.Store{Word: want}})
+	op := p.slot()
+	*op = simpleOp{kind: opRead, check: true, addr: a, st: proto.Store{Word: want}}
+	p.post(op)
 }
 
 // Write performs a store of a fresh value token (Word = 0).
@@ -293,7 +303,12 @@ func (p *Proc) WriteWord(a mem.Addr, w uint64) {
 	if p.OnOp != nil {
 		p.OnOp(TraceOp{Kind: "write", Addr: a, Word: w})
 	}
-	p.post(simpleOp{kind: opWrite, addr: a, st: p.token(w)})
+	op := p.slot()
+	// The token goes in after the literal: a literal holding it is built
+	// on the stack and then copied into the slot.
+	*op = simpleOp{kind: opWrite, addr: a}
+	op.st = p.token(w)
+	p.post(op)
 }
 
 // Swap atomically exchanges the block's word, returning the old word. It is
@@ -332,7 +347,9 @@ func (p *Proc) compute(cycles int64, sync bool) {
 	if p.OnOp != nil {
 		p.OnOp(TraceOp{Kind: "compute", Cycles: cycles, Sync: sync})
 	}
-	p.post(simpleOp{kind: opCompute, sync: sync, cycles: cycles})
+	op := p.slot()
+	*op = simpleOp{kind: opCompute, sync: sync, cycles: cycles}
+	p.post(op)
 }
 
 // ComputeInstr charges instruction-count work at the 3-issue rate of the
@@ -452,21 +469,28 @@ func (p *Proc) token(word uint64) proto.Store {
 
 // --- posted simple operations --------------------------------------------------
 
-// post queues simple operation op behind the one in flight, or issues it
-// now when none is. A post into a full FIFO first parks the kernel until
-// every posted operation has retired.
+// slot returns the FIFO slot a kernel writes its next simple operation
+// into, in place, before it calls post. A kernel whose FIFO is full first
+// parks until every posted operation has retired.
 //
 //dsi:hotpath
-func (p *Proc) post(op simpleOp) {
-	if p.cur.kind != opNone {
-		if p.npost < postedMax {
-			p.posted[(p.head+p.npost)&(postedMax-1)] = op
-			p.npost++
-			return
-		}
+func (p *Proc) slot() *simpleOp {
+	if p.npost == postedMax {
 		p.settle()
 	}
-	p.issue(&op)
+	return &p.posted[(p.head+p.npost)&(postedMax-1)]
+}
+
+// post queues the simple operation the kernel wrote into op, its slot,
+// behind the one in flight, or issues it now when none is.
+//
+//dsi:hotpath
+func (p *Proc) post(op *simpleOp) {
+	if p.cur.kind != opNone {
+		p.npost++
+		return
+	}
+	p.issue(op)
 }
 
 // settle parks the kernel until every simple operation it posted has
@@ -494,7 +518,11 @@ func (p *Proc) issue(op *simpleOp) {
 	p.curStart = p.q.Now()
 	switch op.kind {
 	case opRead:
-		p.cc.Read(op.addr, p.lastRes)
+		if op.touch {
+			p.cc.Touch(op.addr, p.lastRes)
+		} else {
+			p.cc.Read(op.addr, p.lastRes)
+		}
 	case opWrite:
 		p.cc.Write(op.addr, op.st, p.lastRes)
 	case opCompute:

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"testing"
+	"unsafe"
 
 	"dsisim/internal/cache"
 	"dsisim/internal/event"
@@ -257,6 +258,14 @@ func TestWCWriteIsNonBlocking(t *testing.T) {
 	run(t, h, procs)
 	if h.brk.Cycles[stats.WriteOther]+h.brk.Cycles[stats.WriteInval] > 5 {
 		t.Fatalf("WC write stalled: %v", h.brk)
+	}
+}
+
+// A posted operation stays 48 bytes with its touch flag: the flags share
+// the padding after its kind.
+func TestSimpleOpSize(t *testing.T) {
+	if s := unsafe.Sizeof(simpleOp{}); s != 48 {
+		t.Fatalf("simpleOp is %d bytes, want 48", s)
 	}
 }
 

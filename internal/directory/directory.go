@@ -175,23 +175,17 @@ func (e *Entry) ClearTearOff() {
 	e.MultiTearOff = false
 }
 
-// Dir is the directory of one home node: entries for the blocks homed
-// there, created on demand in state Idle. Entries live in a dense
-// block-indexed table (internal/blockmap), so the per-request lookup on the
-// protocol hot path is a slice load rather than a hash probe, and entry
-// pointers are stable for the directory's lifetime.
+// Dir is the directory storage of a whole machine: the entries of every
+// block, created on demand in state Idle. Each block has exactly one home,
+// so one Dir holds every home's entries without overlap, and the home
+// controllers (internal/proto) share it. Entries live in a
+// dense block-indexed table (internal/blockmap), so the per-request lookup
+// on the protocol hot path is a slice load rather than a hash probe, and
+// entry pointers are stable for the directory's lifetime. The zero value
+// is an empty directory.
 type Dir struct {
-	node    int
 	entries blockmap.Map[Entry]
 }
-
-// New creates the directory for home node.
-func New(node int) *Dir {
-	return &Dir{node: node}
-}
-
-// Node returns the home node this directory belongs to.
-func (d *Dir) Node() int { return d.node }
 
 // Entry returns the entry for a's block, creating an Idle entry on first
 // touch.

@@ -8,6 +8,7 @@ package mem
 
 import (
 	"fmt"
+	"slices"
 
 	"dsisim/internal/blockmap"
 )
@@ -90,6 +91,12 @@ type Layout struct {
 	nodes   int
 	next    Addr
 	regions []Region // sorted by Base
+
+	// homes holds the home node of every block below next, indexed by block
+	// number, so Home is one slice load. It is filled one region at a time
+	// as regions are allocated and stops at blockmap.DefaultDenseCap blocks
+	// (4 MiB of table); Home searches the regions for blocks past it.
+	homes []uint8
 }
 
 // NewLayout returns an empty layout for a machine with nodes processor
@@ -110,6 +117,7 @@ func (l *Layout) Nodes() int { return l.nodes }
 func (l *Layout) Reset() {
 	l.next = BlockSize
 	l.regions = l.regions[:0]
+	l.homes = l.homes[:0]
 }
 
 // Regions returns the allocated regions in address order.
@@ -126,7 +134,61 @@ func (l *Layout) alloc(name string, size uint64, place Placement, node int) Regi
 	r := Region{Name: name, Base: l.next, Size: size, Place: place, Node: node}
 	l.next += Addr(size)
 	l.regions = append(l.regions, r)
+	l.fillHomes(r)
 	return r
+}
+
+// fillHomes extends the home table over region r, which starts at or past
+// the table's end: the blocks before r (block 0, which no region holds) get
+// the unallocated interleaving, r's blocks their placement's homes. Each
+// placement is a repeating pattern, written once and then doubled by copy.
+// Blocks at or past blockmap.DefaultDenseCap, and every block of a layout
+// with more nodes than a byte can name, stay out of the table.
+func (l *Layout) fillHomes(r Region) {
+	first := BlockIndex(r.Base)
+	end := min(BlockIndex(r.End()), blockmap.DefaultDenseCap)
+	if l.nodes > 1<<8 || end <= first {
+		return
+	}
+	for i := uint64(len(l.homes)); i < first; i++ {
+		l.homes = append(l.homes, uint8(i%uint64(l.nodes)))
+	}
+	start := len(l.homes)
+	l.homes = slices.Grow(l.homes, int(end-first))[:start+int(end-first)]
+	h := l.homes[start:]
+	switch r.Place {
+	case Local:
+		h[0] = uint8(r.Node)
+		repeat(h, 1)
+	case Interleaved:
+		n := min(l.nodes, len(h))
+		for i := range n {
+			h[i] = uint8(i)
+		}
+		repeat(h, n)
+	case Blocked:
+		// Block k of the region is homed at k*nodes/blocks: node j's run
+		// starts at the first k with k*nodes >= j*blocks.
+		blocks, nodes := r.Size/BlockSize, uint64(l.nodes)
+		for j := uint64(0); j < nodes; j++ {
+			lo := min((j*blocks+nodes-1)/nodes, uint64(len(h)))
+			hi := min(((j+1)*blocks+nodes-1)/nodes, uint64(len(h)))
+			if lo < hi {
+				h[lo] = uint8(j)
+				repeat(h[lo:hi], 1)
+			}
+		}
+	default:
+		panic("mem: unknown placement")
+	}
+}
+
+// repeat fills h with copies of its first n bytes, doubling the filled
+// prefix with each copy.
+func repeat(h []uint8, n int) {
+	for n < len(h) {
+		n += copy(h[n:], h[:n])
+	}
 }
 
 // AllocLocal allocates size bytes homed entirely at node.
@@ -178,6 +240,15 @@ func (l *Layout) RegionOf(a Addr) (Region, bool) {
 //
 //dsi:hotpath
 func (l *Layout) Home(a Addr) int {
+	if b := BlockIndex(a); b < uint64(len(l.homes)) {
+		return int(l.homes[b])
+	}
+	return l.searchHome(a)
+}
+
+// searchHome is Home for a block the home table does not cover: it finds
+// the block's region by binary search.
+func (l *Layout) searchHome(a Addr) int {
 	i := l.find(a)
 	if i < 0 {
 		return int(BlockIndex(a)) % l.nodes

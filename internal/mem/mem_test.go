@@ -3,6 +3,8 @@ package mem
 import (
 	"testing"
 	"testing/quick"
+
+	"dsisim/internal/blockmap"
 )
 
 func TestBlockOf(t *testing.T) {
@@ -92,6 +94,65 @@ func TestHomeUnallocatedStillDefined(t *testing.T) {
 		if h := l.Home(a); h < 0 || h >= 4 {
 			t.Fatalf("home(%d) = %d out of range", a, h)
 		}
+	}
+}
+
+// checkHomeTable compares Home, which reads the home table, with the region
+// search behind it for every block from 0 to past the layout's end.
+func checkHomeTable(t *testing.T, l *Layout, what string) {
+	t.Helper()
+	end := BlockIndex(l.next) + 64
+	for b := uint64(0); b < end; b++ {
+		a := Addr(b) << BlockShift
+		if got, want := l.Home(a), l.searchHome(a); got != want {
+			t.Fatalf("%s: block %d: Home %d, region search %d", what, b, got, want)
+		}
+	}
+}
+
+func TestHomeTableMatchesSearch(t *testing.T) {
+	for _, nodes := range []int{1, 3, 4, 7, 32, 64} {
+		l := NewLayout(nodes)
+		l.AllocLocal("local", 5*BlockSize+3, nodes-1)
+		l.AllocInterleaved("inter", 37*BlockSize)
+		l.AllocBlocked("small", 3*BlockSize) // fewer blocks than most node counts
+		l.AllocBlocked("odd", 101*BlockSize)
+		l.AllocBlocked("even", uint64(nodes)*8*BlockSize)
+		l.AllocInterleaved("one", 1)
+		l.AllocLocal("node0", 2*BlockSize, 0)
+		if got := uint64(len(l.homes)); got != BlockIndex(l.next) {
+			t.Fatalf("%d nodes: home table covers %d blocks, layout %d", nodes, got, BlockIndex(l.next))
+		}
+		checkHomeTable(t, l, "fresh")
+
+		// A reset layout rebuilds the table for its new regions.
+		l.Reset()
+		checkHomeTable(t, l, "reset")
+		l.AllocBlocked("grid", 77*BlockSize)
+		l.AllocLocal("priv", 9*BlockSize, nodes/2)
+		l.AllocInterleaved("shared", 13*BlockSize)
+		checkHomeTable(t, l, "reset and reallocated")
+	}
+}
+
+func TestHomeTableStopsAtDenseCap(t *testing.T) {
+	l := NewLayout(4)
+	l.AllocInterleaved("low", 8*BlockSize)
+	// A region that crosses the table's bound: its blocks past the bound
+	// take the region search.
+	big := l.AllocBlocked("big", (blockmap.DefaultDenseCap-4)*BlockSize)
+	if got := uint64(len(l.homes)); got != blockmap.DefaultDenseCap {
+		t.Fatalf("home table covers %d blocks, want the cap %d", got, uint64(blockmap.DefaultDenseCap))
+	}
+	past := l.AllocLocal("past", 4*BlockSize, 3)
+	for _, a := range []Addr{big.Base, big.End() - BlockSize, Addr(blockmap.DefaultDenseCap-1) << BlockShift,
+		Addr(blockmap.DefaultDenseCap) << BlockShift, past.Base, past.End(), past.End() + 5*BlockSize} {
+		if got, want := l.Home(a), l.searchHome(a); got != want {
+			t.Fatalf("block %d: Home %d, region search %d", BlockIndex(a), got, want)
+		}
+	}
+	if h := l.Home(past.Base); h != 3 {
+		t.Fatalf("local region past the cap homed at %d, want 3", h)
 	}
 }
 

@@ -112,22 +112,6 @@ type pendingStore struct {
 	cont  func(*Result)
 }
 
-// ccHot is the hot plane of one block's cache-controller state: the
-// outstanding miss (nil when none), the one word every grant handler and
-// miss issue probes. At 8 bytes, eight blocks' hot state share one cache
-// line (the interleaved record fit four).
-type ccHot struct {
-	ms *mshr
-}
-
-// ccCold is the cold plane: the write-buffer entry (nil when none). Entries
-// exist only under weak consistency — bufferStore is the sole allocator and
-// runs only when cfg.Consistency == WC — so SC paths may skip this plane
-// entirely.
-type ccCold struct {
-	wb *wbEntry
-}
-
 // CacheStats counts cache-controller events.
 type CacheStats struct {
 	ReadMisses      int64
@@ -172,15 +156,14 @@ type CacheCtrl struct {
 	// tear-off copy, 0 when none (§3.3: invalidated at the next miss).
 	scTear mem.Addr
 
-	// blocks is the dense per-block state table holding each block's
-	// outstanding miss and write-buffer entry (replaces the mshrs and
-	// entries hash maps), split SoA-style: the miss pointer lives in the
-	// hot plane, the WC-only write-buffer pointer in the cold one;
-	// msCount/wbCount track how many records hold a live miss or unretired
-	// entry.
-	blocks  blockmap.SoA[ccHot, ccCold]
-	msCount int
-	wbCount int
+	// misses holds the outstanding misses and wbs the unretired
+	// write-buffer entries, each keyed by block index. Only a few are ever
+	// live — one miss under SC; under WC a read miss plus one per
+	// write-buffer entry, and entries exist only under WC (bufferStore is
+	// their sole allocator) — so short lists serve where a per-block table
+	// would span the address space.
+	misses blockmap.List[*mshr]
+	wbs    blockmap.List[*wbEntry]
 
 	// Weak consistency write buffer overflow queue.
 	stalled []pendingStore
@@ -322,9 +305,9 @@ func NewCacheCtrl(env *Env, node int, cfg Config, geo cache.Config) *CacheCtrl {
 
 // Reset returns the controller to its initial state under a (possibly
 // different) protocol configuration, keeping every allocation: the cache
-// arrays, the per-block table, and the record free lists. The geometry is
-// fixed at construction; cfg carries the per-run protocol knobs. Machine
-// reuse calls this between runs.
+// arrays, the miss and write-buffer lists, and the record free lists. The
+// geometry is fixed at construction; cfg carries the per-run protocol
+// knobs. Machine reuse calls this between runs.
 func (cc *CacheCtrl) Reset(cfg Config) {
 	if cfg.Consistency == WC && cfg.WriteBufferEntries <= 0 {
 		panic("proto: WC requires a write buffer")
@@ -338,30 +321,13 @@ func (cc *CacheCtrl) Reset(cfg Config) {
 	}
 	cc.server.Reset()
 	cc.scTear = 0
-	cc.blocks.Reset()
-	cc.msCount, cc.wbCount = 0, 0
+	cc.misses.Reset()
+	cc.wbs.Reset()
 	clear(cc.stalled)
 	cc.stalled = cc.stalled[:0]
 	clear(cc.drain)
 	cc.drain = cc.drain[:0]
 	cc.stats = CacheStats{}
-}
-
-// block returns b's hot state plane, creating the record on first touch.
-//
-//dsi:hotpath
-func (cc *CacheCtrl) block(b mem.Addr) *ccHot {
-	_, h := cc.blocks.Ensure(mem.BlockIndex(b))
-	return h
-}
-
-// wbOf returns b's cold write-buffer plane, creating the record on first
-// touch.
-//
-//dsi:hotpath
-func (cc *CacheCtrl) wbOf(b mem.Addr) *ccCold {
-	id, _ := cc.blocks.Ensure(mem.BlockIndex(b))
-	return cc.blocks.Cold(id)
 }
 
 // Cache exposes the cache array for checkers.
@@ -376,12 +342,12 @@ func (cc *CacheCtrl) Stats() CacheStats { return cc.stats }
 
 // Outstanding reports in-flight misses plus unretired write-buffer entries,
 // for quiesce detection.
-func (cc *CacheCtrl) Outstanding() int { return cc.msCount + cc.wbCount + len(cc.stalled) }
+func (cc *CacheCtrl) Outstanding() int { return cc.misses.Len() + cc.wbs.Len() + len(cc.stalled) }
 
 // WBEmpty reports whether the write buffer has fully drained.
 //
 //dsi:hotpath
-func (cc *CacheCtrl) WBEmpty() bool { return cc.wbCount == 0 && len(cc.stalled) == 0 }
+func (cc *CacheCtrl) WBEmpty() bool { return cc.wbs.Len() == 0 && len(cc.stalled) == 0 }
 
 // send stamps m as this node's and injects it. The network copies it, so m
 // may live on the caller's stack.
@@ -408,18 +374,17 @@ func (cc *CacheCtrl) Read(a mem.Addr, cont func(*Result)) {
 		r := cc.result(now)
 		r.Hit = true
 		r.Value = f.Data
-		if cc.wbCount > 0 {
+		if cc.wbs.Len() > 0 {
 			cc.forwardBuffered(a, &r.Value)
 		}
 		cont(r)
 		return
 	}
 	b := mem.BlockOf(a)
-	id, blk := cc.blocks.Ensure(mem.BlockIndex(b))
-	// Write-buffer entries exist only under WC (see ccCold), so the SC read
-	// miss never touches the cold plane.
+	// Write-buffer entries exist only under WC, so the SC read miss never
+	// looks for one.
 	if cc.cfg.Consistency == WC {
-		if e := cc.blocks.Cold(id).wb; e != nil {
+		if e := cc.wbs.Get(mem.BlockIndex(b)); e != nil {
 			if !e.dataArrived {
 				// Stalled behind an outstanding write miss ("read wb" time).
 				cc.stats.ReadWBStalls++
@@ -432,7 +397,21 @@ func (cc *CacheCtrl) Read(a mem.Addr, cont func(*Result)) {
 		}
 	}
 	cc.stats.ReadMisses++
-	cc.issueMiss(b, blk, cc.newMshr(missReq{kind: opRead, cont: cont, start: now}))
+	cc.issueMiss(b, cc.newMshr(missReq{kind: opRead, cont: cont, start: now}))
+}
+
+// Touch performs a load whose value the processor discards: Read, minus the
+// copy of the block a hit would hand back. A miss is an ordinary Read.
+//
+//dsi:hotpath
+func (cc *CacheCtrl) Touch(a mem.Addr, cont func(*Result)) {
+	if cc.c.Touch(a) {
+		r := cc.result(cc.env.Q.Now())
+		r.Hit = true
+		cont(r)
+		return
+	}
+	cc.Read(a, cont)
 }
 
 // forwardBuffered merges into v the stores a's block has waiting in the
@@ -444,11 +423,7 @@ func (cc *CacheCtrl) Read(a mem.Addr, cont func(*Result)) {
 //
 //dsi:hotpath
 func (cc *CacheCtrl) forwardBuffered(a mem.Addr, v *mem.Value) {
-	id := cc.blocks.ID(mem.BlockIndex(mem.BlockOf(a)))
-	if id < 0 {
-		return
-	}
-	if e := cc.blocks.Cold(id).wb; e != nil && !e.dataArrived {
+	if e := cc.wbs.Get(mem.BlockIndex(a)); e != nil && !e.dataArrived {
 		e.apply(v)
 	}
 }
@@ -472,8 +447,7 @@ func (cc *CacheCtrl) Write(a mem.Addr, st Store, cont func(*Result)) {
 		return
 	}
 	cc.stats.WriteMisses++
-	b := mem.BlockOf(a)
-	cc.issueMiss(b, cc.block(b), cc.newMshr(missReq{kind: opWrite, addr: a, st: st, cont: cont, start: now}))
+	cc.issueMiss(mem.BlockOf(a), cc.newMshr(missReq{kind: opWrite, addr: a, st: st, cont: cont, start: now}))
 }
 
 // Swap atomically exchanges the word at a, returning the previous word. The
@@ -491,8 +465,7 @@ func (cc *CacheCtrl) Swap(a mem.Addr, newWord uint64, st Store, cont func(*Resul
 		return
 	}
 	cc.stats.SwapMisses++
-	b := mem.BlockOf(a)
-	cc.issueMiss(b, cc.block(b), cc.newMshr(missReq{kind: opSwap, addr: a, st: st, cont: cont, start: now}))
+	cc.issueMiss(mem.BlockOf(a), cc.newMshr(missReq{kind: opSwap, addr: a, st: st, cont: cont, start: now}))
 }
 
 // SyncFlush performs the DSI self-invalidation due at a synchronization
@@ -544,7 +517,7 @@ func (cc *CacheCtrl) DrainWB(cont func()) {
 // --- miss machinery ---------------------------------------------------------
 
 //dsi:hotpath
-func (cc *CacheCtrl) issueMiss(b mem.Addr, blk *ccHot, ms *mshr) {
+func (cc *CacheCtrl) issueMiss(b mem.Addr, ms *mshr) {
 	// Sequentially consistent tear-off copies die at the next cache miss
 	// (Scheurich's condition): until this processor misses, it cannot
 	// observe new values, so its reads order legally before the conflicting
@@ -556,15 +529,15 @@ func (cc *CacheCtrl) issueMiss(b mem.Addr, blk *ccHot, ms *mshr) {
 		}
 		cc.scTear = 0
 	}
-	if blk.ms != nil {
+	idx := mem.BlockIndex(b)
+	if cc.misses.Get(idx) != nil {
 		cc.env.fail("cache %d: duplicate miss for %#x", cc.node, uint64(b))
 		return
 	}
-	if cc.cfg.Consistency == SC && cc.msCount != 0 {
+	if cc.cfg.Consistency == SC && cc.misses.Len() != 0 {
 		cc.env.fail("cache %d: multiple outstanding misses under SC", cc.node)
 	}
-	blk.ms = ms
-	cc.msCount++
+	cc.misses.Put(idx, ms)
 	// Transaction ids are drawn unconditionally: the counter advances with
 	// the protocol's own deterministic order, so ids are stable run to run
 	// whether or not a sink is attached (and cost nothing either way).
@@ -731,9 +704,7 @@ func (cc *CacheCtrl) notifySelfInval(ev cache.Evicted) {
 func (cc *CacheCtrl) bufferStore(ps pendingStore) {
 	b := mem.BlockOf(ps.addr)
 	now := cc.env.Q.Now()
-	id, blk := cc.blocks.Ensure(mem.BlockIndex(b))
-	w := cc.blocks.Cold(id)
-	if e := w.wb; e != nil {
+	if e := cc.wbs.Get(mem.BlockIndex(b)); e != nil {
 		if !e.dataArrived {
 			// Coalesce into the outstanding entry.
 			e.coalesce(ps.addr, ps.st)
@@ -748,15 +719,15 @@ func (cc *CacheCtrl) bufferStore(ps pendingStore) {
 		e.blockedStores = append(e.blockedStores, ps)
 		return
 	}
-	if cc.wbCount >= cc.cfg.WriteBufferEntries {
+	if cc.wbs.Len() >= cc.cfg.WriteBufferEntries {
 		cc.stats.WBFullStalls++
 		cc.stalled = append(cc.stalled, ps)
 		return
 	}
-	cc.allocateEntry(b, blk, w, ps)
+	cc.allocateEntry(b, ps)
 }
 
-func (cc *CacheCtrl) allocateEntry(b mem.Addr, blk *ccHot, w *ccCold, ps pendingStore) {
+func (cc *CacheCtrl) allocateEntry(b mem.Addr, ps pendingStore) {
 	now := cc.env.Q.Now()
 	var e *wbEntry
 	if n := len(cc.wbFree); n > 0 {
@@ -767,10 +738,9 @@ func (cc *CacheCtrl) allocateEntry(b mem.Addr, blk *ccHot, w *ccCold, ps pending
 	}
 	e.addr = b
 	e.coalesce(ps.addr, ps.st)
-	w.wb = e
-	cc.wbCount++
+	cc.wbs.Put(mem.BlockIndex(b), e)
 	cc.stats.WriteMisses++
-	cc.issueMiss(b, blk, cc.newMshr(missReq{kind: opWrite, addr: ps.addr, st: ps.st, start: ps.start}))
+	cc.issueMiss(b, cc.newMshr(missReq{kind: opWrite, addr: ps.addr, st: ps.st, start: ps.start}))
 	r := cc.result(now)
 	r.WBFullWait = now - ps.start
 	ps.cont(r)
@@ -778,14 +748,13 @@ func (cc *CacheCtrl) allocateEntry(b mem.Addr, blk *ccHot, w *ccCold, ps pending
 
 // retire frees a write-buffer slot and wakes anything waiting on it.
 func (cc *CacheCtrl) retire(e *wbEntry) {
-	cc.wbOf(e.addr).wb = nil
-	cc.wbCount--
+	cc.wbs.Delete(mem.BlockIndex(e.addr))
 	blocked := e.blockedStores
 	e.blockedStores = nil
 	for _, ps := range blocked {
 		cc.bufferStore(ps)
 	}
-	for len(cc.stalled) > 0 && cc.wbCount < cc.cfg.WriteBufferEntries {
+	for len(cc.stalled) > 0 && cc.wbs.Len() < cc.cfg.WriteBufferEntries {
 		ps := cc.stalled[0]
 		cc.stalled = cc.stalled[1:]
 		cc.bufferStore(ps)
@@ -884,8 +853,8 @@ func (cc *CacheCtrl) onRecall(m *netsim.Message) {
 
 func (cc *CacheCtrl) onDataS(m *netsim.Message) {
 	b := mem.BlockOf(m.Addr)
-	blk := cc.block(b)
-	ms := blk.ms
+	idx := mem.BlockIndex(b)
+	ms := cc.misses.Get(idx)
 	if ms == nil || ms.kind != opRead || (cc.cfg.Retry != nil && ms.txn != m.Txn) {
 		if cc.cfg.Retry != nil {
 			// Hardened: a duplicated or replayed grant whose miss already
@@ -896,7 +865,7 @@ func (cc *CacheCtrl) onDataS(m *netsim.Message) {
 			// as fresh: with no live state and no copy here, the directory
 			// just recorded this node as a sharer, so return the phantom
 			// copy with a replacement notice to keep the sharer set honest.
-			if ms == nil && cc.wbOf(b).wb == nil && !m.TearOff {
+			if ms == nil && cc.wbs.Get(idx) == nil && !m.TearOff {
 				if _, held := cc.c.Peek(b); !held {
 					cc.stats.GrantsReturned++
 					cc.send(&netsim.Message{Kind: netsim.Repl, Dst: cc.home(b), Addr: b})
@@ -909,8 +878,7 @@ func (cc *CacheCtrl) onDataS(m *netsim.Message) {
 		cc.env.fail("cache %d: unexpected DataS for %#x", cc.node, uint64(b))
 		return
 	}
-	blk.ms = nil
-	cc.msCount--
+	cc.misses.Delete(idx)
 	cc.install(b, cache.Shared, m)
 	r := cc.result(cc.env.Q.Now())
 	r.InvWait = m.InvWait
@@ -921,8 +889,8 @@ func (cc *CacheCtrl) onDataS(m *netsim.Message) {
 
 func (cc *CacheCtrl) onDataX(m *netsim.Message) {
 	b := mem.BlockOf(m.Addr)
-	blk := cc.block(b)
-	ms := blk.ms
+	idx := mem.BlockIndex(b)
+	ms := cc.misses.Get(idx)
 	hardened := cc.cfg.Retry != nil
 	if ms == nil {
 		if hardened {
@@ -942,8 +910,7 @@ func (cc *CacheCtrl) onDataX(m *netsim.Message) {
 		// replayed grant with Pending cleared — standing in for the lost
 		// FinalAck — completes the operation here.
 		if hardened && !m.Pending {
-			blk.ms = nil
-			cc.msCount--
+			cc.misses.Delete(idx)
 			cc.finishParked(ms)
 			return
 		}
@@ -954,8 +921,7 @@ func (cc *CacheCtrl) onDataX(m *netsim.Message) {
 		cc.env.fail("cache %d: duplicate DataX for %#x", cc.node, uint64(b))
 		return
 	}
-	blk.ms = nil
-	cc.msCount--
+	cc.misses.Delete(idx)
 	cc.install(b, cache.Exclusive, m)
 	if ms.kind == opRead {
 		// A migratory exclusive grant answering a read: the block arrives
@@ -966,15 +932,15 @@ func (cc *CacheCtrl) onDataX(m *netsim.Message) {
 		r.Value = m.Data
 		cc.finish(ms, r)
 	} else {
-		cc.applyGrant(b, blk, ms, m)
+		cc.applyGrant(b, ms, m)
 	}
 	cc.postInstall(b, m)
 }
 
 func (cc *CacheCtrl) onAckX(m *netsim.Message) {
 	b := mem.BlockOf(m.Addr)
-	blk := cc.block(b)
-	ms := blk.ms
+	idx := mem.BlockIndex(b)
+	ms := cc.misses.Get(idx)
 	if ms == nil || ms.kind == opRead || ms.waitingFinal ||
 		(cc.cfg.Retry != nil && ms.txn != m.Txn) {
 		if cc.cfg.Retry != nil {
@@ -982,7 +948,7 @@ func (cc *CacheCtrl) onAckX(m *netsim.Message) {
 			// fresh is refused like a DataX: the AckX carries the block's
 			// committed contents as bookkeeping, so the give-back writeback
 			// has the data it needs (see giveBackGrant).
-			if ms == nil && cc.wbOf(b).wb == nil {
+			if ms == nil && cc.wbs.Get(idx) == nil {
 				cc.giveBackGrant(b, m)
 				return
 			}
@@ -992,8 +958,7 @@ func (cc *CacheCtrl) onAckX(m *netsim.Message) {
 		cc.env.fail("cache %d: unexpected AckX for %#x", cc.node, uint64(b))
 		return
 	}
-	blk.ms = nil
-	cc.msCount--
+	cc.misses.Delete(idx)
 	// The AckX carries the block's committed contents as simulator
 	// bookkeeping (a tracked shared copy always equals home memory, so no
 	// data moves on the simulated wire): even if the shared copy was
@@ -1001,14 +966,14 @@ func (cc *CacheCtrl) onAckX(m *netsim.Message) {
 	// fills for other blocks arrive while stores are buffered — the install
 	// below reconstructs it exactly.
 	cc.install(b, cache.Exclusive, m)
-	cc.applyGrant(b, blk, ms, m)
+	cc.applyGrant(b, ms, m)
 	cc.postInstall(b, m)
 }
 
 // applyGrant performs the buffered store or swap once exclusive ownership
 // arrives, and completes the processor operation (or parks it awaiting the
 // weak-consistency FinalAck).
-func (cc *CacheCtrl) applyGrant(b mem.Addr, blk *ccHot, ms *mshr, m *netsim.Message) {
+func (cc *CacheCtrl) applyGrant(b mem.Addr, ms *mshr, m *netsim.Message) {
 	now := cc.env.Q.Now()
 	f, ok := cc.c.Peek(b)
 	if !ok {
@@ -1026,7 +991,7 @@ func (cc *CacheCtrl) applyGrant(b mem.Addr, blk *ccHot, ms *mshr, m *netsim.Mess
 			// pendingFinal it owns the lost-FinalAck probe timer.
 			txnID, gen := ms.txn, ms.tgen
 			cc.freeMshr(ms)
-			e := cc.wbOf(b).wb
+			e := cc.wbs.Get(mem.BlockIndex(b))
 			if e == nil {
 				cc.env.fail("cache %d: WC write grant without wb entry for %#x", cc.node, uint64(b))
 				return
@@ -1073,16 +1038,15 @@ func (cc *CacheCtrl) applyGrant(b mem.Addr, blk *ccHot, ms *mshr, m *netsim.Mess
 			return
 		}
 		ms.waitingFinal = true
-		blk.ms = ms
-		cc.msCount++
+		cc.misses.Put(mem.BlockIndex(b), ms)
 	}
 }
 
 func (cc *CacheCtrl) onFinalAck(m *netsim.Message) {
 	b := mem.BlockOf(m.Addr)
 	hardened := cc.cfg.Retry != nil
-	id, blk := cc.blocks.Ensure(mem.BlockIndex(b))
-	if e := cc.blocks.Cold(id).wb; e != nil {
+	idx := mem.BlockIndex(b)
+	if e := cc.wbs.Get(idx); e != nil {
 		if !e.pendingFinal || (hardened && e.txn != m.Txn) {
 			if hardened {
 				cc.stats.StraysIgnored++
@@ -1094,13 +1058,12 @@ func (cc *CacheCtrl) onFinalAck(m *netsim.Message) {
 		cc.retire(e)
 		return
 	}
-	if ms := blk.ms; ms != nil && ms.waitingFinal {
+	if ms := cc.misses.Get(idx); ms != nil && ms.waitingFinal {
 		if hardened && ms.txn != m.Txn {
 			cc.stats.StraysIgnored++
 			return
 		}
-		blk.ms = nil
-		cc.msCount--
+		cc.misses.Delete(idx)
 		cc.finishParked(ms)
 		return
 	}

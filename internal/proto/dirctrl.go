@@ -119,24 +119,46 @@ type queueNode struct {
 	next int32
 }
 
-// DirCtrl is the directory controller of one home node.
-type DirCtrl struct {
-	env    *Env
-	node   int
-	cfg    Config
-	dir    *directory.Dir
+// homeTables are the home side's per-block tables for a whole machine: the
+// directory, the home memory image, and each block's live transaction and
+// request queue. Each block has exactly one home, so one set of tables,
+// owned by the Env, serves every DirCtrl and holds nothing twice: a
+// machine's home side spans the address space once, not once per node.
+type homeTables struct {
+	dir    directory.Dir
 	memory mem.Memory
-	server event.Server
 
 	// blocks is the dense per-block state table (replaces the busy and
 	// queue hash maps), split SoA-style: the txn/entry words handlers probe
 	// on every message live in the hot plane, the queue links in the cold.
 	blocks blockmap.SoA[dirHot, dirCold]
 	// qNodes backs every block's pending-request list; qFree heads the free
-	// list (index+1, 0 = empty). busyCount tracks blocks with a live
-	// transaction for BusyBlocks.
-	qNodes    []queueNode
-	qFree     int32
+	// list (index+1, 0 = empty).
+	qNodes []queueNode
+	qFree  int32
+}
+
+// reset empties the tables, keeping their allocations.
+func (h *homeTables) reset() {
+	h.dir.Reset()
+	h.memory.Reset()
+	h.blocks.Reset()
+	h.qNodes = h.qNodes[:0]
+	h.qFree = 0
+}
+
+// DirCtrl is the directory controller of one home node. Its per-block
+// state lives in the machine's shared home tables (Env); it serves only
+// the blocks homed at its node.
+type DirCtrl struct {
+	env    *Env
+	h      *homeTables // &env.home
+	node   int
+	cfg    Config
+	server event.Server
+
+	// busyCount tracks this home's blocks with a live transaction for
+	// BusyBlocks.
 	busyCount int
 
 	// calls is the free list of pooled admit→process dispatch records; see
@@ -151,21 +173,15 @@ type DirCtrl struct {
 }
 
 // Reset returns the controller to its initial state under a (possibly
-// different) protocol configuration, keeping every allocation: the
-// directory's block table, the home memory image's table, the per-block
-// state table with its queue-node arena, and the pooled record free lists.
-// Machine reuse calls this between runs.
+// different) protocol configuration, keeping the pooled record free lists.
+// The home tables it shares are emptied by Env.Reset. Machine reuse calls
+// this between runs.
 func (dc *DirCtrl) Reset(cfg Config) {
 	if cfg.SharerLimit == 1 {
 		panic("proto: SharerLimit must be 0 (full map) or >= 2")
 	}
 	dc.cfg = cfg
-	dc.dir.Reset()
-	dc.memory.Reset()
 	dc.server.Reset()
-	dc.blocks.Reset()
-	dc.qNodes = dc.qNodes[:0]
-	dc.qFree = 0
 	dc.busyCount = 0
 	dc.stats = DirStats{}
 }
@@ -174,7 +190,7 @@ func (dc *DirCtrl) Reset(cfg Config) {
 //
 //dsi:hotpath
 func (dc *DirCtrl) block(b mem.Addr) *dirHot {
-	_, h := dc.blocks.Ensure(mem.BlockIndex(b))
+	_, h := dc.h.blocks.Ensure(mem.BlockIndex(b))
 	return h
 }
 
@@ -182,8 +198,8 @@ func (dc *DirCtrl) block(b mem.Addr) *dirHot {
 //
 //dsi:hotpath
 func (dc *DirCtrl) queue(b mem.Addr) *dirCold {
-	id, _ := dc.blocks.Ensure(mem.BlockIndex(b))
-	return dc.blocks.Cold(id)
+	id, _ := dc.h.blocks.Ensure(mem.BlockIndex(b))
+	return dc.h.blocks.Cold(id)
 }
 
 // entry returns b's directory entry through the record's cached pointer.
@@ -191,7 +207,7 @@ func (dc *DirCtrl) queue(b mem.Addr) *dirCold {
 //dsi:hotpath
 func (dc *DirCtrl) entry(db *dirHot, b mem.Addr) *directory.Entry {
 	if db.ent == nil {
-		db.ent = dc.dir.Entry(b)
+		db.ent = dc.h.dir.Entry(b)
 	}
 	return db.ent
 }
@@ -200,19 +216,20 @@ func (dc *DirCtrl) entry(db *dirHot, b mem.Addr) *directory.Entry {
 //
 //dsi:hotpath
 func (dc *DirCtrl) pushQueue(q *dirCold, m *netsim.Message) {
+	h := dc.h
 	var id int32
-	if dc.qFree != 0 {
-		id = dc.qFree - 1
-		dc.qFree = dc.qNodes[id].next
+	if h.qFree != 0 {
+		id = h.qFree - 1
+		h.qFree = h.qNodes[id].next
 	} else {
-		dc.qNodes = append(dc.qNodes, queueNode{})
-		id = int32(len(dc.qNodes) - 1)
+		h.qNodes = append(h.qNodes, queueNode{})
+		id = int32(len(h.qNodes) - 1)
 	}
-	n := &dc.qNodes[id]
+	n := &h.qNodes[id]
 	n.m = *m
 	n.next = 0
 	if q.qTail != 0 {
-		dc.qNodes[q.qTail-1].next = id + 1
+		h.qNodes[q.qTail-1].next = id + 1
 	} else {
 		q.qHead = id + 1
 	}
@@ -228,15 +245,16 @@ func (dc *DirCtrl) popQueue(q *dirCold) (*netsim.Message, bool) {
 	if q.qHead == 0 {
 		return nil, false
 	}
+	h := dc.h
 	id := q.qHead - 1
-	n := &dc.qNodes[id]
+	n := &h.qNodes[id]
 	q.qHead = n.next
 	if q.qHead == 0 {
 		q.qTail = 0
 	}
 	q.qLen--
-	n.next = dc.qFree
-	dc.qFree = id + 1
+	n.next = h.qFree
+	h.qFree = id + 1
 	return &n.m, true
 }
 
@@ -265,19 +283,23 @@ func NewDirCtrl(env *Env, node int, cfg Config) *DirCtrl {
 	if cfg.SharerLimit == 1 {
 		panic("proto: SharerLimit must be 0 (full map) or >= 2")
 	}
-	return &DirCtrl{
-		env:  env,
-		node: node,
-		cfg:  cfg,
-		dir:  directory.New(node),
-	}
+	return &DirCtrl{env: env, h: &env.home, node: node, cfg: cfg}
 }
 
-// Dir exposes the directory state for checkers.
-func (dc *DirCtrl) Dir() *directory.Dir { return dc.dir }
+// Node returns the home node the controller serves.
+func (dc *DirCtrl) Node() int { return dc.node }
 
-// Memory exposes the home memory image for checkers.
-func (dc *DirCtrl) Memory() *mem.Memory { return &dc.memory }
+// Dir exposes the directory state for checkers: the machine's one
+// directory, which holds every home's entries.
+func (dc *DirCtrl) Dir() *directory.Dir { return &dc.h.dir }
+
+// Memory exposes the home memory image for checkers: the machine's one,
+// which holds every home's blocks.
+func (dc *DirCtrl) Memory() *mem.Memory { return &dc.h.memory }
+
+// HomeOf returns the home node of a's block: the node whose controller
+// serves it.
+func (dc *DirCtrl) HomeOf(a mem.Addr) int { return dc.env.Layout.Home(a) }
 
 // Stats returns a snapshot of the counters.
 func (dc *DirCtrl) Stats() DirStats { return dc.stats }
@@ -382,9 +404,9 @@ func (dc *DirCtrl) admit(m *netsim.Message) {
 //dsi:hotpath
 func (dc *DirCtrl) process(m *netsim.Message) {
 	b := mem.BlockOf(m.Addr)
-	id, db := dc.blocks.Ensure(mem.BlockIndex(b))
+	id, db := dc.h.blocks.Ensure(mem.BlockIndex(b))
 	if t := db.t; t != nil {
-		q := dc.blocks.Cold(id)
+		q := dc.h.blocks.Cold(id)
 		if dc.cfg.Retry != nil {
 			if dc.isDuplicate(t, q, m) {
 				dc.stats.DupRequests++
@@ -428,7 +450,7 @@ func (dc *DirCtrl) process(m *netsim.Message) {
 	// Requests served immediately (no transaction) must still release any
 	// requests that queued behind the block while it was busy.
 	if db.t == nil {
-		dc.dequeue(dc.blocks.Cold(id))
+		dc.dequeue(dc.h.blocks.Cold(id))
 	}
 }
 
@@ -515,7 +537,7 @@ func (dc *DirCtrl) processRead(m *netsim.Message, db *dirHot) {
 		}
 		dc.send(&netsim.Message{
 			Kind: netsim.DataS, Dst: m.Src, Addr: b, Txn: m.Txn,
-			Data: dc.memory.Read(b), SI: si, TearOff: tearOff, Ver: ver, HasVer: hasVer,
+			Data: dc.h.memory.Read(b), SI: si, TearOff: tearOff, Ver: ver, HasVer: hasVer,
 		})
 		return
 	}
@@ -660,7 +682,7 @@ func (dc *DirCtrl) sendGrant(dst int, b mem.Addr, upgrade, si bool, ver uint8, h
 		kind = netsim.AckX
 	}
 	dc.send(&netsim.Message{
-		Kind: kind, Dst: dst, Addr: b, Txn: txnID, Data: dc.memory.Read(b),
+		Kind: kind, Dst: dst, Addr: b, Txn: txnID, Data: dc.h.memory.Read(b),
 		SI: si, Ver: ver, HasVer: hasVer, InvWait: invWait, Pending: pending,
 	})
 }
@@ -695,7 +717,7 @@ func (dc *DirCtrl) reply(t *txn, db *dirHot, early bool) {
 		}
 		dc.send(&netsim.Message{
 			Kind: netsim.DataS, Dst: t.req.Src, Addr: b, Txn: t.req.Txn,
-			Data: dc.memory.Read(b), SI: t.si, TearOff: t.tearOff,
+			Data: dc.h.memory.Read(b), SI: t.si, TearOff: t.tearOff,
 			Ver: t.ver, HasVer: t.hasVer, InvWait: invWait,
 		})
 		return
@@ -788,7 +810,7 @@ func (dc *DirCtrl) onAck(m *netsim.Message, hasData, downgraded bool) {
 		return
 	}
 	if hasData {
-		dc.memory.Write(b, m.Data)
+		dc.h.memory.Write(b, m.Data)
 	}
 	if downgraded && m.Src == t.ownerWas {
 		t.ownerRetains = true
@@ -839,11 +861,11 @@ func (dc *DirCtrl) onWriteback(m *netsim.Message, cause core.IdleCause) {
 			// The owner's writeback raced our Recall/Inv; the data is
 			// captured here and the unconditional ack will complete the
 			// transaction.
-			dc.memory.Write(b, m.Data)
+			dc.h.memory.Write(b, m.Data)
 		case t.req.Src:
 			// WC: the requester already received the grant and has given
 			// the block up again before the FinalAck.
-			dc.memory.Write(b, m.Data)
+			dc.h.memory.Write(b, m.Data)
 			t.requesterDropped = true
 		default:
 			dc.env.fail("dir %d: writeback from bystander %d during txn for %#x", dc.node, m.Src, uint64(b))
@@ -864,7 +886,7 @@ func (dc *DirCtrl) onWriteback(m *netsim.Message, cause core.IdleCause) {
 			dc.node, m.Src, e.State, e.Owner, uint64(b))
 		return
 	}
-	dc.memory.Write(b, m.Data)
+	dc.h.memory.Write(b, m.Data)
 	e.LastOwner = m.Src
 	e.Owner = -1
 	prev := e.State

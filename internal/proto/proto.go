@@ -75,6 +75,10 @@ type Env struct {
 
 	// txnSeq is the transaction-id counter behind NextTxn.
 	txnSeq uint64
+
+	// home is the machine's one set of home-side tables, which every
+	// DirCtrl shares (see homeTables). The zero value is empty.
+	home homeTables
 }
 
 // NextTxn returns the next coherence transaction id. Ids start at 1 so that
@@ -86,12 +90,14 @@ func (e *Env) NextTxn() uint64 {
 	return e.txnSeq
 }
 
-// Reset rewinds the transaction-id counter and installs the (possibly nil)
-// sink for the next run. The queue, network, layout, and CheckFail wiring
-// persist across machine reuse.
+// Reset rewinds the transaction-id counter, empties the home tables
+// (keeping their allocations), and installs the (possibly nil) sink for the
+// next run. The queue, network, layout, and CheckFail wiring persist across
+// machine reuse.
 func (e *Env) Reset(sink *obs.Sink) {
 	e.txnSeq = 0
 	e.Sink = sink
+	e.home.reset()
 }
 
 // fail reports a protocol invariant violation and does not return control to

@@ -125,15 +125,12 @@ func doCacheRetry(arg any) {
 	cc, b, txnID, gen := rc.cc, rc.b, rc.txn, rc.gen
 	rc.b, rc.txn, rc.gen = 0, 0, 0
 	cc.rtFree = append(cc.rtFree, rc)
-	id := cc.blocks.ID(mem.BlockIndex(b))
-	if id < 0 {
-		return
-	}
-	if ms := cc.blocks.Hot(id).ms; ms != nil && ms.txn == txnID && ms.tgen == gen {
+	idx := mem.BlockIndex(b)
+	if ms := cc.misses.Get(idx); ms != nil && ms.txn == txnID && ms.tgen == gen {
 		cc.onMissTimeout(b, ms)
 		return
 	}
-	if e := cc.blocks.Cold(id).wb; e != nil && e.pendingFinal && e.txn == txnID && e.tgen == gen {
+	if e := cc.wbs.Get(idx); e != nil && e.pendingFinal && e.txn == txnID && e.tgen == gen {
 		cc.onFinalTimeout(b, e)
 	}
 	// Otherwise the transaction completed before the timer fired: stale.
@@ -205,8 +202,8 @@ func (cc *CacheCtrl) onNack(m *netsim.Message) {
 		cc.env.fail("cache %d: Nack without retry enabled: %v", cc.node, *m)
 		return
 	}
-	id, blk := cc.blocks.Ensure(mem.BlockIndex(b))
-	if ms := blk.ms; ms != nil && ms.txn == m.Txn {
+	idx := mem.BlockIndex(b)
+	if ms := cc.misses.Get(idx); ms != nil && ms.txn == m.Txn {
 		cc.stats.NacksRecv++
 		ms.retries++
 		if ms.retries > cc.cfg.Retry.Max {
@@ -217,7 +214,7 @@ func (cc *CacheCtrl) onNack(m *netsim.Message) {
 		cc.armMissTimer(b, ms)
 		return
 	}
-	if e := cc.blocks.Cold(id).wb; e != nil && e.pendingFinal && e.txn == m.Txn {
+	if e := cc.wbs.Get(idx); e != nil && e.pendingFinal && e.txn == m.Txn {
 		cc.stats.NacksRecv++
 		e.retries++
 		if e.retries > cc.cfg.Retry.Max {
@@ -248,15 +245,15 @@ func (cc *CacheCtrl) onNack(m *netsim.Message) {
 // (giveBackGrant). A duplicate of a grant whose copy is still live here is
 // the one genuinely ignorable case — directory and cache already agree.
 func (cc *CacheCtrl) recoverGrantReplay(b mem.Addr, m *netsim.Message) {
-	w := cc.wbOf(b)
-	if e := w.wb; e != nil && e.pendingFinal && e.txn == m.Txn && !m.Pending {
+	e := cc.wbs.Get(mem.BlockIndex(b))
+	if e != nil && e.pendingFinal && e.txn == m.Txn && !m.Pending {
 		if _, held := cc.c.Peek(b); !held {
 			cc.install(b, cache.Exclusive, m)
 		}
 		cc.retire(e)
 		return
 	}
-	if w.wb == nil {
+	if e == nil {
 		cc.giveBackGrant(b, m)
 		return
 	}
@@ -316,18 +313,17 @@ type OutstandingMiss struct {
 // DumpOutstanding lists the controller's outstanding misses and unretired
 // write-buffer entries, sorted by block address for deterministic output.
 func (cc *CacheCtrl) DumpOutstanding() []OutstandingMiss {
-	out := make([]OutstandingMiss, 0, cc.msCount+cc.wbCount)
-	cc.blocks.ForEach(func(idx uint64, blk *ccHot, w *ccCold) {
-		b := mem.Addr(idx) << mem.BlockShift
-		if ms := blk.ms; ms != nil {
+	out := make([]OutstandingMiss, 0, cc.misses.Len()+cc.wbs.Len())
+	cc.misses.ForEach(func(idx uint64, ms *mshr) {
+		out = append(out, OutstandingMiss{
+			Addr: mem.Addr(idx) << mem.BlockShift, Txn: ms.txn, Op: ms.kind.String(),
+			Retries: ms.retries, Start: ms.start, WaitingFinal: ms.waitingFinal,
+		})
+	})
+	cc.wbs.ForEach(func(idx uint64, e *wbEntry) {
+		if e.pendingFinal && cc.misses.Get(idx) == nil {
 			out = append(out, OutstandingMiss{
-				Addr: b, Txn: ms.txn, Op: ms.kind.String(),
-				Retries: ms.retries, Start: ms.start, WaitingFinal: ms.waitingFinal,
-			})
-		}
-		if e := w.wb; e != nil && e.pendingFinal && blk.ms == nil {
-			out = append(out, OutstandingMiss{
-				Addr: b, Txn: e.txn, Op: "final-ack",
+				Addr: mem.Addr(idx) << mem.BlockShift, Txn: e.txn, Op: "final-ack",
 				Retries: e.retries, WaitingFinal: true,
 			})
 		}
@@ -376,7 +372,7 @@ func doDirRetry(arg any) {
 	dc, b, txnID, gen := rc.dc, rc.b, rc.txn, rc.gen
 	rc.b, rc.txn, rc.gen = 0, 0, 0
 	dc.rtFree = append(dc.rtFree, rc)
-	if db := dc.blocks.Get(mem.BlockIndex(b)); db != nil && db.t != nil &&
+	if db := dc.h.blocks.Get(mem.BlockIndex(b)); db != nil && db.t != nil &&
 		db.t.req.Txn == txnID && db.t.tgen == gen {
 		dc.onTxnTimeout(b, db.t)
 	}
@@ -412,8 +408,8 @@ func (dc *DirCtrl) isDuplicate(t *txn, q *dirCold, m *netsim.Message) bool {
 	if t.req.Src == m.Src && t.req.Txn == m.Txn {
 		return true
 	}
-	for id := q.qHead; id != 0; id = dc.qNodes[id-1].next {
-		if q := &dc.qNodes[id-1].m; q.Src == m.Src && q.Txn == m.Txn {
+	for id := q.qHead; id != 0; id = dc.h.qNodes[id-1].next {
+		if q := &dc.h.qNodes[id-1].m; q.Src == m.Src && q.Txn == m.Txn {
 			return true
 		}
 	}
@@ -427,14 +423,14 @@ func (dc *DirCtrl) isDuplicate(t *txn, q *dirCold, m *netsim.Message) bool {
 // only delays self-invalidation, never breaks coherence). Reports whether
 // the request was consumed.
 func (dc *DirCtrl) replayed(b mem.Addr, m *netsim.Message) bool {
-	e := dc.dir.Entry(b)
+	e := dc.h.dir.Entry(b)
 	switch m.Kind {
 	case netsim.GetS:
 		if e.State.IsShared() && e.Sharers.Has(m.Src) {
 			dc.stats.Replays++
 			dc.send(&netsim.Message{
 				Kind: netsim.DataS, Dst: m.Src, Addr: b, Txn: m.Txn,
-				Data: dc.memory.Read(b),
+				Data: dc.h.memory.Read(b),
 			})
 			return true
 		}
@@ -444,7 +440,7 @@ func (dc *DirCtrl) replayed(b mem.Addr, m *netsim.Message) bool {
 			dc.stats.Replays++
 			dc.send(&netsim.Message{
 				Kind: netsim.DataX, Dst: m.Src, Addr: b, Txn: m.Txn,
-				Data: dc.memory.Read(b),
+				Data: dc.h.memory.Read(b),
 			})
 			return true
 		}
@@ -457,7 +453,7 @@ func (dc *DirCtrl) replayed(b mem.Addr, m *netsim.Message) bool {
 			dc.stats.Replays++
 			dc.send(&netsim.Message{
 				Kind: netsim.DataX, Dst: m.Src, Addr: b, Txn: m.Txn,
-				Data: dc.memory.Read(b),
+				Data: dc.h.memory.Read(b),
 			})
 			return true
 		}
@@ -486,12 +482,13 @@ type BusyTxn struct {
 }
 
 // DumpBusy lists the controller's live transactions, sorted by block
-// address for deterministic output.
+// address for deterministic output: those of the blocks homed here, out of
+// the machine's shared table.
 func (dc *DirCtrl) DumpBusy() []BusyTxn {
 	out := make([]BusyTxn, 0, dc.busyCount)
-	dc.blocks.ForEach(func(idx uint64, db *dirHot, q *dirCold) {
+	dc.h.blocks.ForEach(func(idx uint64, db *dirHot, q *dirCold) {
 		t := db.t
-		if t == nil {
+		if t == nil || dc.HomeOf(mem.Addr(idx)<<mem.BlockShift) != dc.node {
 			return
 		}
 		out = append(out, BusyTxn{

@@ -133,14 +133,15 @@ func auditQuiesced(t *testing.T, r *rig, seed uint64) {
 	}
 	for _, dc := range r.dcs {
 		if dc.BusyBlocks() != 0 {
-			t.Fatalf("seed %d: home %d has busy blocks", seed, dc.Dir().Node())
+			t.Fatalf("seed %d: home %d has busy blocks", seed, dc.Node())
 		}
-		dc.Dir().ForEach(func(b mem.Addr, e *directory.Entry) {
-			if err := auditEntry(r, dc, b, e); err != nil {
-				t.Fatalf("seed %d: block %#x: %v", seed, uint64(b), err)
-			}
-		})
 	}
+	// One directory holds every home's entries.
+	r.dcs[0].Dir().ForEach(func(b mem.Addr, e *directory.Entry) {
+		if err := auditEntry(r, r.home(b), b, e); err != nil {
+			t.Fatalf("seed %d: block %#x: %v", seed, uint64(b), err)
+		}
+	})
 }
 
 func auditEntry(r *rig, dc *DirCtrl, b mem.Addr, e *directory.Entry) error {

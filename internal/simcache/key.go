@@ -78,21 +78,47 @@ func RequestOf(workload, scale, protocol string, cfg machine.Config) Request {
 // construction rather than by careful ordering, and directly testable.
 func (r Request) Key() Key {
 	var d digest
-	d.absorb(fieldHash("schema", SchemaVersion))
-	d.absorb(fieldHash("workload", fnv(r.Workload)))
-	d.absorb(fieldHash("scale", fnv(r.Scale)))
-	d.absorb(fieldHash("protocol", fnv(r.Protocol)))
-	d.absorb(fieldHash("processors", uint64(r.Processors)))
-	d.absorb(fieldHash("cachebytes", uint64(r.CacheBytes)))
-	d.absorb(fieldHash("cacheassoc", uint64(r.CacheAssoc)))
-	d.absorb(fieldHash("netlatency", uint64(r.NetworkLatency)))
-	d.absorb(fieldHash("wbentries", uint64(r.WriteBufferEntries)))
-	d.absorb(fieldHash("sharerlimit", uint64(r.SharerLimit)))
-	d.absorb(fieldHash("seed", r.Seed))
-	d.absorb(fieldHash("maxsteps", r.MaxSteps))
+	d.absorb(fSchema.hash(SchemaVersion))
+	d.absorb(fWorkload.hash(fnv(r.Workload)))
+	d.absorb(fScale.hash(fnv(r.Scale)))
+	d.absorb(fProtocol.hash(fnv(r.Protocol)))
+	d.absorb(fProcessors.hash(uint64(r.Processors)))
+	d.absorb(fCacheBytes.hash(uint64(r.CacheBytes)))
+	d.absorb(fCacheAssoc.hash(uint64(r.CacheAssoc)))
+	d.absorb(fNetLatency.hash(uint64(r.NetworkLatency)))
+	d.absorb(fWBEntries.hash(uint64(r.WriteBufferEntries)))
+	d.absorb(fSharerLimit.hash(uint64(r.SharerLimit)))
+	d.absorb(fSeed.hash(r.Seed))
+	d.absorb(fMaxSteps.hash(r.MaxSteps))
 	absorbFaults(&d, r.Faults)
 	return d.key()
 }
+
+// The key's fields, their names hashed once here rather than on every Key.
+var (
+	fSchema      = fieldOf("schema")
+	fWorkload    = fieldOf("workload")
+	fScale       = fieldOf("scale")
+	fProtocol    = fieldOf("protocol")
+	fProcessors  = fieldOf("processors")
+	fCacheBytes  = fieldOf("cachebytes")
+	fCacheAssoc  = fieldOf("cacheassoc")
+	fNetLatency  = fieldOf("netlatency")
+	fWBEntries   = fieldOf("wbentries")
+	fSharerLimit = fieldOf("sharerlimit")
+	fSeed        = fieldOf("seed")
+	fMaxSteps    = fieldOf("maxsteps")
+
+	fFaults          = fieldOf("faults")
+	fFaultSeed       = fieldOf("fault.seed")
+	fFaultDrop       = fieldOf("fault.drop")
+	fFaultDup        = fieldOf("fault.dup")
+	fFaultDelay      = fieldOf("fault.delay")
+	fFaultJitter     = fieldOf("fault.jitter")
+	fFaultDropByKind = fieldOf("fault.dropbykind")
+	fFaultDropByLink = fieldOf("fault.dropbylink")
+	fFaultRules      = fieldOf("fault.rules")
+)
 
 // absorbFaults hashes the fault plan. Map-shaped knobs (DropByKind,
 // DropByLink) are sorted into a canonical order first; Rules stay in slice
@@ -100,15 +126,15 @@ func (r Request) Key() Key {
 // own Nth matches).
 func absorbFaults(d *digest, fc *faultinj.Config) {
 	if fc == nil {
-		d.absorb(fieldHash("faults", 0))
+		d.absorb(fFaults.hash(0))
 		return
 	}
-	d.absorb(fieldHash("faults", 1))
-	d.absorb(fieldHash("fault.seed", fc.Seed))
-	d.absorb(fieldHash("fault.drop", math.Float64bits(fc.Drop)))
-	d.absorb(fieldHash("fault.dup", math.Float64bits(fc.Dup)))
-	d.absorb(fieldHash("fault.delay", math.Float64bits(fc.Delay)))
-	d.absorb(fieldHash("fault.jitter", uint64(fc.Jitter)))
+	d.absorb(fFaults.hash(1))
+	d.absorb(fFaultSeed.hash(fc.Seed))
+	d.absorb(fFaultDrop.hash(math.Float64bits(fc.Drop)))
+	d.absorb(fFaultDup.hash(math.Float64bits(fc.Dup)))
+	d.absorb(fFaultDelay.hash(math.Float64bits(fc.Delay)))
+	d.absorb(fFaultJitter.hash(uint64(fc.Jitter)))
 	if len(fc.DropByKind) > 0 {
 		kinds := make([]int, 0, len(fc.DropByKind))
 		//dsi:anyorder the keys are sorted before hashing
@@ -120,7 +146,7 @@ func absorbFaults(d *digest, fc *faultinj.Config) {
 		for _, k := range kinds {
 			vals = append(vals, uint64(k), math.Float64bits(fc.DropByKind[k]))
 		}
-		d.absorb(fieldHash("fault.dropbykind", vals...))
+		d.absorb(fFaultDropByKind.hash(vals...))
 	}
 	if len(fc.DropByLink) > 0 {
 		links := make([][2]int, 0, len(fc.DropByLink))
@@ -138,7 +164,7 @@ func absorbFaults(d *digest, fc *faultinj.Config) {
 		for _, l := range links {
 			vals = append(vals, uint64(l[0]), uint64(l[1]), math.Float64bits(fc.DropByLink[l]))
 		}
-		d.absorb(fieldHash("fault.dropbylink", vals...))
+		d.absorb(fFaultDropByLink.hash(vals...))
 	}
 	if len(fc.Rules) > 0 {
 		vals := make([]uint64, 0, 6*len(fc.Rules))
@@ -147,7 +173,7 @@ func absorbFaults(d *digest, fc *faultinj.Config) {
 				uint64(r.Kind), uint64(r.Src), uint64(r.Dst),
 				uint64(r.Nth), uint64(r.Action), uint64(r.Delay))
 		}
-		d.absorb(fieldHash("fault.rules", vals...))
+		d.absorb(fFaultRules.hash(vals...))
 	}
 }
 
@@ -174,11 +200,18 @@ func (d *digest) key() Key {
 	}
 }
 
-// fieldHash hashes one (name, values) pair: the fnv of the name seeds a
+// field is one key field: the fnv of its name, which seeds the splitmix
+// chain its hash runs over its values.
+type field uint64
+
+// fieldOf returns the field named name.
+func fieldOf(name string) field { return field(fnv(name)) }
+
+// hash hashes the field's (name, values) pair: the name's fnv seeds a
 // splitmix chain over the values, so values are order-sensitive within a
 // field while fields stay order-free across the digest.
-func fieldHash(name string, vals ...uint64) uint64 {
-	x := fnv(name)
+func (f field) hash(vals ...uint64) uint64 {
+	x := uint64(f)
 	for _, v := range vals {
 		x = mix(x ^ v*0x9e3779b97f4a7c15)
 	}

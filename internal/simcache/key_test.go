@@ -29,10 +29,10 @@ func fullRequest() Request {
 
 func TestKeyFieldOrderIndependence(t *testing.T) {
 	fields := []uint64{
-		fieldHash("workload", fnv("em3d")),
-		fieldHash("processors", 8),
-		fieldHash("seed", 0x5eed),
-		fieldHash("fault.jitter", 20),
+		fWorkload.hash(fnv("em3d")),
+		fProcessors.hash(8),
+		fSeed.hash(0x5eed),
+		fFaultJitter.hash(20),
 	}
 	var fwd, rev digest
 	for _, f := range fields {
@@ -141,5 +141,48 @@ func TestRequestOfRoundTrip(t *testing.T) {
 	}
 	if RequestOf("em3d", "test", "V", cfg).Key() == RequestOf("em3d", "test", "W+DSI", cfg).Key() {
 		t.Fatal("protocol label not part of the request identity")
+	}
+}
+
+// TestKeyValuesPinned pins the keys of a few requests, one with a fault plan
+// and one with every field set, to their values before the field-name
+// hashes were precomputed: a key that changes value orphans every entry a
+// longer-lived cache tier holds, so it may change only with SchemaVersion.
+func TestKeyValuesPinned(t *testing.T) {
+	cases := []struct {
+		name string
+		req  Request
+		want Key
+	}{
+		{"zero", Request{}, Key{Hi: 0xe456e7537b0f8779, Lo: 0x292a75cc3cde661b}},
+		{"defaults", Request{Workload: "em3d", Scale: "test", Protocol: "V", Processors: 8},
+			Key{Hi: 0x63f435e1a306229, Lo: 0xe4ed6d0d8b068e11}},
+		{"paper", Request{Workload: "ocean", Scale: "paper", Protocol: "W+DSI", Processors: 32,
+			CacheBytes: 512 << 10, CacheAssoc: 4, NetworkLatency: 100, WriteBufferEntries: 16,
+			Seed: 0x5eed, MaxSteps: 2_000_000_000},
+			Key{Hi: 0xbd6a4e6c572803f7, Lo: 0x5ee08a65c25e0d00}},
+		{"faults", Request{Workload: "zipf", Scale: "test", Protocol: "SC", Processors: 8,
+			CacheBytes: 2048, CacheAssoc: 4, NetworkLatency: 40, WriteBufferEntries: 16, SharerLimit: 4, Seed: 7,
+			Faults: &faultinj.Config{Seed: 3, Drop: 0.05, Dup: 0.02, Delay: 0.1, Jitter: 32}},
+			Key{Hi: 0x3083b4cc7745cd6d, Lo: 0xe727e2c7e4292367}},
+		{"full", fullRequest(), Key{Hi: 0xc93da27c9a9bc348, Lo: 0xbe8faf689d69e248}},
+	}
+	for _, c := range cases {
+		if got := c.req.Key(); got != c.want {
+			t.Errorf("%s: key {Hi: %#x, Lo: %#x}, want {Hi: %#x, Lo: %#x}", c.name, got.Hi, got.Lo, c.want.Hi, c.want.Lo)
+		}
+	}
+}
+
+// BenchmarkRequestKey times one key of a soak-shaped request, a scalar
+// fault plan included: the digest a result-cache hit computes before its
+// lookup.
+func BenchmarkRequestKey(b *testing.B) {
+	r := Request{Workload: "zipf", Scale: "test", Protocol: "W+DSI", Processors: 8,
+		CacheBytes: 2048, CacheAssoc: 4, Seed: 7,
+		Faults: &faultinj.Config{Seed: 3, Drop: 0.02, Dup: 0.01, Delay: 0.05}}
+	b.ReportAllocs()
+	for range b.N {
+		_ = r.Key()
 	}
 }
