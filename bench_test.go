@@ -6,7 +6,7 @@ package dsisim
 // headline series as custom metrics, so `go test -bench=.` reproduces the
 // numbers EXPERIMENTS.md records. The kernel benchmarks (BenchmarkEventQueue,
 // BenchmarkNetworkDelivery, BenchmarkRunOne, BenchmarkCacheLookupMicro,
-// BenchmarkPaperCell) measure simulator throughput itself.
+// BenchmarkPaperCell, BenchmarkAudit) measure simulator throughput itself.
 //
 // One full iteration of a paper artifact simulates dozens of machine
 // configurations; expect minutes, not microseconds.
@@ -16,11 +16,13 @@ import (
 	"testing"
 
 	"dsisim/internal/cache"
+	"dsisim/internal/check"
 	"dsisim/internal/event"
 	"dsisim/internal/experiments"
 	"dsisim/internal/machine"
 	"dsisim/internal/mem"
 	"dsisim/internal/netsim"
+	"dsisim/internal/proto"
 	"dsisim/internal/workload"
 )
 
@@ -358,6 +360,53 @@ func BenchmarkPaperCell(b *testing.B) {
 		events += run().Kernel.Events
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+}
+
+// BenchmarkAudit times the end-of-run coherence audit (check.Audit) over a
+// finished paper-scale cell under V (32 processors, 512 KiB caches): every
+// home record checked against the caches, with the warm Scratch a pooled
+// machine keeps. em3d is the cell BenchmarkPaperCell runs; tomcatv touches
+// the most blocks of the paper workloads. Any finding fails the benchmark.
+func BenchmarkAudit(b *testing.B) {
+	for _, wl := range []string{"em3d", "tomcatv"} {
+		// The cell runs on the sub-benchmark's first call; later calls,
+		// with larger b.N, audit the same finished machine.
+		var ccs []*proto.CacheCtrl
+		var dcs []*proto.DirCtrl
+		var s check.Scratch
+		audit := func(b *testing.B) {
+			// A finished run has nothing in flight.
+			if errs := check.Audit(ccs, dcs, 0, &s); len(errs) != 0 {
+				b.Fatal(errs[0])
+			}
+		}
+		b.Run(wl, func(b *testing.B) {
+			if ccs == nil {
+				mc, err := Config{Protocol: V, Processors: 32, CacheBytes: 512 << 10}.machineConfig()
+				if err != nil {
+					b.Fatal(err)
+				}
+				prog, err := workload.New(wl, workload.ScalePaper)
+				if err != nil {
+					b.Fatal(err)
+				}
+				m := machine.New(mc)
+				if res := m.Run(prog); res.Failed() {
+					b.Fatal(res.Errors[0])
+				}
+				for n := range mc.Processors {
+					ccs = append(ccs, m.CacheCtrl(n))
+					dcs = append(dcs, m.DirCtrl(n))
+				}
+				audit(b) // warms s
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				audit(b)
+			}
+		})
+	}
 }
 
 // campaignMix builds the zipf-popular request stream that

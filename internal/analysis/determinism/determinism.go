@@ -19,7 +19,7 @@
 //     simulations side by side;
 //   - range over a map, unless the statement carries a //dsi:anyorder
 //     directive asserting the iteration order cannot reach simulation state
-//     or output (e.g. directory.Dir.ForEach, whose callers sort).
+//     or output (e.g. a soak journal's keys, sorted before writing).
 package determinism
 
 import (

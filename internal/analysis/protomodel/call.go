@@ -8,11 +8,11 @@ import (
 )
 
 // This file classifies calls: terminal assertions fail the path; calls into
-// the obs sink, the cache array, the directory, the policy interface, and the
-// sync mechanism get protocol semantics from small tables; same-package
-// functions inline (with a rewrite for the occupancy-deferred admit→process
-// hop); everything else is opaque, with function-literal arguments walked
-// once under "may execute" semantics.
+// the obs sink, the cache array, the directory controller's entry accessor,
+// the policy interface, and the sync mechanism get protocol semantics from
+// small tables; same-package functions inline (with a rewrite for the
+// occupancy-deferred admit→process hop); everything else is opaque, with
+// function-literal arguments walked once under "may execute" semantics.
 
 // tableKeyOf renders a declaration as its fnIndex key ("Recv.Name" / "Name").
 func tableKeyOf(decl *ast.FuncDecl) string {
@@ -65,7 +65,7 @@ func (w *walker) execCall(fr *frame, st *pstate, call *ast.CallExpr, k cont) {
 			return
 		}
 	}
-	decl, _ := w.calleeDecl(call)
+	decl := w.calleeDecl(call)
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		name := sel.Sel.Name
 		recvT := w.x.src.info.TypeOf(sel.X)
@@ -77,12 +77,6 @@ func (w *walker) execCall(fr *frame, st *pstate, call *ast.CallExpr, k cont) {
 		case isNamedType(recvT, "dsisim/internal/cache", "Cache") && w.space == w.x.cacheSpace:
 			w.cacheCall(st, call, name, k)
 			return
-		case isNamedType(recvT, "dsisim/internal/directory", "Dir") && w.space == w.x.dirSpace:
-			if name == "Entry" && len(call.Args) == 1 &&
-				w.evalExpr(st, call.Args[0]).k == kSubjAddr {
-				k(st, []symVal{{k: kSubjEntry}})
-				return
-			}
 		}
 		// Policy decisions arrive through an interface, so they are classified
 		// by shape: SetShared/SetIdle on the subject entry moves the directory

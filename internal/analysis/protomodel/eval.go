@@ -235,7 +235,7 @@ func (w *walker) evalCallPure(st *pstate, call *ast.CallExpr) symVal {
 			}
 			return unknownVal
 		}
-		if decl, _ := w.calleeDecl(call); decl != nil {
+		if decl := w.calleeDecl(call); decl != nil {
 			switch tableKeyOf(decl) {
 			case "DirCtrl.newTxn", "CacheCtrl.newMshr":
 				if len(call.Args) == 1 {

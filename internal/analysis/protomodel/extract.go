@@ -318,6 +318,8 @@ func recvTypeName(t ast.Expr) string {
 		return e.Name
 	case *ast.IndexExpr:
 		return recvTypeName(e.X)
+	case *ast.IndexListExpr:
+		return recvTypeName(e.X)
 	}
 	return ""
 }

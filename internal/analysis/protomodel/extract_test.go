@@ -1,36 +1,58 @@
 package protomodel
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"dsisim/internal/analysis"
 )
 
-// loadProto loads the real proto package through the export-data loader.
-func loadProto(t *testing.T) *analysis.Package {
+// protoExtraction is the one extraction of the real proto package that
+// TestExtractProtoClean, TestExtractModelShape and TestGoldenStable share:
+// loading and walking the package is most of this package's test time.
+var protoExtraction struct {
+	once  sync.Once
+	pkg   *analysis.Package
+	model *Model
+	probs []Problem
+	err   error
+}
+
+// extractProto loads the real proto package through the export-data loader
+// and extracts its model, once per test binary. Callers must not change the
+// model.
+func extractProto(t *testing.T) (*analysis.Package, *Model, []Problem) {
 	t.Helper()
-	ld := analysis.NewLoader("../../..")
-	pkgs, err := ld.Load("./internal/proto")
-	if err != nil {
-		t.Fatalf("loading proto: %v", err)
-	}
-	for _, p := range pkgs {
-		if p.Path == ProtoPackage {
-			return p
+	x := &protoExtraction
+	x.once.Do(func() {
+		pkgs, err := analysis.NewLoader("../../..").Load("./internal/proto")
+		if err != nil {
+			x.err = fmt.Errorf("loading proto: %v", err)
+			return
 		}
+		for _, p := range pkgs {
+			if p.Path == ProtoPackage {
+				x.pkg = p
+				x.model, x.probs = ExtractPackage(p)
+				return
+			}
+		}
+		x.err = fmt.Errorf("proto package not among %d loaded packages", len(pkgs))
+	})
+	if x.err != nil {
+		t.Fatal(x.err)
 	}
-	t.Fatalf("proto package not among %d loaded packages", len(pkgs))
-	return nil
+	return x.pkg, x.model, x.probs
 }
 
 // TestExtractProtoClean extracts the model from the real protocol sources and
 // requires a finding-free run: every (controller, trigger, state) pair is
 // handled, waived, or infeasible, with no dead arms or stale waivers.
 func TestExtractProtoClean(t *testing.T) {
-	p := loadProto(t)
-	model, probs := ExtractPackage(p)
+	p, model, probs := extractProto(t)
 	for _, pr := range probs {
 		t.Errorf("%s: %s", p.Fset.Position(pr.Pos), pr.Msg)
 	}
@@ -45,8 +67,7 @@ func TestExtractProtoClean(t *testing.T) {
 // TestExtractModelShape checks structural invariants of the extracted model:
 // full (trigger, state) coverage per controller and well-formed transitions.
 func TestExtractModelShape(t *testing.T) {
-	p := loadProto(t)
-	model, _ := ExtractPackage(p)
+	_, model, _ := extractProto(t)
 	if model == nil {
 		t.Fatal("no model extracted")
 	}
@@ -114,8 +135,7 @@ func TestGoldenStable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading golden (regenerate with dsivet -run protomodel -model docs/protomodel.json): %v", err)
 	}
-	p := loadProto(t)
-	model, probs := ExtractPackage(p)
+	_, model, probs := extractProto(t)
 	if model == nil {
 		t.Fatalf("no model extracted (%d problems)", len(probs))
 	}

@@ -324,7 +324,7 @@ func (w *walker) hoistCalls(fr *frame, st *pstate, cond ast.Expr, k func(*pstate
 			return false
 		}
 		if c, ok := n.(*ast.CallExpr); ok {
-			if decl, _ := w.calleeDecl(c); decl != nil {
+			if decl := w.calleeDecl(c); decl != nil {
 				calls = append(calls, c)
 			}
 		}
@@ -349,17 +349,28 @@ func (w *walker) hoistCalls(fr *frame, st *pstate, cond ast.Expr, k func(*pstate
 
 func callKey(c *ast.CallExpr) string { return "call@" + strconv.Itoa(int(c.Pos())) }
 
-// calleeDecl resolves a call to a same-package function declaration.
-func (w *walker) calleeDecl(call *ast.CallExpr) (*ast.FuncDecl, types.Object) {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		obj := w.x.src.info.Uses[fun]
-		return w.x.funcs[obj], obj
-	case *ast.SelectorExpr:
-		obj := w.x.src.info.Uses[fun.Sel]
-		return w.x.funcs[obj], obj
+// calleeDecl resolves a call to a same-package function declaration. A
+// method of an instantiated generic type and an explicitly instantiated
+// generic function resolve to their generic declaration.
+func (w *walker) calleeDecl(call *ast.CallExpr) *ast.FuncDecl {
+	fun := ast.Unparen(call.Fun)
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ast.Unparen(ix.X)
+	case *ast.IndexListExpr:
+		fun = ast.Unparen(ix.X)
 	}
-	return nil, nil
+	var obj types.Object
+	switch fun := fun.(type) {
+	case *ast.Ident:
+		obj = w.x.src.info.Uses[fun]
+	case *ast.SelectorExpr:
+		obj = w.x.src.info.Uses[fun.Sel]
+	}
+	if fn, ok := obj.(*types.Func); ok {
+		obj = fn.Origin()
+	}
+	return w.x.funcs[obj]
 }
 
 // --- statement execution ----------------------------------------------------

@@ -1,13 +1,15 @@
 // Package blockmap provides the block tables behind the simulator's
-// per-block state: dense, address-indexed tables for the machine's
-// directory, home memory image, directory transactions and request queues,
-// the audit's holder sets and the observability tracker, and a short
-// scanned list (List) for a table that only ever holds a few live records,
-// such as a cache controller's outstanding misses and write-buffer entries.
-// The dense tables replace the per-Addr Go hash maps those layers used
-// before — a hash, a bucket probe, and a pointer chase per simulated access
-// — with a flat slot array indexed by block number. A slot array spans the
-// address space, so a dense table belongs to a machine, not to each node.
+// per-block state: Map, a dense, address-indexed table, for the machine's
+// home records (directory entry, transaction, queue and home memory image
+// of each block), the audit's holder sets and the observability tracker;
+// and List, a short scanned list for a table that only ever holds a few
+// live records, such as a cache controller's outstanding misses and
+// write-buffer entries.
+//
+// Map replaces the per-Addr Go hash maps those layers used before — a hash,
+// a bucket probe, and a pointer chase per simulated access — with a flat
+// slot array indexed by block number. A slot array spans the address
+// space, so a Map belongs to a machine, not to each node.
 //
 // Simulated address spaces are block-aligned and bounded by mem.Layout, so
 // a block index (Addr >> BlockShift) is a small dense integer: the common
@@ -19,21 +21,11 @@
 // by raw uint64 block indexes, not mem.Addr) so that internal/mem itself can
 // build on it without an import cycle.
 //
-// The two dense record layouts share one key structure (the internal index
-// type):
-//
-//   - Map[T] stores one record plane — the right shape when every handler
-//     touches most of the record.
-//   - SoA[H, C] splits each record into a hot word plane and a cold payload
-//     plane (see soa.go) — the structure-of-arrays layout the event heap
-//     uses, for tables where the common path reads one small field and the
-//     rest is rare-path state.
-//
-// Design constraints of the dense tables, in order:
+// Design constraints of Map, in order:
 //
 //   - Stable pointers. Records live in fixed-size pages that are never
 //     reallocated, so a *T returned by Get or Ensure stays valid for the
-//     map's lifetime. Controllers cache these pointers across events.
+//     map's lifetime, so callers may hold them across calls.
 //   - No deletion. Per-block records persist for the machine's lifetime;
 //     "no transaction in flight" is a nil field inside the record, not an
 //     absent key. This keeps the hot path free of tombstone handling and

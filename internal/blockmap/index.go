@@ -1,10 +1,9 @@
 package blockmap
 
-// index is the shared key machinery behind Map and SoA: it maps a raw block
-// index to a small dense record id. Dense block indexes (below cap) resolve
-// through a flat slot array — one bounds check and one slice load; sparse
-// indexes fall back to an open-addressing table. The index knows nothing
-// about record storage; Map keeps one page plane, SoA keeps two.
+// index is Map's key machinery: it maps a raw block index to a small dense
+// record id. Dense block indexes (below cap) resolve through a flat slot
+// array — one bounds check and one slice load; sparse indexes fall back to
+// an open-addressing table. The index knows nothing about record storage.
 type index struct {
 	// slots maps a dense block index to record id+1; 0 means absent. Grown
 	// lazily in powers of two up to the dense cap.

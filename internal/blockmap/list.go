@@ -8,11 +8,11 @@ package blockmap
 // scan over a few keys touches one or two host cache lines, where a Map's
 // slot array spans the whole address space.
 //
-// Unlike Map and SoA, a List deletes: a record leaves when its block's
-// entry retires, and the last record moves into its place, so iteration
-// order is not insertion order. Get returns the zero T for an absent key,
-// so a List of pointers reads nil for "none", like a Map record's nil
-// field. The zero value is an empty list; Reset keeps its allocations.
+// Unlike Map, a List deletes: a record leaves when its block's entry
+// retires, and the last record moves into its place, so iteration order is
+// not insertion order. Get returns the zero T for an absent key, so a List
+// of pointers reads nil for "none", like a Map record's nil field. The
+// zero value is an empty list; Reset keeps its allocations.
 //
 // The scans live here rather than in the controllers: the protomodel
 // extractor walks internal/proto path by path and treats a call into

@@ -75,9 +75,9 @@ func (h *holders) add(n int, f cache.Frame) {
 // nothing is in flight.
 //
 // dcs[n] is node n's directory controller; they share the machine's one
-// directory, and Audit reports each entry under its block's home. Findings
-// are listed home by home in node order, each home's busy blocks first and
-// then its entries in first-touch order.
+// table of home records, and Audit reports each entry under its block's
+// home. Findings are listed home by home in node order, each home's busy
+// blocks first and then its entries in first-touch order.
 //
 // The entry-level checks need each directory entry's holder sets. Audit
 // collects them along the cheaper side: one scan of every cache's ways into
@@ -99,7 +99,7 @@ func scanIsCheaper(ccs []*proto.CacheCtrl, dcs []*proto.DirCtrl) bool {
 	for _, cc := range ccs {
 		ways += cc.Cache().Ways()
 	}
-	return len(dcs) > 0 && ways < dcs[0].Dir().Len()*len(ccs)
+	return len(dcs) > 0 && ways < dcs[0].Entries()*len(ccs)
 }
 
 // audit is Audit with the collection fixed: holder sets from one scan into s,
@@ -128,11 +128,11 @@ func audit(ccs []*proto.CacheCtrl, dcs []*proto.DirCtrl, inFlight int, s *Scratc
 		}
 	}
 	// found[n] holds home n's entry findings in first-touch order, from one
-	// pass over the shared directory; it is made on the first finding, so a
-	// clean audit looks up no entry's home.
+	// pass over the shared home records; it is made on the first finding, so
+	// a clean audit looks up no entry's home.
 	var found [][]error
 	if quiesced && len(dcs) > 0 {
-		dcs[0].Dir().ForEach(func(b mem.Addr, e *directory.Entry) {
+		dcs[0].ForEachEntry(func(b mem.Addr, e *directory.Entry, data *mem.Value) {
 			var h holders
 			if s == nil {
 				for n, cc := range ccs {
@@ -143,7 +143,7 @@ func audit(ccs []*proto.CacheCtrl, dcs []*proto.DirCtrl, inFlight int, s *Scratc
 			} else if p := s.holders.Get(mem.BlockIndex(b)); p != nil {
 				h = *p
 			}
-			if err := auditEntry(ccs, dcs[0].Memory(), b, e, h); err != nil {
+			if err := auditEntry(ccs, b, e, data, h); err != nil {
 				home := dcs[0].HomeOf(b)
 				if found == nil {
 					found = make([][]error, len(dcs))
@@ -168,8 +168,8 @@ func audit(ccs []*proto.CacheCtrl, dcs []*proto.DirCtrl, inFlight int, s *Scratc
 }
 
 // auditEntry checks one directory entry against the holder sets of its
-// block and the home memory image, and returns the first violation.
-func auditEntry(ccs []*proto.CacheCtrl, memory *mem.Memory, b mem.Addr, e *directory.Entry, h holders) error {
+// block and its home memory image data, and returns the first violation.
+func auditEntry(ccs []*proto.CacheCtrl, b mem.Addr, e *directory.Entry, data *mem.Value, h holders) error {
 	if w := h.tearOff & h.exclusive; !w.Empty() {
 		return fmt.Errorf("node %d holds a writable tear-off copy", bits.TrailingZeros64(uint64(w)))
 	}
@@ -192,7 +192,7 @@ func auditEntry(ccs []*proto.CacheCtrl, memory *mem.Memory, b mem.Addr, e *direc
 		if tracked != e.Sharers {
 			return fmt.Errorf("directory sharers %v, tracked copies %v", e.Sharers, tracked)
 		}
-		want := memory.Read(b)
+		want := *data
 		var err error
 		e.Sharers.ForEach(func(n int) {
 			if f, ok := ccs[n].Cache().Peek(b); ok && f.Data != want && err == nil {

@@ -74,7 +74,7 @@ func expectViolation(t *testing.T, ccs []*proto.CacheCtrl, dcs []*proto.DirCtrl,
 func TestAuditDetectsPhantomSharer(t *testing.T) {
 	ccs, dcs := build(t)
 	a := mem.Addr(1 * mem.BlockSize)
-	e, _ := dcs[1].Dir().Peek(a)
+	e, _ := dcs[1].Peek(a)
 	e.Sharers = e.Sharers.Add(2) // node 2 holds nothing
 	expectViolation(t, ccs, dcs, "tracked copies")
 }
@@ -120,7 +120,7 @@ func TestAuditDetectsWritableTearOff(t *testing.T) {
 func TestAuditDetectsIdleWithCopies(t *testing.T) {
 	ccs, dcs := build(t)
 	a := mem.Addr(2 * mem.BlockSize)
-	e, _ := dcs[2].Dir().Peek(a)
+	e, _ := dcs[2].Peek(a)
 	e.State = directory.Idle
 	expectViolation(t, ccs, dcs, "tracked copies")
 }
@@ -128,7 +128,7 @@ func TestAuditDetectsIdleWithCopies(t *testing.T) {
 func TestAuditDetectsWrongOwner(t *testing.T) {
 	ccs, dcs := build(t)
 	a := mem.Addr(2 * mem.BlockSize)
-	e, _ := dcs[2].Dir().Peek(a)
+	e, _ := dcs[2].Peek(a)
 	e.Owner = 1
 	expectViolation(t, ccs, dcs, "owner")
 }
@@ -187,8 +187,8 @@ func buildSeeded(seed uint64) ([]*proto.CacheCtrl, []*proto.DirCtrl) {
 func entriesIn(dcs []*proto.DirCtrl, match func(*directory.Entry) bool) ([]mem.Addr, []*directory.Entry) {
 	var bs []mem.Addr
 	var es []*directory.Entry
-	// One directory holds every home's entries.
-	dcs[0].Dir().ForEach(func(b mem.Addr, e *directory.Entry) {
+	// One table holds every home's entries.
+	dcs[0].ForEachEntry(func(b mem.Addr, e *directory.Entry, _ *mem.Value) {
 		if match(e) {
 			bs = append(bs, b)
 			es = append(es, e)
@@ -343,7 +343,7 @@ func TestAuditOrdersFindingsByHome(t *testing.T) {
 	for _, s := range []*Scratch{nil, {}} {
 		ccs, dcs := buildSeeded(3)
 		for _, b := range []mem.Addr{1 * mem.BlockSize, 2 * mem.BlockSize, 3 * mem.BlockSize, 5 * mem.BlockSize} {
-			e, ok := dcs[0].Dir().Peek(b)
+			e, ok := dcs[0].Peek(b)
 			if !ok {
 				t.Fatalf("block %#x has no entry", uint64(b))
 			}

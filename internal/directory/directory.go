@@ -13,9 +13,6 @@ package directory
 import (
 	"fmt"
 	"math/bits"
-
-	"dsisim/internal/blockmap"
-	"dsisim/internal/mem"
 )
 
 // NodeSet is a full-map sharer bit vector (up to MaxNodes nodes, the paper
@@ -174,52 +171,3 @@ func (e *Entry) ClearTearOff() {
 	e.TearOffOut = false
 	e.MultiTearOff = false
 }
-
-// Dir is the directory storage of a whole machine: the entries of every
-// block, created on demand in state Idle. Each block has exactly one home,
-// so one Dir holds every home's entries without overlap, and the home
-// controllers (internal/proto) share it. Entries live in a
-// dense block-indexed table (internal/blockmap), so the per-request lookup
-// on the protocol hot path is a slice load rather than a hash probe, and
-// entry pointers are stable for the directory's lifetime. The zero value
-// is an empty directory.
-type Dir struct {
-	entries blockmap.Map[Entry]
-}
-
-// Entry returns the entry for a's block, creating an Idle entry on first
-// touch.
-//
-//dsi:hotpath
-func (d *Dir) Entry(a mem.Addr) *Entry {
-	idx := mem.BlockIndex(a)
-	if e := d.entries.Get(idx); e != nil {
-		return e
-	}
-	e := d.entries.Ensure(idx)
-	e.LastOwner = -1
-	return e
-}
-
-// Peek returns the entry if it exists, without creating one.
-//
-//dsi:hotpath
-func (d *Dir) Peek(a mem.Addr) (*Entry, bool) {
-	e := d.entries.Get(mem.BlockIndex(a))
-	return e, e != nil
-}
-
-// Len returns the number of materialized entries.
-func (d *Dir) Len() int { return d.entries.Len() }
-
-// ForEach calls fn for every materialized entry in first-touch order, which
-// is deterministic (it follows the simulation's own event order).
-func (d *Dir) ForEach(fn func(block mem.Addr, e *Entry)) {
-	d.entries.ForEach(func(idx uint64, e *Entry) {
-		fn(mem.Addr(idx)<<mem.BlockShift, e)
-	})
-}
-
-// Reset drops all entries while keeping the block table's allocations, so a
-// reused machine starts from an all-Idle directory without reallocating.
-func (d *Dir) Reset() { d.entries.Reset() }

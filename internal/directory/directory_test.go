@@ -3,8 +3,6 @@ package directory
 import (
 	"testing"
 	"testing/quick"
-
-	"dsisim/internal/mem"
 )
 
 func TestNodeSetBasics(t *testing.T) {
@@ -132,33 +130,6 @@ func TestTearOffBit(t *testing.T) {
 	e.ClearTearOff()
 	if e.TearOffOut || e.MultiTearOff {
 		t.Fatal("clear did not reset")
-	}
-}
-
-func TestDirEntryOnDemand(t *testing.T) {
-	var d Dir
-	if _, ok := d.Peek(64); ok {
-		t.Fatal("Peek materialized an entry")
-	}
-	e := d.Entry(65) // same block as 64
-	if e.State != Idle || e.LastOwner != -1 {
-		t.Fatalf("fresh entry = %+v", e)
-	}
-	if e2 := d.Entry(64); e2 != e {
-		t.Fatal("same block produced distinct entries")
-	}
-	if d.Len() != 1 {
-		t.Fatalf("len = %d", d.Len())
-	}
-	n := 0
-	d.ForEach(func(a mem.Addr, _ *Entry) {
-		if a != 64 {
-			t.Errorf("entry at %d", a)
-		}
-		n++
-	})
-	if n != 1 {
-		t.Fatalf("ForEach visited %d", n)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package mem defines the simulated physical address space: block geometry,
 // region allocation with placement policies, the home-node map, and the
-// block value store used by the coherence checker.
+// block contents (Value) that caches, messages and home memory carry.
 //
 // The paper's machine uses 32-byte cache blocks; that geometry is fixed here
 // as constants and shared by every other package.
@@ -297,43 +297,3 @@ func (v Value) String() string {
 	}
 	return fmt.Sprintf("w%d#%d%v", v.Writer, v.Seq, v.Words)
 }
-
-// Memory is a sparse block-granularity value store, used both as the
-// simulated main memory contents at the homes and as the checker's golden
-// image. The zero value is an all-zeroes memory. Storage is a blockmap
-// block table, so reads and writes on the simulation hot path are slice
-// loads, not hash lookups.
-type Memory struct {
-	blocks blockmap.Map[Value]
-}
-
-// Read returns the value of the block containing a.
-//
-//dsi:hotpath
-func (m *Memory) Read(a Addr) Value {
-	if p := m.blocks.Get(BlockIndex(a)); p != nil {
-		return *p
-	}
-	return Value{}
-}
-
-// Write stores v into the block containing a.
-//
-//dsi:hotpath
-func (m *Memory) Write(a Addr, v Value) {
-	*m.blocks.Ensure(BlockIndex(a)) = v
-}
-
-// Len returns how many blocks have ever been written.
-func (m *Memory) Len() int { return m.blocks.Len() }
-
-// ForEach calls fn for every written block in first-write order.
-func (m *Memory) ForEach(fn func(block Addr, v Value)) {
-	m.blocks.ForEach(func(idx uint64, v *Value) {
-		fn(Addr(idx)<<BlockShift, *v)
-	})
-}
-
-// Reset forgets all contents while keeping the underlying block table's
-// allocations for machine reuse.
-func (m *Memory) Reset() { m.blocks.Reset() }

@@ -190,24 +190,6 @@ func TestRegionAddrPanicsOutOfRange(t *testing.T) {
 	r.Addr(64)
 }
 
-func TestMemoryReadWrite(t *testing.T) {
-	var m Memory
-	if !m.Read(100).IsZero() {
-		t.Fatal("fresh memory not zero")
-	}
-	v := Value{Writer: 3, Seq: 9}
-	m.Write(100, v)
-	if got := m.Read(101); got != v { // same block
-		t.Fatalf("Read(101) = %v, want %v", got, v)
-	}
-	if got := m.Read(100 + BlockSize); !got.IsZero() {
-		t.Fatalf("neighboring block contaminated: %v", got)
-	}
-	if m.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", m.Len())
-	}
-}
-
 func TestValueString(t *testing.T) {
 	if s := (Value{}).String(); s != "<init>" {
 		t.Fatalf("zero value string = %q", s)
@@ -275,16 +257,5 @@ func TestWordIndexAndWordAt(t *testing.T) {
 		if WordIndex(a+3) != i {
 			t.Fatalf("WordIndex(%d) = %d, want %d", a+3, WordIndex(a+3), i)
 		}
-	}
-}
-
-func TestMemoryForEach(t *testing.T) {
-	var m Memory
-	m.Write(32, Value{Writer: 1, Seq: 1})
-	m.Write(96, Value{Writer: 2, Seq: 2})
-	seen := map[Addr]Value{}
-	m.ForEach(func(a Addr, v Value) { seen[a] = v })
-	if len(seen) != 2 || seen[32].Writer != 1 || seen[96].Writer != 2 {
-		t.Fatalf("ForEach = %v", seen)
 	}
 }

@@ -23,7 +23,7 @@ func BenchmarkDirHandle(b *testing.B) {
 			replies++
 		}
 	})
-	e := dc.Dir().Entry(a)
+	e := dc.entry(dc.block(a))
 	req := netsim.Message{Kind: netsim.GetS, Src: 1, Dst: dc.node, Addr: a}
 	b.ReportAllocs()
 	b.ResetTimer()

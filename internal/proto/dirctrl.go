@@ -87,51 +87,40 @@ type DirStats struct {
 	StrayAcks   int64 // duplicate/stale acknowledgments tolerated
 }
 
-// dirHot is the hot plane of one block's directory-controller state — the
-// two words every message handler reads: the live transaction and a cached
-// pointer to the block's directory entry, so the steady-state request path
-// does one block-table lookup, not three hash probes. At 16 bytes, four
-// blocks' hot state share one cache line (the interleaved record fit two).
-type dirHot struct {
+// homeBlock is one block's state at its home, in one record: the directory
+// entry, the live transaction, the home memory image and the request queue,
+// as the paper's Dir_nNB keeps a block's directory entry with its memory. A
+// request reaches all of it with one block-table lookup.
+type homeBlock struct {
+	e directory.Entry
 	// t is the live transaction; nil when the block is not busy.
 	t *txn
-	// ent caches the directory entry pointer (stable for the directory's
-	// lifetime), filled on first use.
-	ent *directory.Entry
-}
-
-// dirCold is the cold plane: the request queue behind a busy block
-// (freelist-linked through DirCtrl.qNodes, no per-block slice), touched
-// only when a request actually collides with a live transaction —
-// stats.Queued events, rare relative to message handling.
-type dirCold struct {
-	// qHead/qTail link the queued requests through DirCtrl.qNodes, stored
-	// as index+1 so the zeroed record means "empty queue". qLen mirrors the
-	// list length for the QueueLimit check and diagnostics.
+	// data is the block's home memory image; zero until first written.
+	data mem.Value
+	// qHead/qTail link the requests queued behind a busy block through
+	// homeTables.qNodes, stored as index+1 so the zeroed record means "empty
+	// queue". qLen mirrors the list length for the QueueLimit check and
+	// diagnostics.
 	qHead, qTail int32
 	qLen         int32
 }
 
 // queueNode is one pooled pending-request record; next is index+1 into
-// DirCtrl.qNodes (0 terminates the list / the free list).
+// homeTables.qNodes (0 terminates the list / the free list).
 type queueNode struct {
 	m    netsim.Message
 	next int32
 }
 
-// homeTables are the home side's per-block tables for a whole machine: the
-// directory, the home memory image, and each block's live transaction and
-// request queue. Each block has exactly one home, so one set of tables,
-// owned by the Env, serves every DirCtrl and holds nothing twice: a
-// machine's home side spans the address space once, not once per node.
+// homeTables are the home side's per-block state for a whole machine: one
+// record per block, and the node arena behind the request queues. Each
+// block has exactly one home, so one set of tables, owned by the Env,
+// serves every DirCtrl and holds nothing twice: a machine's home side spans
+// the address space once, not once per node.
 type homeTables struct {
-	dir    directory.Dir
-	memory mem.Memory
-
-	// blocks is the dense per-block state table (replaces the busy and
-	// queue hash maps), split SoA-style: the txn/entry words handlers probe
-	// on every message live in the hot plane, the queue links in the cold.
-	blocks blockmap.SoA[dirHot, dirCold]
+	// blocks holds every touched block's record, created on first touch in
+	// first-touch order, which the audit's home-by-home listing follows.
+	blocks blockmap.Map[homeBlock]
 	// qNodes backs every block's pending-request list; qFree heads the free
 	// list (index+1, 0 = empty).
 	qNodes []queueNode
@@ -140,8 +129,6 @@ type homeTables struct {
 
 // reset empties the tables, keeping their allocations.
 func (h *homeTables) reset() {
-	h.dir.Reset()
-	h.memory.Reset()
 	h.blocks.Reset()
 	h.qNodes = h.qNodes[:0]
 	h.qFree = 0
@@ -186,36 +173,33 @@ func (dc *DirCtrl) Reset(cfg Config) {
 	dc.stats = DirStats{}
 }
 
-// block returns b's hot state plane, creating the record on first touch.
+// block returns b's home record, creating it on first touch with an Idle
+// entry that has had no writer yet.
 //
 //dsi:hotpath
-func (dc *DirCtrl) block(b mem.Addr) *dirHot {
-	_, h := dc.h.blocks.Ensure(mem.BlockIndex(b))
-	return h
-}
-
-// queue returns b's cold queue plane, creating the record on first touch.
-//
-//dsi:hotpath
-func (dc *DirCtrl) queue(b mem.Addr) *dirCold {
-	id, _ := dc.h.blocks.Ensure(mem.BlockIndex(b))
-	return dc.h.blocks.Cold(id)
-}
-
-// entry returns b's directory entry through the record's cached pointer.
-//
-//dsi:hotpath
-func (dc *DirCtrl) entry(db *dirHot, b mem.Addr) *directory.Entry {
-	if db.ent == nil {
-		db.ent = dc.h.dir.Entry(b)
+func (dc *DirCtrl) block(b mem.Addr) *homeBlock {
+	idx := mem.BlockIndex(b)
+	if hb := dc.h.blocks.Get(idx); hb != nil {
+		return hb
 	}
-	return db.ent
+	hb := dc.h.blocks.Ensure(idx)
+	hb.e.LastOwner = -1
+	return hb
 }
 
-// pushQueue appends a copy of *m to q's pending-request list.
+// entry returns the directory entry of home record hb. Handlers reach the
+// entry only through it: the protomodel extractor keys on this method to
+// know which entry is the subject's (docs/ANALYSIS.md).
 //
 //dsi:hotpath
-func (dc *DirCtrl) pushQueue(q *dirCold, m *netsim.Message) {
+func (dc *DirCtrl) entry(hb *homeBlock) *directory.Entry {
+	return &hb.e
+}
+
+// pushQueue appends a copy of *m to hb's pending-request list.
+//
+//dsi:hotpath
+func (dc *DirCtrl) pushQueue(hb *homeBlock, m *netsim.Message) {
 	h := dc.h
 	var id int32
 	if h.qFree != 0 {
@@ -228,31 +212,31 @@ func (dc *DirCtrl) pushQueue(q *dirCold, m *netsim.Message) {
 	n := &h.qNodes[id]
 	n.m = *m
 	n.next = 0
-	if q.qTail != 0 {
-		h.qNodes[q.qTail-1].next = id + 1
+	if hb.qTail != 0 {
+		h.qNodes[hb.qTail-1].next = id + 1
 	} else {
-		q.qHead = id + 1
+		hb.qHead = id + 1
 	}
-	q.qTail = id + 1
-	q.qLen++
+	hb.qTail = id + 1
+	hb.qLen++
 }
 
-// popQueue removes the head of q's pending-request list and returns its
+// popQueue removes the head of hb's pending-request list and returns its
 // message, which stays in the freed node only until the next pushQueue.
 //
 //dsi:hotpath
-func (dc *DirCtrl) popQueue(q *dirCold) (*netsim.Message, bool) {
-	if q.qHead == 0 {
+func (dc *DirCtrl) popQueue(hb *homeBlock) (*netsim.Message, bool) {
+	if hb.qHead == 0 {
 		return nil, false
 	}
 	h := dc.h
-	id := q.qHead - 1
+	id := hb.qHead - 1
 	n := &h.qNodes[id]
-	q.qHead = n.next
-	if q.qHead == 0 {
-		q.qTail = 0
+	hb.qHead = n.next
+	if hb.qHead == 0 {
+		hb.qTail = 0
 	}
-	q.qLen--
+	hb.qLen--
 	n.next = h.qFree
 	h.qFree = id + 1
 	return &n.m, true
@@ -289,13 +273,37 @@ func NewDirCtrl(env *Env, node int, cfg Config) *DirCtrl {
 // Node returns the home node the controller serves.
 func (dc *DirCtrl) Node() int { return dc.node }
 
-// Dir exposes the directory state for checkers: the machine's one
-// directory, which holds every home's entries.
-func (dc *DirCtrl) Dir() *directory.Dir { return &dc.h.dir }
+// Peek returns the directory entry of a's block, if the block was ever
+// touched, without creating one. The machine's home records are shared, so
+// any home's controller sees every block.
+func (dc *DirCtrl) Peek(a mem.Addr) (*directory.Entry, bool) {
+	if hb := dc.h.blocks.Get(mem.BlockIndex(a)); hb != nil {
+		return &hb.e, true
+	}
+	return nil, false
+}
 
-// Memory exposes the home memory image for checkers: the machine's one,
-// which holds every home's blocks.
-func (dc *DirCtrl) Memory() *mem.Memory { return &dc.h.memory }
+// HomeValue returns the home memory image of a's block: zero if the block
+// was never written back.
+func (dc *DirCtrl) HomeValue(a mem.Addr) mem.Value {
+	if hb := dc.h.blocks.Get(mem.BlockIndex(a)); hb != nil {
+		return hb.data
+	}
+	return mem.Value{}
+}
+
+// Entries returns the number of blocks with a home record, every home's.
+func (dc *DirCtrl) Entries() int { return dc.h.blocks.Len() }
+
+// ForEachEntry calls fn with every home record's block, directory entry and
+// home memory image, every home's, in first-touch order (deterministic: it
+// follows the simulation's own event order). The pointers are valid only
+// for the call.
+func (dc *DirCtrl) ForEachEntry(fn func(b mem.Addr, e *directory.Entry, data *mem.Value)) {
+	dc.h.blocks.ForEach(func(idx uint64, hb *homeBlock) {
+		fn(mem.Addr(idx)<<mem.BlockShift, &hb.e, &hb.data)
+	})
+}
 
 // HomeOf returns the home node of a's block: the node whose controller
 // serves it.
@@ -335,9 +343,9 @@ func (dc *DirCtrl) newTxn(init *txn) *txn {
 // coherence action to re-send on timeout, marks the block busy, emits the
 // transaction-start event, and — hardened only — arms the retry timer.
 // Callers send the initial action messages themselves.
-func (dc *DirCtrl) openTxn(db *dirHot, b mem.Addr, t *txn, action netsim.Kind) {
+func (dc *DirCtrl) openTxn(hb *homeBlock, b mem.Addr, t *txn, action netsim.Kind) {
 	t.action = action
-	db.t = t
+	hb.t = t
 	dc.busyCount++
 	if sk := dc.env.Sink; sk != nil {
 		sk.OnTxnStart(dc.env.Q.Now(), dc.node, b, t.req.Txn, t.req.Src, t.req.Kind)
@@ -404,25 +412,24 @@ func (dc *DirCtrl) admit(m *netsim.Message) {
 //dsi:hotpath
 func (dc *DirCtrl) process(m *netsim.Message) {
 	b := mem.BlockOf(m.Addr)
-	id, db := dc.h.blocks.Ensure(mem.BlockIndex(b))
-	if t := db.t; t != nil {
-		q := dc.h.blocks.Cold(id)
+	hb := dc.block(b)
+	if t := hb.t; t != nil {
 		if dc.cfg.Retry != nil {
-			if dc.isDuplicate(t, q, m) {
+			if dc.isDuplicate(t, hb, m) {
 				dc.stats.DupRequests++
 				return
 			}
-			if lim := dc.cfg.Retry.QueueLimit; lim > 0 && int(q.qLen) >= lim {
+			if lim := dc.cfg.Retry.QueueLimit; lim > 0 && int(hb.qLen) >= lim {
 				dc.stats.NacksSent++
 				dc.send(&netsim.Message{Kind: netsim.Nack, Dst: m.Src, Addr: b, Txn: m.Txn})
 				return
 			}
 		}
 		dc.stats.Queued++
-		dc.pushQueue(q, m)
+		dc.pushQueue(hb, m)
 		return
 	}
-	if dc.cfg.Retry != nil && dc.replayed(b, m) {
+	if dc.cfg.Retry != nil && dc.replayed(hb, b, m) {
 		return
 	}
 	if dc.cfg.Retry != nil && m.Probe {
@@ -441,25 +448,25 @@ func (dc *DirCtrl) process(m *netsim.Message) {
 	dc.stats.Requests++
 	switch m.Kind {
 	case netsim.GetS:
-		dc.processRead(m, db)
+		dc.processRead(m, hb)
 	case netsim.GetX, netsim.Upgrade:
-		dc.processWrite(m, db)
+		dc.processWrite(m, hb)
 	default:
 		dc.env.fail("dir %d: non-request kind %v reached process", dc.node, *m)
 	}
 	// Requests served immediately (no transaction) must still release any
 	// requests that queued behind the block while it was busy.
-	if db.t == nil {
-		dc.dequeue(dc.h.blocks.Cold(id))
+	if hb.t == nil {
+		dc.dequeue(hb)
 	}
 }
 
-func (dc *DirCtrl) processRead(m *netsim.Message, db *dirHot) {
+func (dc *DirCtrl) processRead(m *netsim.Message, hb *homeBlock) {
 	b := mem.BlockOf(m.Addr)
-	e := dc.entry(db, b)
+	e := dc.entry(hb)
 	pol := dc.cfg.Policy
 	if pol.Migratory && e.Migratory && !e.State.IsShared() {
-		dc.processMigratoryRead(m, db, e)
+		dc.processMigratoryRead(m, hb, e)
 		return
 	}
 	if pol.Migratory {
@@ -493,7 +500,7 @@ func (dc *DirCtrl) processRead(m *netsim.Message, db *dirHot) {
 			procDone: dc.env.Q.Now(),
 		})
 		dc.stats.Recalls++
-		dc.openTxn(db, b, t, netsim.Recall)
+		dc.openTxn(hb, b, t, netsim.Recall)
 		dc.send(&netsim.Message{Kind: netsim.Recall, Dst: e.Owner, Addr: b, Txn: m.Txn})
 		return
 	}
@@ -525,7 +532,7 @@ func (dc *DirCtrl) processRead(m *netsim.Message, db *dirHot) {
 					pending: directory.NodeSet(0).Add(victim), ownerWas: -1, prev: e.State,
 					procDone: dc.env.Q.Now(),
 				})
-				dc.openTxn(db, b, t, netsim.Inv)
+				dc.openTxn(hb, b, t, netsim.Inv)
 				dc.send(&netsim.Message{Kind: netsim.Inv, Dst: victim, Addr: b, Txn: m.Txn})
 				return
 			}
@@ -537,7 +544,7 @@ func (dc *DirCtrl) processRead(m *netsim.Message, db *dirHot) {
 		}
 		dc.send(&netsim.Message{
 			Kind: netsim.DataS, Dst: m.Src, Addr: b, Txn: m.Txn,
-			Data: dc.h.memory.Read(b), SI: si, TearOff: tearOff, Ver: ver, HasVer: hasVer,
+			Data: hb.data, SI: si, TearOff: tearOff, Ver: ver, HasVer: hasVer,
 		})
 		return
 	}
@@ -549,7 +556,7 @@ func (dc *DirCtrl) processRead(m *netsim.Message, db *dirHot) {
 // the reader becomes the owner, saving its anticipated upgrade. If the
 // returning data shows the previous owner never actually wrote, the block
 // is demoted out of migratory mode.
-func (dc *DirCtrl) processMigratoryRead(m *netsim.Message, db *dirHot, e *directory.Entry) {
+func (dc *DirCtrl) processMigratoryRead(m *netsim.Message, hb *homeBlock, e *directory.Entry) {
 	b := mem.BlockOf(m.Addr)
 	pol := dc.cfg.Policy
 	dc.stats.MigratoryGrants++
@@ -566,7 +573,7 @@ func (dc *DirCtrl) processMigratoryRead(m *netsim.Message, db *dirHot, e *direct
 			migratoryRead: true,
 		})
 		dc.stats.Invalidates++
-		dc.openTxn(db, b, t, netsim.Inv)
+		dc.openTxn(hb, b, t, netsim.Inv)
 		dc.send(&netsim.Message{Kind: netsim.Inv, Dst: e.Owner, Addr: b, Txn: m.Txn})
 		return
 	}
@@ -578,12 +585,12 @@ func (dc *DirCtrl) processMigratoryRead(m *netsim.Message, db *dirHot, e *direct
 	if sk := dc.env.Sink; sk != nil && e.State != prev {
 		sk.OnDirState(dc.env.Q.Now(), dc.node, b, m.Txn, prev, e.State)
 	}
-	dc.sendGrant(m.Src, b, false, si, ver, hasVer, 0, false, m.Txn)
+	dc.sendGrant(hb, m.Src, b, false, si, ver, hasVer, 0, false, m.Txn)
 }
 
-func (dc *DirCtrl) processWrite(m *netsim.Message, db *dirHot) {
+func (dc *DirCtrl) processWrite(m *netsim.Message, hb *homeBlock) {
 	b := mem.BlockOf(m.Addr)
-	e := dc.entry(db, b)
+	e := dc.entry(hb)
 	pol := dc.cfg.Policy
 	wasSharer := e.State.IsShared() && e.Sharers.Has(m.Src)
 	others := e.Sharers.Remove(m.Src)
@@ -628,7 +635,7 @@ func (dc *DirCtrl) processWrite(m *netsim.Message, db *dirHot) {
 			procDone: dc.env.Q.Now(),
 		})
 		dc.stats.Invalidates++
-		dc.openTxn(db, b, t, netsim.Inv)
+		dc.openTxn(hb, b, t, netsim.Inv)
 		dc.send(&netsim.Message{Kind: netsim.Inv, Dst: e.Owner, Addr: b, Txn: m.Txn})
 
 	case e.State.IsShared() && !others.Empty():
@@ -637,7 +644,7 @@ func (dc *DirCtrl) processWrite(m *netsim.Message, db *dirHot) {
 			pending: others, ownerWas: -1, prev: e.State,
 			procDone: dc.env.Q.Now(),
 		})
-		dc.openTxn(db, b, t, netsim.Inv)
+		dc.openTxn(hb, b, t, netsim.Inv)
 		e.Sharers = 0
 		others.ForEach(func(n int) {
 			dc.stats.Invalidates++
@@ -653,7 +660,7 @@ func (dc *DirCtrl) processWrite(m *netsim.Message, db *dirHot) {
 			if sk := dc.env.Sink; sk != nil {
 				sk.OnDirState(dc.env.Q.Now(), dc.node, b, m.Txn, prev, e.State)
 			}
-			dc.reply(t, db, true)
+			dc.reply(t, hb, true)
 		}
 
 	default:
@@ -666,13 +673,13 @@ func (dc *DirCtrl) processWrite(m *netsim.Message, db *dirHot) {
 		if sk := dc.env.Sink; sk != nil && e.State != prev {
 			sk.OnDirState(dc.env.Q.Now(), dc.node, b, m.Txn, prev, e.State)
 		}
-		dc.sendGrant(m.Src, b, upgrade, si, ver, hasVer, 0, false, m.Txn)
+		dc.sendGrant(hb, m.Src, b, upgrade, si, ver, hasVer, 0, false, m.Txn)
 	}
 }
 
 // sendGrant emits the exclusive grant (DataX, or AckX for an upgrade whose
 // copy is still valid at the requester).
-func (dc *DirCtrl) sendGrant(dst int, b mem.Addr, upgrade, si bool, ver uint8, hasVer bool, invWait event.Time, pending bool, txnID uint64) {
+func (dc *DirCtrl) sendGrant(hb *homeBlock, dst int, b mem.Addr, upgrade, si bool, ver uint8, hasVer bool, invWait event.Time, pending bool, txnID uint64) {
 	kind := netsim.DataX
 	if upgrade {
 		// AckX moves no data on the simulated wire (injection time stays 3
@@ -682,7 +689,7 @@ func (dc *DirCtrl) sendGrant(dst int, b mem.Addr, upgrade, si bool, ver uint8, h
 		kind = netsim.AckX
 	}
 	dc.send(&netsim.Message{
-		Kind: kind, Dst: dst, Addr: b, Txn: txnID, Data: dc.h.memory.Read(b),
+		Kind: kind, Dst: dst, Addr: b, Txn: txnID, Data: hb.data,
 		SI: si, Ver: ver, HasVer: hasVer, InvWait: invWait, Pending: pending,
 	})
 }
@@ -690,14 +697,14 @@ func (dc *DirCtrl) sendGrant(dst int, b mem.Addr, upgrade, si bool, ver uint8, h
 // reply finishes a transaction's grant. For reads it sends DataS; for
 // writes it sends the exclusive grant (used both at completion under SC and
 // early under WC).
-func (dc *DirCtrl) reply(t *txn, db *dirHot, early bool) {
+func (dc *DirCtrl) reply(t *txn, hb *homeBlock, early bool) {
 	b := mem.BlockOf(t.req.Addr)
 	var invWait event.Time
 	if !early {
 		invWait = dc.env.Q.Now() - t.procDone
 	}
 	if t.isRead {
-		e := dc.entry(db, b)
+		e := dc.entry(hb)
 		prev := e.State
 		switch {
 		case !t.tearOff:
@@ -717,18 +724,18 @@ func (dc *DirCtrl) reply(t *txn, db *dirHot, early bool) {
 		}
 		dc.send(&netsim.Message{
 			Kind: netsim.DataS, Dst: t.req.Src, Addr: b, Txn: t.req.Txn,
-			Data: dc.h.memory.Read(b), SI: t.si, TearOff: t.tearOff,
+			Data: hb.data, SI: t.si, TearOff: t.tearOff,
 			Ver: t.ver, HasVer: t.hasVer, InvWait: invWait,
 		})
 		return
 	}
-	dc.sendGrant(t.req.Src, b, t.upgrade, t.si, t.ver, t.hasVer, invWait, early, t.req.Txn)
+	dc.sendGrant(hb, t.req.Src, b, t.upgrade, t.si, t.ver, t.hasVer, invWait, early, t.req.Txn)
 }
 
 // complete finishes a transaction once all acknowledgments are in.
-func (dc *DirCtrl) complete(t *txn, db *dirHot) {
+func (dc *DirCtrl) complete(t *txn, hb *homeBlock) {
 	b := mem.BlockOf(t.req.Addr)
-	e := dc.entry(db, b)
+	e := dc.entry(hb)
 	switch {
 	case t.isRead:
 		// The recalled owner keeps a downgraded shared copy — unless its
@@ -739,7 +746,7 @@ func (dc *DirCtrl) complete(t *txn, db *dirHot) {
 			}
 			e.LastOwner = t.ownerWas
 		}
-		dc.reply(t, db, false)
+		dc.reply(t, hb, false)
 	case t.wcPending:
 		if t.requesterDropped {
 			prev := e.State
@@ -759,23 +766,23 @@ func (dc *DirCtrl) complete(t *txn, db *dirHot) {
 		if sk := dc.env.Sink; sk != nil && e.State != prev {
 			sk.OnDirState(dc.env.Q.Now(), dc.node, b, t.req.Txn, prev, e.State)
 		}
-		dc.reply(t, db, false)
+		dc.reply(t, hb, false)
 	}
 	if sk := dc.env.Sink; sk != nil {
 		sk.OnTxnEnd(dc.env.Q.Now(), dc.node, b, t.req.Txn, t.req.Src)
 	}
-	db.t = nil
+	hb.t = nil
 	dc.busyCount--
 	*t = txn{}
 	dc.txns = append(dc.txns, t)
-	dc.dequeue(dc.queue(b))
+	dc.dequeue(hb)
 }
 
 // dequeue re-admits the next queued request for the block, if any.
 //
 //dsi:hotpath
-func (dc *DirCtrl) dequeue(q *dirCold) {
-	if next, ok := dc.popQueue(q); ok {
+func (dc *DirCtrl) dequeue(hb *homeBlock) {
+	if next, ok := dc.popQueue(hb); ok {
 		dc.admit(next)
 	}
 }
@@ -791,8 +798,8 @@ func (dc *DirCtrl) dequeue(q *dirCold) {
 func (dc *DirCtrl) onAck(m *netsim.Message, hasData, downgraded bool) {
 	b := mem.BlockOf(m.Addr)
 	hardened := dc.cfg.Retry != nil
-	db := dc.block(b)
-	t := db.t
+	hb := dc.block(b)
+	t := hb.t
 	if t == nil {
 		if hardened && !hasData {
 			dc.stats.StrayAcks++
@@ -810,7 +817,7 @@ func (dc *DirCtrl) onAck(m *netsim.Message, hasData, downgraded bool) {
 		return
 	}
 	if hasData {
-		dc.h.memory.Write(b, m.Data)
+		hb.data = m.Data
 	}
 	if downgraded && m.Src == t.ownerWas {
 		t.ownerRetains = true
@@ -818,11 +825,11 @@ func (dc *DirCtrl) onAck(m *netsim.Message, hasData, downgraded bool) {
 	if t.migratoryRead && hasData && m.Data.Writer != t.ownerWas {
 		// The invalidated owner never wrote the block: the migratory
 		// prediction cost it a copy for nothing. Demote.
-		dc.entry(db, b).Migratory = false
+		dc.entry(hb).Migratory = false
 	}
 	t.pending = t.pending.Remove(m.Src)
 	if t.pending.Empty() {
-		dc.complete(t, db)
+		dc.complete(t, hb)
 	}
 }
 
@@ -830,8 +837,8 @@ func (dc *DirCtrl) onAck(m *netsim.Message, hasData, downgraded bool) {
 // unsolicited, either by replacement or by self-invalidation.
 func (dc *DirCtrl) onWriteback(m *netsim.Message, cause core.IdleCause) {
 	b := mem.BlockOf(m.Addr)
-	db := dc.block(b)
-	e := dc.entry(db, b)
+	hb := dc.block(b)
+	e := dc.entry(hb)
 	if dc.cfg.Retry != nil && m.Probe {
 		// Hardened: an ownership give-back (giveBackGrant) — the sender
 		// refused an unsolicited grant it never wrote under. Its payload is
@@ -844,7 +851,7 @@ func (dc *DirCtrl) onWriteback(m *netsim.Message, cause core.IdleCause) {
 		// (FIFO behind this give-back) completes that transaction against
 		// home memory, which is already correct.
 		dc.stats.StrayAcks++
-		if db.t == nil && e.State == directory.Exclusive && e.Owner == m.Src {
+		if hb.t == nil && e.State == directory.Exclusive && e.Owner == m.Src {
 			e.LastOwner = m.Src
 			e.Owner = -1
 			prev := e.State
@@ -855,17 +862,17 @@ func (dc *DirCtrl) onWriteback(m *netsim.Message, cause core.IdleCause) {
 		}
 		return
 	}
-	if t := db.t; t != nil {
+	if t := hb.t; t != nil {
 		switch m.Src {
 		case t.ownerWas:
 			// The owner's writeback raced our Recall/Inv; the data is
 			// captured here and the unconditional ack will complete the
 			// transaction.
-			dc.h.memory.Write(b, m.Data)
+			hb.data = m.Data
 		case t.req.Src:
 			// WC: the requester already received the grant and has given
 			// the block up again before the FinalAck.
-			dc.h.memory.Write(b, m.Data)
+			hb.data = m.Data
 			t.requesterDropped = true
 		default:
 			dc.env.fail("dir %d: writeback from bystander %d during txn for %#x", dc.node, m.Src, uint64(b))
@@ -886,7 +893,7 @@ func (dc *DirCtrl) onWriteback(m *netsim.Message, cause core.IdleCause) {
 			dc.node, m.Src, e.State, e.Owner, uint64(b))
 		return
 	}
-	dc.h.memory.Write(b, m.Data)
+	hb.data = m.Data
 	e.LastOwner = m.Src
 	e.Owner = -1
 	prev := e.State
@@ -900,15 +907,15 @@ func (dc *DirCtrl) onWriteback(m *netsim.Message, cause core.IdleCause) {
 // by replacement or self-invalidation.
 func (dc *DirCtrl) onSharedDrop(m *netsim.Message, cause core.IdleCause) {
 	b := mem.BlockOf(m.Addr)
-	db := dc.block(b)
-	e := dc.entry(db, b)
+	hb := dc.block(b)
+	e := dc.entry(hb)
 	if !e.State.IsShared() || !e.Sharers.Has(m.Src) {
 		// Stale: the copy was already invalidated by a racing transaction
 		// (the node acked the Inv unconditionally). Nothing to do.
 		return
 	}
 	e.Sharers = e.Sharers.Remove(m.Src)
-	if e.Sharers.Empty() && db.t == nil {
+	if e.Sharers.Empty() && hb.t == nil {
 		prev := e.State
 		dc.cfg.Policy.ID().SetIdle(e, cause, prev, m.SI)
 		if sk := dc.env.Sink; sk != nil && e.State != prev {

@@ -57,7 +57,7 @@ func TestStatesMarkReadFromExclusive(t *testing.T) {
 	if !f0.SI || !f2.SI {
 		t.Fatalf("states scheme: SI flags = %v,%v; want both marked", f0.SI, f2.SI)
 	}
-	e, _ := r.home(a).Dir().Peek(a)
+	e, _ := r.home(a).Peek(a)
 	if e.State != directory.SharedSI {
 		t.Fatalf("dir state = %v, want Shared_SI", e.State)
 	}
@@ -94,7 +94,7 @@ func TestSyncFlushNotifiesAndSetsIdleS(t *testing.T) {
 	if c.ByKind[netsim.SInvNotify] != 1 {
 		t.Fatalf("SInvNotify = %d, want 1", c.ByKind[netsim.SInvNotify])
 	}
-	e, _ := r.home(a).Dir().Peek(a)
+	e, _ := r.home(a).Peek(a)
 	// Node 1 still holds a downgraded shared copy, so the block is not yet
 	// idle; it stays in its shared flavor.
 	if !e.State.IsShared() || !e.Sharers.Only(1) {
@@ -125,12 +125,12 @@ func TestSyncFlushLastSharerEntersIdleS(t *testing.T) {
 	if c.ByKind[netsim.SInvWB] != 1 {
 		t.Fatalf("SInvWB = %d, want 1", c.ByKind[netsim.SInvWB])
 	}
-	e, _ := r2.home(b).Dir().Peek(b)
+	e, _ := r2.home(b).Peek(b)
 	if e.State != directory.IdleX {
 		t.Fatalf("dir state = %v, want Idle_X", e.State)
 	}
 	// The self-invalidated dirty data reached home.
-	if v := r2.home(b).Memory().Read(b); v.Writer != 2 || v.Seq != 2 {
+	if v := r2.home(b).HomeValue(b); v.Writer != 2 || v.Seq != 2 {
 		t.Fatalf("home memory = %v", v)
 	}
 }
@@ -184,7 +184,7 @@ func TestReplacedMarkedBlockEntersIdleSI(t *testing.T) {
 	r.read(2000, 2, b) // node 2's (unmarked) copy of a is displaced first
 	r.read(3000, 0, b) // node 0's marked copy displaced last: Repl with SI
 	r.run()
-	e, _ := r.home(a).Dir().Peek(a)
+	e, _ := r.home(a).Peek(a)
 	if e.State != directory.IdleSI {
 		t.Fatalf("dir state = %v, want Idle_SI", e.State)
 	}
@@ -196,7 +196,7 @@ func TestReplacedMarkedBlockEntersIdleSI(t *testing.T) {
 	r2.read(2000, 0, b) // marked copy out first
 	r2.read(3000, 2, b) // unmarked copy out last
 	r2.run()
-	e2, _ := r2.home(a).Dir().Peek(a)
+	e2, _ := r2.home(a).Peek(a)
 	if e2.State != directory.Idle {
 		t.Fatalf("dir state = %v, want Idle (last replaced copy was unmarked)", e2.State)
 	}

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"testing"
+	"unsafe"
 
 	"dsisim/internal/mem"
 )
@@ -45,5 +46,16 @@ func TestBusyViewsPerHome(t *testing.T) {
 		if b := dc.BusyBlocks(); b != 0 {
 			t.Errorf("home %d: %d busy blocks after quiescing", n, b)
 		}
+	}
+}
+
+// TestHomeBlockLayout pins the record layout DESIGN.md §5 describes: the
+// directory entry and the transaction pointer fill the first 64 bytes, so
+// a request's busy probe and entry share a host cache line, and the home
+// memory image and queue links fill the second.
+func TestHomeBlockLayout(t *testing.T) {
+	var hb homeBlock
+	if off, size := unsafe.Offsetof(hb.data), unsafe.Sizeof(hb); off != 64 || size != 128 {
+		t.Fatalf("homeBlock: data at offset %d, size %d; want 64 and 128", off, size)
 	}
 }

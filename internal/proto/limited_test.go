@@ -24,7 +24,7 @@ func TestLimitedDirEvictsOnOverflow(t *testing.T) {
 	if res.InvWait == 0 {
 		t.Fatal("overflow grant did not wait for the eviction")
 	}
-	e, _ := r.home(a).Dir().Peek(a)
+	e, _ := r.home(a).Peek(a)
 	if e.Sharers.Count() != 2 || !e.Sharers.Has(2) {
 		t.Fatalf("sharers = %v, want 2 entries including node 2", e.Sharers)
 	}
@@ -66,7 +66,7 @@ func TestLimitedDirWriteStillInvalidatesAll(t *testing.T) {
 			t.Fatalf("node %d copy survived the write", n)
 		}
 	}
-	e, _ := r.home(a).Dir().Peek(a)
+	e, _ := r.home(a).Peek(a)
 	if e.State != directory.Exclusive || e.Owner != 0 {
 		t.Fatalf("entry = %+v", e)
 	}

@@ -59,7 +59,7 @@ func TestMigratoryMisprediction(t *testing.T) {
 	res := r.read(4000, 0, a) // invalidates node 2; data writer is 1, not 2
 	r.run()
 	mustDone(t, "read", res)
-	e, _ := r.home(a).Dir().Peek(a)
+	e, _ := r.home(a).Peek(a)
 	if e.Migratory {
 		t.Fatal("block still migratory after a non-writing owner")
 	}
@@ -75,7 +75,7 @@ func TestMigratoryDemotedByTwoReaders(t *testing.T) {
 	r.read(4000, 0, a)     // demotes (data writer 1 != owner 2)
 	r.read(6000, 3, a)     // second reader: normal shared grant
 	r.run()
-	e, _ := r.home(a).Dir().Peek(a)
+	e, _ := r.home(a).Peek(a)
 	if e.Migratory {
 		t.Fatal("read-shared block classified migratory")
 	}
@@ -100,7 +100,7 @@ func TestMigratoryComposesWithDSI(t *testing.T) {
 	if !ok || !f.SI {
 		t.Fatalf("migratory grant unmarked: %+v", f)
 	}
-	e, _ := r.home(a).Dir().Peek(a)
+	e, _ := r.home(a).Peek(a)
 	if e.State != directory.Exclusive || e.Owner != 2 {
 		t.Fatalf("entry = %+v", e)
 	}

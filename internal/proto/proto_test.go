@@ -29,7 +29,7 @@ func TestSCReadMissFromIdleTiming(t *testing.T) {
 	if res.Hit || res.InvWait != 0 {
 		t.Fatalf("res = %+v", res)
 	}
-	e, ok := r.home(a).Dir().Peek(a)
+	e, ok := r.home(a).Peek(a)
 	if !ok || e.State != directory.Shared || !e.Sharers.Only(0) {
 		t.Fatalf("dir entry = %+v", e)
 	}
@@ -68,7 +68,7 @@ func TestSCWriteMissInvalidatesSharers(t *testing.T) {
 	res := r.write(1000, 2, a, 1)
 	r.run()
 	mustDone(t, "write", res)
-	e, _ := r.home(a).Dir().Peek(a)
+	e, _ := r.home(a).Peek(a)
 	if e.State != directory.Exclusive || e.Owner != 2 {
 		t.Fatalf("dir entry = %+v", e)
 	}
@@ -106,7 +106,7 @@ func TestSCReadRecallsExclusive(t *testing.T) {
 	if res.InvWait <= 200 {
 		t.Fatalf("recall InvWait = %d, want > 200", res.InvWait)
 	}
-	e, _ := r.home(a).Dir().Peek(a)
+	e, _ := r.home(a).Peek(a)
 	if e.State != directory.Shared || !e.Sharers.Has(0) || !e.Sharers.Has(1) {
 		t.Fatalf("dir entry = %+v", e)
 	}
@@ -116,7 +116,7 @@ func TestSCReadRecallsExclusive(t *testing.T) {
 		t.Fatalf("owner frame = %+v", f)
 	}
 	// The home memory now has the recalled data.
-	if v := r.home(a).Memory().Read(a); v.Writer != 0 || v.Seq != 7 {
+	if v := r.home(a).HomeValue(a); v.Writer != 0 || v.Seq != 7 {
 		t.Fatalf("home memory = %v", v)
 	}
 }
@@ -128,7 +128,7 @@ func TestSCWriteToExclusiveTransfersOwnership(t *testing.T) {
 	res := r.write(1000, 1, a, 2)
 	r.run()
 	mustDone(t, "write", res)
-	e, _ := r.home(a).Dir().Peek(a)
+	e, _ := r.home(a).Peek(a)
 	if e.State != directory.Exclusive || e.Owner != 1 {
 		t.Fatalf("dir entry = %+v", e)
 	}
@@ -221,10 +221,10 @@ func TestWritebackOnEviction(t *testing.T) {
 	if c.ByKind[netsim.WB] != 1 {
 		t.Fatalf("WB count = %d, want 1", c.ByKind[netsim.WB])
 	}
-	if v := r.home(a).Memory().Read(a); v.Writer != 0 || v.Seq != 9 {
+	if v := r.home(a).HomeValue(a); v.Writer != 0 || v.Seq != 9 {
 		t.Fatalf("home memory after WB = %v", v)
 	}
-	e, _ := r.home(a).Dir().Peek(a)
+	e, _ := r.home(a).Peek(a)
 	if !e.State.IsIdle() {
 		t.Fatalf("dir state after WB = %v", e.State)
 	}
@@ -241,7 +241,7 @@ func TestSharedReplacementHint(t *testing.T) {
 	if c.ByKind[netsim.Repl] != 1 {
 		t.Fatalf("Repl count = %d, want 1", c.ByKind[netsim.Repl])
 	}
-	e, _ := r.home(a).Dir().Peek(a)
+	e, _ := r.home(a).Peek(a)
 	if !e.State.IsIdle() {
 		t.Fatalf("dir state after Repl = %v", e.State)
 	}
@@ -264,10 +264,10 @@ func TestWritebackRacesRecall(t *testing.T) {
 	if res.Value.Writer != 0 || res.Value.Seq != 4 {
 		t.Fatalf("read got %v, want the written-back data w0#4", res.Value)
 	}
-	if v := r.home(a).Memory().Read(a); v.Seq != 4 {
+	if v := r.home(a).HomeValue(a); v.Seq != 4 {
 		t.Fatalf("home memory = %v", v)
 	}
-	e, _ := r.home(a).Dir().Peek(a)
+	e, _ := r.home(a).Peek(a)
 	if !e.State.IsShared() || !e.Sharers.Has(2) {
 		t.Fatalf("dir entry after race = state=%v sharers=%v", e.State, e.Sharers)
 	}
@@ -287,7 +287,7 @@ func TestReplacementRacesInvalidation(t *testing.T) {
 	r.read(330, 0, b)
 	r.run()
 	mustDone(t, "write", res)
-	e, _ := r.home(a).Dir().Peek(a)
+	e, _ := r.home(a).Peek(a)
 	if e.State != directory.Exclusive || e.Owner != 2 {
 		t.Fatalf("dir entry = %+v", e)
 	}
@@ -306,7 +306,7 @@ func TestQueuedRequestsServeInOrder(t *testing.T) {
 	if res1.Done >= res2.Done {
 		t.Fatalf("queued write finished before earlier read: %d vs %d", res2.Done, res1.Done)
 	}
-	e, _ := r.home(a).Dir().Peek(a)
+	e, _ := r.home(a).Peek(a)
 	if e.State != directory.Exclusive || e.Owner != 2 {
 		t.Fatalf("final dir entry = %+v", e)
 	}

@@ -372,9 +372,9 @@ func doDirRetry(arg any) {
 	dc, b, txnID, gen := rc.dc, rc.b, rc.txn, rc.gen
 	rc.b, rc.txn, rc.gen = 0, 0, 0
 	dc.rtFree = append(dc.rtFree, rc)
-	if db := dc.h.blocks.Get(mem.BlockIndex(b)); db != nil && db.t != nil &&
-		db.t.req.Txn == txnID && db.t.tgen == gen {
-		dc.onTxnTimeout(b, db.t)
+	if hb := dc.h.blocks.Get(mem.BlockIndex(b)); hb != nil && hb.t != nil &&
+		hb.t.req.Txn == txnID && hb.t.tgen == gen {
+		dc.onTxnTimeout(b, hb.t)
 	}
 }
 
@@ -404,11 +404,11 @@ func (dc *DirCtrl) onTxnTimeout(b mem.Addr, t *txn) {
 
 // isDuplicate reports whether m is a retransmission of the block's live
 // transaction or of a request already queued behind it.
-func (dc *DirCtrl) isDuplicate(t *txn, q *dirCold, m *netsim.Message) bool {
+func (dc *DirCtrl) isDuplicate(t *txn, hb *homeBlock, m *netsim.Message) bool {
 	if t.req.Src == m.Src && t.req.Txn == m.Txn {
 		return true
 	}
-	for id := q.qHead; id != 0; id = dc.h.qNodes[id-1].next {
+	for id := hb.qHead; id != 0; id = dc.h.qNodes[id-1].next {
 		if q := &dc.h.qNodes[id-1].m; q.Src == m.Src && q.Txn == m.Txn {
 			return true
 		}
@@ -422,15 +422,15 @@ func (dc *DirCtrl) isDuplicate(t *txn, q *dirCold, m *netsim.Message) bool {
 // touching the sharer set or the DSI policy (a conservative unmarked replay
 // only delays self-invalidation, never breaks coherence). Reports whether
 // the request was consumed.
-func (dc *DirCtrl) replayed(b mem.Addr, m *netsim.Message) bool {
-	e := dc.h.dir.Entry(b)
+func (dc *DirCtrl) replayed(hb *homeBlock, b mem.Addr, m *netsim.Message) bool {
+	e := dc.entry(hb)
 	switch m.Kind {
 	case netsim.GetS:
 		if e.State.IsShared() && e.Sharers.Has(m.Src) {
 			dc.stats.Replays++
 			dc.send(&netsim.Message{
 				Kind: netsim.DataS, Dst: m.Src, Addr: b, Txn: m.Txn,
-				Data: dc.h.memory.Read(b),
+				Data: hb.data,
 			})
 			return true
 		}
@@ -440,7 +440,7 @@ func (dc *DirCtrl) replayed(b mem.Addr, m *netsim.Message) bool {
 			dc.stats.Replays++
 			dc.send(&netsim.Message{
 				Kind: netsim.DataX, Dst: m.Src, Addr: b, Txn: m.Txn,
-				Data: dc.h.memory.Read(b),
+				Data: hb.data,
 			})
 			return true
 		}
@@ -453,7 +453,7 @@ func (dc *DirCtrl) replayed(b mem.Addr, m *netsim.Message) bool {
 			dc.stats.Replays++
 			dc.send(&netsim.Message{
 				Kind: netsim.DataX, Dst: m.Src, Addr: b, Txn: m.Txn,
-				Data: dc.h.memory.Read(b),
+				Data: hb.data,
 			})
 			return true
 		}
@@ -486,15 +486,15 @@ type BusyTxn struct {
 // the machine's shared table.
 func (dc *DirCtrl) DumpBusy() []BusyTxn {
 	out := make([]BusyTxn, 0, dc.busyCount)
-	dc.h.blocks.ForEach(func(idx uint64, db *dirHot, q *dirCold) {
-		t := db.t
+	dc.h.blocks.ForEach(func(idx uint64, hb *homeBlock) {
+		t := hb.t
 		if t == nil || dc.HomeOf(mem.Addr(idx)<<mem.BlockShift) != dc.node {
 			return
 		}
 		out = append(out, BusyTxn{
 			Addr: mem.Addr(idx) << mem.BlockShift, Txn: t.req.Txn, Req: t.req.Kind, From: t.req.Src,
 			Action: t.action, Pending: t.pending, Retries: t.retries,
-			Queued: int(q.qLen),
+			Queued: int(hb.qLen),
 		})
 	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })

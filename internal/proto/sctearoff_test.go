@@ -32,7 +32,7 @@ func TestSCTearOffUntracked(t *testing.T) {
 	if !hit || !f.TearOff {
 		t.Fatalf("frame = %+v (hit=%v), want tear-off", f, hit)
 	}
-	e, _ := r.home(a).Dir().Peek(a)
+	e, _ := r.home(a).Peek(a)
 	if e.Sharers.Has(0) {
 		t.Fatal("tear-off copy tracked")
 	}
@@ -130,7 +130,7 @@ func TestCacheSideIdentification(t *testing.T) {
 	if r.net.Counts().ByKind[netsim.SInvNotify] != 1 {
 		t.Fatal("self-invalidation notification missing")
 	}
-	e, _ := r.home(a).Dir().Peek(a)
+	e, _ := r.home(a).Peek(a)
 	if e.Sharers.Has(0) {
 		t.Fatal("directory still tracks the self-invalidated copy")
 	}

@@ -136,15 +136,15 @@ func auditQuiesced(t *testing.T, r *rig, seed uint64) {
 			t.Fatalf("seed %d: home %d has busy blocks", seed, dc.Node())
 		}
 	}
-	// One directory holds every home's entries.
-	r.dcs[0].Dir().ForEach(func(b mem.Addr, e *directory.Entry) {
-		if err := auditEntry(r, r.home(b), b, e); err != nil {
+	// One table holds every home's entries.
+	r.dcs[0].ForEachEntry(func(b mem.Addr, e *directory.Entry, data *mem.Value) {
+		if err := auditEntry(r, b, e, *data); err != nil {
 			t.Fatalf("seed %d: block %#x: %v", seed, uint64(b), err)
 		}
 	})
 }
 
-func auditEntry(r *rig, dc *DirCtrl, b mem.Addr, e *directory.Entry) error {
+func auditEntry(r *rig, b mem.Addr, e *directory.Entry, want mem.Value) error {
 	// Collect who actually holds what.
 	var holders, exclusives, tracked directory.NodeSet
 	for n, cc := range r.ccs {
@@ -176,7 +176,6 @@ func auditEntry(r *rig, dc *DirCtrl, b mem.Addr, e *directory.Entry) error {
 			return fmt.Errorf("dir sharers %v but tracked copies %v", e.Sharers, tracked)
 		}
 		// Every tracked copy agrees with home memory.
-		want := dc.Memory().Read(b)
 		for n := range r.ccs {
 			if f, ok := r.ccs[n].Cache().Peek(b); ok && !f.TearOff && f.Data != want {
 				return fmt.Errorf("node %d shared copy %v != memory %v", n, f.Data, want)

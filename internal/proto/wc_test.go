@@ -80,7 +80,7 @@ func TestWCParallelGrantAndFinalAck(t *testing.T) {
 	if !r.ccs[2].WBEmpty() {
 		t.Fatal("entry not retired after FinalAck")
 	}
-	e, _ := r.home(a).Dir().Peek(a)
+	e, _ := r.home(a).Peek(a)
 	if e.State != directory.Exclusive || e.Owner != 2 {
 		t.Fatalf("dir entry = %+v", e)
 	}
@@ -214,7 +214,7 @@ func TestTearOffGrantIsUntracked(t *testing.T) {
 	if !ok || !f.SI || !f.TearOff {
 		t.Fatalf("frame = %+v, want marked tear-off", f)
 	}
-	e, _ := r.home(a).Dir().Peek(a)
+	e, _ := r.home(a).Peek(a)
 	if e.Sharers.Has(0) {
 		t.Fatal("tear-off copy was tracked in the sharer set")
 	}
@@ -329,7 +329,7 @@ func TestWCExclusiveSelfInvalidation(t *testing.T) {
 	if r.net.Counts().ByKind[netsim.SInvWB] != 1 {
 		t.Fatalf("SInvWB = %d, want 1", r.net.Counts().ByKind[netsim.SInvWB])
 	}
-	if v := r.home(a).Memory().Read(a); v.Seq != 5 {
+	if v := r.home(a).HomeValue(a); v.Seq != 5 {
 		t.Fatalf("home memory = %v", v)
 	}
 }
@@ -350,11 +350,11 @@ func TestWCRequesterDropsBeforeFinalAck(t *testing.T) {
 	if !r.ccs[0].WBEmpty() {
 		t.Fatal("write buffer never drained")
 	}
-	e, _ := r.home(a).Dir().Peek(a)
+	e, _ := r.home(a).Peek(a)
 	if e.State != directory.Idle {
 		t.Fatalf("dir state = %v, want Idle after the requester dropped", e.State)
 	}
-	if v := r.home(a).Memory().Read(a); v.Seq != 1 {
+	if v := r.home(a).HomeValue(a); v.Seq != 1 {
 		t.Fatalf("home memory lost the dropped write: %v", v)
 	}
 	// The block is freshly usable.

@@ -43,11 +43,13 @@ func TestTransitionCoverage(t *testing.T) {
 		cov.FoldSink(sink)
 	}
 
-	// Every paper workload under the two main DSI protocols; the 2 KiB
-	// variant forces capacity evictions (the WB/Repl replacement
-	// transitions never fire otherwise at test scale).
+	// Every paper workload under both DSI schemes, version numbers (V,
+	// W+DSI) and additional states (S, W+DSI-S); the 2 KiB variant forces
+	// capacity evictions (the WB/Repl replacement transitions never fire
+	// otherwise at test scale, and the states scheme enters Idle_SI only
+	// when a marked block is replaced).
 	for _, wl := range dsisim.PaperWorkloads() {
-		for _, pr := range []dsisim.Protocol{dsisim.V, dsisim.WDSI} {
+		for _, pr := range []dsisim.Protocol{dsisim.V, dsisim.WDSI, dsisim.S, dsisim.WDSIStates} {
 			for _, cacheBytes := range []int{0, 2048} {
 				fold(wl+"/"+string(pr), func(sink *dsisim.CoherenceSink) error {
 					_, err := dsisim.Run(dsisim.Config{
@@ -119,15 +121,18 @@ func TestTransitionCoverage(t *testing.T) {
 	if sum.Exercised < 30 {
 		t.Errorf("only %d handled transitions exercised; the event fold is likely broken", sum.Exercised)
 	}
-	// Transitions any multiprocessor run must hit; missing one means the
-	// fold misroutes messages or mistracks shadow state rather than that
-	// the workloads got unlucky.
+	// Transitions any multiprocessor run must hit, plus the requests that
+	// find a replaced marked block in Idle_SI, which the states-scheme runs
+	// with small caches hit; missing one means the fold misroutes messages
+	// or mistracks shadow state rather than that the workloads got unlucky.
 	mustSee := []protomodel.Observed{
 		{Controller: "dir", Trigger: "GetS", State: "Idle"},
 		{Controller: "dir", Trigger: "GetX", State: "Idle"},
 		{Controller: "cache", Trigger: "DataS", State: "Invalid"},
 		{Controller: "cache", Trigger: "DataX", State: "Invalid"},
 		{Controller: "dir", Trigger: "WB", State: "Exclusive"},
+		{Controller: "dir", Trigger: "GetS", State: "IdleSI"},
+		{Controller: "dir", Trigger: "GetX", State: "IdleSI"},
 	}
 	for _, want := range mustSee {
 		found := false
@@ -138,7 +143,7 @@ func TestTransitionCoverage(t *testing.T) {
 			}
 		}
 		if !found {
-			t.Errorf("never observed %s, which every run exercises", want)
+			t.Errorf("never observed %s, which the grid always exercises", want)
 		}
 	}
 }
