@@ -327,7 +327,7 @@ func BenchmarkCacheLookupMicro(b *testing.B) {
 }
 
 // BenchmarkPaperCell times one paper-scale cell, em3d under V on 32
-// processors with the 512 KiB cache class, on a warm pooled machine, and
+// processors with the 512 KiB cache class, on a warm parked machine, and
 // reports host time per simulated event. The other kernel benchmarks work
 // within the host's L1 cache (CacheLookupMicro cycles through 1,024 blocks,
 // DirHandle touches one entry); this one spans a paper-scale machine's
@@ -338,7 +338,6 @@ func BenchmarkPaperCell(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var pool machine.Pool
 	run := func() machine.Result {
 		b.StopTimer()
 		prog, err := workload.New("em3d", workload.ScalePaper)
@@ -346,13 +345,13 @@ func BenchmarkPaperCell(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		res := pool.Run(mc, prog)
+		res := machine.Run(mc, prog)
 		if res.Failed() {
 			b.Fatal(res.Errors[0])
 		}
 		return res
 	}
-	run() // warm the pool
+	run() // park a warm machine
 	b.ReportAllocs()
 	b.ResetTimer()
 	var events uint64

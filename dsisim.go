@@ -233,8 +233,8 @@ type BlockMetrics = obs.BlockMetrics
 func NewCoherenceSink() *CoherenceSink { return obs.NewSink(obs.Config{}) }
 
 // Program is a custom workload; see the Proc API in internal/cpu for the
-// kernel-side operations (Read, Write, WriteWord, Swap, Compute, Lock,
-// Unlock, Barrier, Failf, Assert).
+// kernel-side operations (Read, Touch, Expect, Write, WriteWord, Swap,
+// Compute, Lock, Unlock, Barrier, Failf).
 type Program = machine.Program
 
 // Proc is the kernel-side processor handle passed to Program.Kernel.
@@ -313,29 +313,22 @@ func Run(cfg Config) (Result, error) {
 	if proto == "" {
 		proto = SC
 	}
-	res, _, err := cache.Run(&pool, cfg.Workload, cfg.Scale, string(proto), mc)
+	res, _, err := cache.Run(cfg.Workload, cfg.Scale, string(proto), mc)
 	if err == nil {
 		err = failure(&res)
 	}
 	return res, err
 }
 
-// pool recycles simulated machines across Run/RunProgram calls: experiment
-// grids and benchmark loops that simulate the same machine shape repeatedly
-// pay the structural allocation cost once. Reuse is observationally
-// invisible — machine.Reset restores a just-assembled state, and the kernel
-// determinism goldens (which run every protocol through this pool, twice)
-// gate that invariant.
-var pool machine.Pool
-
 // RunProgram simulates a custom program under cfg. Programs are single-use;
-// the machine that runs one is drawn from an internal pool and recycled.
+// the machine that runs one, like Run's, is drawn from the process's idle
+// machines and recycled (machine.Run).
 func RunProgram(cfg Config, prog Program) (Result, error) {
 	mc, err := cfg.machineConfig()
 	if err != nil {
 		return Result{}, err
 	}
-	res := pool.Run(mc, prog)
+	res := machine.Run(mc, prog)
 	return res, failure(&res)
 }
 

@@ -16,6 +16,7 @@ package dsisim
 
 import (
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -161,6 +162,46 @@ func TestWatchdogReportsUnrecoverableLoss(t *testing.T) {
 	if !gaveUp || !watchdog || !liveness {
 		t.Fatalf("missing diagnostic sections (gave-up=%v watchdog=%v liveness=%v) in:\n%s",
 			gaveUp, watchdog, liveness, strings.Join(res.Errors, "\n"))
+	}
+}
+
+// TestWatchdogListsEachStuckTransactionOnce takes the unrecoverable-loss cell
+// above, which deadlocks with upgrades whose invalidations were lost, and
+// requires each stuck transaction to be listed in exactly one Errors line,
+// once as a node's open miss and once as a home's open transaction (the
+// watchdog's dump), with no entry-level audit finding: the audit skips
+// entry checks on mid-transaction state, where the directory legitimately
+// disagrees with the caches.
+func TestWatchdogListsEachStuckTransactionOnce(t *testing.T) {
+	fc := FaultConfig{
+		Rules: []FaultRule{
+			{Kind: int(netsim.Inv), Src: -1, Dst: -1, Nth: 0, Action: FaultDrop},
+		},
+	}
+	res, err := Run(Config{Workload: "em3d", Scale: ScaleTest, Protocol: SC, Processors: 8, Faults: &fc})
+	if err == nil {
+		t.Fatal("run with every Inv dropped succeeded; expected a deadlock")
+	}
+	stuck := regexp.MustCompile(`\b((?:node|home) \d+):? stuck .*\btxn (\d+)\b`)
+	listed := map[string]int{}
+	for _, e := range res.Errors {
+		if strings.HasPrefix(e, "audit: block") {
+			t.Errorf("entry check ran on a deadlocked system: %s", e)
+		}
+		if m := stuck.FindStringSubmatch(e); m != nil {
+			listed[m[1]+" txn "+m[2]]++
+		}
+	}
+	if len(listed) == 0 {
+		t.Fatalf("no stuck transaction listed in:\n%s", strings.Join(res.Errors, "\n"))
+	}
+	for txn, n := range listed {
+		if n != 1 {
+			t.Errorf("%s listed in %d Errors lines, want 1", txn, n)
+		}
+	}
+	if t.Failed() {
+		t.Logf("errors:\n%s", strings.Join(res.Errors, "\n"))
 	}
 }
 

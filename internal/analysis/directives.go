@@ -129,28 +129,6 @@ func (d *Directives) Anyorder(fset *token.FileSet, pos token.Pos) bool {
 	return onLine(d.anyorder, fset, pos)
 }
 
-// Unreachable reports whether pos's line, or the line above it, carries a
-// //dsi:unreachable waiver, and returns the directive's argument text
-// (reason token plus optional prose).
-func (d *Directives) Unreachable(fset *token.FileSet, pos token.Pos) (arg string, ok bool) {
-	tf := fset.File(pos)
-	if tf == nil {
-		return "", false
-	}
-	lines := d.unreachable[tf]
-	if lines == nil {
-		return "", false
-	}
-	l := tf.Line(pos)
-	if arg, ok := lines[l]; ok {
-		return arg, true
-	}
-	if arg, ok := lines[l-1]; ok {
-		return arg, true
-	}
-	return "", false
-}
-
 // UnreachableSite is one //dsi:unreachable directive occurrence.
 type UnreachableSite struct {
 	// File is the file the directive appears in.

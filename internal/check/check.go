@@ -68,16 +68,17 @@ func (h *holders) add(n int, f cache.Frame) {
 }
 
 // Audit verifies the machine-wide invariants over a quiesced system and
-// returns every violation found. On a system that failed to quiesce it
-// reports exactly which transactions are stuck — per-node outstanding
-// misses and per-home busy blocks, with their transaction ids and retry
-// counts — and skips the entry-level checks, which are only meaningful once
-// nothing is in flight.
+// returns every violation found. A system that failed to quiesce (a
+// message in flight, a miss or a home transaction still open) gets one
+// finding that counts what is open, and no entry-level checks, which are
+// only meaningful once nothing is in flight: mid-transaction entries
+// legitimately disagree with the caches. Listing the stuck transactions
+// themselves is the liveness watchdog's job (internal/machine).
 //
 // dcs[n] is node n's directory controller; they share the machine's one
 // table of home records, and Audit reports each entry under its block's
-// home. Findings are listed home by home in node order, each home's busy
-// blocks first and then its entries in first-touch order.
+// home. Findings are listed home by home in node order, each home's
+// entries in first-touch order.
 //
 // The entry-level checks need each directory entry's holder sets. Audit
 // collects them along the cheaper side: one scan of every cache's ways into
@@ -105,21 +106,18 @@ func scanIsCheaper(ccs []*proto.CacheCtrl, dcs []*proto.DirCtrl) bool {
 // audit is Audit with the collection fixed: holder sets from one scan into s,
 // or from per-entry probes when s is nil.
 func audit(ccs []*proto.CacheCtrl, dcs []*proto.DirCtrl, inFlight int, s *Scratch) []error {
-	var errs []error
-	quiesced := inFlight == 0
-	if !quiesced {
-		errs = append(errs, fmt.Errorf("audit of non-quiesced system: %d messages in flight", inFlight))
+	misses, busy := 0, 0
+	for _, cc := range ccs {
+		misses += cc.Outstanding()
 	}
-	for n, cc := range ccs {
-		if o := cc.Outstanding(); o != 0 {
-			errs = append(errs, fmt.Errorf("node %d: %d outstanding misses/entries", n, o))
-			for _, om := range cc.DumpOutstanding() {
-				errs = append(errs, fmt.Errorf("node %d: stuck %s for %#x (txn %d, %d retries, started t=%d)",
-					n, om.Op, uint64(om.Addr), om.Txn, om.Retries, om.Start))
-			}
-		}
+	for _, dc := range dcs {
+		busy += dc.BusyBlocks()
 	}
-	if quiesced && s != nil {
+	if inFlight != 0 || misses != 0 || busy != 0 {
+		return []error{fmt.Errorf("system not quiesced (%d messages in flight, %d outstanding misses/entries, %d busy blocks): entry checks skipped",
+			inFlight, misses, busy)}
+	}
+	if s != nil {
 		s.holders.Reset()
 		for n, cc := range ccs {
 			cc.Cache().ForEachValid(func(f cache.Frame) {
@@ -131,7 +129,7 @@ func audit(ccs []*proto.CacheCtrl, dcs []*proto.DirCtrl, inFlight int, s *Scratc
 	// pass over the shared home records; it is made on the first finding, so
 	// a clean audit looks up no entry's home.
 	var found [][]error
-	if quiesced && len(dcs) > 0 {
+	if len(dcs) > 0 {
 		dcs[0].ForEachEntry(func(b mem.Addr, e *directory.Entry, data *mem.Value) {
 			var h holders
 			if s == nil {
@@ -152,17 +150,9 @@ func audit(ccs []*proto.CacheCtrl, dcs []*proto.DirCtrl, inFlight int, s *Scratc
 			}
 		})
 	}
-	for n, dc := range dcs {
-		if b := dc.BusyBlocks(); b != 0 {
-			errs = append(errs, fmt.Errorf("home %d: %d busy blocks", dc.Node(), b))
-			for _, bt := range dc.DumpBusy() {
-				errs = append(errs, fmt.Errorf("home %d: stuck txn %d (%v for %#x from node %d) awaiting %v via %v (%d retries, %d queued)",
-					dc.Node(), bt.Txn, bt.Req, uint64(bt.Addr), bt.From, bt.Pending, bt.Action, bt.Retries, bt.Queued))
-			}
-		}
-		if found != nil {
-			errs = append(errs, found[n]...)
-		}
+	var errs []error
+	for _, f := range found {
+		errs = append(errs, f...)
 	}
 	return errs
 }

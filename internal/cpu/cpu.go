@@ -352,12 +352,6 @@ func (p *Proc) compute(cycles int64, sync bool) {
 	p.post(op)
 }
 
-// ComputeInstr charges instruction-count work at the 3-issue rate of the
-// paper's SuperSPARC model.
-func (p *Proc) ComputeInstr(instructions int64) {
-	p.Compute((instructions + 2) / 3)
-}
-
 // Lock acquires a spin lock with test&set plus exponential backoff. The
 // acquire loop spins on the swap itself — not on a plain test read —
 // because every swap is a synchronization access that self-invalidates

@@ -20,7 +20,7 @@ import (
 func runPolicy(name string, what Label, pol core.Policy, o Options) (machine.Result, error) {
 	o = o.defaults()
 	o.Cache = nil
-	return runCell(&machines, name, what, o.machineConfig(proto.SC, pol), o)
+	return runCell(name, what, o.machineConfig(proto.SC, pol), o)
 }
 
 // RunFIFO runs SC + version-number DSI with a FIFO of the given capacity.
@@ -82,7 +82,7 @@ func RunLimitedDir(name string, pointers int, dsi bool, o Options) (machine.Resu
 	o = o.defaults()
 	cfg := o.machineConfig(label.Config())
 	cfg.SharerLimit = pointers
-	return runCell(&machines, name, label, cfg, o)
+	return runCell(name, label, cfg, o)
 }
 
 // RunWC runs weak consistency with a configurable write-buffer size (the
@@ -95,5 +95,5 @@ func RunWC(name string, wbEntries int, dsi bool, o Options) (machine.Result, err
 	o = o.defaults()
 	cfg := o.machineConfig(label.Config())
 	cfg.WriteBufferEntries = wbEntries
-	return runCell(&machines, name, label, cfg, o)
+	return runCell(name, label, cfg, o)
 }

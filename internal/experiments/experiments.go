@@ -117,30 +117,17 @@ func (o Options) machineConfig(cons proto.Consistency, pol core.Policy) machine.
 	}
 }
 
-// machines recycles simulated machines across the cells run outside a
-// matrix (RunOne, the ablations, the sweeps), so the structural allocations
-// (event queue, network, block tables, cache arrays) are paid once per
-// machine shape rather than once per cell.
-var machines machine.Pool
-
 // RunOne simulates one (workload, protocol) cell.
 func RunOne(name string, label Label, o Options) (machine.Result, error) {
-	return runOneIn(&machines, name, label, o)
-}
-
-// runOneIn is RunOne against a caller-owned machine pool: RunMatrix passes
-// each fan-out worker's own pool, so every worker reuses its own still-warm
-// machine.
-func runOneIn(pool *machine.Pool, name string, label Label, o Options) (machine.Result, error) {
 	o = o.defaults()
-	return runCell(pool, name, label, o.machineConfig(label.Config()), o)
+	return runCell(name, label, o.machineConfig(label.Config()), o)
 }
 
 // runCell simulates workload name on cfg, keyed in o.Cache under label. The
 // cache identifies a policy by its label alone, so cfg's policy must be
 // label's; a caller running a policy no label names clears o.Cache.
-func runCell(pool *machine.Pool, name string, label Label, cfg machine.Config, o Options) (machine.Result, error) {
-	res, _, err := o.Cache.Run(pool, name, o.Scale, string(label), cfg)
+func runCell(name string, label Label, cfg machine.Config, o Options) (machine.Result, error) {
+	res, _, err := o.Cache.Run(name, o.Scale, string(label), cfg)
 	if err != nil {
 		return res, err
 	}
@@ -159,12 +146,13 @@ type Matrix struct {
 }
 
 // RunMatrix simulates the full grid. Cells are independent simulations
-// (each builds its own machine and workload instance), so they run
+// (each builds its own workload instance and runs it on a machine of its
+// own for the length of the run, through machine.Run), so they run
 // concurrently through internal/fanout: each worker claims the next
 // unclaimed cell, so a few slow cells (large workload × expensive protocol)
-// hold back only their own workers, and each worker reuses machines from
-// its own pool. Each cell remains bit-deterministic and writes only its own
-// slot, so the grid's results are independent of completion order.
+// hold back only their own workers. Each cell remains bit-deterministic and
+// writes only its own slot, so the grid's results are independent of
+// completion order.
 func RunMatrix(workloads []string, labels []Label, o Options) (*Matrix, error) {
 	o = o.defaults()
 	m := &Matrix{Opt: o, Workloads: workloads, Labels: labels,
@@ -182,8 +170,8 @@ func RunMatrix(workloads []string, labels []Label, o Options) (*Matrix, error) {
 	// One slot per cell, in grid order.
 	results := make([]machine.Result, len(todo))
 	errs := make([]error, len(todo))
-	fanout.Run(len(todo), 0, func(pool *machine.Pool, i int) {
-		results[i], errs[i] = runOneIn(pool, todo[i].w, todo[i].l, o)
+	fanout.Run(len(todo), 0, func(i int) {
+		results[i], errs[i] = RunOne(todo[i].w, todo[i].l, o)
 	})
 	for _, w := range workloads {
 		m.cells[w] = make(map[Label]machine.Result)

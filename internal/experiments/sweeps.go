@@ -84,7 +84,7 @@ func runPair(name string, o Options, cacheBytes, procs int) ([2]machine.Result, 
 		if cacheBytes > 0 {
 			cfg.CacheBytes = cacheBytes
 		}
-		res, err := runCell(&machines, name, l, cfg, o)
+		res, err := runCell(name, l, cfg, o)
 		if err != nil {
 			return out, err
 		}

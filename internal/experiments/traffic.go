@@ -33,7 +33,7 @@ func ZipfSkewSweep(fracs []float64, o Options) (stats.Table, error) {
 	o = o.defaults()
 	t := stats.Table{
 		Title:  "zipf: W+DSI improvement vs SC across hot-writer fraction",
-		Header: []string{"hot-writer frac", "writers/32", "SC cycles", "W+DSI cycles", "improvement"},
+		Header: []string{"hot-writer frac", fmt.Sprintf("writers/%d", o.Processors), "SC cycles", "W+DSI cycles", "improvement"},
 	}
 	for _, f := range fracs {
 		p := workload.ZipfScaled(o.Scale)
@@ -46,7 +46,7 @@ func ZipfSkewSweep(fracs []float64, o Options) (stats.Table, error) {
 		for i, l := range []Label{SC, WDSI} {
 			// Not keyed in o.Cache: the cache names a workload by registry
 			// name, and this zipf instance has its own parameters.
-			res[i] = machines.Run(o.machineConfig(l.Config()), workload.NewZipf(p))
+			res[i] = machine.Run(o.machineConfig(l.Config()), workload.NewZipf(p))
 			if res[i].Failed() {
 				return t, fmt.Errorf("zipf frac %.3f under %s: %s", f, l, res[i].Errors[0])
 			}

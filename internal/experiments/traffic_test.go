@@ -52,3 +52,18 @@ func TestZipfSkewSweep(t *testing.T) {
 		t.Fatalf("sweep has %d rows, want 2", len(tab.Rows))
 	}
 }
+
+// The skew sweep's writer column names the machine's processor count in its
+// header, as each row's writers/processors value does.
+func TestZipfSkewSweepHeaderNamesProcessors(t *testing.T) {
+	tab, err := ZipfSkewSweep([]float64{0.125}, fast()) // 8 processors
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tab.Header[1]; got != "writers/8" {
+		t.Errorf("header %q, want writers/8", got)
+	}
+	if got := tab.Rows[0][1]; got != "1/8" {
+		t.Errorf("row %q, want 1/8", got)
+	}
+}

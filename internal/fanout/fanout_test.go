@@ -6,8 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"dsisim/internal/machine"
 )
 
 // Every item runs exactly once, for assorted item/worker shapes including
@@ -17,10 +15,7 @@ func TestRunCoversEveryItemOnce(t *testing.T) {
 		{0, 4}, {0, 0}, {1, 4}, {7, 1}, {7, 3}, {100, 4}, {1000, 8}, {5, 16}, {50, 0},
 	} {
 		counts := make([]int32, tc.n)
-		Run(tc.n, tc.workers, func(pool *machine.Pool, item int) {
-			if pool == nil {
-				t.Errorf("n=%d workers=%d: nil pool", tc.n, tc.workers)
-			}
+		Run(tc.n, tc.workers, func(item int) {
 			atomic.AddInt32(&counts[item], 1)
 		})
 		for i, c := range counts {
@@ -28,34 +23,6 @@ func TestRunCoversEveryItemOnce(t *testing.T) {
 				t.Fatalf("n=%d workers=%d: item %d ran %d times", tc.n, tc.workers, i, c)
 			}
 		}
-	}
-}
-
-// A pool is never used by two calls at once, so callers' per-worker state
-// (the pooled machines) needs no locking.
-func TestPoolsAreExclusive(t *testing.T) {
-	var mu sync.Mutex
-	busy := make(map[*machine.Pool]bool)
-	enter := func(p *machine.Pool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if busy[p] {
-			t.Errorf("pool %p entered concurrently", p)
-		}
-		busy[p] = true
-	}
-	leave := func(p *machine.Pool) {
-		mu.Lock()
-		defer mu.Unlock()
-		busy[p] = false
-	}
-	Run(500, 8, func(pool *machine.Pool, item int) {
-		enter(pool)
-		runtime.Gosched()
-		leave(pool)
-	})
-	if len(busy) > 8 {
-		t.Fatalf("%d pools for 8 workers", len(busy))
 	}
 }
 
@@ -70,7 +37,7 @@ func TestStuckItemDoesNotHoldBackOthers(t *testing.T) {
 	finished := make(chan struct{})
 	go func() {
 		defer close(finished)
-		Run(n, 2, func(pool *machine.Pool, item int) {
+		Run(n, 2, func(item int) {
 			if item == 0 {
 				select {
 				case <-release:
@@ -107,7 +74,7 @@ func TestWorkerClamping(t *testing.T) {
 			running, peak, arrived int
 		)
 		gate := make(chan struct{})
-		Run(4*tc.want, tc.workers, func(pool *machine.Pool, item int) {
+		Run(4*tc.want, tc.workers, func(item int) {
 			mu.Lock()
 			running++
 			peak = max(peak, running)

@@ -291,7 +291,8 @@ func (m *Machine) DirCtrl(node int) *proto.DirCtrl { return m.dcs[node] }
 
 // Run executes the program to completion and returns the measurements. A
 // machine runs one program at a time and holds that run's state afterwards:
-// call Reset (or go through a Pool) before running it again.
+// call Reset before running it again, or run programs through the package's
+// Run, which does.
 func (m *Machine) Run(prog Program) Result {
 	prog.Setup(m)
 

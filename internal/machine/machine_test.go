@@ -461,9 +461,10 @@ func TestEventPanicFailsRun(t *testing.T) {
 }
 
 // TestConcurrentMachinesMatchSerial runs machines of two shapes from four
-// goroutines at once, through one Pool, so kernel coroutines and machines
-// both move between goroutines. Every run must equal its shape's serial
-// result.
+// goroutines at once, through Run and so the process's one idle list, so
+// kernel coroutines and machines both move between goroutines. Every run
+// must equal its shape's serial result, which a machine serving two runs at
+// once would not give.
 func TestConcurrentMachinesMatchSerial(t *testing.T) {
 	shapes := []Config{
 		small(Config{Consistency: proto.SC}, 3),
@@ -474,19 +475,14 @@ func TestConcurrentMachinesMatchSerial(t *testing.T) {
 		want[i] = New(cfg).Run(shareProg(300))
 		mustClean(t, want[i])
 	}
-	var (
-		pool Pool
-		wg   sync.WaitGroup
-	)
+	var wg sync.WaitGroup
 	for g := range 4 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range 6 {
 				s := (g + i) % len(shapes)
-				m := pool.Get(shapes[s])
-				got := m.Run(shareProg(300))
-				pool.Put(m)
+				got := Run(shapes[s], shareProg(300))
 				if !reflect.DeepEqual(got, want[s]) {
 					t.Errorf("goroutine %d run %d (shape %d) diverged from the serial run:\nserial:     %+v\nconcurrent: %+v", g, i, s, want[s], got)
 				}

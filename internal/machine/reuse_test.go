@@ -2,10 +2,14 @@ package machine
 
 import (
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"dsisim/internal/cpu"
 	"dsisim/internal/mem"
+	"dsisim/internal/obs"
 	"dsisim/internal/proto"
 )
 
@@ -46,22 +50,79 @@ func TestResetReuseBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPoolRecyclesByShape checks that a Pool hands back a parked machine only
-// when the requested configuration matches its immutable shape.
+// TestPoolRecyclesByShape checks that the idle list hands back a parked
+// machine only when the requested configuration matches its immutable
+// shape, and that Run parks the machine it ran on.
 func TestPoolRecyclesByShape(t *testing.T) {
-	var p Pool
 	cfg := small(Config{Consistency: proto.SC}, 4)
-	m := p.Get(cfg)
+	m := acquire(cfg)
 	mustClean(t, m.Run(shareProg(100)))
-	p.Put(m)
-	if got := p.Get(cfg); got != m {
-		t.Fatal("same-shape Get did not recycle the parked machine")
+	park(m)
+	if got := acquire(cfg); got != m {
+		t.Fatal("same-shape acquire did not recycle the parked machine")
 	}
-	p.Put(m)
+	park(m)
 	other := small(Config{Consistency: proto.SC}, 8)
-	if got := p.Get(other); got == m {
-		t.Fatal("Get recycled a machine with the wrong processor count")
+	if got := acquire(other); got == m {
+		t.Fatal("acquire recycled a machine with the wrong processor count")
 	}
+	mustClean(t, Run(cfg, shareProg(100)))
+	if got := acquire(cfg); got != m {
+		t.Fatal("Run did not park the machine it ran on")
+	}
+}
+
+// TestIdleListDropsOldest fills the idle list past its bound: the oldest
+// parked machine is dropped, and no slot past the list's end keeps a
+// dropped or taken machine reachable.
+func TestIdleListDropsOldest(t *testing.T) {
+	idle.Lock()
+	saved := idle.machines
+	idle.machines = nil
+	idle.Unlock()
+	defer func() {
+		idle.Lock()
+		idle.machines = saved
+		idle.Unlock()
+	}()
+	cfg := small(Config{Consistency: proto.SC}, 2)
+	limit := poolCap * runtime.GOMAXPROCS(0)
+	parked := make([]*Machine, limit+1)
+	for i := range parked {
+		parked[i] = New(cfg)
+		park(parked[i])
+	}
+	if len(idle.machines) != limit || slices.Contains(idle.machines, parked[0]) {
+		t.Fatalf("after parking %d machines: %d idle, oldest kept %v; want %d, oldest dropped",
+			len(parked), len(idle.machines), slices.Contains(idle.machines, parked[0]), limit)
+	}
+	acquire(cfg)
+	for _, m := range idle.machines[len(idle.machines):cap(idle.machines)] {
+		if m != nil {
+			t.Fatal("a slot past the idle list's end still holds a machine")
+		}
+	}
+}
+
+// TestParkedMachineDropsSink runs a machine with a coherence-event sink
+// through Run: once the caller drops the sink, the parked machine must not
+// keep it reachable.
+func TestParkedMachineDropsSink(t *testing.T) {
+	sk := obs.NewSink(obs.Config{})
+	collected := make(chan struct{})
+	runtime.SetFinalizer(sk, func(*obs.Sink) { close(collected) })
+	cfg := small(Config{Consistency: proto.SC, Sink: sk}, 4)
+	mustClean(t, Run(cfg, shareProg(100)))
+	sk, cfg.Sink = nil, nil
+	for range 20 {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
+	t.Fatal("the parked machine keeps its last run's sink reachable")
 }
 
 // TestWarmRunEventPathAllocFree pins the steady-state allocation contract: on

@@ -296,7 +296,7 @@ func (cc *CacheCtrl) giveBackGrant(b mem.Addr, m *netsim.Message) {
 }
 
 // OutstandingMiss describes one stuck cache-side operation, for the
-// liveness watchdog's diagnostic dump and check.Audit's quiesce report.
+// liveness watchdog's diagnostic dump.
 type OutstandingMiss struct {
 	Addr mem.Addr
 	Txn  uint64
@@ -465,7 +465,7 @@ func (dc *DirCtrl) replayed(hb *homeBlock, b mem.Addr, m *netsim.Message) bool {
 }
 
 // BusyTxn describes one live directory transaction, for the liveness
-// watchdog's diagnostic dump and check.Audit's quiesce report.
+// watchdog's diagnostic dump.
 type BusyTxn struct {
 	Addr mem.Addr
 	Txn  uint64

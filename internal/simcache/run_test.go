@@ -9,9 +9,9 @@ import (
 )
 
 // runCell runs em3d at test scale on 8 processors through c.
-func runCell(t *testing.T, c *Cache, pool *machine.Pool) (machine.Result, bool) {
+func runCell(t *testing.T, c *Cache) (machine.Result, bool) {
 	t.Helper()
-	res, hit, err := c.Run(pool, "em3d", workload.ScaleTest, "SC", machine.Config{Processors: 8})
+	res, hit, err := c.Run("em3d", workload.ScaleTest, "SC", machine.Config{Processors: 8})
 	if err != nil || res.Failed() {
 		t.Fatalf("em3d: err %v, errors %q", err, res.Errors)
 	}
@@ -21,9 +21,8 @@ func runCell(t *testing.T, c *Cache, pool *machine.Pool) (machine.Result, bool) 
 // A nil cache runs the cell and reports no hit, every time.
 func TestRunNilCache(t *testing.T) {
 	var c *Cache
-	var pool machine.Pool
 	for i := 0; i < 2; i++ {
-		res, hit := runCell(t, c, &pool)
+		res, hit := runCell(t, c)
 		if hit || res.Kernel.Events == 0 {
 			t.Fatalf("run %d: hit=%v events=%d, want a fresh run", i, hit, res.Kernel.Events)
 		}
@@ -33,14 +32,13 @@ func TestRunNilCache(t *testing.T) {
 // A repeated request is a hit, identical to the computed result, which is
 // itself what an uncached run returns.
 func TestRunRepeatIsHit(t *testing.T) {
-	var pool machine.Pool
-	uncached, _ := runCell(t, nil, &pool)
+	uncached, _ := runCell(t, nil)
 	c := New(0)
-	first, hit := runCell(t, c, &pool)
+	first, hit := runCell(t, c)
 	if hit {
 		t.Fatal("first request was a hit")
 	}
-	second, hit := runCell(t, c, &pool)
+	second, hit := runCell(t, c)
 	if !hit {
 		t.Fatal("repeated request missed")
 	}
@@ -56,10 +54,9 @@ func TestRunRepeatIsHit(t *testing.T) {
 // A workload that cannot be built returns its error and a zero Result,
 // stores nothing, and misses again when repeated.
 func TestRunUnknownWorkload(t *testing.T) {
-	var pool machine.Pool
 	c := New(0)
 	for i := 0; i < 2; i++ {
-		res, hit, err := c.Run(&pool, "no-such-workload", workload.ScaleTest, "SC", machine.Config{Processors: 8})
+		res, hit, err := c.Run("no-such-workload", workload.ScaleTest, "SC", machine.Config{Processors: 8})
 		if err == nil || hit || !reflect.DeepEqual(res, machine.Result{}) {
 			t.Fatalf("run %d: err %v, hit %v, result %+v; want an error, a miss and a zero Result", i, err, hit, res)
 		}

@@ -107,19 +107,19 @@ func (c *Cache) do(key Key, compute func() machine.Result, res *machine.Result) 
 	}
 }
 
-// Run simulates registry workload name at scale on a machine of shape cfg
-// from pool, memoized under the cell's key (label names cfg's protocol). The
-// workload is built only on a miss. One that cannot be built comes back as
-// err with a zero Result; the failed Result the cache saw is never stored.
-// A nil cache runs the cell without computing a key.
-func (c *Cache) Run(pool *machine.Pool, name string, scale workload.Scale, label string, cfg machine.Config) (res machine.Result, hit bool, err error) {
+// Run simulates registry workload name at scale on a machine of shape cfg,
+// through machine.Run, memoized under the cell's key (label names cfg's
+// protocol). The workload is built only on a miss. One that cannot be built
+// comes back as err with a zero Result; the failed Result the cache saw is
+// never stored. A nil cache runs the cell without computing a key.
+func (c *Cache) Run(name string, scale workload.Scale, label string, cfg machine.Config) (res machine.Result, hit bool, err error) {
 	compute := func() machine.Result {
 		prog, perr := workload.New(name, scale)
 		if perr != nil {
 			err = perr
 			return machine.Result{Errors: []string{perr.Error()}}
 		}
-		return pool.Run(cfg, prog)
+		return machine.Run(cfg, prog)
 	}
 	if c == nil {
 		res = compute()

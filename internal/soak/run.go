@@ -191,14 +191,14 @@ func Run(o Options) (*Report, error) {
 		}()
 	}
 
-	fanout.Run(len(todo), o.Workers, func(pool *machine.Pool, item int) {
+	fanout.Run(len(todo), o.Workers, func(item int) {
 		if stopped() {
 			return
 		}
 		cell := o.Space.Cell(o.Seed, todo[item])
-		v := runCell(pool, cell, o)
+		v := runCell(cell, o)
 		if v.Status == StatusFail {
-			triage(pool, cell, &v, o, &reruns)
+			triage(cell, &v, o, &reruns)
 			failed.Add(1)
 		}
 		fresh[item] = &v
@@ -283,7 +283,7 @@ func machineConfig(cell Cell, o Options, fc *faultinj.Config) machine.Config {
 
 // runCell executes one cell through its oracles and returns the verdict
 // (before triage).
-func runCell(pool *machine.Pool, cell Cell, o Options) Verdict {
+func runCell(cell Cell, o Options) Verdict {
 	v := Verdict{
 		Cell:     cell.Index,
 		Workload: cell.Workload,
@@ -302,7 +302,7 @@ func runCell(pool *machine.Pool, cell Cell, o Options) Verdict {
 			if err != nil {
 				return err
 			}
-			res, hit, err := o.Cache.Run(pool, cell.Workload, scale, cell.Protocol.Name, machineConfig(cell, o, faultsFor(cell)))
+			res, hit, err := o.Cache.Run(cell.Workload, scale, cell.Protocol.Name, machineConfig(cell, o, faultsFor(cell)))
 			if err != nil {
 				return err
 			}
@@ -323,7 +323,7 @@ func runCell(pool *machine.Pool, cell Cell, o Options) Verdict {
 
 // triage classifies and (when deterministic) minimizes a failing cell,
 // persisting the minimized repro into the corpus and annotating the verdict.
-func triage(pool *machine.Pool, cell Cell, v *Verdict, o Options, rerunCount *atomic.Int64) {
+func triage(cell Cell, v *Verdict, o Options, rerunCount *atomic.Int64) {
 	// Triage bypasses the result cache outright: flake classification is
 	// only meaningful against real re-executions. (Failed results are never
 	// cached anyway; this also keeps a flaky-then-passing re-run from being
@@ -336,7 +336,7 @@ func triage(pool *machine.Pool, cell Cell, v *Verdict, o Options, rerunCount *at
 	v.Reruns = o.Reruns
 	for i := 0; i < o.Reruns; i++ {
 		rerunCount.Add(1)
-		rv := runCell(pool, cell, o)
+		rv := runCell(cell, o)
 		if rv.Status != v.Status || rv.Err != v.Err || rv.Events != v.Events || rv.Cycles != v.Cycles {
 			v.Class = ClassFlaky
 			return
@@ -377,7 +377,7 @@ func triage(pool *machine.Pool, cell Cell, v *Verdict, o Options, rerunCount *at
 		}
 		fails := func(fc *faultinj.Config) bool {
 			rerunCount.Add(1)
-			res := pool.Run(machineConfig(cell, o, fc), prog)
+			res := machine.Run(machineConfig(cell, o, fc), prog)
 			return res.Failed()
 		}
 		minF = workload.MinimizeFaultConfig(faultsFor(cell), fails)

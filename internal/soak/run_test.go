@@ -5,10 +5,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"dsisim/internal/machine"
 	"dsisim/internal/proto"
 	"dsisim/internal/workload"
 )
@@ -46,6 +48,45 @@ func TestRunCleanAndDeterministic(t *testing.T) {
 	}
 	if string(marshalVerdicts(t, a.Verdicts)) != string(marshalVerdicts(t, b.Verdicts)) {
 		t.Fatal("verdict JSON not bit-identical across runs")
+	}
+}
+
+// A second sitting of a campaign in the same process runs on the machines
+// the first one parked: none of its cells, litmus ones included, builds a
+// machine, so the whole sitting allocates less than one 2-processor machine
+// does (about 1.3 MB at the default geometry).
+func TestWarmSittingBuildsNoMachine(t *testing.T) {
+	o := Options{
+		Space: Space{
+			Workloads: []string{"em3d", LitmusWorkload},
+			Protocols: ProtocolsByName("SC", "V", "W+DSI"),
+			Templates: DefaultTemplates(),
+		},
+		Seed:    5,
+		Workers: 1,
+	}
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	sitting := func() {
+		rep, err := Run(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Failures != 0 || rep.Ran != o.Space.Cells() {
+			t.Fatalf("sitting ran %d of %d cells with %d failures", rep.Ran, o.Space.Cells(), rep.Failures)
+		}
+	}
+	machineBytes := allocated(func() { machine.New(machine.Config{Processors: 2}) })
+	sitting()
+	warm := allocated(sitting)
+	t.Logf("warm sitting of %d cells: %d bytes; one 2-processor machine: %d bytes", o.Space.Cells(), warm, machineBytes)
+	if warm >= machineBytes {
+		t.Fatalf("warm sitting allocated %d bytes, not under one 2-processor machine's %d", warm, machineBytes)
 	}
 }
 

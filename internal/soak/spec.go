@@ -272,7 +272,7 @@ func (s *Spec) Replay(sink *obs.Sink) error {
 	}
 	cfg := machineConfig(Cell{Protocol: pr, Seed: s.Seed}, Options{Procs: s.Procs, CacheBytes: s.CacheBytes}, fc)
 	cfg.Sink = sink
-	res := machine.New(cfg).Run(prog)
+	res := machine.Run(cfg, prog)
 	if res.Failed() {
 		return fmt.Errorf("%s/%s: %s", s.Workload, s.Protocol, res.Errors[0])
 	}

@@ -313,14 +313,14 @@ type LitmusRun struct {
 func RunLitmus(s *LitmusSpec, pr proto.Label, fc *faultinj.Config, o LitmusRun) (events uint64, cycles int64, err error) {
 	prog := newLitmusProgram(s)
 	prog.breakWrites = o.Canary
-	res := machine.New(machine.Config{
+	res := machine.Run(machine.Config{
 		Processors:  s.Procs,
 		Consistency: pr.Consistency,
 		Policy:      pr.Policy,
 		Seed:        s.Seed | 1,
 		Sink:        o.Sink,
 		Faults:      fc,
-	}).Run(prog)
+	}, prog)
 	events, cycles = res.Kernel.Events, int64(res.TotalTime)
 	if res.Failed() {
 		return events, cycles, fmt.Errorf("%s: %s", pr.Name, res.Errors[0])
