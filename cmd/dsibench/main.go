@@ -305,7 +305,6 @@ func runSoak(o soakOptions) error {
 		Corpus:    o.corpus,
 		Stop:      stop,
 		Heartbeat: 10 * time.Second,
-		Log:       os.Stderr,
 	}
 	start := time.Now()
 	rep, err := soak.Run(opts)

@@ -227,10 +227,10 @@ type CoherenceFilter = obs.Filter
 // counters, and transaction latencies.
 type BlockMetrics = obs.BlockMetrics
 
-// NewCoherenceSink builds an empty coherence-event sink with default
-// settings (unbounded recording, 400-cycle premature-self-invalidation
-// window).
-func NewCoherenceSink() *CoherenceSink { return obs.NewSink(obs.Config{}) }
+// NewCoherenceSink builds an empty coherence-event sink. It records every
+// event of the runs it is attached to, and counts a self-invalidation as
+// premature when its node misses on the block again within 400 cycles.
+func NewCoherenceSink() *CoherenceSink { return obs.NewSink() }
 
 // Program is a custom workload; see the Proc API in internal/cpu for the
 // kernel-side operations (Read, Touch, Expect, Write, WriteWord, Swap,

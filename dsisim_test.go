@@ -86,7 +86,9 @@ func (p *pingPong) Kernel(pr *Proc) {
 		}
 		pr.Barrier()
 		v := pr.Read(p.data.Addr(0))
-		pr.Assert(v.Word == uint64(i+1), "round %d word %d", i, v.Word)
+		if v.Word != uint64(i+1) {
+			pr.Failf("round %d word %d", i, v.Word)
+		}
 		pr.Barrier()
 	}
 }

@@ -100,7 +100,7 @@ func (c *counterProgram) Kernel(p *dsisim.Proc) {
 		p.Unlock(c.lock.Addr(0))
 	}
 	p.Barrier()
-	if p.ID() == 0 {
-		p.Assert(p.Read(c.ctr.Addr(0)).Word == uint64(p.N()*c.iters), "lost update")
+	if p.ID() == 0 && p.Read(c.ctr.Addr(0)).Word != uint64(p.N()*c.iters) {
+		p.Failf("lost update")
 	}
 }

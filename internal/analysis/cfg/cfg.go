@@ -1,9 +1,9 @@
 // Package cfg builds intraprocedural control-flow graphs from Go syntax and
-// provides the two classic clients the dsivet analyzers need: dominator
-// computation and a generic forward dataflow fixpoint over per-block facts.
+// provides the one client the dsivet analyzers need: a generic forward
+// dataflow fixpoint over per-block facts.
 //
-// The package is deliberately small and dependency-free (PR 3's constraint:
-// no module proxy, so no x/tools). It models structured Go control flow —
+// The package is deliberately small and dependency-free (no module proxy,
+// so no x/tools). It models structured Go control flow —
 // if/for/range/switch/type-switch/select, labeled break/continue/goto,
 // fallthrough — at statement granularity: each basic block holds a sequence
 // of *leaf* statements (assignments, expression statements, declarations);
@@ -102,25 +102,8 @@ type Graph struct {
 	// on when the first return materialized it.
 	Blocks []*Block
 
-	site   map[ast.Node]Site
-	idom   []int // immediate dominators, computed lazily by Dominators
 	rpo    []int // reverse postorder of live blocks
 	rpoPos []int // block index -> position in rpo, built lazily
-}
-
-// Site locates a leaf statement inside a graph.
-type Site struct {
-	Block *Block
-	// Index is the node's position in Block.Nodes.
-	Index int
-}
-
-// SiteOf returns the block position of a leaf node emitted during
-// construction, or ok=false for nodes that are not leaves of this graph
-// (compound statements, nodes inside nested function literals).
-func (g *Graph) SiteOf(n ast.Node) (Site, bool) {
-	s, ok := g.site[n]
-	return s, ok
 }
 
 // Options configures graph construction.
@@ -134,7 +117,7 @@ type Options struct {
 // New builds the control-flow graph of body.
 func New(body *ast.BlockStmt, opt Options) *Graph {
 	b := &builder{
-		g:     &Graph{site: make(map[ast.Node]Site)},
+		g:     &Graph{},
 		opt:   opt,
 		gotos: make(map[string]*Block),
 		pends: make(map[string][]*Block),
@@ -206,7 +189,6 @@ func (b *builder) emit(n ast.Node) {
 		return
 	}
 	blk := b.ensure()
-	b.g.site[n] = Site{Block: blk, Index: len(blk.Nodes)}
 	blk.Nodes = append(blk.Nodes, n)
 	if b.terminalStmt(n) {
 		b.cur = nil // panic/coldpath: control never continues
@@ -335,7 +317,6 @@ func (b *builder) stmt(st ast.Stmt) {
 		head := b.newBlock()
 		b.jumpTo(head)
 		head.Stmt = st
-		b.g.site[st] = Site{Block: head, Index: len(head.Nodes)}
 		head.Nodes = append(head.Nodes, st)
 		join := &Block{}
 		body := b.newBlock()
@@ -361,7 +342,6 @@ func (b *builder) stmt(st ast.Stmt) {
 		tag := b.ensure()
 		tag.Stmt = st
 		if st.Assign != nil {
-			b.g.site[st.Assign] = Site{Block: tag, Index: len(tag.Nodes)}
 			tag.Nodes = append(tag.Nodes, st.Assign)
 		}
 		b.caseClauses(tag, st.Body.List)
@@ -530,7 +510,3 @@ func (g *Graph) computeLiveness() {
 		g.rpo = append(g.rpo, order[i])
 	}
 }
-
-// ReversePostorder returns the indices of live blocks in reverse postorder
-// (Entry first).
-func (g *Graph) ReversePostorder() []int { return g.rpo }

@@ -321,48 +321,6 @@ _ = x`)
 	}
 }
 
-func TestDominators(t *testing.T) {
-	g, _ := parseBody(t, `
-x := 1
-if x > 0 {
-	x = 2
-} else {
-	x = 3
-}
-_ = x
-if x > 1 {
-	x = 4
-}
-_ = x`)
-	idom := g.Dominators()
-	entry := g.Entry
-	if idom[entry.Index] != entry.Index {
-		t.Fatal("entry must be its own idom")
-	}
-	// Entry dominates everything live; neither arm of the first if dominates
-	// the join.
-	var then1 *Block
-	for _, e := range entry.Edges {
-		if e.Kind == EdgeTrue {
-			then1 = e.To
-		}
-	}
-	if then1 == nil {
-		t.Fatal("no true edge from entry")
-	}
-	for _, b := range g.Blocks {
-		if !b.Live {
-			continue
-		}
-		if !g.Dominates(entry, b) {
-			t.Fatalf("entry does not dominate live block %d", b.Index)
-		}
-	}
-	if g.Dominates(then1, g.Exit) {
-		t.Fatal("then-arm must not dominate exit")
-	}
-}
-
 // TestForwardNilness runs the dataflow engine on the canonical obssink
 // shape: a fact set of "proven non-nil" variable names with intersection
 // merge and refinement on nil-comparison edges.
@@ -430,7 +388,7 @@ _ = *sk // C: non-nil here`)
 
 	// Locate the three _ = ... statements by their block facts.
 	var comments []bool // non-nil status at each `_ = ...` site in order
-	for _, bi := range g.ReversePostorder() {
+	for _, bi := range g.rpo {
 		b := g.Blocks[bi]
 		for _, n := range b.Nodes {
 			as, ok := n.(*ast.AssignStmt)
@@ -494,29 +452,6 @@ _ = x`)
 	}
 	if !res.Reached[g.Exit.Index] {
 		t.Fatal("exit should stay reachable through the true edge")
-	}
-}
-
-func TestSiteOf(t *testing.T) {
-	g, fd := parseBody(t, `
-x := 1
-if x > 0 {
-	x = 2
-}
-_ = x`)
-	n := 0
-	ast.Inspect(fd.Body, func(node ast.Node) bool {
-		switch node.(type) {
-		case *ast.AssignStmt:
-			if _, ok := g.SiteOf(node); !ok {
-				t.Fatalf("no site for assignment %v", node)
-			}
-			n++
-		}
-		return true
-	})
-	if n != 3 {
-		t.Fatalf("probed %d assignments, want 3", n)
 	}
 }
 

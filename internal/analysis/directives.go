@@ -44,8 +44,7 @@ const (
 // carry the //dsi:coldpath comment for readers and same-package call sites.
 var ColdFuncs = map[string]bool{
 	// The workload kernels' failure report, called under the check it
-	// reports. (*cpu.Proc).Assert is not here: it runs on every check,
-	// passing or not, so its boxed arguments are the hot path's cost.
+	// reports.
 	"(*dsisim/internal/cpu.Proc).Failf": true,
 }
 

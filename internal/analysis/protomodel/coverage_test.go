@@ -61,7 +61,7 @@ func TestCoverageCleanStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := obs.NewSink(obs.Config{})
+	sink := obs.NewSink()
 	deliver(sink, netsim.GetS, 3)                    // dir: GetS in Idle
 	sink.OnDirState(2, 3, covBlock, 1, 0, 1)         // dir Idle -> Shared
 	deliver(sink, netsim.GetS, 3)                    // dir: GetS in Shared
@@ -96,7 +96,7 @@ func TestCoverageViolations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := obs.NewSink(obs.Config{})
+	sink := obs.NewSink()
 	sink.OnCacheState(1, 5, covBlock, 1, 0, 2, 0) // cache -> Exclusive
 	deliver(sink, netsim.Inv, 5)                  // handled
 	sink.OnSelfInval(2, 5, covBlock, 2, false, false)
@@ -127,7 +127,7 @@ func TestCoverageShadowReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := obs.NewSink(obs.Config{})
+	sink := obs.NewSink()
 	// FIFO displacement resets the cache shadow to Invalid, so the next Inv
 	// must be filed under Invalid (the waived pair), not Shared.
 	sink.OnCacheState(1, 5, covBlock, 1, 0, 1, 0)

@@ -431,15 +431,6 @@ func (p *Proc) Failf(format string, args ...any) {
 	panic(fmt.Sprintf("proc %d assertion failed: %s", p.id, fmt.Sprintf(format, args...)))
 }
 
-// Assert calls Failf if cond is false. A call boxes its arguments whether or
-// not cond holds, so a check made on every access belongs in a guarded
-// Failf instead.
-func (p *Proc) Assert(cond bool, format string, args ...any) {
-	if !cond {
-		p.Failf(format, args...)
-	}
-}
-
 // drain is a synchronization access's first step: it waits for every
 // buffered write to be acknowledged, charging the wait to sync-wb.
 func (p *Proc) drain() {

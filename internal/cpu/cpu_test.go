@@ -103,7 +103,9 @@ func TestReadWriteCategories(t *testing.T) {
 	procs[0].Start(func(p *Proc) {
 		p.Write(a) // remote write miss
 		v := p.Read(a)
-		p.Assert(v.Writer == 0 && v.Seq == 1, "v=%v", v)
+		if v.Writer != 0 || v.Seq != 1 {
+			p.Failf("v=%v", v)
+		}
 	})
 	procs[1].Start(func(p *Proc) {})
 	run(t, h, procs)
@@ -128,7 +130,9 @@ func TestWordIsolationWithinBlock(t *testing.T) {
 		}
 		for i := 0; i < mem.WordsPerBlock; i++ {
 			v := p.Read(base + mem.Addr(i*8))
-			p.Assert(v.Word == uint64(100+i), "word %d = %d", i, v.Word)
+			if v.Word != uint64(100+i) {
+				p.Failf("word %d = %d", i, v.Word)
+			}
 		}
 	})
 	run(t, h, procs)
@@ -138,9 +142,15 @@ func TestSwapReturnsOldWord(t *testing.T) {
 	procs, h := newHarness(t, 1, proto.SC)
 	a := mem.Addr(mem.BlockSize)
 	procs[0].Start(func(p *Proc) {
-		p.Assert(p.Swap(a, 5) == 0, "first swap")
-		p.Assert(p.Swap(a, 9) == 5, "second swap")
-		p.Assert(p.Read(a).Word == 9, "final read")
+		if p.Swap(a, 5) != 0 {
+			p.Failf("first swap")
+		}
+		if p.Swap(a, 9) != 5 {
+			p.Failf("second swap")
+		}
+		if p.Read(a).Word != 9 {
+			p.Failf("final read")
+		}
 	})
 	run(t, h, procs)
 }
@@ -159,7 +169,9 @@ func TestLockMutualExclusionTiming(t *testing.T) {
 		}
 		p.Barrier()
 		if p.ID() == 0 {
-			p.Assert(p.Read(data).Word == 10, "count %d", p.Read(data).Word)
+			if v := p.Read(data); v.Word != 10 {
+				p.Failf("count %d", v.Word)
+			}
 		}
 	}
 	for _, p := range procs {

@@ -119,13 +119,6 @@ func (q *Queue) Len() int { return q.onWheel + len(q.keys) }
 // Executed returns the total number of events that have run.
 func (q *Queue) Executed() uint64 { return q.ran }
 
-// LastSeq returns the insertion sequence of the most recently scheduled
-// event. Two events are adjacent in the execution order if they share a time
-// and were assigned consecutive sequences with none in between — the
-// condition internal/netsim uses to chain same-(time, dst) deliveries onto
-// one queue entry without reordering anything.
-func (q *Queue) LastSeq() uint64 { return q.seq }
-
 // Stats returns a snapshot of the kernel counters.
 func (q *Queue) Stats() Stats {
 	return Stats{Executed: q.ran, Scheduled: q.seq, PeakLen: q.peak}

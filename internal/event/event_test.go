@@ -378,18 +378,6 @@ func TestOverflowEventRunsBeforeLaterDirectInsert(t *testing.T) {
 	}
 }
 
-// TestLastSeq pins the accessor network batching builds on: LastSeq
-// advances exactly once per scheduled event.
-func TestLastSeq(t *testing.T) {
-	var q Queue
-	s0 := q.LastSeq()
-	q.At(9, func() {})
-	q.At(4, func() {})
-	if q.LastSeq() != s0+2 {
-		t.Fatalf("LastSeq = %d after two schedules from %d", q.LastSeq(), s0)
-	}
-}
-
 // Property: events run in nondecreasing time order, and same-time events run
 // in insertion order.
 func TestQueueOrderingProperty(t *testing.T) {

@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -69,6 +68,19 @@ func (a Action) String() string {
 	return actionNames[a]
 }
 
+// MarshalText persists an action as its name, the form soak specs store.
+func (a Action) MarshalText() ([]byte, error) { return []byte(a.String()), nil }
+
+// UnmarshalText parses an action name written by MarshalText.
+func (a *Action) UnmarshalText(text []byte) error {
+	i := slices.Index(actionNames[:], string(text))
+	if i < 0 {
+		return fmt.Errorf("faultinj: unknown fault action %q", text)
+	}
+	*a = Action(i)
+	return nil
+}
+
 // Rule is one scripted fault: it matches messages by kind, source, and
 // destination (each -1 = wildcard) and applies Action to the Nth match
 // (1-based; Nth == 0 applies to every match). Rules are consulted in order;
@@ -76,43 +88,51 @@ func (a Action) String() string {
 // its occurrence counter advanced, so independent rules count independently
 // of one another's firing.
 type Rule struct {
-	Kind int // netsim.Kind as int; -1 matches any kind
-	Src  int // source node; -1 matches any
-	Dst  int // destination node; -1 matches any
-	Nth  int // 1-based occurrence to hit; 0 = every occurrence
+	Kind int `json:"kind"`          // netsim.Kind as int; -1 matches any kind
+	Src  int `json:"src"`           // source node; -1 matches any
+	Dst  int `json:"dst"`           // destination node; -1 matches any
+	Nth  int `json:"nth,omitempty"` // 1-based occurrence to hit; 0 = every occurrence
 
-	Action Action
-	Delay  event.Time // extra delay for Delay, spacing for Duplicate; 0 = drawn from jitter
+	Action Action     `json:"action"`
+	Delay  event.Time `json:"delay,omitempty"` // extra delay for Delay, spacing for Duplicate; 0 = drawn from jitter
 }
 
-// Config describes a fault plan. The zero value injects nothing.
+// LinkDrop is one per-directed-link drop override.
+type LinkDrop struct {
+	Src  int     `json:"src"`
+	Dst  int     `json:"dst"`
+	Prob float64 `json:"prob"`
+}
+
+// Config describes a fault plan. The zero value injects nothing. Its JSON
+// form is the fault plan soak specs and campaign journals persist.
 type Config struct {
 	// Seed seeds the plan's private splitmix64 stream. Two plans with equal
 	// Config make identical decisions for identical call sequences.
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
 
 	// Drop, Dup, and Delay are per-message probabilities in [0, 1] for the
 	// corresponding fault. They are evaluated in that order and at most one
 	// fault applies per send.
-	Drop  float64
-	Dup   float64
-	Delay float64
+	Drop  float64 `json:"drop,omitempty"`
+	Dup   float64 `json:"dup,omitempty"`
+	Delay float64 `json:"delay,omitempty"`
 
 	// Jitter bounds the extra delay attached to Delay faults, Duplicate
 	// copies, and converted drops: delays are drawn uniformly from
 	// [1, Jitter]. Zero selects DefaultJitter.
-	Jitter event.Time
+	Jitter event.Time `json:"jitter,omitempty"`
 
 	// DropByKind overrides Drop for specific message kinds (keyed by
 	// netsim.Kind as int). nil = no overrides.
-	DropByKind map[int]float64
+	DropByKind map[int]float64 `json:"drop_by_kind,omitempty"`
 
 	// DropByLink overrides Drop (after DropByKind) for specific directed
-	// links, keyed by [src, dst]. nil = no overrides.
-	DropByLink map[[2]int]float64
+	// links, each listed at most once. nil = no overrides.
+	DropByLink []LinkDrop `json:"drop_by_link,omitempty"`
 
 	// Rules are scripted faults, consulted before the probabilistic draws.
-	Rules []Rule
+	Rules []Rule `json:"rules,omitempty"`
 }
 
 // Enabled reports whether the config injects any fault at all.
@@ -124,12 +144,12 @@ func (c *Config) Enabled() bool {
 // Validate reports the first field of c that no plan can honour on a network
 // with the given number of message kinds: a probability outside [0, 1] or
 // NaN, a negative Jitter, a DropByKind key outside [0, kinds), or a
-// DropByLink endpoint below 0, checking map entries in key order so the
-// report is stable. Every entry point that builds a Config from
-// outside input (Parse, persisted soak specs) calls it, so bad input fails
-// with a named error instead of crashing the run. The kind count comes from
-// the caller because the message kinds belong to netsim, which imports this
-// package.
+// DropByLink endpoint below 0 or link listed twice, checking kinds and
+// links in sorted order so the report is stable. Every entry point that
+// builds a Config from outside input (Parse, persisted soak specs) calls it,
+// so bad input fails with a named error instead of crashing the run. The
+// kind count comes from the caller because the message kinds belong to
+// netsim, which imports this package.
 func (c *Config) Validate(kinds int) error {
 	if err := cmp.Or(checkProb("drop", c.Drop), checkProb("dup", c.Dup), checkProb("delay", c.Delay)); err != nil {
 		return err
@@ -145,18 +165,30 @@ func (c *Config) Validate(kinds int) error {
 			return err
 		}
 	}
-	byNodes := func(a, b [2]int) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) }
-	for _, l := range slices.SortedFunc(maps.Keys(c.DropByLink), byNodes) {
-		name := fmt.Sprintf("droplink %d-%d", l[0], l[1])
-		if l[0] < 0 || l[1] < 0 {
+	links := sortedLinks(c.DropByLink)
+	for i, l := range links {
+		name := fmt.Sprintf("droplink %d-%d", l.Src, l.Dst)
+		if l.Src < 0 || l.Dst < 0 {
 			return fmt.Errorf("faultinj: %s: negative node", name)
 		}
-		if err := checkProb(name, c.DropByLink[l]); err != nil {
+		if i > 0 && byLink(links[i-1], l) == 0 {
+			return fmt.Errorf("faultinj: %s listed twice", name)
+		}
+		if err := checkProb(name, l.Prob); err != nil {
 			return err
 		}
 	}
 	return nil
 }
+
+// sortedLinks returns a copy of links sorted by (src, dst): the order plans
+// and cache keys consume them in, whatever order a config lists them.
+func sortedLinks(links []LinkDrop) []LinkDrop {
+	return slices.SortedStableFunc(slices.Values(links), byLink)
+}
+
+// byLink orders link overrides by (src, dst).
+func byLink(a, b LinkDrop) int { return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst)) }
 
 // checkProb range-checks one probability; NaN fails both comparisons.
 func checkProb(name string, p float64) error {
@@ -205,13 +237,7 @@ type Plan struct {
 	// sorted by (src, dst), so Decide never hashes a map key on the hot path.
 	kindDrop []float64
 	kindSet  []bool
-	linkDrop []linkOverride
-}
-
-// linkOverride is one compiled DropByLink entry.
-type linkOverride struct {
-	src, dst int
-	prob     float64
+	linkDrop []LinkDrop
 }
 
 // New builds a plan from cfg. The config is copied; mutating cfg afterwards
@@ -244,17 +270,7 @@ func New(cfg Config) *Plan {
 		}
 	}
 	if len(cfg.DropByLink) > 0 {
-		p.linkDrop = make([]linkOverride, 0, len(cfg.DropByLink))
-		//dsi:anyorder the entries are sorted by (src, dst) below
-		for k, v := range cfg.DropByLink {
-			p.linkDrop = append(p.linkDrop, linkOverride{src: k[0], dst: k[1], prob: v})
-		}
-		sort.Slice(p.linkDrop, func(i, j int) bool {
-			if p.linkDrop[i].src != p.linkDrop[j].src {
-				return p.linkDrop[i].src < p.linkDrop[j].src
-			}
-			return p.linkDrop[i].dst < p.linkDrop[j].dst
-		})
+		p.linkDrop = sortedLinks(cfg.DropByLink)
 	}
 	return p
 }
@@ -298,8 +314,8 @@ func (p *Plan) Decide(kind, src, dst int, droppable bool) Decision {
 		dropP = p.kindDrop[kind]
 	}
 	for i := range p.linkDrop {
-		if p.linkDrop[i].src == src && p.linkDrop[i].dst == dst {
-			dropP = p.linkDrop[i].prob
+		if p.linkDrop[i].Src == src && p.linkDrop[i].Dst == dst {
+			dropP = p.linkDrop[i].Prob
 			break
 		}
 	}
@@ -385,7 +401,7 @@ func (p *Plan) jitter() event.Time {
 //	delay=<p>            delay probability
 //	jitter=<cycles>      delay bound (default DefaultJitter)
 //	dropkind=<kind>:<p>  per-kind drop override; repeatable
-//	droplink=<s>-<d>:<p> per-link drop override; repeatable
+//	droplink=<s>-<d>:<p> per-link drop override; repeatable, once per link
 //
 // kinds is the network's message-kind count, and kindByName resolves
 // message-kind names (and decimal kind numbers) for dropkind; pass nil to
@@ -449,10 +465,7 @@ func Parse(spec string, kinds int, kindByName func(string) (int, bool)) (Config,
 			}
 			var prob float64
 			if prob, err = parseProb(pstr); err == nil {
-				if cfg.DropByLink == nil {
-					cfg.DropByLink = make(map[[2]int]float64)
-				}
-				cfg.DropByLink[[2]int{src, dst}] = prob
+				cfg.DropByLink = append(cfg.DropByLink, LinkDrop{Src: src, Dst: dst, Prob: prob})
 			}
 		default:
 			return cfg, fmt.Errorf("faultinj: unknown key %q", key)

@@ -1,6 +1,14 @@
 package faultinj
 
-import "testing"
+import (
+	"encoding/json"
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// numKinds is netsim's message-kind count; this package cannot import it.
+const numKinds = 18
 
 // decideSeq runs a fixed call sequence against a fresh plan and returns the
 // decisions.
@@ -114,7 +122,7 @@ func TestPerKindAndPerLinkOverrides(t *testing.T) {
 	cfg := Config{
 		Seed:       3,
 		DropByKind: map[int]float64{4: 1},
-		DropByLink: map[[2]int]float64{{2, 3}: 1},
+		DropByLink: []LinkDrop{{Src: 5, Dst: 0, Prob: 0}, {Src: 2, Dst: 3, Prob: 1}},
 	}
 	p := New(cfg)
 	if d := p.Decide(4, 0, 1, true); d.Action != Drop {
@@ -126,10 +134,12 @@ func TestPerKindAndPerLinkOverrides(t *testing.T) {
 	if d := p.Decide(0, 1, 2, true); d.Action != Deliver {
 		t.Fatalf("unmatched traffic: got %v, want deliver", d.Action)
 	}
+	if d := p.Decide(4, 5, 0, true); d.Action != Deliver {
+		t.Fatalf("link override after a kind override: got %v, want deliver", d.Action)
+	}
 }
 
 func TestParse(t *testing.T) {
-	const numKinds = 18 // netsim's count; this package cannot import it
 	kinds := func(s string) (int, bool) {
 		if s == "Inv" {
 			return 6, true
@@ -146,7 +156,7 @@ func TestParse(t *testing.T) {
 	if cfg.DropByKind[6] != 0.5 {
 		t.Fatalf("dropkind: %+v", cfg.DropByKind)
 	}
-	if cfg.DropByLink[[2]int{2, 5}] != 0.25 {
+	if want := []LinkDrop{{Src: 2, Dst: 5, Prob: 0.25}}; !reflect.DeepEqual(cfg.DropByLink, want) {
 		t.Fatalf("droplink: %+v", cfg.DropByLink)
 	}
 	if !cfg.Enabled() {
@@ -171,6 +181,8 @@ func TestParse(t *testing.T) {
 		"dropkind=1000000000000:0.5", "dropkind=9223372036854775807:0.5",
 		"dropkind=18:0.5", "dropkind=100:0.5", "dropkind=-1:0.5", "dropkind=Inv:NaN",
 		"drop=NaN", "dup=NaN", "delay=+Inf", "droplink=2-5:1.5",
+		// A link given twice: one of its probabilities would be ignored.
+		"droplink=2-5:0.25,droplink=2-5:0.5",
 	} {
 		if _, err := Parse(bad, numKinds, kinds); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", bad)
@@ -192,6 +204,53 @@ func TestJitterBounds(t *testing.T) {
 		if d := p.Decide(0, 0, 1, true); d.Delay < 1 || d.Delay > DefaultJitter {
 			t.Fatalf("default jitter decision %d: %+v", i, d)
 		}
+	}
+}
+
+// fullPlan sets every field of a fault plan: one link override, two kinds,
+// and two rules with different actions.
+func fullPlan() *Config {
+	return &Config{
+		Seed: 7, Drop: 0.02, Dup: 0.01, Delay: 0.05, Jitter: 48,
+		DropByKind: map[int]float64{2: 0.5, 4: 0.125},
+		DropByLink: []LinkDrop{{Src: 1, Dst: 2, Prob: 0.25}},
+		Rules: []Rule{
+			{Kind: 1, Src: -1, Dst: -1, Nth: 2, Action: Drop},
+			{Kind: 3, Src: 0, Dst: 1, Action: Delay, Delay: 9},
+		},
+	}
+}
+
+// A fault plan persists as the JSON soak specs and journals have always
+// stored, byte for byte, and reads back into the same valid plan.
+func TestConfigJSONRoundTrip(t *testing.T) {
+	const persisted = `{"seed":7,"drop":0.02,"dup":0.01,"delay":0.05,"jitter":48,` +
+		`"drop_by_kind":{"2":0.5,"4":0.125},"drop_by_link":[{"src":1,"dst":2,"prob":0.25}],` +
+		`"rules":[{"kind":1,"src":-1,"dst":-1,"nth":2,"action":"drop"},{"kind":3,"src":0,"dst":1,"action":"delay","delay":9}]}`
+	data, err := json.Marshal(fullPlan())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != persisted {
+		t.Fatalf("marshaled plan\n%s\nwant\n%s", data, persisted)
+	}
+	var got Config
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&got, fullPlan()) {
+		t.Fatalf("round trip changed the plan:\n%+v\n%+v", got, *fullPlan())
+	}
+	if err := got.Validate(numKinds); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := json.Marshal(Config{}); err != nil || string(data) != "{}" {
+		t.Fatalf("zero plan marshals as %s (%v), want {}", data, err)
+	}
+
+	err = json.Unmarshal([]byte(`{"rules":[{"kind":1,"src":-1,"dst":-1,"action":"melt"}]}`), &got)
+	if err == nil || !strings.Contains(err.Error(), `unknown fault action "melt"`) {
+		t.Fatalf("unknown action: error %v", err)
 	}
 }
 

@@ -53,7 +53,9 @@ func litmusMP(t *testing.T, cfg Config, skew int64) {
 					p.Compute(30)
 				}
 				v := p.Read(data.Addr(0))
-				p.Assert(v.Word == 42, "mp: read %d after flag", v.Word)
+				if v.Word != 42 {
+					p.Failf("mp: read %d after flag", v.Word)
+				}
 			}
 		},
 	}
@@ -112,7 +114,9 @@ func TestLitmusMessagePassingWC(t *testing.T) {
 								p.Compute(30)
 							}
 							v := p.Read(data.Addr(0))
-							p.Assert(v.Word == 42, "mp-wc: read %d after flag", v.Word)
+							if v.Word != 42 {
+								p.Failf("mp-wc: read %d after flag", v.Word)
+							}
 						}
 					},
 				}
@@ -192,7 +196,9 @@ func TestLitmusLockHandoff(t *testing.T) {
 						p.Barrier()
 						if p.ID() == 0 {
 							v := p.Read(data.Addr(0))
-							p.Assert(v.Word == 6, "handoff: %d", v.Word)
+							if v.Word != 6 {
+								p.Failf("handoff: %d", v.Word)
+							}
 						}
 					},
 				}

@@ -103,8 +103,12 @@ func TestProducerConsumerAllConfigs(t *testing.T) {
 						if p.ID() != 0 {
 							for i := 0; i < 16; i++ {
 								v := p.Read(data.Addr(uint64(i) * mem.BlockSize))
-								p.Assert(v.Writer == 0, "round %d blk %d: writer %d", round, i, v.Writer)
-								p.Assert(v.Seq == uint64(round*16+i+1), "round %d blk %d: seq %d", round, i, v.Seq)
+								if v.Writer != 0 {
+									p.Failf("round %d blk %d: writer %d", round, i, v.Writer)
+								}
+								if v.Seq != uint64(round*16+i+1) {
+									p.Failf("round %d blk %d: seq %d", round, i, v.Seq)
+								}
 							}
 						}
 						p.Barrier()
@@ -144,9 +148,9 @@ func TestLockedCounterAllConfigs(t *testing.T) {
 					}
 					p.Barrier()
 					if p.ID() == 0 {
-						v := p.Read(counter.Addr(0))
-						p.Assert(v.Word == uint64(p.N()*iters),
-							"counter = %d, want %d", v.Word, p.N()*iters)
+						if v := p.Read(counter.Addr(0)); v.Word != uint64(p.N()*iters) {
+							p.Failf("counter = %d, want %d", v.Word, p.N()*iters)
+						}
 					}
 				},
 			}
@@ -495,7 +499,7 @@ func TestConcurrentMachinesMatchSerial(t *testing.T) {
 func TestKernelAssertSurfacesAsError(t *testing.T) {
 	p := &prog{
 		name:   "assert",
-		kernel: func(p *cpu.Proc) { p.Assert(false, "boom %d", p.ID()) },
+		kernel: func(p *cpu.Proc) { p.Failf("boom %d", p.ID()) },
 	}
 	r := New(small(Config{Consistency: proto.SC}, 2)).Run(p)
 	if !r.Failed() {
@@ -539,7 +543,9 @@ func TestMigratoryRingAllConfigs(t *testing.T) {
 					if p.ID() == 0 {
 						for i := 0; i < blocks; i++ {
 							v := p.Read(data.Addr(uint64(i) * mem.BlockSize))
-							p.Assert(v.Word == uint64(p.N()), "block %d word %d", i, v.Word)
+							if v.Word != uint64(p.N()) {
+								p.Failf("block %d word %d", i, v.Word)
+							}
 						}
 					}
 				},

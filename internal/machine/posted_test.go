@@ -214,10 +214,10 @@ type outcome struct {
 // (discards and checks as Read) at a commit where loads whose value the
 // kernel uses still switched into it.
 var postedGoldens = []outcome{
-	{"SC", 34743, 35103, [10]int64{2508, 14020, 7138, 25211, 37660, 51864, 0, 0, 0, 0}, [18]int64{102, 168, 4, 208, 33, 72, 136, 33, 102, 168, 4, 0, 0, 0, 0, 0, 0, 0}, 5144, []event.Time{34994, 34672, 34672, 35103}, []string{"proc 3: proc 3 assertion failed: failed with 3 operations posted"}},
-	{"V", 35322, 35682, [10]int64{2510, 15286, 6924, 26582, 37454, 51862, 0, 0, 0, 99}, [18]int64{108, 169, 4, 207, 32, 72, 135, 32, 108, 169, 4, 0, 0, 0, 22, 3, 0, 0}, 5197, []event.Time{35573, 35251, 35251, 35682}, []string{"proc 3: proc 3 assertion failed: failed with 3 operations posted"}},
-	{"W", 11219, 11549, [10]int64{2511, 13625, 2206, 22130, 0, 0, 2865, 972, 0, 0}, [18]int64{91, 55, 4, 84, 10, 38, 46, 10, 91, 55, 4, 4, 0, 0, 0, 0, 0, 0}, 4149, []event.Time{11444, 11122, 11122, 11121}, []string{"proc 3: proc 3 assertion failed: failed with 3 operations posted"}},
-	{"W+DSI", 10853, 11183, [10]int64{2509, 12280, 1778, 22980, 0, 0, 2250, 972, 0, 76}, [18]int64{96, 56, 4, 83, 8, 39, 44, 8, 96, 58, 2, 3, 0, 0, 7, 5, 0, 0}, 4171, []event.Time{11078, 10756, 10756, 10755}, []string{"proc 3: proc 3 assertion failed: failed with 3 operations posted"}},
+	{"SC", 34743, 35103, [10]int64{2508, 14020, 7138, 25211, 37660, 51864, 0, 0, 0, 0}, [18]int64{102, 168, 4, 208, 33, 72, 136, 33, 102, 168, 4, 0, 0, 0, 0, 0, 0, 0}, 5149, []event.Time{34994, 34672, 34672, 35103}, []string{"proc 3: proc 3 assertion failed: failed with 3 operations posted"}},
+	{"V", 35322, 35682, [10]int64{2510, 15286, 6924, 26582, 37454, 51862, 0, 0, 0, 99}, [18]int64{108, 169, 4, 207, 32, 72, 135, 32, 108, 169, 4, 0, 0, 0, 22, 3, 0, 0}, 5202, []event.Time{35573, 35251, 35251, 35682}, []string{"proc 3: proc 3 assertion failed: failed with 3 operations posted"}},
+	{"W", 11219, 11549, [10]int64{2511, 13625, 2206, 22130, 0, 0, 2865, 972, 0, 0}, [18]int64{91, 55, 4, 84, 10, 38, 46, 10, 91, 55, 4, 4, 0, 0, 0, 0, 0, 0}, 4156, []event.Time{11444, 11122, 11122, 11121}, []string{"proc 3: proc 3 assertion failed: failed with 3 operations posted"}},
+	{"W+DSI", 10853, 11183, [10]int64{2509, 12280, 1778, 22980, 0, 0, 2250, 972, 0, 76}, [18]int64{96, 56, 4, 83, 8, 39, 44, 8, 96, 58, 2, 3, 0, 0, 7, 5, 0, 0}, 4179, []event.Time{11078, 10756, 10756, 10755}, []string{"proc 3: proc 3 assertion failed: failed with 3 operations posted"}},
 }
 
 // failGoldens is failProg's outcome, captured with its checks as Read and

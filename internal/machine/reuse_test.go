@@ -108,7 +108,7 @@ func TestIdleListDropsOldest(t *testing.T) {
 // through Run: once the caller drops the sink, the parked machine must not
 // keep it reachable.
 func TestParkedMachineDropsSink(t *testing.T) {
-	sk := obs.NewSink(obs.Config{})
+	sk := obs.NewSink()
 	collected := make(chan struct{})
 	runtime.SetFinalizer(sk, func(*obs.Sink) { close(collected) })
 	cfg := small(Config{Consistency: proto.SC, Sink: sk}, 4)

@@ -273,59 +273,30 @@ type Network struct {
 	// (everything runs inside the event loop), so a plain stack suffices; in
 	// steady state every Send reuses a record and allocates nothing.
 	free []*delivery
-
-	// Batching state: chainTo is the most recently scheduled delivery record,
-	// still eligible to absorb further same-(time, dst) sends as long as no
-	// other event has been scheduled since (chainSeq matches the queue's
-	// LastSeq) and the arrival time matches. Consecutive sequences at one time
-	// are adjacent in the execution order, so draining the chain from a single
-	// heap entry delivers every message at exactly the position its own event
-	// would have had — batching is invisible to simulated results.
-	chainTo     *delivery
-	chainArrive event.Time
-	chainDst    int
-	chainSeq    uint64
-	batched     uint64
 }
 
 // delivery is a pooled in-flight message record: the typed event argument
-// that replaces a per-send closure. A record carries one message plus any
-// batch of later messages chained onto the same (time, dst) heap entry. Send
-// copies each message into its record once; handlers then get a pointer into
-// the record, valid until the record is recycled after the batch.
+// that replaces a per-send closure. Send copies each message into its
+// record once; the handler then gets a pointer into the record, valid until
+// the record is recycled after the handler returns.
 type delivery struct {
-	net  *Network
-	msg  Message
-	more []Message // chained same-(time, dst) messages, in send order
+	net *Network
+	msg Message
 }
 
 // deliver is the static delivery action shared by every in-flight message.
-// It drains the record's whole chain — head message first, then the batch in
-// send order — before recycling the record, amortizing one heap pop and one
-// event dispatch across the batch.
+// It hands the record's message to its destination's handler, then
+// recycles the record.
 //
 //dsi:hotpath
 func deliver(arg any) {
 	d := arg.(*delivery)
 	n := d.net
-	now := n.q.Now()
 	n.inflight--
 	if n.obs != nil {
-		n.obs.MsgDelivered(now, d.msg)
+		n.obs.MsgDelivered(n.q.Now(), d.msg)
 	}
 	n.handlers[d.msg.Dst](&d.msg)
-	// Handlers may Send; a stale chain head can never be rechained (any new
-	// arrival time is strictly greater than now), so d.more neither grows nor
-	// moves while it is walked, and each handler's pointer stays valid.
-	for i := range d.more {
-		m := &d.more[i]
-		n.inflight--
-		if n.obs != nil {
-			n.obs.MsgDelivered(now, *m)
-		}
-		n.handlers[m.Dst](m)
-	}
-	d.more = d.more[:0]
 	n.free = append(n.free, d)
 }
 
@@ -382,9 +353,6 @@ func (n *Network) Reset(cfg Config) {
 	n.counts = Counts{}
 	n.inflight = 0
 	n.obs = nil
-	n.chainTo = nil
-	n.chainArrive, n.chainDst, n.chainSeq = 0, 0, 0
-	n.batched = 0
 	n.faults = cfg.Faults
 	if cfg.Faults != nil {
 		if n.pairLast == nil {
@@ -454,10 +422,8 @@ func (n *Network) Send(m *Message) event.Time {
 	return n.faultySend(m, now, arrive)
 }
 
-// sched schedules delivery of m at arrive and notifies the observer. When m
-// is provably adjacent to the previously scheduled delivery — same arrival
-// time, same destination, and no event scheduled in between — it is chained
-// onto that record instead of costing its own heap entry; see delivery.
+// sched schedules delivery of m at arrive, on a pooled record of its own,
+// and notifies the observer.
 //
 //dsi:hotpath
 func (n *Network) sched(m *Message, now, arrive event.Time) {
@@ -465,21 +431,10 @@ func (n *Network) sched(m *Message, now, arrive event.Time) {
 	if n.obs != nil {
 		n.obs.MsgSent(now, *m, arrive)
 	}
-	if n.chainTo != nil && n.chainArrive == arrive && n.chainDst == m.Dst &&
-		n.chainSeq == n.q.LastSeq() {
-		n.chainTo.more = append(n.chainTo.more, *m)
-		n.batched++
-		return
-	}
 	d := n.getDelivery()
 	d.msg = *m
 	n.q.AtCall(arrive, deliver, d)
-	n.chainTo, n.chainArrive, n.chainDst, n.chainSeq = d, arrive, m.Dst, n.q.LastSeq()
 }
-
-// Batched returns the number of deliveries that rode an existing heap entry
-// instead of scheduling their own (see sched), for kernel observability.
-func (n *Network) Batched() uint64 { return n.batched }
 
 // faultySend consults the fault plan for a non-local message and executes
 // the decision. Every surviving delivery (including duplicate copies) passes

@@ -208,84 +208,9 @@ func TestPairwiseFIFOProperty(t *testing.T) {
 	}
 }
 
-// TestBatchedLocalBurst pins the delivery-chaining fast path: back-to-back
-// local sends to one destination within a single event share an arrival time
-// and consecutive sequences, so they coalesce onto one heap entry — and
-// still deliver in send order at the right time.
-func TestBatchedLocalBurst(t *testing.T) {
-	q, n, got := newNet(t, 2, 100)
-	q.At(0, func() {
-		for i := 0; i < 5; i++ {
-			n.Send(&Message{Kind: SInvNotify, Src: 0, Dst: 0, Ver: uint8(i)})
-		}
-	})
-	q.Run()
-	if len(*got) != 5 {
-		t.Fatalf("delivered %d of 5", len(*got))
-	}
-	for i, m := range *got {
-		if int(m.Ver) != i {
-			t.Fatalf("delivery %d carries Ver %d (order broken)", i, m.Ver)
-		}
-	}
-	if n.Batched() != 4 {
-		t.Fatalf("Batched = %d, want 4 (one heap entry, four chained)", n.Batched())
-	}
-	if n.InFlight() != 0 {
-		t.Fatalf("inflight = %d after drain", n.InFlight())
-	}
-}
-
-// TestBatchedDeliveryPointers: every handler of a batched delivery gets a
-// pointer to its own message in the delivery record, and that message stays
-// intact while the handler Sends (here: a local send, which may open a new
-// record, and a remote one).
-func TestBatchedDeliveryPointers(t *testing.T) {
-	q := &event.Queue{}
-	n := New(q, Config{Nodes: 2, Latency: 100})
-	var ptrs []*Message
-	var vers []uint8
-	n.SetHandler(1, func(*Message) {})
-	n.SetHandler(0, func(m *Message) {
-		for _, p := range ptrs {
-			if p == m {
-				t.Errorf("Ver %d delivered through the pointer of an earlier message", m.Ver)
-			}
-		}
-		ptrs = append(ptrs, m)
-		want := *m
-		if m.Ver < 100 {
-			n.Send(&Message{Kind: SInvNotify, Src: 0, Dst: 0, Ver: 100 + m.Ver})
-			n.Send(&Message{Kind: DataS, Src: 0, Dst: 1, Addr: 64})
-		}
-		if *m != want {
-			t.Errorf("message changed while its handler sent: %v, want %v", *m, want)
-		}
-		vers = append(vers, m.Ver)
-	})
-	q.At(0, func() {
-		for i := 0; i < 4; i++ {
-			n.Send(&Message{Kind: SInvNotify, Src: 0, Dst: 0, Addr: mem.Addr(32 * i), Ver: uint8(i)})
-		}
-	})
-	q.Run()
-	if n.Batched() < 3 {
-		t.Fatalf("Batched = %d, want the four-message burst on one record", n.Batched())
-	}
-	want := []uint8{0, 1, 2, 3, 100, 101, 102, 103}
-	if len(vers) != len(want) {
-		t.Fatalf("delivered Vers %v, want %v", vers, want)
-	}
-	for i := range want {
-		if vers[i] != want[i] {
-			t.Fatalf("delivered Vers %v, want %v", vers, want)
-		}
-	}
-}
-
 // TestBatchingRequiresAdjacency: a foreign event scheduled between two
-// same-(time, dst) sends makes them non-adjacent in execution order, so the
-// second must NOT chain onto the first — global order would change.
+// same-(time, dst) sends runs between their deliveries — each delivery
+// keeps its own place in the execution order.
 func TestBatchingRequiresAdjacency(t *testing.T) {
 	q, n, _ := newNet(t, 2, 100)
 	var order []string
@@ -296,9 +221,6 @@ func TestBatchingRequiresAdjacency(t *testing.T) {
 		n.Send(&Message{Kind: SInvNotify, Src: 0, Dst: 0})
 	})
 	q.Run()
-	if n.Batched() != 0 {
-		t.Fatalf("Batched = %d, want 0 (an event was scheduled in between)", n.Batched())
-	}
 	want := []string{"msg", "between", "msg"}
 	for i := range want {
 		if i >= len(order) || order[i] != want[i] {
@@ -307,8 +229,9 @@ func TestBatchingRequiresAdjacency(t *testing.T) {
 	}
 }
 
-// TestBatchingDifferentDestinationsNotChained: same arrival time, different
-// destination must keep separate heap entries.
+// TestBatchingDifferentDestinationsNotChained: two sends with the same
+// arrival time and different destinations each reach their own node, in
+// send order.
 func TestBatchingDifferentDestinationsNotChained(t *testing.T) {
 	q, n, got := newNet(t, 3, 100)
 	q.At(0, func() {
@@ -316,18 +239,14 @@ func TestBatchingDifferentDestinationsNotChained(t *testing.T) {
 		n.Send(&Message{Kind: SInvNotify, Src: 1, Dst: 1})
 	})
 	q.Run()
-	if n.Batched() != 0 {
-		t.Fatalf("Batched = %d, want 0 (destinations differ)", n.Batched())
-	}
-	if len(*got) != 2 {
-		t.Fatalf("delivered %d of 2", len(*got))
+	if len(*got) != 2 || (*got)[0].Dst != 0 || (*got)[1].Dst != 1 {
+		t.Fatalf("delivered %v, want one message to node 0, then one to node 1", *got)
 	}
 }
 
-// BenchmarkBatchDelivery measures the burst-delivery path the chaining
-// optimization targets: each iteration schedules a burst of local
-// notifications (the self-invalidation pattern at synchronization points)
-// and drains them. The batch rides one heap entry instead of eight.
+// BenchmarkBatchDelivery times a burst of local notifications (the
+// self-invalidation pattern at synchronization points): each iteration
+// schedules eight, each on its own queue entry, and drains them.
 func BenchmarkBatchDelivery(b *testing.B) {
 	q := &event.Queue{}
 	n := New(q, Config{Nodes: 1, Latency: 100})

@@ -20,7 +20,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 //
 //	go test ./internal/obs -run WriteChromeGolden -update
 func TestWriteChromeGolden(t *testing.T) {
-	s := obs.NewSink(obs.Config{})
+	s := obs.NewSink()
 	res := machine.New(microConfig(s)).Run(pingPong())
 	if res.Failed() {
 		t.Fatalf("run failed: %s", res.Errors[0])

@@ -64,9 +64,6 @@ func BucketLabel(i int) string {
 // cover the whole run including warm-up (the stream has no warm-up
 // boundary).
 type BlockMetrics struct {
-	// PrematureWindow is the configured re-miss window.
-	PrematureWindow event.Time
-
 	// TimeShared and TimeExclusive are residency histograms: how long a
 	// cached copy stayed in the state before leaving it (by invalidation,
 	// downgrade, eviction, or self-invalidation).
@@ -88,8 +85,8 @@ type BlockMetrics struct {
 	SelfInvals        int64
 	FIFODisplacements int64
 	// PrematureSelfInvals counts self-invalidated blocks the same node
-	// missed on again within PrematureWindow cycles — self-invalidations
-	// that destroyed a copy the node still wanted.
+	// missed on again within DefaultPrematureWindow cycles —
+	// self-invalidations that destroyed a copy the node still wanted.
 	PrematureSelfInvals int64
 	// EchoLosses counts miss requests that carried no version echo although
 	// an earlier grant had delivered a version to this node — the frame was
@@ -130,7 +127,7 @@ func (s *Sink) track(node int32, b mem.Addr) *blockTrack {
 }
 
 // observe updates the streaming metrics with e. It runs for every emitted
-// event, retained or not.
+// event.
 func (s *Sink) observe(e *Event) {
 	m := &s.m
 	switch e.Kind {
@@ -139,7 +136,7 @@ func (s *Sink) observe(e *Event) {
 		// version echo; the remaining kinds carry no streaming signal.
 		if e.Msg == netsim.GetS || e.Msg == netsim.GetX || e.Msg == netsim.Upgrade {
 			t := s.track(e.Node, e.Addr)
-			if t.haveSelfIn && e.Cycle-t.lastSelfIn <= m.PrematureWindow {
+			if t.haveSelfIn && e.Cycle-t.lastSelfIn <= DefaultPrematureWindow {
 				m.PrematureSelfInvals++
 				t.haveSelfIn = false // count each self-invalidation at most once
 			}
@@ -194,7 +191,7 @@ func (s *Sink) observe(e *Event) {
 		m.RetryTimeouts++
 	case MsgRecv, DirState:
 		// No streaming metrics derive from deliveries or directory-side
-		// transitions; they are retained for the ring buffer only.
+		// transitions; they are recorded for the event stream only.
 	}
 }
 
@@ -235,7 +232,7 @@ func (m *BlockMetrics) Tables() []stats.Table {
 	counters.AddRow("transactions", fmt.Sprint(m.Transactions))
 	counters.AddRow("self-invalidations", fmt.Sprint(m.SelfInvals))
 	counters.AddRow("fifo displacements", fmt.Sprint(m.FIFODisplacements))
-	counters.AddRow(fmt.Sprintf("premature self-invals (re-miss <= %d cyc)", m.PrematureWindow),
+	counters.AddRow(fmt.Sprintf("premature self-invals (re-miss <= %d cyc)", DefaultPrematureWindow),
 		fmt.Sprint(m.PrematureSelfInvals))
 	counters.AddRow("version echo losses", fmt.Sprint(m.EchoLosses))
 	counters.AddRow("tear-off grants", fmt.Sprint(m.TearOffGrants))

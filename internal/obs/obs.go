@@ -228,22 +228,11 @@ func flagString(f uint8) string {
 	return s
 }
 
-// Config parameterizes a Sink.
-type Config struct {
-	// PrematureWindow is the re-miss window (in cycles) that classifies a
-	// self-invalidation as premature: if the same node misses on the block
-	// again within the window, the self-invalidation threw the copy away too
-	// early. 0 means DefaultPrematureWindow.
-	PrematureWindow event.Time
-	// MaxEvents caps the number of events retained (0 = unlimited). Metrics
-	// keep streaming past the cap; only event-record storage stops, and
-	// Dropped reports how many records were discarded, so the cap is never
-	// silent.
-	MaxEvents int
-}
-
-// DefaultPrematureWindow is 4× the paper's 100-cycle network latency: a
-// re-miss that quickly means the block round-tripped home for nothing.
+// DefaultPrematureWindow is the re-miss window (in cycles) that classifies a
+// self-invalidation as premature: if the same node misses on the block
+// again within the window, the self-invalidation threw the copy away too
+// early. It is 4× the paper's 100-cycle network latency: a re-miss that
+// quickly means the block round-tripped home for nothing.
 const DefaultPrematureWindow event.Time = 400
 
 // chunkSize is the event-record pool granularity. One chunk is ~256 KiB;
@@ -255,14 +244,10 @@ const chunkSize = 4096
 // a nil receiver (they do nothing), so optional observability costs a
 // predictable branch where disabled.
 type Sink struct {
-	cfg Config
-
 	chunks [][]Event // filled chunks + the current tail chunk
 	free   [][]Event // retired chunks available for reuse (after Reset)
 
-	total   uint64 // events emitted (including dropped)
-	dropped uint64 // events not retained because MaxEvents was reached
-
+	count int // events recorded
 	nodes int // 1 + highest node id observed
 
 	m      BlockMetrics
@@ -271,11 +256,8 @@ type Sink struct {
 }
 
 // NewSink builds an empty sink.
-func NewSink(cfg Config) *Sink {
-	if cfg.PrematureWindow == 0 {
-		cfg.PrematureWindow = DefaultPrematureWindow
-	}
-	s := &Sink{cfg: cfg}
+func NewSink() *Sink {
+	s := &Sink{}
 	s.reset()
 	return s
 }
@@ -285,8 +267,8 @@ func (s *Sink) reset() {
 		s.free = append(s.free, c[:0])
 	}
 	s.chunks = s.chunks[:0]
-	s.total, s.dropped, s.nodes = 0, 0, 0
-	s.m = BlockMetrics{PrematureWindow: s.cfg.PrematureWindow}
+	s.count, s.nodes = 0, 0
+	s.m = BlockMetrics{}
 	s.blocks.Reset()
 	clear(s.open)
 }
@@ -300,28 +282,12 @@ func (s *Sink) Reset() {
 	s.reset()
 }
 
-// Len returns the number of retained events.
+// Len returns the number of recorded events.
 func (s *Sink) Len() int {
 	if s == nil {
 		return 0
 	}
-	return int(s.total - s.dropped)
-}
-
-// Total returns the number of events emitted, retained or not.
-func (s *Sink) Total() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.total
-}
-
-// Dropped returns the number of events discarded by the MaxEvents cap.
-func (s *Sink) Dropped() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.dropped
+	return s.count
 }
 
 // Nodes returns 1 + the highest node id observed.
@@ -380,12 +346,12 @@ func (s *Sink) Tail(n int) []Event {
 	return out
 }
 
-// emit records e: metrics always, the event record unless capped.
+// emit records e and folds it into the metrics.
 func (s *Sink) emit(e Event) {
 	if s == nil {
 		return
 	}
-	s.total++
+	s.count++
 	if n := int(e.Node) + 1; n > s.nodes {
 		s.nodes = n
 	}
@@ -393,11 +359,6 @@ func (s *Sink) emit(e Event) {
 		s.nodes = p
 	}
 	s.observe(&e)
-	// total already counts e, so Len() includes the candidate record.
-	if s.cfg.MaxEvents > 0 && s.Len() > s.cfg.MaxEvents {
-		s.dropped++
-		return
-	}
 	n := len(s.chunks)
 	if n == 0 || len(s.chunks[n-1]) == cap(s.chunks[n-1]) {
 		var c []Event

@@ -59,7 +59,9 @@ func pingPong() machine.Program {
 			}
 			p.Barrier()
 			if p.ID() == 1 {
-				p.Assert(p.Read(r.Addr(0)).Word == 7, "bad word")
+				if p.Read(r.Addr(0)).Word != 7 {
+					p.Failf("bad word")
+				}
 				p.Read(r.Addr(mem.BlockSize))
 			}
 			p.Barrier()
@@ -79,7 +81,7 @@ func TestNilSinkIsSafe(t *testing.T) {
 	s.OnTxnStart(1, 0, 0, 1, 1, netsim.GetS)
 	s.OnTxnEnd(1, 0, 0, 1, 1)
 	s.ForEach(func(*obs.Event) { t.Fatal("nil sink has events") })
-	if s.Len() != 0 || s.Total() != 0 || s.Dropped() != 0 || s.Nodes() != 0 {
+	if s.Len() != 0 || s.Nodes() != 0 {
 		t.Fatal("nil sink reports non-zero sizes")
 	}
 	if s.Events() != nil {
@@ -94,7 +96,7 @@ func TestNilSinkIsSafe(t *testing.T) {
 }
 
 func TestMicroRunRecordsCoherentStream(t *testing.T) {
-	s := obs.NewSink(obs.Config{})
+	s := obs.NewSink()
 	res := machine.New(microConfig(s)).Run(pingPong())
 	if res.Failed() {
 		t.Fatalf("run failed: %s", res.Errors[0])
@@ -175,7 +177,7 @@ func TestMicroRunRecordsCoherentStream(t *testing.T) {
 
 func TestDeterminismWithAndWithoutSink(t *testing.T) {
 	bare := machine.New(microConfig(nil)).Run(pingPong())
-	s := obs.NewSink(obs.Config{})
+	s := obs.NewSink()
 	obsd := machine.New(microConfig(s)).Run(pingPong())
 	if bare.Failed() || obsd.Failed() {
 		t.Fatal("run failed")
@@ -188,39 +190,15 @@ func TestDeterminismWithAndWithoutSink(t *testing.T) {
 	}
 }
 
-func TestMaxEventsCap(t *testing.T) {
-	s := obs.NewSink(obs.Config{MaxEvents: 10})
-	res := machine.New(microConfig(s)).Run(pingPong())
-	if res.Failed() {
-		t.Fatalf("run failed: %s", res.Errors[0])
-	}
-	if s.Len() != 10 {
-		t.Fatalf("Len = %d, want 10", s.Len())
-	}
-	if s.Dropped() == 0 {
-		t.Fatal("nothing dropped despite cap")
-	}
-	if s.Total() != uint64(s.Len())+s.Dropped() {
-		t.Fatalf("total %d != len %d + dropped %d", s.Total(), s.Len(), s.Dropped())
-	}
-	// Metrics stream past the cap: they must match an uncapped run.
-	u := obs.NewSink(obs.Config{})
-	machine.New(microConfig(u)).Run(pingPong())
-	if s.Metrics().Transactions != u.Metrics().Transactions {
-		t.Fatalf("capped metrics diverge: %d != %d",
-			s.Metrics().Transactions, u.Metrics().Transactions)
-	}
-}
-
 func TestResetReusesChunks(t *testing.T) {
-	s := obs.NewSink(obs.Config{})
+	s := obs.NewSink()
 	machine.New(microConfig(s)).Run(pingPong())
 	n := s.Len()
 	if n == 0 {
 		t.Fatal("no events")
 	}
 	s.Reset()
-	if s.Len() != 0 || s.Total() != 0 {
+	if s.Len() != 0 || s.Nodes() != 0 {
 		t.Fatal("reset did not empty the sink")
 	}
 	machine.New(microConfig(s)).Run(pingPong())
@@ -230,7 +208,7 @@ func TestResetReusesChunks(t *testing.T) {
 }
 
 func TestFilterAndWriteText(t *testing.T) {
-	s := obs.NewSink(obs.Config{})
+	s := obs.NewSink()
 	machine.New(microConfig(s)).Run(pingPong())
 
 	all, err := s.WriteText(&strings.Builder{}, obs.NewFilter(), 0)
@@ -265,7 +243,7 @@ func TestFilterAndWriteText(t *testing.T) {
 // stream: an install that carried a version, a self-invalidation, then a
 // re-miss inside the window whose request lost the version echo.
 func TestPrematureAndEchoLossCounters(t *testing.T) {
-	s := obs.NewSink(obs.Config{PrematureWindow: 400})
+	s := obs.NewSink()
 	b := mem.Addr(0x1000)
 	miss := netsim.Message{Kind: netsim.GetS, Src: 1, Dst: 0, Addr: b}
 
@@ -306,7 +284,7 @@ func TestPrematureAndEchoLossCounters(t *testing.T) {
 // with a tiny self-invalidation FIFO must displace early and the sink must
 // classify those as FIFODisplace, not SelfInval.
 func TestFIFODisplacementCounting(t *testing.T) {
-	s := obs.NewSink(obs.Config{})
+	s := obs.NewSink()
 	cfg := microConfig(s)
 	cfg.Policy = core.Policy{
 		Identifier:   core.Versions{},
@@ -355,7 +333,7 @@ func TestFIFODisplacementCounting(t *testing.T) {
 // machine: a one-set cache forces frame recycling, which destroys the tag
 // (and version) history a version echo needs.
 func TestEchoLossOnFrameRecycle(t *testing.T) {
-	s := obs.NewSink(obs.Config{})
+	s := obs.NewSink()
 	cfg := microConfig(s)
 	cfg.CacheBytes = 2 * mem.BlockSize
 	cfg.CacheAssoc = 2 // one set: reading 3+ blocks recycles frames

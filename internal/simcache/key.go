@@ -15,8 +15,10 @@
 package simcache
 
 import (
+	"cmp"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 
 	"dsisim/internal/faultinj"
 	"dsisim/internal/machine"
@@ -120,10 +122,10 @@ var (
 	fFaultRules      = fieldOf("fault.rules")
 )
 
-// absorbFaults hashes the fault plan. Map-shaped knobs (DropByKind,
-// DropByLink) are sorted into a canonical order first; Rules stay in slice
-// order because rule order is semantically meaningful (each rule counts its
-// own Nth matches).
+// absorbFaults hashes the fault plan. The per-kind and per-link overrides
+// are sorted into a canonical order first, as the plan itself consumes
+// them; Rules stay in slice order because rule order is semantically
+// meaningful (each rule counts its own Nth matches).
 func absorbFaults(d *digest, fc *faultinj.Config) {
 	if fc == nil {
 		d.absorb(fFaults.hash(0))
@@ -136,12 +138,7 @@ func absorbFaults(d *digest, fc *faultinj.Config) {
 	d.absorb(fFaultDelay.hash(math.Float64bits(fc.Delay)))
 	d.absorb(fFaultJitter.hash(uint64(fc.Jitter)))
 	if len(fc.DropByKind) > 0 {
-		kinds := make([]int, 0, len(fc.DropByKind))
-		//dsi:anyorder the keys are sorted before hashing
-		for k := range fc.DropByKind {
-			kinds = append(kinds, k)
-		}
-		sort.Ints(kinds)
+		kinds := slices.Sorted(maps.Keys(fc.DropByKind))
 		vals := make([]uint64, 0, 2*len(kinds))
 		for _, k := range kinds {
 			vals = append(vals, uint64(k), math.Float64bits(fc.DropByKind[k]))
@@ -149,20 +146,12 @@ func absorbFaults(d *digest, fc *faultinj.Config) {
 		d.absorb(fFaultDropByKind.hash(vals...))
 	}
 	if len(fc.DropByLink) > 0 {
-		links := make([][2]int, 0, len(fc.DropByLink))
-		//dsi:anyorder the links are sorted before hashing
-		for l := range fc.DropByLink {
-			links = append(links, l)
-		}
-		sort.Slice(links, func(i, j int) bool {
-			if links[i][0] != links[j][0] {
-				return links[i][0] < links[j][0]
-			}
-			return links[i][1] < links[j][1]
+		links := slices.SortedFunc(slices.Values(fc.DropByLink), func(a, b faultinj.LinkDrop) int {
+			return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
 		})
 		vals := make([]uint64, 0, 3*len(links))
 		for _, l := range links {
-			vals = append(vals, uint64(l[0]), uint64(l[1]), math.Float64bits(fc.DropByLink[l]))
+			vals = append(vals, uint64(l.Src), uint64(l.Dst), math.Float64bits(l.Prob))
 		}
 		d.absorb(fFaultDropByLink.hash(vals...))
 	}

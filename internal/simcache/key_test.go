@@ -18,7 +18,7 @@ func fullRequest() Request {
 		Faults: &faultinj.Config{
 			Seed: 99, Drop: 0.01, Dup: 0.002, Delay: 0.05, Jitter: 20,
 			DropByKind: map[int]float64{1: 0.1, 3: 0.2},
-			DropByLink: map[[2]int]float64{{0, 1}: 0.3, {2, 0}: 0.4},
+			DropByLink: []faultinj.LinkDrop{{Src: 0, Dst: 1, Prob: 0.3}, {Src: 2, Dst: 0, Prob: 0.4}},
 			Rules: []faultinj.Rule{
 				{Kind: 2, Src: 0, Dst: 1, Nth: 3, Action: faultinj.Drop},
 				{Kind: -1, Src: -1, Dst: -1, Nth: 0, Action: faultinj.Delay, Delay: 7},
@@ -48,10 +48,10 @@ func TestKeyFieldOrderIndependence(t *testing.T) {
 
 func TestKeyDeterministic(t *testing.T) {
 	a, b := fullRequest(), fullRequest()
-	// Rebuild the maps in a different insertion order: iteration order must
-	// not leak into the key.
+	// Rebuild the overrides in a different order: neither map iteration nor
+	// the order links are listed in may leak into the key.
 	b.Faults.DropByKind = map[int]float64{3: 0.2, 1: 0.1}
-	b.Faults.DropByLink = map[[2]int]float64{{2, 0}: 0.4, {0, 1}: 0.3}
+	b.Faults.DropByLink = []faultinj.LinkDrop{{Src: 2, Dst: 0, Prob: 0.4}, {Src: 0, Dst: 1, Prob: 0.3}}
 	if a.Key() != b.Key() {
 		t.Fatalf("equal requests hash differently: %v vs %v", a.Key(), b.Key())
 	}
@@ -84,7 +84,7 @@ func TestKeyPerturbation(t *testing.T) {
 		{"fault-delay", func(r *Request) { r.Faults.Delay = 0.06 }},
 		{"fault-jitter", func(r *Request) { r.Faults.Jitter = 21 }},
 		{"fault-dropbykind", func(r *Request) { r.Faults.DropByKind[1] = 0.15 }},
-		{"fault-dropbylink", func(r *Request) { r.Faults.DropByLink[[2]int{0, 1}] = 0.35 }},
+		{"fault-dropbylink", func(r *Request) { r.Faults.DropByLink[0].Prob = 0.35 }},
 		{"fault-rule-nth", func(r *Request) { r.Faults.Rules[0].Nth = 4 }},
 		{"fault-rule-action", func(r *Request) { r.Faults.Rules[1].Action = faultinj.Duplicate }},
 		{"fault-rule-order", func(r *Request) {

@@ -5,44 +5,29 @@ import (
 	"testing"
 
 	"dsisim/internal/faultinj"
-	"dsisim/internal/machine"
-	"dsisim/internal/proto"
 	"dsisim/internal/simcache"
 )
 
 // TestSpecRoundTripKey pins the corpus ↔ cache-key contract: a failure spec
-// persisted by the triage pipeline, saved to disk, and reloaded rebuilds a
-// replay configuration that hashes to the same simcache key as the
-// originating campaign cell. A service can therefore answer "has this
-// corpus entry's cell been simulated?" from the cache without re-deriving
-// campaign state.
+// persisted by the triage pipeline, saved to disk, and reloaded runs under
+// the same simcache key as the originating campaign cell. A service can
+// therefore answer "has this corpus entry's cell been simulated?" from the
+// cache without re-deriving campaign state. Both keys come from the one run
+// path: the reloaded spec's run is served from the entry the cell's run
+// stored.
 func TestSpecRoundTripKey(t *testing.T) {
-	o := Options{Procs: 8, CacheBytes: 4096, Scale: ""}
 	space := Space{
 		Workloads: []string{"zipf"},
 		Protocols: ProtocolsByName("W+DSI"),
 		Templates: []Template{{Name: "storm", Faults: &faultinj.Config{
 			Drop: 0.02, Dup: 0.02, Delay: 0.1, Jitter: 48,
 			DropByKind: map[int]float64{2: 0.5, 4: 0.125},
-			DropByLink: map[[2]int]float64{{1, 2}: 0.25, {0, 3}: 0.75},
+			DropByLink: []faultinj.LinkDrop{{Src: 1, Dst: 2, Prob: 0.25}, {Src: 0, Dst: 3, Prob: 0.125}},
 			Rules:      []faultinj.Rule{{Kind: 1, Src: -1, Dst: -1, Nth: 2, Action: faultinj.Drop}},
 		}}},
 	}
 	cell := space.Cell(42, 0)
-	fc := faultsFor(cell)
-	scale, err := scaleOf(o.Scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig := simcache.RequestOf(cell.Workload, scale.String(), cell.Protocol.Name,
-		machineConfig(cell, o, fc)).Key()
-
-	spec := &Spec{
-		Soak: 1, Workload: cell.Workload, Protocol: cell.Protocol.Name,
-		Template: cell.Template.Name, Seed: cell.Seed,
-		Procs: o.Procs, CacheBytes: o.CacheBytes, Scale: o.Scale,
-		Faults: FaultSpecOf(fc),
-	}
+	spec := specOf(cell)
 	path := filepath.Join(t.TempDir(), "spec.json")
 	if err := SaveSpec(spec, path); err != nil {
 		t.Fatal(err)
@@ -52,31 +37,20 @@ func TestSpecRoundTripKey(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Rebuild the machine config exactly as Spec.Replay does.
-	pr, err := proto.LabelOf(loaded.Protocol)
-	if err != nil {
-		t.Fatal(err)
+	cache := simcache.New(0)
+	events, cycles, hit, err := spec.run(cache, nil, false)
+	if err != nil || hit {
+		t.Fatalf("originating cell: hit %v, err %v; want a computed passing run", hit, err)
 	}
-	rfc, err := loaded.Faults.Config()
-	if err != nil {
-		t.Fatal(err)
+	revents, rcycles, rhit, err := loaded.run(cache, nil, false)
+	if err != nil || !rhit {
+		t.Fatalf("reloaded spec: hit %v, err %v; want the originating cell's cache entry", rhit, err)
 	}
-	rscale, err := scaleOf(loaded.Scale)
-	if err != nil {
-		t.Fatal(err)
+	if revents != events || rcycles != cycles {
+		t.Fatalf("reloaded spec served %d events %d cycles, the cell ran %d and %d", revents, rcycles, events, cycles)
 	}
-	cfg := machine.Config{
-		Processors:  loaded.Procs,
-		CacheBytes:  loaded.CacheBytes,
-		CacheAssoc:  4,
-		Consistency: pr.Consistency,
-		Policy:      pr.Policy,
-		Seed:        loaded.Seed | 1,
-		Faults:      rfc,
-	}
-	got := simcache.RequestOf(loaded.Workload, rscale.String(), loaded.Protocol, cfg).Key()
-	if got != orig {
-		t.Fatalf("replayed spec key %v != originating cell key %v", got, orig)
+	if s := cache.Stats(); s.Hits != 1 || s.Misses != 1 {
+		t.Fatalf("cache stats %+v, want one miss then one hit", s)
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"os"
 	"sort"
 	"sync"
+
+	"dsisim/internal/faultinj"
 )
 
 // Params identifies a campaign for checkpointing: everything that
@@ -19,17 +21,14 @@ import (
 // duration-count bounds, worker counts, and corpus/journal paths — they
 // change which cells run in one sitting, never what any cell produces.
 type Params struct {
-	Seed      uint64       `json:"seed"`
-	Workloads []string     `json:"workloads"`
-	Protocols []string     `json:"protocols"`
-	Templates []*FaultSpec `json:"templates"` // indexed like Space.Templates; nil = fault-free
-	Names     []string     `json:"template_names"`
-	Reps      int          `json:"reps"`
-	Procs     int          `json:"procs"`
-	Cache     int          `json:"cache_bytes"`
-	Scale     string       `json:"scale"`
-	Shard     string       `json:"shard,omitempty"`
-	Canary    bool         `json:"canary,omitempty"`
+	Seed      uint64             `json:"seed"`
+	Workloads []string           `json:"workloads"`
+	Protocols []string           `json:"protocols"`
+	Templates []*faultinj.Config `json:"templates"` // indexed like Space.Templates; nil = fault-free
+	Names     []string           `json:"template_names"`
+	Reps      int                `json:"reps"`
+	Shard     string             `json:"shard,omitempty"`
+	Canary    bool               `json:"canary,omitempty"`
 }
 
 // Hash returns the campaign fingerprint: FNV-1a over the canonical JSON
@@ -90,7 +89,6 @@ type Verdict struct {
 	// Failure-only fields.
 	Err      string `json:"err,omitempty"`
 	Class    string `json:"class,omitempty"`
-	Reruns   int    `json:"reruns,omitempty"`
 	Spec     string `json:"spec,omitempty"` // corpus path of the minimized repro
 	MinOps   int    `json:"min_ops,omitempty"`
 	MinRules int    `json:"min_rules,omitempty"`

@@ -2,7 +2,6 @@ package soak
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -12,7 +11,6 @@ import (
 
 	"dsisim/internal/fanout"
 	"dsisim/internal/faultinj"
-	"dsisim/internal/machine"
 	"dsisim/internal/simcache"
 	"dsisim/internal/stats"
 	"dsisim/internal/workload"
@@ -20,8 +18,9 @@ import (
 
 // Options configures one campaign sitting. Zero values mean: default space,
 // seed 0, unsharded, run every owned cell, no wall-clock bound, GOMAXPROCS
-// workers, no journal, no corpus, 2 triage re-runs, 8-processor machines at
-// test scale, no heartbeat.
+// workers, no journal, no corpus, no heartbeat. Every registry cell runs on
+// soak's one machine shape (see Spec.run), and triage re-runs each failure
+// twice.
 type Options struct {
 	Space Space
 	Seed  uint64 // campaign seed: the SeedOf base for every cell
@@ -34,15 +33,9 @@ type Options struct {
 	Journal string // checkpoint path ("" = no journal)
 	Resume  bool   // recover completed cells from an existing journal
 	Corpus  string // directory for minimized failure specs ("" = no persistence)
-	Reruns  int    // triage re-runs per failure (0 = 2)
-
-	Procs      int    // registry-workload machine shape (0 = 8)
-	CacheBytes int    // 0 = machine default
-	Scale      string // "" = test
 
 	Stop      <-chan struct{} // graceful drain: finish in-flight cells, checkpoint, exit
-	Heartbeat time.Duration   // progress-line period (0 = silent)
-	Log       io.Writer       // heartbeat destination (nil = os.Stderr)
+	Heartbeat time.Duration   // period of the progress line on stderr (0 = silent)
 
 	// Cache, if set, memoizes registry-workload cell results by their
 	// canonical simcache key. The handle is caller-owned, so it survives
@@ -102,12 +95,6 @@ func Run(o Options) (*Report, error) {
 	}
 	if err := o.Space.Validate(); err != nil {
 		return nil, err
-	}
-	if o.Reruns <= 0 {
-		o.Reruns = 2
-	}
-	if o.Log == nil {
-		o.Log = os.Stderr
 	}
 
 	var j *Journal
@@ -185,7 +172,7 @@ func Run(o Options) (*Report, error) {
 						line += fmt.Sprintf(", cache %dh/%dm/%de %dKB",
 							cs.Hits, cs.Misses, cs.Evictions, cs.Bytes/1024)
 					}
-					fmt.Fprintln(o.Log, line)
+					fmt.Fprintln(os.Stderr, line)
 				}
 			}
 		}()
@@ -195,10 +182,9 @@ func Run(o Options) (*Report, error) {
 		if stopped() {
 			return
 		}
-		cell := o.Space.Cell(o.Seed, todo[item])
-		v := runCell(cell, o)
+		v, spec := runCell(o.Space.Cell(o.Seed, todo[item]), &o)
 		if v.Status == StatusFail {
-			triage(cell, &v, o, &reruns)
+			triage(spec, &v, &o, &reruns)
 			failed.Add(1)
 		}
 		fresh[item] = &v
@@ -253,37 +239,10 @@ func Run(o Options) (*Report, error) {
 	return rep, nil
 }
 
-// faultsFor instantiates a cell's fault plan: the template config with the
-// per-cell fault seed filled in (nil for the fault-free template).
-func faultsFor(cell Cell) *faultinj.Config {
-	if cell.Template.Faults == nil {
-		return nil
-	}
-	fc := *cell.Template.Faults
-	fc.Seed = FaultSeedOf(cell.Seed)
-	return &fc
-}
-
-// machineConfig shapes a registry-workload machine for a cell.
-func machineConfig(cell Cell, o Options, fc *faultinj.Config) machine.Config {
-	procs := o.Procs
-	if procs == 0 {
-		procs = 8
-	}
-	return machine.Config{
-		Processors:  procs,
-		CacheBytes:  o.CacheBytes,
-		CacheAssoc:  4,
-		Consistency: cell.Protocol.Consistency,
-		Policy:      cell.Protocol.Policy,
-		Seed:        cell.Seed | 1,
-		Faults:      fc,
-	}
-}
-
-// runCell executes one cell through its oracles and returns the verdict
-// (before triage).
-func runCell(cell Cell, o Options) Verdict {
+// runCell runs one cell through its oracles and returns its verdict
+// (before triage) with the spec it ran.
+func runCell(cell Cell, o *Options) (Verdict, *Spec) {
+	spec := specOf(cell)
 	v := Verdict{
 		Cell:     cell.Index,
 		Workload: cell.Workload,
@@ -293,51 +252,30 @@ func runCell(cell Cell, o Options) Verdict {
 		Status:   StatusOK,
 	}
 	var err error
-	if cell.Workload == LitmusWorkload {
-		v.Events, v.Cycles, err = workload.RunLitmus(workload.GenLitmus(cell.Seed), cell.Protocol,
-			faultsFor(cell), workload.LitmusRun{Canary: o.canary})
-	} else {
-		err = func() error {
-			scale, err := scaleOf(o.Scale)
-			if err != nil {
-				return err
-			}
-			res, hit, err := o.Cache.Run(cell.Workload, scale, cell.Protocol.Name, machineConfig(cell, o, faultsFor(cell)))
-			if err != nil {
-				return err
-			}
-			v.Cached = hit
-			v.Events, v.Cycles = res.Kernel.Events, int64(res.TotalTime)
-			if res.Failed() {
-				return fmt.Errorf("%s/%s/%s: %s", cell.Workload, cell.Protocol.Name, cell.Template.Name, res.Errors[0])
-			}
-			return nil
-		}()
-	}
+	v.Events, v.Cycles, v.Cached, err = spec.run(o.Cache, nil, o.canary)
 	if err != nil {
-		v.Status = StatusFail
-		v.Err = err.Error()
+		v.Status, v.Err = StatusFail, err.Error()
 	}
-	return v
+	return v, spec
 }
+
+// triageReruns is how many times triage re-runs a failing cell to tell a
+// deterministic failure from a flaky one.
+const triageReruns = 2
 
 // triage classifies and (when deterministic) minimizes a failing cell,
 // persisting the minimized repro into the corpus and annotating the verdict.
-func triage(cell Cell, v *Verdict, o Options, rerunCount *atomic.Int64) {
-	// Triage bypasses the result cache outright: flake classification is
-	// only meaningful against real re-executions. (Failed results are never
-	// cached anyway; this also keeps a flaky-then-passing re-run from being
-	// served memoized.)
-	o.Cache = nil
+// Every re-run and minimization attempt bypasses the result cache: flake
+// classification is only meaningful against real re-executions.
+func triage(spec *Spec, v *Verdict, o *Options, rerunCount *atomic.Int64) {
 	// Classification: a bit-deterministic simulation reproduces a real
 	// protocol failure identically every time. Divergence across re-runs
 	// means the process, not the protocol, is sick.
 	v.Class = ClassDeterministic
-	v.Reruns = o.Reruns
-	for i := 0; i < o.Reruns; i++ {
+	for i := 0; i < triageReruns; i++ {
 		rerunCount.Add(1)
-		rv := runCell(cell, o)
-		if rv.Status != v.Status || rv.Err != v.Err || rv.Events != v.Events || rv.Cycles != v.Cycles {
+		events, cycles, _, err := spec.run(nil, nil, o.canary)
+		if err == nil || err.Error() != v.Err || events != v.Events || cycles != v.Cycles {
 			v.Class = ClassFlaky
 			return
 		}
@@ -346,54 +284,28 @@ func triage(cell Cell, v *Verdict, o Options, rerunCount *atomic.Int64) {
 		return
 	}
 
-	spec := &Spec{
-		Soak:     1,
-		Workload: cell.Workload,
-		Protocol: cell.Protocol.Name,
-		Template: cell.Template.Name,
-		Seed:     cell.Seed,
-		Err:      v.Err,
+	// Minimization shrinks the fault plan and, for a litmus cell, the
+	// program too: fault rules first, then ops, to a fixpoint of both
+	// (rules-first reaches repros plain op-deletion cannot).
+	fails := func(l *workload.LitmusSpec, fc *faultinj.Config) bool {
+		rerunCount.Add(1)
+		cand := *spec
+		cand.Litmus, cand.Faults = l, fc
+		_, _, _, err := cand.run(nil, nil, o.canary)
+		return err != nil
 	}
-	var minF *faultinj.Config
-	if cell.Workload == LitmusWorkload {
-		// Joint minimization: fault rules first, then litmus ops, to a
-		// fixpoint of both (rules-first reaches repros plain op-deletion
-		// cannot).
-		fails := func(s *workload.LitmusSpec, fc *faultinj.Config) bool {
-			rerunCount.Add(1)
-			_, _, err := workload.RunLitmus(s, cell.Protocol, fc, workload.LitmusRun{Canary: o.canary})
-			return err != nil
-		}
-		spec.Litmus, minF = workload.MinimizeLitmusFaults(workload.GenLitmus(cell.Seed), faultsFor(cell), fails)
+	if spec.Litmus != nil {
+		spec.Litmus, spec.Faults = workload.MinimizeLitmusFaults(spec.Litmus, spec.Faults, fails)
 		v.MinOps = len(spec.Litmus.Ops)
 	} else {
-		scale, err := scaleOf(o.Scale)
-		if err != nil {
-			return
-		}
-		prog, err := workload.New(cell.Workload, scale)
-		if err != nil {
-			return
-		}
-		fails := func(fc *faultinj.Config) bool {
-			rerunCount.Add(1)
-			res := machine.Run(machineConfig(cell, o, fc), prog)
-			return res.Failed()
-		}
-		minF = workload.MinimizeFaultConfig(faultsFor(cell), fails)
-		spec.Procs = o.Procs
-		if spec.Procs == 0 {
-			spec.Procs = 8
-		}
-		spec.CacheBytes = o.CacheBytes
-		spec.Scale = o.Scale
+		spec.Faults = workload.MinimizeFaultConfig(spec.Faults, func(fc *faultinj.Config) bool { return fails(nil, fc) })
 	}
-	spec.Faults = FaultSpecOf(minF)
-	if minF != nil {
-		v.MinRules = len(minF.Rules)
+	if spec.Faults != nil {
+		v.MinRules = len(spec.Faults.Rules)
 	}
-	name := fmt.Sprintf("soak-%016x-%s-%s-%s.json", cell.Seed,
-		sanitizeName(cell.Workload), sanitizeName(cell.Protocol.Name), sanitizeName(cell.Template.Name))
+	spec.Err = v.Err
+	name := fmt.Sprintf("soak-%016x-%s-%s-%s.json", spec.Seed,
+		sanitizeName(spec.Workload), sanitizeName(spec.Protocol), sanitizeName(spec.Template))
 	path := filepath.Join(o.Corpus, name)
 	if err := SaveSpec(spec, path); err == nil {
 		v.Spec = path
@@ -405,9 +317,6 @@ func (o Options) params() Params {
 	p := Params{
 		Seed:   o.Seed,
 		Reps:   o.Space.reps(),
-		Procs:  o.Procs,
-		Cache:  o.CacheBytes,
-		Scale:  o.Scale,
 		Shard:  o.Shard.String(),
 		Canary: o.canary,
 	}
@@ -416,7 +325,7 @@ func (o Options) params() Params {
 		p.Protocols = append(p.Protocols, pr.Name)
 	}
 	for _, t := range o.Space.Templates {
-		p.Templates = append(p.Templates, FaultSpecOf(t.Faults))
+		p.Templates = append(p.Templates, t.Faults)
 		p.Names = append(p.Names, t.Name)
 	}
 	return p

@@ -260,12 +260,8 @@ func TestRunCanaryFailurePipeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fc, err := spec.Faults.Config()
-		if err != nil {
-			t.Fatal(err)
-		}
 		canaryFails := func(s *workload.LitmusSpec) bool {
-			_, _, err := workload.RunLitmus(s, pr, fc, workload.LitmusRun{Canary: true})
+			_, _, err := workload.RunLitmus(s, pr, spec.Faults, workload.LitmusRun{Canary: true})
 			return err != nil
 		}
 		if !canaryFails(spec.Litmus) {

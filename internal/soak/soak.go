@@ -1,8 +1,8 @@
 // Package soak implements the fault-seed soak farm: a long-running campaign
 // engine that sweeps a deterministic cell space — workload × protocol ×
 // fault-plan template × seed — on workers that each claim the next unrun
-// cell (internal/fanout) and run it, registry and litmus cells alike, on a
-// machine from the process's one idle list (machine.Run), journals every
+// cell (internal/fanout) and run it as a Spec (the cell's one description,
+// which triage re-runs and shrinks and a replay runs again), journals every
 // per-cell verdict to an append-only JSONL checkpoint so a killed
 // campaign resumes exactly where it stopped, and pushes every failure
 // through a triage pipeline (bounded re-run classification, greedy

@@ -152,27 +152,6 @@ func TestProtocolsByName(t *testing.T) {
 	ProtocolsByName("NOPE")
 }
 
-// FaultSpec round-trips every faultinj.Config field through JSON mirroring.
-func TestFaultSpecRoundTrip(t *testing.T) {
-	for _, tm := range DefaultTemplates() {
-		fs := FaultSpecOf(tm.Faults)
-		fc, err := fs.Config()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if (fc == nil) != (tm.Faults == nil) {
-			t.Fatalf("template %s: nil-ness changed", tm.Name)
-		}
-		if fc == nil {
-			continue
-		}
-		if fc.Drop != tm.Faults.Drop || fc.Dup != tm.Faults.Dup ||
-			fc.Delay != tm.Faults.Delay || fc.Jitter != tm.Faults.Jitter {
-			t.Fatalf("template %s: knobs changed: %+v vs %+v", tm.Name, fc, tm.Faults)
-		}
-	}
-}
-
 // Space validation rejects empty axes and unknown workloads.
 func TestSpaceValidate(t *testing.T) {
 	if err := (Space{}).Validate(); err == nil {
