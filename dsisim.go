@@ -303,17 +303,8 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	// Built-in workloads are fully determined by the Config, so the run has
-	// a canonical content address. A Sink disables memoization: event
-	// recording is a side effect a cached result cannot replay.
-	cache := cfg.Cache
-	if cfg.Sink != nil {
-		cache = nil
-	}
-	proto := cfg.Protocol
-	if proto == "" {
-		proto = SC
-	}
-	res, _, err := cache.Run(cfg.Workload, cfg.Scale, string(proto), mc)
+	// a canonical content address (a Sink turns memoization off).
+	res, _, err := cfg.Cache.Run(cfg.Workload, cfg.Scale, mc)
 	if err == nil {
 		err = failure(&res)
 	}

@@ -9,7 +9,7 @@ import (
 
 // This file classifies calls: terminal assertions fail the path; calls into
 // the obs sink, the cache array, the directory controller's entry accessor,
-// the policy interface, and the sync mechanism get protocol semantics from
+// the DSI policy's identifier, and the sync flush get protocol semantics from
 // small tables; same-package functions inline (with a rewrite for the
 // occupancy-deferred admit→process hop); everything else is opaque, with
 // function-literal arguments walked once under "may execute" semantics.
@@ -78,9 +78,10 @@ func (w *walker) execCall(fr *frame, st *pstate, call *ast.CallExpr, k cont) {
 			w.cacheCall(st, call, name, k)
 			return
 		}
-		// Policy decisions arrive through an interface, so they are classified
-		// by shape: SetShared/SetIdle on the subject entry moves the directory
-		// state into the corresponding family.
+		// Policy decisions are made in internal/core, outside the walked
+		// package, so they are classified by name: SetShared/SetIdle on the
+		// subject entry moves the directory state into the corresponding
+		// family.
 		if (name == "SetShared" || name == "SetIdle") && w.space == w.x.dirSpace &&
 			len(call.Args) >= 1 && w.evalExpr(st, call.Args[0]).k == kSubjEntry {
 			if name == "SetShared" {
@@ -92,7 +93,7 @@ func (w *walker) execCall(fr *frame, st *pstate, call *ast.CallExpr, k cont) {
 			k(st, nil)
 			return
 		}
-		// The sync mechanism's flush may self-invalidate the subject block.
+		// The node's sync-point flush may self-invalidate the subject block.
 		if name == "OnSync" && w.space == w.x.cacheSpace {
 			st.cur |= w.x.cacheSpace.bitOf("Invalid")
 			st.wrote = true

@@ -17,7 +17,7 @@ import (
 // (state writes, sends, counters, emissions) per path. Calls to same-package
 // functions are inlined (continuation-passing, so a callee's internal
 // branching forks the caller's path); calls into the cache array, the
-// directory, the policy interface, and the obs sink go through small semantic
+// directory, the DSI policy, and the obs sink go through small semantic
 // tables; everything else is opaque and conservatively splits.
 
 const (

@@ -11,28 +11,20 @@ import (
 // This file holds the ablation runners: variations the paper motivates but
 // does not tabulate (FIFO capacity, identifier bounds, the upgrade
 // exemption). They back the BenchmarkAblation* entries and the design-note
-// section of EXPERIMENTS.md. A variation whose policy a protocol label
-// already names runs as that label's cell.
+// section of EXPERIMENTS.md. Their cells are cached like any label's, and a
+// variation whose configuration a protocol label names shares that label's
+// cell (proto.NameOf).
 
-// runPolicy runs SC under an ablation's own policy. No protocol label names
-// it, and the result cache identifies a policy by label alone, so the cell
-// bypasses the cache; what names the policy in errors.
-func runPolicy(name string, what Label, pol core.Policy, o Options) (machine.Result, error) {
+// runPolicy runs SC under an ablation's policy.
+func runPolicy(name string, pol core.Policy, o Options) (machine.Result, error) {
 	o = o.defaults()
-	o.Cache = nil
-	return runCell(name, what, o.machineConfig(proto.SC, pol), o)
+	return runCell(name, o.machineConfig(proto.SC, pol), o)
 }
 
-// RunFIFO runs SC + version-number DSI with a FIFO of the given capacity.
+// RunFIFO runs SC + version-number DSI with a FIFO of the given capacity
+// (proto.FIFOEntries is V-FIFO's cell; 0 is the list flush, V's).
 func RunFIFO(name string, capacity int, o Options) (machine.Result, error) {
-	if capacity == proto.FIFOEntries {
-		return RunOne(name, VFIFO, o)
-	}
-	return runPolicy(name, Label(fmt.Sprintf("V-FIFO%d", capacity)), core.Policy{
-		Identifier:       core.Versions{},
-		NewMechanism:     func() core.Mechanism { return core.NewFIFO(capacity) },
-		UpgradeExemption: true,
-	}, o)
+	return runPolicy(name, core.Policy{Identifier: core.Versions, FIFO: capacity, UpgradeExemption: true}, o)
 }
 
 // RunIdentifier runs SC DSI with the named identification scheme: "never"
@@ -47,18 +39,15 @@ func RunIdentifier(name, id string, o Options) (machine.Result, error) {
 	case "versions":
 		return RunOne(name, V, o)
 	case "always":
-		return runPolicy(name, "always", core.Policy{Identifier: core.Always{}, UpgradeExemption: true}, o)
+		return runPolicy(name, core.Policy{Identifier: core.Always, UpgradeExemption: true}, o)
 	}
 	return machine.Result{}, fmt.Errorf("experiments: unknown identifier %q", id)
 }
 
 // RunUpgradeExemption runs SC + version DSI with the §4.1 upgrade special
-// case toggled.
+// case toggled (on is V's cell).
 func RunUpgradeExemption(name string, exempt bool, o Options) (machine.Result, error) {
-	if exempt {
-		return RunOne(name, V, o)
-	}
-	return runPolicy(name, "V-noexempt", core.Policy{Identifier: core.Versions{}}, o)
+	return runPolicy(name, core.Policy{Identifier: core.Versions, UpgradeExemption: exempt}, o)
 }
 
 // RunMigratory runs SC with the migratory-sharing baseline, optionally
@@ -82,7 +71,7 @@ func RunLimitedDir(name string, pointers int, dsi bool, o Options) (machine.Resu
 	o = o.defaults()
 	cfg := o.machineConfig(label.Config())
 	cfg.SharerLimit = pointers
-	return runCell(name, label, cfg, o)
+	return runCell(name, cfg, o)
 }
 
 // RunWC runs weak consistency with a configurable write-buffer size (the
@@ -95,5 +84,5 @@ func RunWC(name string, wbEntries int, dsi bool, o Options) (machine.Result, err
 	o = o.defaults()
 	cfg := o.machineConfig(label.Config())
 	cfg.WriteBufferEntries = wbEntries
-	return runCell(name, label, cfg, o)
+	return runCell(name, cfg, o)
 }

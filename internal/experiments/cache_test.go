@@ -77,4 +77,21 @@ func TestCacheKeySeparatesOptions(t *testing.T) {
 			t.Fatalf("%s: option change did not miss the cache", name)
 		}
 	}
+	// Ablation policies are cached like labels: a 64-entry FIFO is V-FIFO's
+	// cell, and another capacity is a cell of its own.
+	if _, err := RunOne("zipf", VFIFO, base); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		capacity int
+		hit      bool
+	}{{64, true}, {8, false}, {8, true}} {
+		before := cache.Stats()
+		if _, err := RunFIFO("zipf", c.capacity, base); err != nil {
+			t.Fatal(err)
+		}
+		if hit := cache.Stats().Hits == before.Hits+1; hit != c.hit {
+			t.Fatalf("RunFIFO(%d): hit=%v, want %v", c.capacity, hit, c.hit)
+		}
+	}
 }

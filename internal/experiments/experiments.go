@@ -120,19 +120,19 @@ func (o Options) machineConfig(cons proto.Consistency, pol core.Policy) machine.
 // RunOne simulates one (workload, protocol) cell.
 func RunOne(name string, label Label, o Options) (machine.Result, error) {
 	o = o.defaults()
-	return runCell(name, label, o.machineConfig(label.Config()), o)
+	return runCell(name, o.machineConfig(label.Config()), o)
 }
 
-// runCell simulates workload name on cfg, keyed in o.Cache under label. The
-// cache identifies a policy by its label alone, so cfg's policy must be
-// label's; a caller running a policy no label names clears o.Cache.
-func runCell(name string, label Label, cfg machine.Config, o Options) (machine.Result, error) {
-	res, _, err := o.Cache.Run(name, o.Scale, string(label), cfg)
+// runCell simulates workload name on cfg, memoized in o.Cache. Errors name
+// the cell's protocol as the cache key does (proto.NameOf).
+func runCell(name string, cfg machine.Config, o Options) (machine.Result, error) {
+	res, _, err := o.Cache.Run(name, o.Scale, cfg)
 	if err != nil {
 		return res, err
 	}
 	if res.Failed() {
-		return res, fmt.Errorf("%s/%s (%v, %d-cycle net): %s", name, label, o.Class, o.Latency, res.Errors[0])
+		return res, fmt.Errorf("%s/%s (%v, %d-cycle net): %s", name,
+			proto.NameOf(cfg.Consistency, cfg.Policy), o.Class, o.Latency, res.Errors[0])
 	}
 	return res, nil
 }

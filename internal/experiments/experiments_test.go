@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"dsisim/internal/core"
 	"dsisim/internal/faultinj"
 	"dsisim/internal/machine"
 	"dsisim/internal/workload"
@@ -133,11 +134,11 @@ func TestLabelConfigs(t *testing.T) {
 		_ = cons
 		switch l {
 		case SC, W:
-			if pol.Enabled() {
+			if pol.Identifier != core.Never {
 				t.Fatalf("%s has DSI enabled", l)
 			}
 		default:
-			if !pol.Enabled() {
+			if pol.Identifier == core.Never {
 				t.Fatalf("%s has DSI disabled", l)
 			}
 		}

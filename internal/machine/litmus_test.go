@@ -18,10 +18,10 @@ import (
 func scConfigs() map[string]Config {
 	return map[string]Config{
 		"sc":          {Consistency: proto.SC},
-		"sc-states":   {Consistency: proto.SC, Policy: core.Policy{Identifier: core.States{}, UpgradeExemption: true}},
-		"sc-versions": {Consistency: proto.SC, Policy: core.Policy{Identifier: core.Versions{}, UpgradeExemption: true}},
+		"sc-states":   {Consistency: proto.SC, Policy: core.Policy{Identifier: core.States, UpgradeExemption: true}},
+		"sc-versions": {Consistency: proto.SC, Policy: core.Policy{Identifier: core.Versions, UpgradeExemption: true}},
 		"sc-tearoff": {Consistency: proto.SC, Policy: core.Policy{
-			Identifier: core.Versions{}, SCTearOff: true, UpgradeExemption: true}},
+			Identifier: core.Versions, SCTearOff: true, UpgradeExemption: true}},
 		"sc-migratory": {Consistency: proto.SC, Policy: core.Policy{Migratory: true}},
 	}
 }
@@ -83,7 +83,7 @@ func TestLitmusMessagePassing(t *testing.T) {
 func TestLitmusMessagePassingWC(t *testing.T) {
 	cfgs := map[string]Config{
 		"wc":         {Consistency: proto.WC},
-		"wc-tearoff": {Consistency: proto.WC, Policy: core.Policy{Identifier: core.Versions{}, TearOff: true}},
+		"wc-tearoff": {Consistency: proto.WC, Policy: core.Policy{Identifier: core.Versions, TearOff: true}},
 	}
 	for name, cfg := range cfgs {
 		cfg := cfg

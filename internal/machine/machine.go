@@ -411,9 +411,7 @@ func (m *Machine) Run(prog Program) Result {
 	for i := 0; i < n; i++ {
 		res.Cache = append(res.Cache, m.ccs[i].Stats())
 		res.Dir = append(res.Dir, m.dcs[i].Stats())
-		if f, ok := m.ccs[i].Mechanism().(*core.FIFO); ok {
-			res.FIFODisplacements += f.Displacements
-		}
+		res.FIFODisplacements += m.ccs[i].FIFODisplacements()
 	}
 	qs := m.q.Stats()
 	res.Kernel = stats.Kernel{

@@ -39,15 +39,15 @@ func (p *prog) WarmupBarriers() int { return p.warmup }
 func configs() map[string]Config {
 	return map[string]Config{
 		"sc":          {Consistency: proto.SC},
-		"sc-states":   {Consistency: proto.SC, Policy: core.Policy{Identifier: core.States{}, UpgradeExemption: true}},
-		"sc-versions": {Consistency: proto.SC, Policy: core.Policy{Identifier: core.Versions{}, UpgradeExemption: true}},
+		"sc-states":   {Consistency: proto.SC, Policy: core.Policy{Identifier: core.States, UpgradeExemption: true}},
+		"sc-versions": {Consistency: proto.SC, Policy: core.Policy{Identifier: core.Versions, UpgradeExemption: true}},
 		"sc-fifo": {Consistency: proto.SC, Policy: core.Policy{
-			Identifier:   core.Versions{},
-			NewMechanism: func() core.Mechanism { return core.NewFIFO(8) },
+			Identifier: core.Versions,
+			FIFO:       8,
 		}},
 		"wc":         {Consistency: proto.WC},
-		"wc-dsi":     {Consistency: proto.WC, Policy: core.Policy{Identifier: core.Versions{}}},
-		"wc-tearoff": {Consistency: proto.WC, Policy: core.Policy{Identifier: core.Versions{}, TearOff: true}},
+		"wc-dsi":     {Consistency: proto.WC, Policy: core.Policy{Identifier: core.Versions}},
+		"wc-tearoff": {Consistency: proto.WC, Policy: core.Policy{Identifier: core.Versions, TearOff: true}},
 	}
 }
 
@@ -182,7 +182,7 @@ func TestDeterminism(t *testing.T) {
 				p.Barrier()
 			},
 		}
-		cfg := small(Config{Consistency: proto.WC, Policy: core.Policy{Identifier: core.Versions{}, TearOff: true}}, 6)
+		cfg := small(Config{Consistency: proto.WC, Policy: core.Policy{Identifier: core.Versions, TearOff: true}}, 6)
 		return New(cfg).Run(p)
 	}
 	a, b := run(), run()
@@ -472,7 +472,7 @@ func TestEventPanicFailsRun(t *testing.T) {
 func TestConcurrentMachinesMatchSerial(t *testing.T) {
 	shapes := []Config{
 		small(Config{Consistency: proto.SC}, 3),
-		small(Config{Consistency: proto.WC, Policy: core.Policy{Identifier: core.Versions{}, TearOff: true}}, 5),
+		small(Config{Consistency: proto.WC, Policy: core.Policy{Identifier: core.Versions, TearOff: true}}, 5),
 	}
 	want := make([]Result, len(shapes))
 	for i, cfg := range shapes {
@@ -513,7 +513,7 @@ func TestTearOffRequiresWC(t *testing.T) {
 			t.Fatal("tear-off under SC did not panic")
 		}
 	}()
-	New(Config{Consistency: proto.SC, Policy: core.Policy{Identifier: core.Versions{}, TearOff: true}})
+	New(Config{Consistency: proto.SC, Policy: core.Policy{Identifier: core.Versions, TearOff: true}})
 }
 
 // Migratory data: each processor in turn updates every block; DSI's marked

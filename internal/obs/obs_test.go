@@ -38,7 +38,7 @@ func microConfig(s *obs.Sink) machine.Config {
 		CacheBytes:  64 * mem.BlockSize,
 		CacheAssoc:  4,
 		Consistency: proto.SC,
-		Policy:      core.Policy{Identifier: core.Versions{}, UpgradeExemption: true},
+		Policy:      core.Policy{Identifier: core.Versions, UpgradeExemption: true},
 		Sink:        s,
 	}
 }
@@ -287,8 +287,8 @@ func TestFIFODisplacementCounting(t *testing.T) {
 	s := obs.NewSink()
 	cfg := microConfig(s)
 	cfg.Policy = core.Policy{
-		Identifier:   core.Versions{},
-		NewMechanism: func() core.Mechanism { return core.NewFIFO(2) },
+		Identifier: core.Versions,
+		FIFO:       2,
 	}
 	var r mem.Region
 	res := machine.New(cfg).Run(&prog{

@@ -148,8 +148,7 @@ type CacheCtrl struct {
 	node   int
 	cfg    Config
 	c      *cache.Cache
-	mech   core.Mechanism
-	hist   *core.InvalHistory // cache-side identification, may be nil
+	si     core.SelfInval // the policy's FIFO and history table
 	server event.Server
 
 	// scTear is the block address of the (single) sequentially consistent
@@ -291,12 +290,9 @@ func NewCacheCtrl(env *Env, node int, cfg Config, geo cache.Config) *CacheCtrl {
 		node: node,
 		cfg:  cfg,
 		c:    cache.New(geo),
-		mech: cfg.Policy.Mechanism(),
 	}
 	cc.slot = &cc.own
-	if cfg.Policy.NewHistory != nil {
-		cc.hist = cfg.Policy.NewHistory()
-	}
+	cc.si.Reset(cfg.Policy)
 	if cfg.Consistency == WC && cfg.WriteBufferEntries <= 0 {
 		panic("proto: WC requires a write buffer")
 	}
@@ -305,20 +301,16 @@ func NewCacheCtrl(env *Env, node int, cfg Config, geo cache.Config) *CacheCtrl {
 
 // Reset returns the controller to its initial state under a (possibly
 // different) protocol configuration, keeping every allocation: the cache
-// arrays, the miss and write-buffer lists, and the record free lists. The
-// geometry is fixed at construction; cfg carries the per-run protocol
-// knobs. Machine reuse calls this between runs.
+// arrays, the self-invalidation state, the miss and write-buffer lists, and
+// the record free lists. The geometry is fixed at construction; cfg carries
+// the per-run protocol knobs. Machine reuse calls this between runs.
 func (cc *CacheCtrl) Reset(cfg Config) {
 	if cfg.Consistency == WC && cfg.WriteBufferEntries <= 0 {
 		panic("proto: WC requires a write buffer")
 	}
 	cc.cfg = cfg
 	cc.c.Reset()
-	cc.mech = cfg.Policy.Mechanism()
-	cc.hist = nil
-	if cfg.Policy.NewHistory != nil {
-		cc.hist = cfg.Policy.NewHistory()
-	}
+	cc.si.Reset(cfg.Policy)
 	cc.server.Reset()
 	cc.scTear = 0
 	cc.misses.Reset()
@@ -333,9 +325,9 @@ func (cc *CacheCtrl) Reset(cfg Config) {
 // Cache exposes the cache array for checkers.
 func (cc *CacheCtrl) Cache() *cache.Cache { return cc.c }
 
-// Mechanism exposes the per-node DSI mechanism (e.g. to read FIFO
-// displacement counts).
-func (cc *CacheCtrl) Mechanism() core.Mechanism { return cc.mech }
+// FIFODisplacements returns the self-invalidations the node's FIFO forced
+// early this run (zero without a FIFO).
+func (cc *CacheCtrl) FIFODisplacements() int64 { return cc.si.Displacements() }
 
 // Stats returns a snapshot of the counters.
 func (cc *CacheCtrl) Stats() CacheStats { return cc.stats }
@@ -475,8 +467,8 @@ func (cc *CacheCtrl) Swap(a mem.Addr, newWord uint64, st Store, cont func(*Resul
 func (cc *CacheCtrl) SyncFlush(cont func(*Result)) {
 	now := cc.env.Q.Now()
 	cc.stats.SyncFlushes++
-	evs := cc.mech.OnSync(cc.c)
-	resume := now + event.Time(cc.mech.ScanLatency(cc.c, len(evs)))
+	evs := cc.si.OnSync(cc.c)
+	resume := now + event.Time(cc.si.ScanLatency(cc.c))
 	for _, ev := range evs {
 		if sk := cc.env.Sink; sk != nil {
 			sk.OnSelfInval(now, cc.node, ev.Addr, ev.State, ev.TearOff, false)
@@ -655,16 +647,14 @@ func (cc *CacheCtrl) postInstall(b mem.Addr, m *netsim.Message) {
 	// Cache-side identification (§3.1): mark locally if this block's
 	// invalidation history crosses the threshold. The home-node exemption
 	// applies here just as it does at the directory.
-	if cc.hist != nil && !marked && cc.home(b) != cc.node {
-		if cc.hist.MarkLocal(cc.c, b) {
-			cc.stats.CacheSideMarked++
-			marked = true
-		}
+	if !marked && cc.home(b) != cc.node && cc.si.MarkLocal(cc.c, b) {
+		cc.stats.CacheSideMarked++
+		marked = true
 	}
 	if !marked {
 		return
 	}
-	for _, ev := range cc.mech.OnInstall(cc.c, b) {
+	if ev, ok := cc.si.OnInstall(cc.c, b); ok {
 		if sk := cc.env.Sink; sk != nil {
 			sk.OnSelfInval(cc.env.Q.Now(), cc.node, ev.Addr, ev.State, ev.TearOff, true)
 		}
@@ -804,9 +794,7 @@ func (cc *CacheCtrl) Handle(m *netsim.Message) {
 func (cc *CacheCtrl) onInv(m *netsim.Message) {
 	cc.stats.InvsReceived++
 	b := mem.BlockOf(m.Addr)
-	if cc.hist != nil {
-		cc.hist.OnInvalidate(b)
-	}
+	cc.si.OnInvalidate(b)
 	ev, had := cc.c.Invalidate(b)
 	if sk := cc.env.Sink; sk != nil && had {
 		sk.OnCacheState(cc.env.Q.Now(), cc.node, b, m.Txn, ev.State, cache.Invalid, 0)

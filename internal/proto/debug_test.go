@@ -20,8 +20,8 @@ func TestDebugChaosTrace(t *testing.T) {
 		t.Skip("set DSI_DEBUG=1 to trace")
 	}
 	cfg := Config{Consistency: SC, Policy: core.Policy{
-		Identifier:   core.Versions{},
-		NewMechanism: func() core.Mechanism { return core.NewFIFO(4) },
+		Identifier: core.Versions,
+		FIFO:       4,
 	}}
 	const watch = mem.Addr(0x100)
 	for seed := uint64(1); seed <= 5; seed++ {

@@ -479,7 +479,7 @@ func (dc *DirCtrl) processRead(m *netsim.Message, hb *homeBlock) {
 	r := core.Request{Node: m.Src, Home: dc.node, Ver: m.Ver, HasVer: m.HasVer}
 	si := pol.MarkRead(e, r)
 	tearOff := si && (pol.TearOff || pol.SCTearOff)
-	ver, hasVer := pol.ID().GrantVersion(e)
+	ver, hasVer := pol.Identifier.GrantVersion(e)
 	if si {
 		dc.stats.SIGrantsRead++
 	}
@@ -537,7 +537,7 @@ func (dc *DirCtrl) processRead(m *netsim.Message, hb *homeBlock) {
 				return
 			}
 			e.Sharers = e.Sharers.Add(m.Src)
-			pol.ID().SetShared(e, si)
+			pol.Identifier.SetShared(e, si)
 		}
 		if sk := dc.env.Sink; sk != nil && e.State != prev {
 			sk.OnDirState(dc.env.Q.Now(), dc.node, b, m.Txn, prev, e.State)
@@ -562,7 +562,7 @@ func (dc *DirCtrl) processMigratoryRead(m *netsim.Message, hb *homeBlock, e *dir
 	dc.stats.MigratoryGrants++
 	r := core.Request{Node: m.Src, Home: dc.node, Ver: m.Ver, HasVer: m.HasVer}
 	si := pol.MarkWrite(e, r)
-	ver, hasVer := pol.ID().GrantVersion(e)
+	ver, hasVer := pol.Identifier.GrantVersion(e)
 	e.ClearTearOff()
 	e.ReadersSinceWrite = 1 // this reader
 	if e.State == directory.Exclusive {
@@ -617,7 +617,7 @@ func (dc *DirCtrl) processWrite(m *netsim.Message, hb *homeBlock) {
 		WasSharer: wasSharer, OtherSharers: !others.Empty(),
 	}
 	si := pol.MarkWrite(e, r)
-	ver, hasVer := pol.ID().GrantVersion(e)
+	ver, hasVer := pol.Identifier.GrantVersion(e)
 	if si {
 		dc.stats.SIGrantsWrite++
 	}
@@ -709,15 +709,15 @@ func (dc *DirCtrl) reply(t *txn, hb *homeBlock, early bool) {
 		switch {
 		case !t.tearOff:
 			e.Sharers = e.Sharers.Add(t.req.Src)
-			dc.cfg.Policy.ID().SetShared(e, t.si)
+			dc.cfg.Policy.Identifier.SetShared(e, t.si)
 		case t.ownerWas >= 0 && e.Sharers.Empty():
 			// Tear-off grant whose recalled owner wrote back mid-recall:
 			// no tracked copies remain at all.
-			dc.cfg.Policy.ID().SetIdle(e, core.CauseReplace, directory.Exclusive, false)
+			dc.cfg.Policy.Identifier.SetIdle(e, core.CauseReplace, directory.Exclusive, false)
 		case t.ownerWas >= 0:
 			// Tear-off grant served by recall: the owner keeps a tracked
 			// downgraded copy.
-			dc.cfg.Policy.ID().SetShared(e, t.si)
+			dc.cfg.Policy.Identifier.SetShared(e, t.si)
 		}
 		if sk := dc.env.Sink; sk != nil && e.State != prev {
 			sk.OnDirState(dc.env.Q.Now(), dc.node, b, t.req.Txn, prev, e.State)
@@ -750,8 +750,7 @@ func (dc *DirCtrl) complete(t *txn, hb *homeBlock) {
 	case t.wcPending:
 		if t.requesterDropped {
 			prev := e.State
-			pol := dc.cfg.Policy
-			pol.ID().SetIdle(e, core.CauseReplace, directory.Exclusive, t.si)
+			dc.cfg.Policy.Identifier.SetIdle(e, core.CauseReplace, directory.Exclusive, t.si)
 			e.Owner = -1
 			if sk := dc.env.Sink; sk != nil && e.State != prev {
 				sk.OnDirState(dc.env.Q.Now(), dc.node, b, t.req.Txn, prev, e.State)
@@ -855,7 +854,7 @@ func (dc *DirCtrl) onWriteback(m *netsim.Message, cause core.IdleCause) {
 			e.LastOwner = m.Src
 			e.Owner = -1
 			prev := e.State
-			dc.cfg.Policy.ID().SetIdle(e, cause, directory.Exclusive, m.SI)
+			dc.cfg.Policy.Identifier.SetIdle(e, cause, directory.Exclusive, m.SI)
 			if sk := dc.env.Sink; sk != nil && e.State != prev {
 				sk.OnDirState(dc.env.Q.Now(), dc.node, b, m.Txn, prev, e.State)
 			}
@@ -897,7 +896,7 @@ func (dc *DirCtrl) onWriteback(m *netsim.Message, cause core.IdleCause) {
 	e.LastOwner = m.Src
 	e.Owner = -1
 	prev := e.State
-	dc.cfg.Policy.ID().SetIdle(e, cause, directory.Exclusive, m.SI)
+	dc.cfg.Policy.Identifier.SetIdle(e, cause, directory.Exclusive, m.SI)
 	if sk := dc.env.Sink; sk != nil && e.State != prev {
 		sk.OnDirState(dc.env.Q.Now(), dc.node, b, m.Txn, prev, e.State)
 	}
@@ -917,7 +916,7 @@ func (dc *DirCtrl) onSharedDrop(m *netsim.Message, cause core.IdleCause) {
 	e.Sharers = e.Sharers.Remove(m.Src)
 	if e.Sharers.Empty() && hb.t == nil {
 		prev := e.State
-		dc.cfg.Policy.ID().SetIdle(e, cause, prev, m.SI)
+		dc.cfg.Policy.Identifier.SetIdle(e, cause, prev, m.SI)
 		if sk := dc.env.Sink; sk != nil && e.State != prev {
 			sk.OnDirState(dc.env.Q.Now(), dc.node, b, m.Txn, prev, e.State)
 		}

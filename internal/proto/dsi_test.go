@@ -13,7 +13,7 @@ import (
 // A remote reader re-reading a block that was modified in between gets a
 // marked copy under the version scheme.
 func TestVersionsMarkReadAfterConflict(t *testing.T) {
-	r := newRig(t, rigOpts{cfg: dsiCfg(core.Versions{})})
+	r := newRig(t, rigOpts{cfg: dsiCfg(core.Versions)})
 	a := blockHomedAt(3, 4, 0)
 	r.read(0, 0, a)           // node 0 reads (version 0)
 	r.write(1000, 1, a, 1)    // node 1 writes: invalidates node 0, version 1
@@ -31,7 +31,7 @@ func TestVersionsMarkReadAfterConflict(t *testing.T) {
 
 // A first-time reader (no version to echo) gets a normal block.
 func TestVersionsFirstReadUnmarked(t *testing.T) {
-	r := newRig(t, rigOpts{cfg: dsiCfg(core.Versions{})})
+	r := newRig(t, rigOpts{cfg: dsiCfg(core.Versions)})
 	a := blockHomedAt(3, 4, 0)
 	r.write(0, 1, a, 1)
 	res := r.read(1000, 0, a)
@@ -45,7 +45,7 @@ func TestVersionsFirstReadUnmarked(t *testing.T) {
 
 // The states scheme marks any read served from Exclusive, even first-timers.
 func TestStatesMarkReadFromExclusive(t *testing.T) {
-	r := newRig(t, rigOpts{cfg: dsiCfg(core.States{})})
+	r := newRig(t, rigOpts{cfg: dsiCfg(core.States)})
 	a := blockHomedAt(3, 4, 0)
 	r.write(0, 1, a, 1)
 	r.read(1000, 0, a)
@@ -65,7 +65,7 @@ func TestStatesMarkReadFromExclusive(t *testing.T) {
 
 // Home-node copies are never marked (paper §4.1 special case).
 func TestHomeNodeNeverMarked(t *testing.T) {
-	r := newRig(t, rigOpts{cfg: dsiCfg(core.States{})})
+	r := newRig(t, rigOpts{cfg: dsiCfg(core.States)})
 	a := blockHomedAt(3, 4, 0)
 	r.write(0, 0, a, 1)
 	res := r.read(1000, 3, a) // node 3 is the home
@@ -80,7 +80,7 @@ func TestHomeNodeNeverMarked(t *testing.T) {
 // Self-invalidation at a sync point sends notifications and moves the
 // directory to the DSI idle states.
 func TestSyncFlushNotifiesAndSetsIdleS(t *testing.T) {
-	r := newRig(t, rigOpts{cfg: dsiCfg(core.States{})})
+	r := newRig(t, rigOpts{cfg: dsiCfg(core.States)})
 	a := blockHomedAt(3, 4, 0)
 	r.write(0, 1, a, 1)
 	r.read(1000, 0, a) // marked (served from Exclusive; recall downgrades node 1)
@@ -103,7 +103,7 @@ func TestSyncFlushNotifiesAndSetsIdleS(t *testing.T) {
 }
 
 func TestSyncFlushLastSharerEntersIdleS(t *testing.T) {
-	r := newRig(t, rigOpts{cfg: dsiCfg(core.States{})})
+	r := newRig(t, rigOpts{cfg: dsiCfg(core.States)})
 	a := blockHomedAt(1, 4, 0)
 	r.write(0, 0, a, 1)
 	// Node 0 self-invalidates its exclusive copy at a sync point.
@@ -114,7 +114,7 @@ func TestSyncFlushLastSharerEntersIdleS(t *testing.T) {
 	// Exclusive marked? No: node 0 is not home; was the block marked?
 	// Writes from Idle are unmarked, so nothing was flushed. Set up a
 	// genuinely marked exclusive instead below.
-	r2 := newRig(t, rigOpts{cfg: dsiCfg(core.States{})})
+	r2 := newRig(t, rigOpts{cfg: dsiCfg(core.States)})
 	b := blockHomedAt(1, 4, 1)
 	r2.write(0, 0, b, 1)    // node 0 exclusive (unmarked)
 	r2.write(1000, 2, b, 2) // node 2 takes it exclusive: marked (from Exclusive)
@@ -138,7 +138,7 @@ func TestSyncFlushLastSharerEntersIdleS(t *testing.T) {
 // After self-invalidation, the next write finds the block idle: no
 // invalidation wait at all — the core effect of DSI.
 func TestDSIEliminatesInvalidationWait(t *testing.T) {
-	r := newRig(t, rigOpts{cfg: dsiCfg(core.Versions{})})
+	r := newRig(t, rigOpts{cfg: dsiCfg(core.Versions)})
 	a := blockHomedAt(3, 4, 0)
 	r.write(0, 1, a, 1)
 	r.read(1000, 0, a)            // unmarked (first read, no echo)...
@@ -159,7 +159,7 @@ func TestDSIEliminatesInvalidationWait(t *testing.T) {
 
 // The upgrade exemption: under SC, a lone sharer upgrading is never marked.
 func TestSCUpgradeExemption(t *testing.T) {
-	r := newRig(t, rigOpts{cfg: dsiCfg(core.States{})})
+	r := newRig(t, rigOpts{cfg: dsiCfg(core.States)})
 	a := blockHomedAt(3, 4, 0)
 	r.write(0, 0, a, 1)
 	r.read(1000, 1, a) // node 1: marked shared copy (from Exclusive), recall 0
@@ -176,7 +176,7 @@ func TestSCUpgradeExemption(t *testing.T) {
 
 // Replacement of a marked block enters Idle_SI, which keeps marking.
 func TestReplacedMarkedBlockEntersIdleSI(t *testing.T) {
-	r := newRig(t, rigOpts{cfg: dsiCfg(core.States{}), cacheBytes: mem.BlockSize, assoc: 1})
+	r := newRig(t, rigOpts{cfg: dsiCfg(core.States), cacheBytes: mem.BlockSize, assoc: 1})
 	a := blockHomedAt(1, 4, 0)
 	b := blockHomedAt(1, 4, 1)
 	r.write(0, 2, a, 1)
@@ -190,7 +190,7 @@ func TestReplacedMarkedBlockEntersIdleSI(t *testing.T) {
 	}
 	// An Idle entry whose last drop was an unmarked copy stays plain Idle:
 	// rerun with the displacement order reversed.
-	r2 := newRig(t, rigOpts{cfg: dsiCfg(core.States{}), cacheBytes: mem.BlockSize, assoc: 1})
+	r2 := newRig(t, rigOpts{cfg: dsiCfg(core.States), cacheBytes: mem.BlockSize, assoc: 1})
 	r2.write(0, 2, a, 1)
 	r2.read(1000, 0, a)
 	r2.read(2000, 0, b) // marked copy out first
@@ -208,8 +208,8 @@ func TestFIFOMechanismDisplacesEarly(t *testing.T) {
 	cfg := Config{
 		Consistency: SC,
 		Policy: core.Policy{
-			Identifier:       core.Versions{},
-			NewMechanism:     func() core.Mechanism { return core.NewFIFO(2) },
+			Identifier:       core.Versions,
+			FIFO:             2,
 			UpgradeExemption: true,
 		},
 	}
@@ -235,9 +235,8 @@ func TestFIFOMechanismDisplacesEarly(t *testing.T) {
 	if _, hit := r.ccs[0].Cache().Peek(blocks[2]); !hit {
 		t.Fatal("newest marked block should still be cached")
 	}
-	fifo := r.ccs[0].Mechanism().(*core.FIFO)
-	if fifo.Displacements != 1 {
-		t.Fatalf("displacements = %d, want 1", fifo.Displacements)
+	if d := r.ccs[0].FIFODisplacements(); d != 1 {
+		t.Fatalf("displacements = %d, want 1", d)
 	}
 	if r.net.Counts().ByKind[netsim.SInvNotify] != 1 {
 		t.Fatalf("SInvNotify = %d, want 1", r.net.Counts().ByKind[netsim.SInvNotify])
@@ -246,7 +245,7 @@ func TestFIFOMechanismDisplacesEarly(t *testing.T) {
 
 // Marked exclusive blocks flushed at a sync point carry their data home.
 func TestFlushedExclusiveDataIntegrity(t *testing.T) {
-	r := newRig(t, rigOpts{cfg: dsiCfg(core.Versions{})})
+	r := newRig(t, rigOpts{cfg: dsiCfg(core.Versions)})
 	a := blockHomedAt(3, 4, 0)
 	r.read(0, 0, a)
 	r.write(1000, 1, a, 1)

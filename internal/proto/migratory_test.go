@@ -88,7 +88,7 @@ func TestMigratoryDemotedByTwoReaders(t *testing.T) {
 // marked for self-invalidation like any exclusive grant.
 func TestMigratoryComposesWithDSI(t *testing.T) {
 	cfg := Config{Consistency: SC, Policy: core.Policy{
-		Migratory: true, Identifier: core.States{}, UpgradeExemption: true}}
+		Migratory: true, Identifier: core.States, UpgradeExemption: true}}
 	r := newRig(t, rigOpts{cfg: cfg})
 	a := blockHomedAt(3, 4, 0)
 	r.write(0, 0, a, 1)

@@ -15,8 +15,9 @@
 //
 // DSI attaches through core.Policy: the directory controller asks the
 // policy whether to mark each grant (and whether to hand shared copies out
-// untracked as tear-off blocks), and the cache controller runs the policy's
-// mechanism at installs and synchronization points.
+// untracked as tear-off blocks), and each cache controller keeps the
+// policy's per-node state (core.SelfInval), which it runs at installs,
+// invalidations and synchronization points.
 package proto
 
 import (

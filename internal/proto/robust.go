@@ -284,9 +284,7 @@ func (cc *CacheCtrl) giveBackGrant(b mem.Addr, m *netsim.Message) {
 			return
 		}
 		ev, _ := cc.c.Invalidate(b)
-		if cc.hist != nil {
-			cc.hist.OnInvalidate(b)
-		}
+		cc.si.OnInvalidate(b)
 		if sk := cc.env.Sink; sk != nil {
 			sk.OnCacheState(cc.env.Q.Now(), cc.node, b, m.Txn, ev.State, cache.Invalid, 0)
 		}

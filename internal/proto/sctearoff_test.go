@@ -12,7 +12,7 @@ import (
 // scTearOffCfg is SC with version-number DSI and Scheurich-style tear-off.
 func scTearOffCfg() Config {
 	return Config{Consistency: SC, Policy: core.Policy{
-		Identifier: core.Versions{}, SCTearOff: true, UpgradeExemption: true}}
+		Identifier: core.Versions, SCTearOff: true, UpgradeExemption: true}}
 }
 
 // An SC tear-off grant is untracked and the write after it needs no
@@ -107,7 +107,7 @@ func TestSCTearOffFlushAtSync(t *testing.T) {
 // the eventual self-invalidation notification keeps the directory exact.
 func TestCacheSideIdentification(t *testing.T) {
 	cfg := Config{Consistency: SC, Policy: core.Policy{
-		NewHistory: func() *core.InvalHistory { return core.NewInvalHistory(16, 2) },
+		History: 16,
 	}}
 	r := newRig(t, rigOpts{cfg: cfg})
 	a := blockHomedAt(3, 4, 0)
@@ -139,8 +139,8 @@ func TestCacheSideIdentification(t *testing.T) {
 // The naive flush pays a full cache scan at every sync point.
 func TestNaiveFlushLatency(t *testing.T) {
 	cfg := Config{Consistency: SC, Policy: core.Policy{
-		Identifier:   core.Versions{},
-		NewMechanism: func() core.Mechanism { return core.NaiveFlush{} },
+		Identifier: core.Versions,
+		NaiveScan:  true,
 	}}
 	r := newRig(t, rigOpts{cfg: cfg, cacheBytes: 32 * mem.BlockSize, assoc: 4})
 	fl := r.flush(100, 0) // nothing marked: still scans all 32 frames

@@ -16,34 +16,30 @@ import (
 func stressConfigs() map[string]Config {
 	return map[string]Config{
 		"sc-base":     scCfg(),
-		"sc-states":   dsiCfg(core.States{}),
-		"sc-versions": dsiCfg(core.Versions{}),
+		"sc-states":   dsiCfg(core.States),
+		"sc-versions": dsiCfg(core.Versions),
 		"sc-always": {Consistency: SC, Policy: core.Policy{
-			Identifier: core.Always{}, UpgradeExemption: true}},
-		"sc-fifo": {Consistency: SC, Policy: core.Policy{
-			Identifier:   core.Versions{},
-			NewMechanism: func() core.Mechanism { return core.NewFIFO(4) },
-		}},
+			Identifier: core.Always, UpgradeExemption: true}},
+		"sc-fifo":    {Consistency: SC, Policy: core.Policy{Identifier: core.Versions, FIFO: 4}},
 		"wc-base":    wcCfg(),
 		"wc-tearoff": wcTearOffCfg(),
 		"wc-always-tearoff": {Consistency: WC, WriteBufferEntries: 4,
-			Policy: core.Policy{Identifier: core.Always{}, TearOff: true}},
+			Policy: core.Policy{Identifier: core.Always, TearOff: true}},
 		"sc-tearoff": {Consistency: SC, Policy: core.Policy{
-			Identifier: core.Versions{}, SCTearOff: true, UpgradeExemption: true}},
+			Identifier: core.Versions, SCTearOff: true, UpgradeExemption: true}},
 		"sc-always-tearoff": {Consistency: SC, Policy: core.Policy{
-			Identifier: core.Always{}, SCTearOff: true}},
+			Identifier: core.Always, SCTearOff: true}},
 		"sc-migratory": {Consistency: SC, Policy: core.Policy{Migratory: true}},
 		"sc-migratory-dsi": {Consistency: SC, Policy: core.Policy{
-			Migratory: true, Identifier: core.States{}, UpgradeExemption: true}},
-		"sc-history": {Consistency: SC, Policy: core.Policy{
-			NewHistory: func() *core.InvalHistory { return core.NewInvalHistory(8, 2) }}},
+			Migratory: true, Identifier: core.States, UpgradeExemption: true}},
+		"sc-history": {Consistency: SC, Policy: core.Policy{History: 8}},
 		"wc-migratory-tearoff": {Consistency: WC, WriteBufferEntries: 16,
-			Policy: core.Policy{Migratory: true, Identifier: core.Versions{}, TearOff: true}},
+			Policy: core.Policy{Migratory: true, Identifier: core.Versions, TearOff: true}},
 		"sc-limited2": {Consistency: SC, SharerLimit: 2},
 		"sc-limited2-dsi": {Consistency: SC, SharerLimit: 2,
-			Policy: core.Policy{Identifier: core.Versions{}, UpgradeExemption: true}},
+			Policy: core.Policy{Identifier: core.Versions, UpgradeExemption: true}},
 		"wc-limited3-tearoff": {Consistency: WC, WriteBufferEntries: 8, SharerLimit: 3,
-			Policy: core.Policy{Identifier: core.Versions{}, TearOff: true}},
+			Policy: core.Policy{Identifier: core.Versions, TearOff: true}},
 	}
 }
 

@@ -17,7 +17,7 @@ func wcTearOffCfg() Config {
 	return Config{
 		Consistency:        WC,
 		WriteBufferEntries: 16,
-		Policy:             core.Policy{Identifier: core.Versions{}, TearOff: true},
+		Policy:             core.Policy{Identifier: core.Versions, TearOff: true},
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 
 	"dsisim/internal/faultinj"
 	"dsisim/internal/machine"
+	"dsisim/internal/proto"
 )
 
 // SchemaVersion tags every key. Bump it whenever the Result layout or any
@@ -38,15 +39,16 @@ type Key struct {
 
 // Request names one simulation cell at the request level — the identity a
 // service front-end would hash: registry workload and scale by name,
-// protocol by label (labels map 1:1 onto (consistency, policy) pairs), and
-// the machine parameters that shape the run. Zero-valued fields hash as
+// protocol by the name proto.NameOf gives its (consistency, policy) pair (a
+// label's name for a label's pair), and the machine parameters that shape
+// the run. Zero-valued fields hash as
 // zero: a caller that relies on machine.Config defaults gets a different
 // key than one that spells the same values out, which can only cause a
 // spurious miss, never a wrong hit.
 type Request struct {
 	Workload string // registry name, e.g. "em3d", "zipf"
 	Scale    string // "test" or "paper"
-	Protocol string // protocol label (proto.LabelOf), e.g. "SC", "V", "W+DSI"
+	Protocol string // protocol name (proto.NameOf), e.g. "SC", "V", "W+DSI"
 
 	Processors         int
 	CacheBytes         int
@@ -61,12 +63,13 @@ type Request struct {
 }
 
 // RequestOf builds the canonical request for a machine config plus the
-// workload/scale/protocol names the caller resolved it from. Configs with a
-// Sink attached have side effects beyond the Result and must not be cached
-// — callers gate on that before asking for a key.
-func RequestOf(workload, scale, protocol string, cfg machine.Config) Request {
+// workload and scale names the caller resolved it from; cfg's consistency
+// and policy name the protocol. Configs with a Sink attached have side
+// effects beyond the Result and must not be cached — Cache.Run runs them
+// without asking for a key.
+func RequestOf(workload, scale string, cfg machine.Config) Request {
 	return Request{
-		Workload: workload, Scale: scale, Protocol: protocol,
+		Workload: workload, Scale: scale, Protocol: proto.NameOf(cfg.Consistency, cfg.Policy),
 		Processors: cfg.Processors, CacheBytes: cfg.CacheBytes, CacheAssoc: cfg.CacheAssoc,
 		NetworkLatency: int64(cfg.NetworkLatency), WriteBufferEntries: cfg.WriteBufferEntries,
 		SharerLimit: cfg.SharerLimit, Seed: cfg.Seed, MaxSteps: cfg.MaxSteps, Faults: cfg.Faults,

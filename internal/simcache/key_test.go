@@ -3,8 +3,10 @@ package simcache
 import (
 	"testing"
 
+	"dsisim/internal/core"
 	"dsisim/internal/faultinj"
 	"dsisim/internal/machine"
+	"dsisim/internal/proto"
 )
 
 // fullRequest returns a request with every field set to a distinctive
@@ -123,24 +125,35 @@ func TestKeyNilVsZeroDistinct(t *testing.T) {
 	}
 }
 
+// RequestOf names cfg's protocol from its consistency and policy, as the
+// label that configures them; the protocol is part of the key.
 func TestRequestOfRoundTrip(t *testing.T) {
+	l, err := proto.LabelOf("W+DSI")
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := machine.Config{
 		Processors: 8, CacheBytes: 2048, CacheAssoc: 4,
 		NetworkLatency: 40, WriteBufferEntries: 16, SharerLimit: 8,
+		Consistency: l.Consistency, Policy: l.Policy,
 		Seed: 0x5eed, MaxSteps: 1 << 20,
 		Faults: &faultinj.Config{Seed: 99, Drop: 0.01},
 	}
-	a := RequestOf("em3d", "test", "W+DSI", cfg)
-	b := RequestOf("em3d", "test", "W+DSI", cfg)
-	if a.Key() != b.Key() {
+	a := RequestOf("em3d", "test", cfg)
+	if a.Protocol != l.Name {
+		t.Fatalf("protocol %q, want the label's name %q", a.Protocol, l.Name)
+	}
+	if b := RequestOf("em3d", "test", cfg); a.Key() != b.Key() {
 		t.Fatal("RequestOf is not stable for an identical config")
 	}
 	cfg.Seed++
-	if RequestOf("em3d", "test", "W+DSI", cfg).Key() == a.Key() {
+	if RequestOf("em3d", "test", cfg).Key() == a.Key() {
 		t.Fatal("config seed not part of the request identity")
 	}
-	if RequestOf("em3d", "test", "V", cfg).Key() == RequestOf("em3d", "test", "W+DSI", cfg).Key() {
-		t.Fatal("protocol label not part of the request identity")
+	cfg.Seed--
+	cfg.Policy.Identifier = core.States
+	if RequestOf("em3d", "test", cfg).Key() == a.Key() {
+		t.Fatal("policy not part of the request identity")
 	}
 }
 

@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	"dsisim/internal/machine"
+	"dsisim/internal/obs"
 	"dsisim/internal/workload"
 )
 
 // runCell runs em3d at test scale on 8 processors through c.
 func runCell(t *testing.T, c *Cache) (machine.Result, bool) {
 	t.Helper()
-	res, hit, err := c.Run("em3d", workload.ScaleTest, "SC", machine.Config{Processors: 8})
+	res, hit, err := c.Run("em3d", workload.ScaleTest, machine.Config{Processors: 8})
 	if err != nil || res.Failed() {
 		t.Fatalf("em3d: err %v, errors %q", err, res.Errors)
 	}
@@ -56,12 +57,32 @@ func TestRunRepeatIsHit(t *testing.T) {
 func TestRunUnknownWorkload(t *testing.T) {
 	c := New(0)
 	for i := 0; i < 2; i++ {
-		res, hit, err := c.Run("no-such-workload", workload.ScaleTest, "SC", machine.Config{Processors: 8})
+		res, hit, err := c.Run("no-such-workload", workload.ScaleTest, machine.Config{Processors: 8})
 		if err == nil || hit || !reflect.DeepEqual(res, machine.Result{}) {
 			t.Fatalf("run %d: err %v, hit %v, result %+v; want an error, a miss and a zero Result", i, err, hit, res)
 		}
 	}
 	if s := c.Stats(); s.Misses != 2 || s.Entries != 0 {
 		t.Fatalf("stats = %+v, want 2 misses and nothing stored", s)
+	}
+}
+
+// A request with a sink attached runs uncached, since a cached Result cannot
+// replay its events: it records them each time, a repeat is no hit, and
+// nothing is stored.
+func TestRunSinkBypassesCache(t *testing.T) {
+	c := New(0)
+	for i := 0; i < 2; i++ {
+		sink := obs.NewSink()
+		res, hit, err := c.Run("em3d", workload.ScaleTest, machine.Config{Processors: 8, Sink: sink})
+		if err != nil || res.Failed() {
+			t.Fatalf("run %d: err %v, errors %q", i, err, res.Errors)
+		}
+		if hit || sink.Len() == 0 {
+			t.Fatalf("run %d: hit=%v with %d events recorded, want a recording miss", i, hit, sink.Len())
+		}
+	}
+	if s := c.Stats(); s.Entries != 0 || s.Hits != 0 {
+		t.Fatalf("stats = %+v, want nothing stored or hit", s)
 	}
 }

@@ -108,11 +108,13 @@ func (c *Cache) do(key Key, compute func() machine.Result, res *machine.Result) 
 }
 
 // Run simulates registry workload name at scale on a machine of shape cfg,
-// through machine.Run, memoized under the cell's key (label names cfg's
-// protocol). The workload is built only on a miss. One that cannot be built
-// comes back as err with a zero Result; the failed Result the cache saw is
-// never stored. A nil cache runs the cell without computing a key.
-func (c *Cache) Run(name string, scale workload.Scale, label string, cfg machine.Config) (res machine.Result, hit bool, err error) {
+// through machine.Run, memoized under the cell's key (RequestOf). The
+// workload is built only on a miss. One that cannot be built comes back as
+// err with a zero Result; the failed Result the cache saw is never stored.
+// A nil cache, or a cfg with a Sink attached, runs the cell without
+// computing a key: event recording is an effect a cached Result cannot
+// replay.
+func (c *Cache) Run(name string, scale workload.Scale, cfg machine.Config) (res machine.Result, hit bool, err error) {
 	compute := func() machine.Result {
 		prog, perr := workload.New(name, scale)
 		if perr != nil {
@@ -121,10 +123,10 @@ func (c *Cache) Run(name string, scale workload.Scale, label string, cfg machine
 		}
 		return machine.Run(cfg, prog)
 	}
-	if c == nil {
+	if c == nil || cfg.Sink != nil {
 		res = compute()
 	} else {
-		hit = c.do(RequestOf(name, scale.String(), label, cfg).Key(), compute, &res)
+		hit = c.do(RequestOf(name, scale.String(), cfg).Key(), compute, &res)
 	}
 	if err != nil {
 		return machine.Result{}, false, err

@@ -148,8 +148,8 @@ func specOf(cell Cell) *Spec {
 // events and cycles, whether its result came from cache, and the cell's
 // verdict error. A litmus program runs through workload.RunLitmus (canary
 // breaks its writes); a registry workload runs through cache, which a
-// non-nil sink bypasses because recording is an effect a cached Result
-// cannot replay. The sink records the run's coherence events.
+// non-nil sink bypasses (simcache.Cache.Run). The sink records the run's
+// coherence events.
 func (s *Spec) run(cache *simcache.Cache, sink *obs.Sink, canary bool) (events uint64, cycles int64, hit bool, err error) {
 	pr, err := proto.LabelOf(s.Protocol)
 	if err != nil {
@@ -159,13 +159,10 @@ func (s *Spec) run(cache *simcache.Cache, sink *obs.Sink, canary bool) (events u
 		events, cycles, err = workload.RunLitmus(s.Litmus, pr, s.Faults, workload.LitmusRun{Canary: canary, Sink: sink})
 		return events, cycles, false, err
 	}
-	if sink != nil {
-		cache = nil
-	}
 	// Registry workloads run on soak's one machine shape: 8 processors with
 	// the default 4-way cache, seeded Seed|1, at test scale (campaigns sweep
 	// breadth, not input size).
-	res, hit, err := cache.Run(s.Workload, workload.ScaleTest, s.Protocol, machine.Config{
+	res, hit, err := cache.Run(s.Workload, workload.ScaleTest, machine.Config{
 		Processors:  8,
 		CacheAssoc:  4,
 		Consistency: pr.Consistency,

@@ -19,7 +19,7 @@ func TestTrafficDeterminism(t *testing.T) {
 			run := func() machine.Result {
 				return runOne(t, name, machine.Config{
 					Consistency: proto.WC,
-					Policy:      core.Policy{Identifier: core.Versions{}, TearOff: true},
+					Policy:      core.Policy{Identifier: core.Versions, TearOff: true},
 				}, 8, 64*mem.BlockSize*4)
 			}
 			a, b := run(), run()
@@ -43,7 +43,7 @@ func TestZipfInvalidationProfile(t *testing.T) {
 	}
 	dsi := runOne(t, "zipf", machine.Config{
 		Consistency: proto.SC,
-		Policy:      core.Policy{Identifier: core.Versions{}, UpgradeExemption: true},
+		Policy:      core.Policy{Identifier: core.Versions, UpgradeExemption: true},
 	}, 8, 64*mem.BlockSize*4)
 	if dsi.Messages.Invalidation() >= base.Messages.Invalidation() {
 		t.Fatalf("DSI did not reduce zipf invalidations: %d >= %d",

@@ -17,21 +17,20 @@ import (
 func testConfigs() map[string]machine.Config {
 	return map[string]machine.Config{
 		"sc":        {Consistency: proto.SC},
-		"sc-states": {Consistency: proto.SC, Policy: core.Policy{Identifier: core.States{}, UpgradeExemption: true}},
+		"sc-states": {Consistency: proto.SC, Policy: core.Policy{Identifier: core.States, UpgradeExemption: true}},
 		"sc-versions-fifo": {Consistency: proto.SC, Policy: core.Policy{
-			Identifier:       core.Versions{},
-			NewMechanism:     func() core.Mechanism { return core.NewFIFO(16) },
+			Identifier:       core.Versions,
+			FIFO:             16,
 			UpgradeExemption: true,
 		}},
 		"wc":         {Consistency: proto.WC},
-		"wc-tearoff": {Consistency: proto.WC, Policy: core.Policy{Identifier: core.Versions{}, TearOff: true}},
+		"wc-tearoff": {Consistency: proto.WC, Policy: core.Policy{Identifier: core.Versions, TearOff: true}},
 		"sc-tearoff": {Consistency: proto.SC, Policy: core.Policy{
-			Identifier: core.Versions{}, SCTearOff: true, UpgradeExemption: true}},
+			Identifier: core.Versions, SCTearOff: true, UpgradeExemption: true}},
 		"sc-migratory": {Consistency: proto.SC, Policy: core.Policy{Migratory: true}},
 		"sc-migratory-dsi": {Consistency: proto.SC, Policy: core.Policy{
-			Migratory: true, Identifier: core.Versions{}, UpgradeExemption: true}},
-		"sc-history": {Consistency: proto.SC, Policy: core.Policy{
-			NewHistory: func() *core.InvalHistory { return core.NewInvalHistory(64, 2) }}},
+			Migratory: true, Identifier: core.Versions, UpgradeExemption: true}},
+		"sc-history": {Consistency: proto.SC, Policy: core.Policy{History: 64}},
 	}
 }
 
@@ -72,7 +71,7 @@ func TestAllWorkloadsTinyCache(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			runOne(t, name, machine.Config{
 				Consistency: proto.WC,
-				Policy:      core.Policy{Identifier: core.Versions{}, TearOff: true},
+				Policy:      core.Policy{Identifier: core.Versions, TearOff: true},
 			}, 4, 8*mem.BlockSize)
 		})
 	}
@@ -129,9 +128,9 @@ func TestWorkloadDeterminism(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			a := runOne(t, name, machine.Config{Consistency: proto.SC,
-				Policy: core.Policy{Identifier: core.Versions{}, UpgradeExemption: true}}, 4, 64*mem.BlockSize*4)
+				Policy: core.Policy{Identifier: core.Versions, UpgradeExemption: true}}, 4, 64*mem.BlockSize*4)
 			b := runOne(t, name, machine.Config{Consistency: proto.SC,
-				Policy: core.Policy{Identifier: core.Versions{}, UpgradeExemption: true}}, 4, 64*mem.BlockSize*4)
+				Policy: core.Policy{Identifier: core.Versions, UpgradeExemption: true}}, 4, 64*mem.BlockSize*4)
 			if a.ExecTime != b.ExecTime || a.Messages != b.Messages {
 				t.Fatalf("nondeterministic: %d/%d msgs %d/%d",
 					a.ExecTime, b.ExecTime, a.Messages.Total(), b.Messages.Total())
@@ -159,7 +158,7 @@ func TestDSIReducesSparseInvalidations(t *testing.T) {
 	base := runOne(t, "sparse", machine.Config{Consistency: proto.SC}, 8, 64*mem.BlockSize*4)
 	dsi := runOne(t, "sparse", machine.Config{
 		Consistency: proto.SC,
-		Policy:      core.Policy{Identifier: core.Versions{}, UpgradeExemption: true},
+		Policy:      core.Policy{Identifier: core.Versions, UpgradeExemption: true},
 	}, 8, 64*mem.BlockSize*4)
 	if dsi.Messages.Invalidation() >= base.Messages.Invalidation() {
 		t.Fatalf("DSI did not reduce sparse invalidations: %d >= %d",
@@ -171,7 +170,7 @@ func TestTearOffReducesSparseMessages(t *testing.T) {
 	base := runOne(t, "sparse", machine.Config{Consistency: proto.WC}, 8, 64*mem.BlockSize*4)
 	dsi := runOne(t, "sparse", machine.Config{
 		Consistency: proto.WC,
-		Policy:      core.Policy{Identifier: core.Versions{}, TearOff: true},
+		Policy:      core.Policy{Identifier: core.Versions, TearOff: true},
 	}, 8, 64*mem.BlockSize*4)
 	if dsi.Messages.Invalidation() >= base.Messages.Invalidation() {
 		t.Fatalf("tear-off did not cut invalidation messages: %d >= %d",

@@ -9,9 +9,11 @@ import (
 // TestNilSinkAllocsUnchanged is the allocation gate of the simulation kernel:
 // with no coherence sink attached, a warm full simulation of each tracked
 // cell (test scale, 8 processors) may allocate at most its budget. The
-// cells are em3d under V (the invalidation hot path), ocean under W+DSI (the
-// tear-off/DSI hot path), zipf under V (the skewed-popularity traffic mix),
-// and em3d under V with 320 nodes per processor (see em3dWide). Allocation
+// cells are em3d under V (the invalidation hot path), under V-FIFO and
+// HIST (each node's FIFO and history table, kept across runs, so both
+// match V), ocean under W+DSI (the tear-off/DSI hot path), zipf under V (the
+// skewed-popularity traffic mix), and em3d under V with 320 nodes per
+// processor (see em3dWide). Allocation
 // counts are deterministic, so each budget is the exact count, not a noise
 // band: the observability layer, or any kernel change, may not add a single
 // steady-state allocation (DESIGN.md §6).
@@ -29,6 +31,8 @@ func TestNilSinkAllocsUnchanged(t *testing.T) {
 		budget   float64
 	}{
 		{"em3d", V, nil, 58},
+		{"em3d", VFIFO, nil, 58},
+		{"em3d", VHistory, nil, 58},
 		{"ocean", WDSI, nil, 91},
 		{"zipf", V, nil, 69},
 		{"em3d-320", V, em3dWide, 58},
