@@ -437,9 +437,20 @@ func campaignMix(cells, requests int) []Config {
 // BenchmarkCampaignThroughput measures campaign request throughput over the
 // zipf-popular mix, with and without the content-addressed result cache.
 // The cached variant holds one cache across all iterations — repeated cells
-// are free; the uncached variant simulates every request.
+// are free; the uncached variant simulates every request. The
+// cached-bounded variant's budget holds a third of the mix's cells, so its
+// cache fills, and evicts and refuses results, as a campaign larger than
+// its budget does.
 func BenchmarkCampaignThroughput(b *testing.B) {
-	mix := campaignMix(6, 90)
+	const cells = 6
+	mix := campaignMix(cells, 90)
+	one := NewResultCache(0)
+	probe := mix[0]
+	probe.Cache = one
+	if _, err := Run(probe); err != nil {
+		b.Fatal(err)
+	}
+	bounded := one.Stats().Bytes * cells / 3
 	run := func(b *testing.B, cache *ResultCache) {
 		for i := 0; i < b.N; i++ {
 			for _, cfg := range mix {
@@ -453,4 +464,5 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 	}
 	b.Run("uncached", func(b *testing.B) { run(b, nil) })
 	b.Run("cached", func(b *testing.B) { run(b, NewResultCache(256<<20)) })
+	b.Run("cached-bounded", func(b *testing.B) { run(b, NewResultCache(bounded)) })
 }

@@ -152,22 +152,30 @@ type Config struct {
 	Faults *FaultConfig
 	// Cache, if set, memoizes Results by the run's canonical content
 	// address (workload, scale, protocol, machine parameters, fault plan,
-	// seed): a repeated configuration is served from memory, bit-identical
-	// to a fresh simulation. The handle is caller-owned, so one cache can
-	// span many Run calls (see NewResultCache). Runs with a Sink attached
-	// bypass the cache — recording is a side effect a memoized result
-	// cannot replay — as do custom programs via RunProgram (no canonical
-	// key). A nil Cache simulates every run.
+	// seed): a repeated configuration the cache holds is served from
+	// memory, bit-identical to a fresh simulation. A Result served from the
+	// cache shares its slices with the cache and every other caller served
+	// it, so it must not be modified. The handle is caller-owned, so one
+	// cache can span many Run calls (see NewResultCache). Runs with a Sink
+	// attached bypass the cache — recording is a side effect a memoized
+	// result cannot replay — as do custom programs via RunProgram (no
+	// canonical key). A nil Cache simulates every run.
 	Cache *ResultCache
 }
 
-// ResultCache is a content-addressed, byte-budgeted LRU store of simulation
-// Results with singleflight deduplication of concurrent identical requests
-// (internal/simcache). Attach one via Config.Cache.
+// ResultCache is a content-addressed store of simulation Results under a
+// byte budget, with singleflight deduplication of concurrent identical
+// requests (internal/simcache). Once the budget has filled, it stores a
+// new Result only if the Result's recent request count times its
+// recompute cost (Kernel.Events) per byte is at least that of the least
+// recently used Result, which it then evicts; a refused Result is still
+// returned to every caller that asked for it. Results it serves share
+// their slices with the cache and must not be modified. Attach one via
+// Config.Cache.
 type ResultCache = simcache.Cache
 
 // NewResultCache builds a result cache that holds at most budgetBytes of
-// cached Results (<= 0 means unbounded).
+// cached Results (<= 0 means unbounded, storing every Result).
 func NewResultCache(budgetBytes int64) *ResultCache { return simcache.New(budgetBytes) }
 
 // FaultConfig describes a deterministic fault-injection plan. The zero value

@@ -1,17 +1,26 @@
 // Package simcache is the content-addressed result cache above the
 // simulation kernel. The simulator is fully deterministic: a cell's
 // (workload, protocol, machine parameters, fault plan, seed) completely
-// determines its Result, so identical requests can be computed once and
-// served from memory thereafter — the ROADMAP's service north-star, where
-// millions of users hitting the same popular configurations cost one
-// simulation each.
+// determines its Result, so a campaign, an artifact run or a benchmark that
+// repeats a cell can serve the repeat from memory instead of simulating it
+// again.
 //
-// The cache is keyed by a canonical digest of the request (this file), holds
-// results under an LRU byte budget, and deduplicates concurrent identical
-// requests with singleflight semantics (simcache.go). Cached results are
-// bit-identical to freshly computed ones: the Result struct is returned by
-// value and its slices are treated as read-only by every caller, exactly as
-// the rest of the repo already treats Results held in experiment matrices.
+// The cache is keyed by a canonical digest of the request (this file) and
+// deduplicates concurrent identical requests with singleflight semantics
+// (simcache.go). It holds results under a byte budget in LRU order. Until
+// the budget first fills it stores every result; after that it admits a
+// result that would overflow the budget only if the result is worth at
+// least the LRU tail it would displace, where a result's worth is its
+// recent request count (a count-min sketch, as in TinyLFU) times its
+// recompute cost (Result.Kernel.Events) per byte held, as in
+// GreedyDual-Size-Frequency. A refused result still goes to its caller and
+// to every waiter. Everything the rule reads is deterministic, so a request
+// stream's hits, evictions and refusals repeat exactly.
+//
+// Cached results are bit-identical to freshly computed ones: the Result
+// struct is returned by value, and its slices are shared with the cache and
+// treated as read-only by every caller, exactly as the rest of the repo
+// already treats Results held in experiment matrices.
 package simcache
 
 import (

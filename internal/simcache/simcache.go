@@ -14,7 +14,7 @@ import (
 // cached Result for a key or computes it exactly once, even when many
 // goroutines ask for the same key at the same moment (singleflight): the
 // first caller computes while the rest wait on the entry and then read the
-// stored value.
+// stored value, or the refused one it hands over.
 //
 // A nil *Cache is valid and disabled: Do simply runs the compute function.
 // That lets call sites thread an optional cache without nil checks.
@@ -25,31 +25,42 @@ type Cache struct {
 	m      map[Key]*entry
 	// LRU list: head is most recently used, tail the eviction candidate.
 	head, tail *entry
+	// freq counts recent requests per key. It is nil until a result first
+	// overflows the budget, so a cache that never fills keeps no sketch.
+	freq *sketch
 
-	hits, misses, evictions, waits int64
+	hits, misses, evictions, waits, refused int64
 }
 
 // entry is one cached (or in-flight) result. done is open while the first
-// caller computes; waiters block on it and re-check the map afterwards.
+// caller computes; waiters block on it, then take res if refused is set and
+// re-check the map otherwise.
 type entry struct {
 	key        Key
 	res        machine.Result
 	size       int64
 	done       chan struct{}
+	refused    bool
 	prev, next *entry
 }
 
-// New returns a cache that evicts least-recently-used results once stored
-// bytes exceed budgetBytes. A budget <= 0 means unbounded.
+// New returns a cache of results under a byte budget: it stores results
+// until they fill budgetBytes, then admits a result that would overflow it
+// only if the result's recent request count times its recompute cost per
+// byte is at least the least-recently-used result's, evicting from the LRU
+// end to make room (see the package doc). A budget <= 0 means unbounded:
+// every result is stored.
 func New(budgetBytes int64) *Cache {
 	return &Cache{budget: budgetBytes, m: make(map[Key]*entry)}
 }
 
 // Do returns the Result for key, computing it with compute on a miss. The
-// second return reports whether the result came from the cache. Results for
-// failed runs (Result.Failed()) are returned but never stored, so
-// re-running a failing cell always re-executes it — triage and flake
-// classification see real runs.
+// second return reports whether the result came from the cache, or from
+// another caller's compute this call waited on. Results for failed runs
+// (Result.Failed()) are returned but never stored, so re-running a failing
+// cell always re-executes it — triage and flake classification see real
+// runs. A result the admission rule refuses is returned, to this caller and
+// to every waiter, but not stored.
 func (c *Cache) Do(key Key, compute func() machine.Result) (machine.Result, bool) {
 	var res machine.Result
 	hit := c.do(key, compute, &res)
@@ -63,8 +74,11 @@ func (c *Cache) do(key Key, compute func() machine.Result, res *machine.Result) 
 		*res = compute()
 		return false
 	}
+	c.mu.Lock()
+	if c.freq != nil {
+		c.freq.add(key)
+	}
 	for {
-		c.mu.Lock()
 		if e, ok := c.m[key]; ok {
 			if e.done == nil {
 				c.hits++
@@ -73,13 +87,20 @@ func (c *Cache) do(key Key, compute func() machine.Result, res *machine.Result) 
 				c.mu.Unlock()
 				return true
 			}
-			// Another caller is computing this key right now: wait for it,
-			// then loop to re-check. The entry may be gone if that compute
-			// failed — the loop then recomputes here.
+			// Another caller is computing this key right now: wait for it.
+			// A refused result is handed over; a failed one left no entry,
+			// so the loop recomputes it here.
 			c.waits++
 			done := e.done
 			c.mu.Unlock()
 			<-done
+			c.mu.Lock()
+			if e.refused {
+				c.hits++
+				*res = e.res
+				c.mu.Unlock()
+				return true
+			}
 			continue
 		}
 		e := &entry{key: key, done: make(chan struct{})}
@@ -88,16 +109,23 @@ func (c *Cache) do(key Key, compute func() machine.Result, res *machine.Result) 
 		c.mu.Unlock()
 
 		*res = compute()
+		size := resultSize(res)
 
 		c.mu.Lock()
-		if res.Failed() {
+		switch {
+		case res.Failed():
 			delete(c.m, key)
-		} else {
+		case c.admit(key, res.Kernel.Events, size):
 			e.res = *res
-			e.size = resultSize(res)
-			c.bytes += e.size
+			e.size = size
+			c.bytes += size
 			c.pushFront(e)
 			c.evict()
+		default:
+			delete(c.m, key)
+			c.refused++
+			e.res = *res
+			e.refused = true
 		}
 		done := e.done
 		e.done = nil
@@ -171,6 +199,34 @@ func (c *Cache) unlink(e *entry) {
 	e.prev, e.next = nil, nil
 }
 
+// admit reports whether a computed result costing events to recompute and
+// size bytes to hold may be stored. One that fits under the budget is, and
+// so is one the cache has nothing to evict for. One that would overflow
+// the budget is stored only if its recent request count times events per
+// byte is at least the LRU tail's; ties admit, so equal counts and costs
+// keep LRU's order. The first overflow allocates the request-count sketch,
+// sized for the results then resident. Caller holds mu.
+func (c *Cache) admit(key Key, events uint64, size int64) bool {
+	if c.budget <= 0 || c.bytes+size <= c.budget || c.tail == nil {
+		return true
+	}
+	if c.freq == nil {
+		n := 0
+		for e := c.head; e != nil; e = e.next {
+			n++
+		}
+		c.freq = newSketch(n)
+	}
+	t := c.tail
+	return worth(c.freq.count(key), events, size) >= worth(c.freq.count(t.key), t.res.Kernel.Events, t.size)
+}
+
+// worth is a result's recompute cost per byte held, weighted by its recent
+// request count.
+func worth(count uint8, events uint64, size int64) float64 {
+	return float64(count) * float64(events) / float64(size)
+}
+
 // evict drops LRU-tail entries until the byte budget holds, always keeping
 // at least one entry so a single oversized result still caches. Caller
 // holds mu.
@@ -194,7 +250,9 @@ type Stats struct {
 	Evictions int64
 	// Waits counts singleflight suspensions: calls that found the key
 	// in-flight and blocked instead of recomputing.
-	Waits   int64
+	Waits int64
+	// Refused counts computed results the admission rule did not store.
+	Refused int64
 	Bytes   int64
 	Entries int64
 }
@@ -208,7 +266,7 @@ func (c *Cache) Stats() Stats {
 	defer c.mu.Unlock()
 	return Stats{
 		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
-		Waits: c.waits, Bytes: c.bytes, Entries: int64(len(c.m)),
+		Waits: c.waits, Refused: c.refused, Bytes: c.bytes, Entries: int64(len(c.m)),
 	}
 }
 
@@ -219,6 +277,7 @@ func (s Stats) Counters() []stats.Counter {
 		{Name: "simcache.misses", Value: s.Misses},
 		{Name: "simcache.evictions", Value: s.Evictions},
 		{Name: "simcache.waits", Value: s.Waits},
+		{Name: "simcache.refused", Value: s.Refused},
 		{Name: "simcache.bytes", Value: s.Bytes},
 		{Name: "simcache.entries", Value: s.Entries},
 	}

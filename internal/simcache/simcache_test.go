@@ -2,6 +2,7 @@ package simcache
 
 import (
 	"reflect"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -238,11 +239,11 @@ func TestCacheSingleflightFailedComputeRetries(t *testing.T) {
 }
 
 func TestStatsCounters(t *testing.T) {
-	s := Stats{Hits: 3, Misses: 2, Evictions: 1, Waits: 4, Bytes: 500, Entries: 2}
+	s := Stats{Hits: 3, Misses: 2, Evictions: 1, Waits: 4, Refused: 5, Bytes: 500, Entries: 2}
 	cs := s.Counters()
 	want := map[string]int64{
 		"simcache.hits": 3, "simcache.misses": 2, "simcache.evictions": 1,
-		"simcache.waits": 4, "simcache.bytes": 500, "simcache.entries": 2,
+		"simcache.waits": 4, "simcache.refused": 5, "simcache.bytes": 500, "simcache.entries": 2,
 	}
 	if len(cs) != len(want) {
 		t.Fatalf("got %d counters, want %d", len(cs), len(want))
@@ -250,6 +251,15 @@ func TestStatsCounters(t *testing.T) {
 	for _, ctr := range cs {
 		if want[ctr.Name] != ctr.Value {
 			t.Errorf("%s = %d, want %d", ctr.Name, ctr.Value, want[ctr.Name])
+		}
+	}
+	tab := s.Table()
+	if len(tab.Rows) != len(want) {
+		t.Fatalf("table has %d rows, want %d", len(tab.Rows), len(want))
+	}
+	for _, row := range tab.Rows {
+		if strconv.FormatInt(want[row[0]], 10) != row[1] {
+			t.Errorf("table row %s = %s, want %d", row[0], row[1], want[row[0]])
 		}
 	}
 }

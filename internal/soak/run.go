@@ -169,8 +169,8 @@ func Run(o Options) (*Report, error) {
 						reruns.Load(), time.Since(start).Round(time.Second))
 					if o.Cache != nil {
 						cs := o.Cache.Stats()
-						line += fmt.Sprintf(", cache %dh/%dm/%de %dKB",
-							cs.Hits, cs.Misses, cs.Evictions, cs.Bytes/1024)
+						line += fmt.Sprintf(", cache %dh/%dm/%de/%dr %dKB",
+							cs.Hits, cs.Misses, cs.Evictions, cs.Refused, cs.Bytes/1024)
 					}
 					fmt.Fprintln(os.Stderr, line)
 				}
